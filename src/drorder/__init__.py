@@ -20,11 +20,8 @@ from .operators import (
     Rotation,
     SphereSelection,
     graph_contains,
-    inverse_resolvent,
     is_monotone,
     operator_from_dict,
-    reflect,
-    resolve,
 )
 from .splitting import (
     BlockSeparable,
@@ -32,8 +29,6 @@ from .splitting import (
     LiftedProblem,
     Orbit,
     SplitOperator,
-    borwein_tam_apply,
-    dr_apply,
     dr_matrix,
     dr_step,
     iterate,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .operators import (
     GraphPair,
-    MonotonicityError,
     NormalConeAffineSubspace,
     NotAffineError,
     Operator,
@@ -32,7 +31,7 @@ from .operators import (
     as_point,
     graph_contains,
 )
-from .splitting import SplitOperator, dr_step
+from .splitting import SplitOperator, dr_step, require_operands
 
 __all__ = [
     "FixedPointBudgetError",
@@ -42,6 +41,9 @@ __all__ = [
     "find_fixed_point",
     "extract_solution",
     "map_fixed_point",
+    "FixedPointCertificates",
+    "certify_fixed_points",
+    "power_orbit",
     "check_commutation",
     "check_conjugation",
     "probe_conjugation",
@@ -99,13 +101,7 @@ class IdentityReport:
                    bool(violation <= tolerance))
 
     def to_dict(self) -> dict:
-        return {
-            "identity_name": self.identity_name,
-            "max_violation": self.max_violation,
-            "sample_count": self.sample_count,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return dict(vars(self))
 
 
 def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
@@ -135,6 +131,15 @@ def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
     )
 
 
+def _require_fixed_point(first: Operator, second: Operator, f: np.ndarray,
+                         fix_tol: float) -> None:
+    residual = float(np.linalg.norm(dr_step(first, second, f) - f))
+    if residual > fix_tol:
+        raise CertificateError(
+            f"not a fixed point: residual {residual:.3e} > {fix_tol:.1e}"
+        )
+
+
 def extract_solution(A: Operator, B: Operator, fixed_point, *,
                      fix_tol: float = TAU_GRAPH,
                      graph_tol: float = TAU_GRAPH) -> SolutionPair:
@@ -144,11 +149,7 @@ def extract_solution(A: Operator, B: Operator, fixed_point, *,
     not a fixed point to sufficient accuracy.
     """
     f = as_point(fixed_point, A.dim)
-    residual = float(np.linalg.norm(dr_step(A, B, f) - f))
-    if residual > fix_tol:
-        raise CertificateError(
-            f"not a fixed point: residual {residual:.3e} > {fix_tol:.1e}"
-        )
+    _require_fixed_point(A, B, f, fix_tol)
     z = A.resolve(f)
     k = f - z
     cert_a = GraphPair(z, k)
@@ -172,25 +173,72 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
     if direction not in ("ab", "ba"):
         raise ValueError("direction must be 'ab' or 'ba'")
     f = as_point(f, A.dim)
-    if direction == "ab":
-        source_residual = float(np.linalg.norm(dr_step(A, B, f) - f))
-        reflector = A
-    else:
-        source_residual = float(np.linalg.norm(dr_step(B, A, f) - f))
-        reflector = B
-    if source_residual > fix_tol:
-        raise CertificateError(
-            f"source fixed-point check failed: residual {source_residual:.3e} "
-            f"> {fix_tol:.1e}"
-        )
+    reflector, partner = (A, B) if direction == "ab" else (B, A)
+    _require_fixed_point(reflector, partner, f, fix_tol)
     return reflector.reflect(f)
 
 
-def _require_generalized_partner(A: Operator, B: Operator) -> None:
-    if not B.monotone and not isinstance(A, NormalConeAffineSubspace):
-        raise MonotonicityError(
-            "a non-monotone second operand needs an affine-subspace normal "
-            "cone in the first slot"
+def power_orbit(first: Operator, second: Operator, x: np.ndarray,
+                n: int) -> list[np.ndarray]:
+    """The points x, T x, ..., T^n x of T = T_(first, second), by dr_step."""
+    orbit = [x]
+    for _ in range(int(n)):
+        orbit.append(dr_step(first, second, orbit[-1]))
+    return orbit
+
+
+def _worst_gap(left, right) -> float:
+    """Largest ||l - r|| over paired points; 0 when there are none."""
+    return max((float(np.linalg.norm(l - r)) for l, r in zip(left, right)),
+               default=0.0)
+
+
+@dataclass(eq=False)
+class FixedPointCertificates:
+    """Worst defects of the certificates over a list of fixed points.
+
+    ``certificate`` is the worst graph defect ||J_A(z + k) - z|| or
+    ||J_B(z - k) - z|| of the extracted pairs; ``bijection`` the worst
+    round trip ||R_B R_A f - f|| or reflector image ||R_A f - (z - k)||;
+    ``isometry`` the worst | ||R_A f - R_A g|| - ||f - g|| | over the
+    pairs of distinct fixed points (0 for a single fixed point).
+    """
+
+    pairs: list[SolutionPair]
+    certificate: float
+    bijection: float
+    isometry: float
+
+
+def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
+                         fix_tol: float = TAU_GRAPH,
+                         graph_tol: float = TAU_GRAPH) -> FixedPointCertificates:
+    """Extract the solution pair of each fixed point of T_ab and measure the
+    certificates and the bijection/isometry of R_A between the fixed sets.
+
+    Raises CertificateError when a pair cannot be extracted.
+    """
+    pairs = [extract_solution(A, B, f, fix_tol=fix_tol, graph_tol=graph_tol)
+             for f in fixed]
+    images = [A.reflect(f) for f in fixed]
+    primal = [p.z for p in pairs]
+    certificate = max(_worst_gap([A.resolve(p.z + p.k) for p in pairs], primal),
+                      _worst_gap([B.resolve(p.z - p.k) for p in pairs], primal))
+    bijection = max(_worst_gap([B.reflect(image) for image in images], fixed),
+                    _worst_gap(images, [p.z - p.k for p in pairs]))
+    isometry = max(
+        (abs(float(np.linalg.norm(images[i] - images[j]))
+             - float(np.linalg.norm(fixed[i] - fixed[j])))
+         for i in range(len(fixed)) for j in range(i + 1, len(fixed))),
+        default=0.0,
+    )
+    return FixedPointCertificates(pairs, certificate, bijection, isometry)
+
+
+def _require_subspace_first(A: Operator, identity: str) -> None:
+    if not isinstance(A, NormalConeAffineSubspace):
+        raise NotAffineError(
+            f"{identity} requires an affine-subspace normal cone first operand"
         )
 
 
@@ -203,35 +251,21 @@ def check_commutation(A: Operator, B: Operator, x, n: int, *,
     """
     if not A.affine:
         raise NotAffineError("commutation requires an affine first operand")
-    _require_generalized_partner(A, B)
+    require_operands(A, B, generalized=True)
     x = as_point(x, A.dim)
-    forward = x.copy()
-    reflected = A.reflect(x)
-    worst = 0.0
-    for _ in range(int(n)):
-        forward = dr_step(A, B, forward)
-        reflected = dr_step(B, A, reflected)
-        worst = max(worst, float(np.linalg.norm(A.reflect(forward) - reflected)))
+    forward = power_orbit(A, B, x, n)[1:]
+    reflected = power_orbit(B, A, A.reflect(x), n)[1:]
+    worst = _worst_gap([A.reflect(f) for f in forward], reflected)
     return IdentityReport.from_violation("commutation", worst, int(n), tol)
 
 
 def _conjugation_violation(A: Operator, B: Operator, x, n: int) -> float:
     x = as_point(x, A.dim)
     rx = A.reflect(x)
-    ab_x, ba_x = x.copy(), x.copy()
-    ab_rx, ba_rx = rx.copy(), rx.copy()
-    worst = 0.0
-    for _ in range(int(n)):
-        ab_x = dr_step(A, B, ab_x)
-        ba_x = dr_step(B, A, ba_x)
-        ab_rx = dr_step(A, B, ab_rx)
-        ba_rx = dr_step(B, A, ba_rx)
-        worst = max(
-            worst,
-            float(np.linalg.norm(ba_x - A.reflect(ab_rx))),
-            float(np.linalg.norm(ab_x - A.reflect(ba_rx))),
-        )
-    return worst
+    conjugated_ab = [A.reflect(p) for p in power_orbit(A, B, rx, n)[1:]]
+    conjugated_ba = [A.reflect(p) for p in power_orbit(B, A, rx, n)[1:]]
+    return max(_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
+               _worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
 
 
 def check_conjugation(A: Operator, B: Operator, x, n: int, *,
@@ -244,10 +278,7 @@ def check_conjugation(A: Operator, B: Operator, x, n: int, *,
     its reflector is an involution); the second operand may also be a
     projector selection.
     """
-    if not isinstance(A, NormalConeAffineSubspace):
-        raise NotAffineError(
-            "conjugation requires an affine-subspace normal cone first operand"
-        )
+    _require_subspace_first(A, "conjugation")
     worst = _conjugation_violation(A, B, x, n)
     return IdentityReport.from_violation("conjugation", worst, int(n), tol)
 
@@ -268,19 +299,11 @@ def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
 def check_shadow_equality(A: Operator, B: Operator, x, n: int, *,
                           tol: float = TAU_NUM) -> IdentityReport:
     """Worst defect over m <= n of J_A T_ba^m x = J_A T_ab^m (R_A x)."""
-    if not isinstance(A, NormalConeAffineSubspace):
-        raise NotAffineError(
-            "shadow equality requires an affine-subspace normal cone first operand"
-        )
-    _require_generalized_partner(A, B)
+    _require_subspace_first(A, "shadow equality")
+    require_operands(A, B, generalized=True)
     x = as_point(x, A.dim)
-    ba = x.copy()
-    ab = A.reflect(x)
-    worst = float(np.linalg.norm(A.resolve(ba) - A.resolve(ab)))
-    for _ in range(int(n)):
-        ba = dr_step(B, A, ba)
-        ab = dr_step(A, B, ab)
-        worst = max(worst, float(np.linalg.norm(A.resolve(ba) - A.resolve(ab))))
+    worst = _worst_gap([A.resolve(p) for p in power_orbit(B, A, x, n)],
+                       [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
     return IdentityReport.from_violation("shadow-equality", worst, int(n) + 1, tol)
 
 
@@ -289,14 +312,11 @@ def check_nonexpansive_transfer(A: Operator, B: Operator, x, y, *,
     """Certify ||T_ab x - T_ab y|| = ||T_ba R_A x - T_ba R_A y|| <= ||R_A x - R_A y||.
 
     The report's violation is the worse of the equality defect and any
-    excess over the inequality.
+    excess over the inequality.  The inequality needs a nonexpansive
+    T_ba, so B must be monotone.
     """
-    if not isinstance(A, NormalConeAffineSubspace):
-        raise NotAffineError(
-            "nonexpansive transfer requires an affine-subspace normal cone "
-            "first operand"
-        )
-    _require_generalized_partner(A, B)
+    _require_subspace_first(A, "nonexpansive transfer")
+    require_operands(A, B)
     x = as_point(x, A.dim)
     y = as_point(y, A.dim)
     direct = float(np.linalg.norm(dr_step(A, B, x) - dr_step(A, B, y)))

@@ -16,7 +16,9 @@ Output files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,6 +30,7 @@ from .analysis import (
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
+    certify_fixed_points,
     check_commutation,
     check_commutator,
     check_conjugation,
@@ -36,8 +39,8 @@ from .analysis import (
     check_firmly_nonexpansive,
     check_nonexpansive_transfer,
     check_shadow_equality,
-    extract_solution,
     find_fixed_point,
+    power_orbit,
 )
 from .config import ConfigError, ORDERS, ProblemConfig
 from .harness import load_corpus, run_instance
@@ -63,7 +66,10 @@ def _atomic_write(path, write_fn) -> None:
     """Write through a temp file in the target directory, then rename."""
     path = Path(path)
     parent = path.parent if str(path.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     os.close(fd)
     try:
         write_fn(tmp)
@@ -82,6 +88,8 @@ def _load_config(path: str) -> ProblemConfig:
             tau = float(env)
         except ValueError:
             raise ConfigError(f"{ENV_TOL}={env!r} is not a number") from None
+        if not (math.isfinite(tau) and tau >= 0.0):
+            raise ConfigError(f"{ENV_TOL}={env!r} must be finite and nonnegative")
         config.tolerances = config.tolerances.with_tau_num(tau)
     return config
 
@@ -91,10 +99,6 @@ def _orbit_path(base: str, index: int, count: int) -> Path:
     if count == 1:
         return path
     return path.with_name(f"{path.stem}_{index}{path.suffix}")
-
-
-def _json_vector(v) -> list[float]:
-    return [float(x) for x in v]
 
 
 def cmd_run(args) -> int:
@@ -119,9 +123,8 @@ def cmd_run(args) -> int:
         cert_a = cert_b = None
         if not config.generalized and not diverged:
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cert_a = graph_contains(T.first, GraphPair(z, k), tau_graph)
-                    cert_b = graph_contains(T.second, GraphPair(z, -k), tau_graph)
+                cert_a = graph_contains(T.first, GraphPair(z, k), tau_graph)
+                cert_b = graph_contains(T.second, GraphPair(z, -k), tau_graph)
             except (MonotonicityError, NonFinitePointError):
                 cert_a = cert_b = None
         runs.append({
@@ -131,8 +134,8 @@ def cmd_run(args) -> int:
             "converged": orbit.converged,
             "diverged": diverged,
             "final_residual": orbit.final_residual,
-            "z": _json_vector(z),
-            "k": _json_vector(k),
+            "z": z.tolist(),
+            "k": k.tolist(),
             "cert_a": cert_a,
             "cert_b": cert_b,
         })
@@ -146,83 +149,58 @@ def _verify_config(config: ProblemConfig, seed: int, depth: int) -> list[Identit
     the start points plus seeded random probe points."""
     rng = np.random.default_rng(seed)
     a, b = config.operator_a, config.operator_b
-    tau = config.tolerances
     points = [p.copy() for p in config.start_points]
     points += [rng.normal(0.0, 2.0, config.dimension) for _ in range(10)]
     pairs = [(points[i], points[(i + 1) % len(points)]) for i in range(len(points))]
-    reports: list[IdentityReport] = []
+    standard = not config.generalized
+    subspace_a = isinstance(a, NormalConeAffineSubspace)
+    subspaces = subspace_a and isinstance(b, NormalConeAffineSubspace)
+    T = config.split("ab")
+    bt_ab = SplitOperator(a, b, FORM_BORWEIN_TAM, config.generalized)
+    bt_ba = SplitOperator(b, a, FORM_BORWEIN_TAM, config.generalized)
 
-    def add(name: str, violation: float, samples: int, tolerance: float) -> None:
-        reports.append(IdentityReport.from_violation(name, violation, samples, tolerance))
+    def gap(u, v) -> float:
+        return float(np.linalg.norm(u - v))
 
-    # two forms of the splitting operator agree everywhere
-    worst = max(
-        float(np.linalg.norm(dr_step(a, b, x)
-                             - 0.5 * (x + b.reflect(a.reflect(x)))))
-        for x in points
-    )
-    add("dr-form-equivalence", worst, len(points), tau.tau_num)
+    def checked(check, *args):
+        return lambda x: check(a, b, x, *args).max_violation
 
-    worst = max(check_defect_decomposition(a, b, x).max_violation for x in points)
-    add("defect-decomposition", worst, len(points), tau.tau_num)
+    def firm(S):
+        return lambda pair: max(0.0, -check_firmly_nonexpansive(S, *pair))
 
-    if not config.generalized:
-        T = config.split("ab")
-        worst = max(max(0.0, -check_firmly_nonexpansive(T, x, y)) for x, y in pairs)
-        add("dr-firmly-nonexpansive", worst, len(pairs), tau.tau_num)
+    def bt_factorization(x):
+        # T_ab T_ba = (T_ab R_a)^2 = R_a (T_ba T_ab) R_a
+        composite = dr_step(a, b, dr_step(b, a, x))
+        squared = dr_step(a, b, a.reflect(dr_step(a, b, a.reflect(x))))
+        conjugated = a.reflect(dr_step(b, a, dr_step(a, b, a.reflect(x))))
+        return max(gap(composite, squared), gap(composite, conjugated))
 
-    if a.affine:
-        worst = max(
-            check_commutation(a, b, x, depth).max_violation for x in points
-        )
-        add("commutation", worst, len(points) * depth, tau.tau_num)
-
-    if isinstance(a, NormalConeAffineSubspace):
-        worst = max(
-            check_conjugation(a, b, x, depth).max_violation for x in points
-        )
-        add("conjugation", worst, len(points) * depth, tau.tau_num)
-        worst = max(
-            check_shadow_equality(a, b, x, depth).max_violation for x in points
-        )
-        add("shadow-equality", worst, len(points) * depth, tau.tau_num)
-        worst = max(
-            check_nonexpansive_transfer(a, b, x, y).max_violation for x, y in pairs
-        )
-        add("nonexpansive-transfer", worst, len(pairs), tau.tau_num)
-        # composite factorizations: T_ab T_ba = (T_ab R_a)^2 = R_a (T_ba T_ab) R_a
-        worst = 0.0
-        for x in points:
-            composite = dr_step(a, b, dr_step(b, a, x))
-            squared = dr_step(a, b, a.reflect(dr_step(a, b, a.reflect(x))))
-            conjugated = a.reflect(dr_step(b, a, dr_step(a, b, a.reflect(x))))
-            worst = max(worst,
-                        float(np.linalg.norm(composite - squared)),
-                        float(np.linalg.norm(composite - conjugated)))
-        add("bt-factorization", worst, len(points), tau.tau_num)
-
-    if a.affine and b.affine and not config.generalized:
-        worst = max(check_commutator(a, b, x).max_violation for x in points)
-        add("commutator", worst, len(points), tau.tau_num)
-
-    if (isinstance(a, NormalConeAffineSubspace)
-            and isinstance(b, NormalConeAffineSubspace)):
-        bt_ab = SplitOperator(a, b, FORM_BORWEIN_TAM)
-        bt_ba = SplitOperator(b, a, FORM_BORWEIN_TAM)
-        worst_order = 0.0
-        worst_half = 0.0
-        for x in points:
-            u = bt_ab(x)
-            worst_order = max(worst_order, float(np.linalg.norm(u - bt_ba(x))))
-            half = 0.5 * (dr_step(a, b, x) + dr_step(b, a, x))
-            worst_half = max(worst_half, float(np.linalg.norm(u - half)))
-        add("bt-order-invariance", worst_order, len(points), tau.tau_num)
-        add("bt-half-sum", worst_half, len(points), tau.tau_num)
-        worst = max(max(0.0, -check_firmly_nonexpansive(bt_ab, x, y))
-                    for x, y in pairs)
-        add("bt-firmly-nonexpansive", worst, len(pairs), tau.tau_num)
-
-    if not config.generalized:
+    # (name, applies, samples, reported samples per sample, violation at a sample)
+    table = [
+        ("dr-form-equivalence", True, points, 1,
+         lambda x: gap(dr_step(a, b, x), 0.5 * (x + b.reflect(a.reflect(x))))),
+        ("defect-decomposition", True, points, 1, checked(check_defect_decomposition)),
+        ("dr-firmly-nonexpansive", standard, pairs, 1, firm(T)),
+        ("commutation", a.affine, points, depth, checked(check_commutation, depth)),
+        ("conjugation", subspace_a, points, depth, checked(check_conjugation, depth)),
+        ("shadow-equality", subspace_a, points, depth,
+         checked(check_shadow_equality, depth)),
+        ("nonexpansive-transfer", subspace_a and standard, pairs, 1,
+         lambda pair: check_nonexpansive_transfer(a, b, *pair).max_violation),
+        ("bt-factorization", subspace_a, points, 1, bt_factorization),
+        ("commutator", a.affine and b.affine and standard, points, 1,
+         checked(check_commutator)),
+        ("bt-order-invariance", subspaces, points, 1, lambda x: gap(bt_ab(x), bt_ba(x))),
+        ("bt-half-sum", subspaces, points, 1,
+         lambda x: gap(bt_ab(x), 0.5 * (dr_step(a, b, x) + dr_step(b, a, x)))),
+        ("bt-firmly-nonexpansive", subspaces, pairs, 1, firm(bt_ab)),
+    ]
+    reports = [
+        IdentityReport.from_violation(name, max(map(violation, samples)),
+                                      len(samples) * scale, config.tolerances.tau_num)
+        for name, applies, samples, scale, violation in table if applies
+    ]
+    if standard:
         reports.extend(_verify_solutions(config))
     return reports
 
@@ -242,61 +220,30 @@ def _verify_solutions(config: ProblemConfig) -> list[IdentityReport]:
             continue
     if not fixed:
         return []
-
-    reports: list[IdentityReport] = []
-    worst_cert = 0.0
-    worst_bij = 0.0
-    solution_pairs = []
-    failed = False
-    for f in fixed:
-        try:
-            pair = extract_solution(a, b, f, fix_tol=3.0 * max(config.stop_tol, 1e-15),
-                                    graph_tol=tau.tau_graph)
-        except CertificateError:
-            failed = True
-            break
-        solution_pairs.append(pair)
-        worst_cert = max(
-            worst_cert,
-            float(np.linalg.norm(a.resolve(pair.z + pair.k) - pair.z)),
-            float(np.linalg.norm(b.resolve(pair.z - pair.k) - pair.z)),
-        )
-        image = a.reflect(f)
-        back = b.reflect(image)
-        worst_bij = max(
-            worst_bij,
-            float(np.linalg.norm(back - f)),
-            float(np.linalg.norm(image - (pair.z - pair.k))),
-        )
-    if failed:
-        reports.append(IdentityReport("solution-certificates", float("inf"),
-                                      len(fixed), tau.tau_graph, False))
-        return reports
-    reports.append(IdentityReport.from_violation(
-        "solution-certificates", worst_cert, len(fixed), tau.tau_graph))
-    reports.append(IdentityReport.from_violation(
-        "fixed-point-bijection", worst_bij, len(fixed), tau.tau_graph))
-
-    if len(fixed) > 1:
-        worst_iso = 0.0
-        count = 0
-        for i in range(len(fixed)):
-            for j in range(i + 1, len(fixed)):
-                gap = float(np.linalg.norm(fixed[i] - fixed[j]))
-                image_gap = float(np.linalg.norm(a.reflect(fixed[i])
-                                                 - a.reflect(fixed[j])))
-                worst_iso = max(worst_iso, abs(image_gap - gap))
-                count += 1
-        reports.append(IdentityReport.from_violation(
-            "fixed-point-isometry", worst_iso, count, tau.tau_num))
-
     try:
-        reports.append(check_dual_symmetry(a, b, solution_pairs,
+        cert = certify_fixed_points(a, b, fixed,
+                                    fix_tol=3.0 * max(config.stop_tol, 1e-15),
+                                    graph_tol=tau.tau_graph)
+    except CertificateError:
+        return [IdentityReport("solution-certificates", float("inf"),
+                               len(fixed), tau.tau_graph, False)]
+    reports = [
+        IdentityReport.from_violation("solution-certificates", cert.certificate,
+                                      len(fixed), tau.tau_graph),
+        IdentityReport.from_violation("fixed-point-bijection", cert.bijection,
+                                      len(fixed), tau.tau_graph),
+    ]
+    if len(fixed) > 1:
+        reports.append(IdentityReport.from_violation(
+            "fixed-point-isometry", cert.isometry,
+            len(fixed) * (len(fixed) - 1) // 2, tau.tau_num))
+    try:
+        reports.append(check_dual_symmetry(a, b, cert.pairs,
                                            graph_tol=tau.tau_graph,
                                            tol=3.0 * tau.tau_graph))
     except CertificateError:
         reports.append(IdentityReport("dual-symmetry", float("inf"),
-                                      len(solution_pairs), tau.tau_graph, False))
+                                      len(cert.pairs), tau.tau_graph, False))
     return reports
 
 
@@ -329,31 +276,21 @@ def cmd_compare(args) -> int:
     config = _load_config(args.config)
     a, b = config.operator_a, config.operator_b
     x0 = config.start_points[0]
-    n = args.n
     d = config.dimension
-
-    left = a.reflect(x0)   # T_ab orbit started at R_a x0
-    right = x0.copy()      # T_ba orbit started at x0
-    rows = []
-    for m in range(n + 1):
-        if m > 0:
-            left = dr_step(a, b, left)
-            right = dr_step(b, a, right)
-        defect = float(np.linalg.norm(right - a.reflect(left)))
-        rows.append((m, left.copy(), right.copy(), defect))
+    left = power_orbit(a, b, a.reflect(x0), args.n)   # T_ab orbit started at R_a x0
+    right = power_orbit(b, a, x0, args.n)             # T_ba orbit started at x0
 
     def write(tmp):
-        import csv as _csv
-
         with open(tmp, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(
                 ["n"]
                 + [f"left_{i + 1}" for i in range(d)]
                 + [f"right_{i + 1}" for i in range(d)]
                 + ["conj_residual"]
             )
-            for m, lv, rv, defect in rows:
+            for m, (lv, rv) in enumerate(zip(left, right)):
+                defect = float(np.linalg.norm(rv - a.reflect(lv)))
                 writer.writerow(
                     [m]
                     + [format(v, ".17g") for v in lv]
@@ -363,6 +300,13 @@ def cmd_compare(args) -> int:
 
     _atomic_write(args.out, write)
     return 0
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,14 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="report JSON path (default: stdout)")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for the randomized probe points")
-    p_verify.add_argument("--n", type=int, default=20,
+    p_verify.add_argument("--n", type=_nonnegative_int, default=20,
                           help="iteration depth for the power identities")
     p_verify.set_defaults(func=cmd_verify)
 
     p_compare = sub.add_parser("compare",
                                help="side-by-side orbits of the two orders")
     p_compare.add_argument("--config", required=True, help="problem config JSON")
-    p_compare.add_argument("--n", type=int, default=10, help="number of steps")
+    p_compare.add_argument("--n", type=_nonnegative_int, default=10,
+                           help="number of steps")
     p_compare.add_argument("--out", required=True, help="comparison CSV path")
     p_compare.set_defaults(func=cmd_compare)
     return parser
@@ -404,10 +349,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow is reported as divergence, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NonFinitePointError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,12 +10,13 @@ objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .operators import (
+    MonotonicityError,
     NormalConeAffineSubspace,
     Operator,
     TAU_GRAPH,
@@ -31,6 +32,7 @@ from .splitting import (
     FORM_BORWEIN_TAM,
     FORM_DR,
     SplitOperator,
+    require_operands,
 )
 
 __all__ = ["ConfigError", "Tolerances", "ProblemConfig", "ORDERS"]
@@ -54,17 +56,11 @@ class Tolerances:
     tau_ortho: float = TAU_ORTHO
 
     def to_dict(self) -> dict:
-        return {
-            "tau_num": self.tau_num,
-            "tau_graph": self.tau_graph,
-            "tau_psd": self.tau_psd,
-            "tau_ortho": self.tau_ortho,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tolerances":
-        known = {"tau_num", "tau_graph", "tau_psd", "tau_ortho"}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"tolerances: unknown fields {sorted(extra)}")
         values = {k: float(v) for k, v in data.items()}
@@ -110,20 +106,15 @@ class ProblemConfig:
             raise ConfigError("stop_tol must be nonnegative")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "generalized":
-            if not isinstance(self.operator_a, NormalConeAffineSubspace):
-                raise ConfigError(
-                    "generalized mode requires operator_a to be an "
-                    "affine-subspace normal cone"
-                )
-        else:
-            for name, op in (("operator_a", self.operator_a),
-                             ("operator_b", self.operator_b)):
-                if not op.monotone:
-                    raise ConfigError(
-                        f"{name} is not monotone; non-monotone selections need "
-                        "generalized mode"
-                    )
+        if self.generalized and not isinstance(self.operator_a, NormalConeAffineSubspace):
+            raise ConfigError(
+                "generalized mode requires operator_a to be an "
+                "affine-subspace normal cone"
+            )
+        try:
+            require_operands(self.operator_a, self.operator_b, self.generalized)
+        except MonotonicityError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def generalized(self) -> bool:

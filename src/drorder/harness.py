@@ -30,9 +30,8 @@ from .analysis import (
     check_conjugation,
     check_firmly_nonexpansive,
     check_shadow_equality,
-    extract_solution,
+    certify_fixed_points,
     find_fixed_point,
-    map_fixed_point,
     probe_conjugation,
 )
 from .config import ProblemConfig
@@ -54,8 +53,10 @@ from .splitting import (
     BlockSeparable,
     Orbit,
     SplitOperator,
+    dr_matrix,
     dr_step,
     iterate,
+    lift,
 )
 
 __all__ = [
@@ -223,8 +224,6 @@ def _config_linear_asymmetric() -> ProblemConfig:
 def _matrix_expectation(label: str, provenance: str, swap: bool,
                         expected: np.ndarray) -> Expectation:
     def run(config: ProblemConfig) -> tuple[float, int]:
-        from .splitting import dr_matrix
-
         first, second = config.operator_a, config.operator_b
         if swap:
             first, second = second, first
@@ -240,8 +239,6 @@ def _matrix_expectation(label: str, provenance: str, swap: bool,
 
 def _expect_linear_asymmetric() -> list[Expectation]:
     def commutator_gap(config: ProblemConfig) -> tuple[float, int]:
-        from .splitting import dr_matrix
-
         a, b = config.operator_a, config.operator_b
         m1, _ = dr_matrix(SplitOperator(a, b, FORM_BORWEIN_TAM))
         m2, _ = dr_matrix(SplitOperator(b, a, FORM_BORWEIN_TAM))
@@ -348,52 +345,32 @@ def _expect_parallel_lines() -> list[Expectation]:
             worst = max(worst, float(np.linalg.norm(f - expected)))
         return worst, len(config.start_points)
 
+    def certificates(config: ProblemConfig):
+        return certify_fixed_points(config.operator_a, config.operator_b,
+                                    fixed_points(config),
+                                    graph_tol=config.tolerances.tau_graph)
+
     def solution_form(config: ProblemConfig) -> tuple[float, int]:
-        a, b = config.operator_a, config.operator_b
-        worst = 0.0
-        count = 0
+        starts = config.start_points
         try:
-            for s, f in zip(config.start_points, fixed_points(config)):
-                pair = extract_solution(a, b, f,
-                                        graph_tol=config.tolerances.tau_graph)
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(pair.z - np.array([s[0], 0.0, 0.0]))),
-                    float(np.linalg.norm(pair.k - np.array([0.0, 0.0, s[2]]))),
-                )
-                count += 1
+            pairs = certificates(config).pairs
         except CertificateError:
-            return float("inf"), count
-        return worst, count
+            return float("inf"), len(starts)
+        worst = max(
+            max(float(np.linalg.norm(p.z - np.array([s[0], 0.0, 0.0]))),
+                float(np.linalg.norm(p.k - np.array([0.0, 0.0, s[2]]))))
+            for s, p in zip(starts, pairs)
+        )
+        return worst, len(pairs)
 
     def bijection(config: ProblemConfig) -> tuple[float, int]:
-        a, b = config.operator_a, config.operator_b
-        tau = config.tolerances.tau_graph
-        points = fixed_points(config)
-        worst = 0.0
-        count = 0
+        n = len(config.start_points)
+        count = n + n * (n - 1) // 2
         try:
-            images = []
-            for f in points:
-                image = map_fixed_point(a, b, f, "ab", fix_tol=tau)
-                back = map_fixed_point(a, b, image, "ba", fix_tol=3.0 * tau)
-                pair = extract_solution(a, b, f, graph_tol=tau)
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(back - f)),
-                    float(np.linalg.norm(image - (pair.z - pair.k))),
-                )
-                images.append(image)
-                count += 1
-            for i in range(len(points)):
-                for j in range(i + 1, len(points)):
-                    gap = float(np.linalg.norm(points[i] - points[j]))
-                    image_gap = float(np.linalg.norm(images[i] - images[j]))
-                    worst = max(worst, abs(image_gap - gap))
-                    count += 1
+            cert = certificates(config)
         except CertificateError:
             return float("inf"), count
-        return worst, count
+        return max(cert.bijection, cert.isometry), count
 
     return [
         Expectation("fixed-point-plane", "derived", 1e-12, fixed_point_form),
@@ -434,17 +411,18 @@ def _config_halfspace_ball() -> ProblemConfig:
     )
 
 
+def _checker_expectation(label: str, provenance: str, tolerance: float,
+                         check: Callable[..., IdentityReport], n: int,
+                         **kwargs) -> Expectation:
+    """Run an orbit checker from the instance's first start point."""
+    def run(config: ProblemConfig) -> tuple[float, int]:
+        rep = check(config.operator_a, config.operator_b, config.start_points[0], n)
+        return rep.max_violation, rep.sample_count
+
+    return Expectation(label, provenance, tolerance, run, **kwargs)
+
+
 def _expect_subspace_ball() -> list[Expectation]:
-    def conjugation(config: ProblemConfig) -> tuple[float, int]:
-        rep = check_conjugation(config.operator_a, config.operator_b,
-                                config.start_points[0], 20)
-        return rep.max_violation, rep.sample_count
-
-    def shadows(config: ProblemConfig) -> tuple[float, int]:
-        rep = check_shadow_equality(config.operator_a, config.operator_b,
-                                    config.start_points[0], 50)
-        return rep.max_violation, rep.sample_count
-
     def membership(config: ProblemConfig) -> tuple[float, int]:
         # Independent geometry: distance to the line and excess over the
         # ball radius, from the instance parameters alone.
@@ -464,21 +442,17 @@ def _expect_subspace_ball() -> list[Expectation]:
         return worst, 2
 
     return [
-        Expectation("conjugation", "closed-form", 1e-8, conjugation),
-        Expectation("shadow-equality", "closed-form", 1e-8, shadows),
+        _checker_expectation("conjugation", "closed-form", 1e-8, check_conjugation, 20),
+        _checker_expectation("shadow-equality", "closed-form", 1e-8,
+                             check_shadow_equality, 50),
         Expectation("shadow-limit-membership", "derived", 1e-8, membership),
     ]
 
 
 def _expect_halfspace_ball() -> list[Expectation]:
-    def probe(config: ProblemConfig) -> tuple[float, int]:
-        rep = probe_conjugation(config.operator_a, config.operator_b,
-                                config.start_points[0], 5)
-        return rep.max_violation, rep.sample_count
-
     return [
-        Expectation("conjugation-failure", "derived", 0.0, probe,
-                     expect_violation_above=1e-3),
+        _checker_expectation("conjugation-failure", "derived", 0.0,
+                             probe_conjugation, 5, expect_violation_above=1e-3),
     ]
 
 
@@ -499,8 +473,6 @@ def _lift_halfspaces() -> list[NormalConeHalfspace]:
 
 
 def _config_three_halfspace_lift() -> ProblemConfig:
-    from .splitting import lift
-
     lifted = lift(_lift_halfspaces(), 3)
     return ProblemConfig(
         dimension=9,
@@ -525,26 +497,12 @@ def _expect_three_halfspace_lift() -> list[Expectation]:
             worst = max(worst, float(np.asarray(n) @ z) - c)
         return worst, 1 + len(_LIFT_NORMALS)
 
-    def commutation(config: ProblemConfig) -> tuple[float, int]:
-        rep = check_commutation(config.operator_a, config.operator_b,
-                                config.start_points[0], 25)
-        return rep.max_violation, rep.sample_count
-
-    def conjugation(config: ProblemConfig) -> tuple[float, int]:
-        rep = check_conjugation(config.operator_a, config.operator_b,
-                                config.start_points[0], 25)
-        return rep.max_violation, rep.sample_count
-
-    def shadows(config: ProblemConfig) -> tuple[float, int]:
-        rep = check_shadow_equality(config.operator_a, config.operator_b,
-                                    config.start_points[0], 25)
-        return rep.max_violation, rep.sample_count
-
     return [
         Expectation("consensus-feasibility", "derived", 1e-8, feasibility),
-        Expectation("commutation", "closed-form", 1e-8, commutation),
-        Expectation("conjugation", "closed-form", 1e-8, conjugation),
-        Expectation("shadow-equality", "closed-form", 1e-8, shadows),
+        _checker_expectation("commutation", "closed-form", 1e-8, check_commutation, 25),
+        _checker_expectation("conjugation", "closed-form", 1e-8, check_conjugation, 25),
+        _checker_expectation("shadow-equality", "closed-form", 1e-8,
+                             check_shadow_equality, 25),
     ]
 
 

@@ -44,9 +44,6 @@ __all__ = [
     "SphereSelection",
     "Inverse",
     "Rotation",
-    "resolve",
-    "reflect",
-    "inverse_resolvent",
     "graph_contains",
     "is_monotone",
     "operator_from_dict",
@@ -547,34 +544,12 @@ class Rotation(Operator):
         return {"kind": self.kind, "inner": self.inner.to_dict()}
 
 
-def _require_monotone(op: Operator, operation: str) -> None:
-    if not op.monotone:
-        raise MonotonicityError(f"{operation} requires a monotone operator, got {op.kind}")
-
-
-def resolve(op: Operator, x) -> np.ndarray:
-    """Resolvent J_op(x); the metric projection for normal cone variants."""
-    return op.resolve(as_point(x, op.dim))
-
-
-def reflect(op: Operator, x) -> np.ndarray:
-    """Reflected resolvent (2 J_op - Id)(x)."""
-    return op.reflect(x)
-
-
-def inverse_resolvent(op: Operator, x) -> np.ndarray:
-    """J of the inverse operator, via J_{A^{-1}} = Id - J_A.
-
-    Consequently reflect(Inverse(op), x) == -reflect(op, x).
-    """
-    _require_monotone(op, "inverse_resolvent")
-    x = as_point(x, op.dim)
-    return x - op.resolve(x)
-
-
 def graph_contains(op: Operator, pair: GraphPair, tol: float = TAU_GRAPH) -> bool:
     """Certify (x, u) in gra(op) via ||J_op(x + u) - x|| <= tol."""
-    _require_monotone(op, "graph_contains")
+    if not op.monotone:
+        raise MonotonicityError(
+            f"graph_contains requires a monotone operator, got {op.kind}"
+        )
     x = as_point(pair.x, op.dim)
     u = as_point(pair.u, op.dim)
     return float(np.linalg.norm(op.resolve(x + u) - x)) <= tol
@@ -673,11 +648,7 @@ def _load_affine(data, tau_psd, tau_ortho):
 
 def _load_subspace(data, tau_psd, tau_ortho):
     _expect_keys(data, {"offset", "basis"})
-    offset = as_point(data["offset"])
-    basis = np.asarray(data["basis"], dtype=float)
-    if basis.size == 0:
-        basis = basis.reshape(offset.shape[0], 0)
-    return NormalConeAffineSubspace(offset, basis, tau_ortho=tau_ortho)
+    return NormalConeAffineSubspace(data["offset"], data["basis"], tau_ortho=tau_ortho)
 
 
 def _load_halfspace(data, tau_psd, tau_ortho):

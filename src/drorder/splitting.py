@@ -45,8 +45,7 @@ __all__ = [
     "BlockSeparable",
     "LiftedProblem",
     "dr_step",
-    "dr_apply",
-    "borwein_tam_apply",
+    "require_operands",
     "dr_matrix",
     "iterate",
     "lift",
@@ -80,6 +79,31 @@ def dr_step(first: Operator, second: Operator, x: np.ndarray) -> np.ndarray:
     return x - jx + second.resolve(2.0 * jx - x)
 
 
+def require_operands(first: Operator, second: Operator,
+                     generalized: bool = False) -> None:
+    """The operand rule of the splitting operator.
+
+    Both operands must be monotone; in generalized mode one slot may
+    instead hold a non-monotone projector selection, provided the other
+    slot is a normal cone of an affine subspace (the only setting in
+    which the orbit-exchange identities survive without monotonicity).
+    Raises MonotonicityError otherwise.
+    """
+    for slot, op, partner in (("first", first, second), ("second", second, first)):
+        if op.monotone:
+            continue
+        if not generalized:
+            raise MonotonicityError(
+                f"{slot} operand {op.kind!r} is not monotone; non-monotone "
+                "selections need generalized mode with an affine-subspace partner"
+            )
+        if not isinstance(partner, NormalConeAffineSubspace):
+            raise MonotonicityError(
+                f"{slot} operand {op.kind!r} is not monotone and its partner "
+                "is not an affine-subspace normal cone"
+            )
+
+
 class SplitOperator:
     """An evaluable splitting operator over an ordered operand pair.
 
@@ -87,11 +111,7 @@ class SplitOperator:
     that first applies the swapped-order operator and then the stated
     one, i.e. x -> T_(first,second) (T_(second,first) x).
 
-    Both operands must be monotone unless ``generalized`` is set, in
-    which case exactly one slot may hold a non-monotone projector
-    selection provided the other slot is a normal cone of an affine
-    subspace (the only setting in which the orbit-exchange identities
-    survive without monotonicity).
+    The operands must satisfy ``require_operands``.
     """
 
     def __init__(self, first: Operator, second: Operator,
@@ -102,26 +122,7 @@ class SplitOperator:
             )
         if form not in (FORM_DR, FORM_BORWEIN_TAM):
             raise ValueError(f"unknown form {form!r}")
-        if not generalized:
-            for slot, op in (("first", first), ("second", second)):
-                if not op.monotone:
-                    raise MonotonicityError(
-                        f"{slot} operand {op.kind!r} is not monotone; "
-                        "pass generalized=True with an affine-subspace partner"
-                    )
-        else:
-            if not first.monotone and not second.monotone:
-                raise MonotonicityError("at most one slot may be non-monotone")
-            if not first.monotone and not isinstance(second, NormalConeAffineSubspace):
-                raise MonotonicityError(
-                    "generalized mode requires the monotone slot to be an "
-                    "affine-subspace normal cone"
-                )
-            if not second.monotone and not isinstance(first, NormalConeAffineSubspace):
-                raise MonotonicityError(
-                    "generalized mode requires the monotone slot to be an "
-                    "affine-subspace normal cone"
-                )
+        require_operands(first, second, generalized)
         self.first = first
         self.second = second
         self.form = form
@@ -147,20 +148,6 @@ class SplitOperator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SplitOperator({self.first.kind}, {self.second.kind}, "
                 f"form={self.form!r}, generalized={self.generalized})")
-
-
-def dr_apply(T: SplitOperator, x) -> np.ndarray:
-    """Apply a form-"dr" splitting operator."""
-    if T.form != FORM_DR:
-        raise ValueError("dr_apply requires a form 'dr' operator")
-    return T.apply(x)
-
-
-def borwein_tam_apply(T: SplitOperator, x) -> np.ndarray:
-    """Apply a form-"borwein_tam" composite operator."""
-    if T.form != FORM_BORWEIN_TAM:
-        raise ValueError("borwein_tam_apply requires a form 'borwein_tam' operator")
-    return T.apply(x)
 
 
 def _dr_affine(first: Operator, second: Operator) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from drorder.analysis import (
     extract_solution,
     find_fixed_point,
     map_fixed_point,
+    power_orbit,
     probe_conjugation,
 )
 from drorder.operators import (
@@ -335,6 +336,23 @@ def test_nonexpansive_transfer():
         assert rep.passed
     rep = check_nonexpansive_transfer(a, b, [1.0, 2.0], [1.0, 2.0])
     assert rep.max_violation == 0.0
+
+
+def test_nonexpansive_transfer_rejects_nonmonotone_second_operand():
+    # the inequality half needs a nonexpansive T_ba, hence a monotone B
+    a, _ = subspace_ball_pair()
+    sphere = random_sphere_selection(np.random.default_rng(36), 2)
+    with pytest.raises(MonotonicityError):
+        check_nonexpansive_transfer(a, sphere, [1.0, 2.0], [0.0, -1.0])
+
+
+def test_power_orbit_matches_repeated_steps():
+    a, b = subspace_ball_pair()
+    x = np.array([4.0, 3.0])
+    orbit = power_orbit(a, b, x, 3)
+    assert len(orbit) == 4 and orbit[0] is x
+    assert np.array_equal(orbit[3], dr_step(a, b, dr_step(a, b, dr_step(a, b, x))))
+    assert power_orbit(a, b, x, 0) == [x]
 
 
 def test_nonexpansive_transfer_against_matrix_norms():

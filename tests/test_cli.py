@@ -83,7 +83,7 @@ def test_run_composite_order_converges_to_origin(tmp_path, capsys):
         assert np.linalg.norm(run["z"]) <= 1e-8
 
 
-def test_run_divergent_instance_exits_one(tmp_path, capsys):
+def _divergent_config(tmp_path):
     data = {
         "version": 1,
         "dimension": 2,
@@ -95,6 +95,11 @@ def test_run_divergent_instance_exits_one(tmp_path, capsys):
     }
     cfg = tmp_path / "boom.json"
     cfg.write_text(json.dumps(data))
+    return cfg
+
+
+def test_run_divergent_instance_exits_one(tmp_path, capsys):
+    cfg = _divergent_config(tmp_path)
     out = tmp_path / "boom.csv"
     code = main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == 1
@@ -124,13 +129,18 @@ def test_verify_subspace_ball_config(tmp_path, capsys):
         assert r["passed"]
 
 
-def test_verify_generalized_mode_runs_orbit_identities_only(tmp_path):
+def _generalized_config(tmp_path):
     data = _config_dict("subspace-ball")
     data["mode"] = "generalized"
     data["operator_b"] = {"kind": "sphere_selection", "center": [2.0, 1.0],
                           "radius": 1.0, "tie_direction": [0.0, 1.0]}
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps(data))
+    return cfg
+
+
+def test_verify_generalized_mode_runs_orbit_identities_only(tmp_path):
+    cfg = _generalized_config(tmp_path)
     report_path = tmp_path / "gen-report.json"
     assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0
     reports = json.loads(report_path.read_text())
@@ -140,6 +150,56 @@ def test_verify_generalized_mode_runs_orbit_identities_only(tmp_path):
     assert "solution-certificates" not in names
 
 
+# Ordered (identity_name, sample_count) of `verify --config` per corpus
+# config; the counts follow from the start points plus ten probe points
+# and the default depth 20.
+_FIRM = [("dr-form-equivalence", 1), ("defect-decomposition", 1),
+         ("dr-firmly-nonexpansive", 1)]
+_ORBITS = [("commutation", 20), ("conjugation", 20), ("shadow-equality", 20),
+           ("nonexpansive-transfer", 1), ("bt-factorization", 1)]
+_REPORT_SETS = {
+    "ray-vs-axis": (13, _FIRM + _ORBITS, 3, True),
+    "linear-asymmetric": (12, _FIRM + _ORBITS + [("commutator", 1)], 2, True),
+    "bt-not-firm": (12, _FIRM, 2, True),
+    "parallel-lines": (14, _FIRM + _ORBITS + [
+        ("commutator", 1), ("bt-order-invariance", 1), ("bt-half-sum", 1),
+        ("bt-firmly-nonexpansive", 1)], 4, True),
+    "subspace-ball": (11, _FIRM + _ORBITS, 1, False),
+    "halfspace-ball": (11, _FIRM, 1, False),
+    "three-halfspace-lift": (11, _FIRM + _ORBITS, 1, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORT_SETS))
+def test_verify_report_set_per_corpus_config(tmp_path, name):
+    points, rows, fixed, isometry = _REPORT_SETS[name]
+    expected = [(identity, points * per_point) for identity, per_point in rows]
+    expected += [("solution-certificates", fixed), ("fixed-point-bijection", fixed)]
+    if isometry:
+        expected.append(("fixed-point-isometry", fixed * (fixed - 1) // 2))
+    expected.append(("dual-symmetry", fixed))
+    cfg = _write_config(tmp_path, name)
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0
+    reports = json.loads(report_path.read_text())
+    assert [(r["identity_name"], r["sample_count"]) for r in reports] == expected
+    assert len(reports) == {"ray-vs-axis": 12, "linear-asymmetric": 13,
+                            "bt-not-firm": 7, "parallel-lines": 16,
+                            "subspace-ball": 11, "halfspace-ball": 6,
+                            "three-halfspace-lift": 11}[name]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "123"])
+def test_verify_generalized_mode_passes_for_every_seed(tmp_path, seed):
+    # nonexpansive-transfer needs a monotone B and is skipped here
+    cfg = _generalized_config(tmp_path)
+    report_path = tmp_path / "gen-report.json"
+    assert main(["verify", "--config", str(cfg), "--seed", seed,
+                 "--out", str(report_path)]) == 0
+    names = {r["identity_name"] for r in json.loads(report_path.read_text())}
+    assert "nonexpansive-transfer" not in names
+
+
 def test_verify_corpus(tmp_path, capsys):
     report_path = tmp_path / "corpus.json"
     code = main(["verify", "--corpus", "--out", str(report_path)])
@@ -147,6 +207,7 @@ def test_verify_corpus(tmp_path, capsys):
     reports = json.loads(report_path.read_text())
     assert any(r["identity_name"].startswith("halfspace-ball/") for r in reports)
     assert all(r["passed"] for r in reports)
+    assert len(reports) == 23
 
 
 def test_verify_rejects_nonmonotone_slot(tmp_path, capsys):
@@ -247,6 +308,44 @@ def test_compare_is_byte_deterministic(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["compare", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_divergent_instance_exits_one_with_one_line(tmp_path, capsys, command):
+    cfg = _divergent_config(tmp_path)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "diverged" in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_missing_output_directory_exits_two(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, "subspace-ball")
+    out = tmp_path / "missing" / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, tol):
+    cfg = _write_config(tmp_path, "subspace-ball")
+    monkeypatch.setenv("DR_ORDER_TOL", tol)
+    assert main(["verify", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_negative_depth_is_a_usage_error(tmp_path, command):
+    cfg = _write_config(tmp_path, "subspace-ball")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--n", "-1",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

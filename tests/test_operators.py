@@ -19,11 +19,8 @@ from drorder.operators import (
     Rotation,
     SphereSelection,
     graph_contains,
-    inverse_resolvent,
     is_monotone,
     operator_from_dict,
-    reflect,
-    resolve,
 )
 from drorder.harness import random_monotone_operator, random_point
 
@@ -43,25 +40,25 @@ def catalog(rng, dim):
 
 
 def test_resolve_subspace_is_orthogonal_projection():
-    assert np.allclose(resolve(X_AXIS, [3.0, 4.0]), [3.0, 0.0], atol=0)
+    assert np.allclose(X_AXIS.resolve([3.0, 4.0]), [3.0, 0.0], atol=0)
 
 
 def test_resolve_linear_solves_shifted_system():
     # (I + M) y = (1, 0) with M = [[1,1],[1,1]]; by the 2x2 adjugate formula
     # y = (1/3) [[2,-1],[-1,2]] (1,0) = (2/3, -1/3).
     op = LinearMonotone(ALL_ONES_MATRIX)
-    got = resolve(op, [1.0, 0.0])
+    got = op.resolve([1.0, 0.0])
     assert np.allclose(got, [2.0 / 3.0, -1.0 / 3.0], atol=1e-15)
 
 
 def test_resolve_ray_clips_negative_component():
     for x, y in [(3.0, 4.0), (2.0, -1.0), (-5.0, 0.0)]:
-        assert np.allclose(resolve(UP_RAY, [x, y]), [0.0, max(y, 0.0)], atol=0)
+        assert np.allclose(UP_RAY.resolve([x, y]), [0.0, max(y, 0.0)], atol=0)
 
 
 def test_resolve_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        resolve(X_AXIS, [1.0, 2.0, 3.0])
+        X_AXIS.resolve([1.0, 2.0, 3.0])
 
 
 def test_resolvent_variational_inequality():
@@ -89,8 +86,8 @@ def test_resolvent_variational_inequality():
                        (box, sample_box)]:
         for _ in range(30):
             x = rng.normal(0, 4, 3)
-            px = resolve(op, x)
-            assert np.allclose(resolve(op, px), px, atol=1e-12)  # idempotent
+            px = op.resolve(x)
+            assert np.allclose(op.resolve(px), px, atol=1e-12)  # idempotent
             for _ in range(10):
                 c = sample()
                 assert float((x - px) @ (c - px)) <= 1e-9
@@ -102,14 +99,14 @@ def test_resolvent_variational_inequality():
 
 def test_reflect_closed_forms():
     for x, y in [(2.0, 5.0), (-1.0, -3.0), (0.0, 0.0), (4.0, -0.5)]:
-        assert np.allclose(reflect(X_AXIS, [x, y]), [x, -y], atol=0)
-        assert np.allclose(reflect(UP_RAY, [x, y]), [-x, abs(y)], atol=0)
+        assert np.allclose(X_AXIS.reflect([x, y]), [x, -y], atol=0)
+        assert np.allclose(UP_RAY.reflect([x, y]), [-x, abs(y)], atol=0)
 
 
 def test_reflect_zero_operator_is_identity():
     zero = LinearMonotone(np.zeros((3, 3)))
     x = np.array([1.0, -2.0, 7.0])
-    assert np.array_equal(reflect(zero, x), x)
+    assert np.array_equal(zero.reflect(x), x)
 
 
 def test_reflectors_nonexpansive():
@@ -118,7 +115,7 @@ def test_reflectors_nonexpansive():
         for op in catalog(rng, dim):
             for _ in range(10):
                 x, y = random_point(rng, dim), random_point(rng, dim)
-                lhs = np.linalg.norm(reflect(op, x) - reflect(op, y))
+                lhs = np.linalg.norm(op.reflect(x) - op.reflect(y))
                 assert lhs <= np.linalg.norm(x - y) + 1e-9
 
 
@@ -128,7 +125,7 @@ def test_resolvents_firmly_nonexpansive():
         for op in catalog(rng, dim):
             for _ in range(10):
                 x, y = random_point(rng, dim), random_point(rng, dim)
-                jx, jy = resolve(op, x), resolve(op, y)
+                jx, jy = op.resolve(x), op.resolve(y)
                 inner = float((jx - jy) @ ((x - jx) - (y - jy)))
                 assert inner >= -1e-9
 
@@ -138,9 +135,9 @@ def test_resolvents_firmly_nonexpansive():
 
 
 def test_inverse_resolvent_examples():
-    assert np.allclose(inverse_resolvent(X_AXIS, [3.0, 4.0]), [0.0, 4.0], atol=0)
+    assert np.allclose(Inverse(X_AXIS).resolve([3.0, 4.0]), [0.0, 4.0], atol=0)
     op = LinearMonotone(ALL_ONES_MATRIX)
-    assert np.allclose(inverse_resolvent(op, [1.0, 0.0]),
+    assert np.allclose(Inverse(op).resolve([1.0, 0.0]),
                        [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
@@ -148,29 +145,29 @@ def test_inverse_resolvent_partition_identity():
     rng = np.random.default_rng(6)
     for op in catalog(rng, 4):
         x = random_point(rng, 4)
-        assert np.allclose(resolve(op, x) + inverse_resolvent(op, x), x,
+        assert np.allclose(op.resolve(x) + Inverse(op).resolve(x), x,
                            rtol=0, atol=1e-12)
 
 
 def test_inverse_resolvent_rejects_selection():
     sel = SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])
     with pytest.raises(MonotonicityError):
-        inverse_resolvent(sel, [1.0, 1.0])
+        Inverse(sel).resolve([1.0, 1.0])
 
 
 def test_reflect_of_inverse_is_negated_reflect():
     rng = np.random.default_rng(7)
     for op in catalog(rng, 3):
         x = random_point(rng, 3)
-        assert np.allclose(reflect(Inverse(op), x), -reflect(op, x), atol=1e-12)
+        assert np.allclose(Inverse(op).reflect(x), -op.reflect(x), atol=1e-12)
 
 
 def test_inverse_and_rotation_resolvent_identities():
     rng = np.random.default_rng(8)
     for op in catalog(rng, 5):
         x = random_point(rng, 5)
-        assert np.array_equal(resolve(Inverse(op), x), x - resolve(op, x))
-        assert np.array_equal(resolve(Rotation(op), x), -resolve(op, -x))
+        assert np.array_equal(Inverse(op).resolve(x), x - op.resolve(x))
+        assert np.array_equal(Rotation(op).resolve(x), -op.resolve(-x))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +247,9 @@ def test_affine_resolvent_reflector_exchange():
     for op in ops:
         for _ in range(10):
             x = random_point(rng, 3)
-            jr = resolve(op, reflect(op, x))
-            rj = reflect(op, resolve(op, x))
-            jj = 2.0 * resolve(op, resolve(op, x)) - resolve(op, x)
+            jr = op.resolve(op.reflect(x))
+            rj = op.reflect(op.resolve(x))
+            jj = 2.0 * op.resolve(op.resolve(x)) - op.resolve(x)
             assert np.allclose(jr, rj, atol=1e-9)
             assert np.allclose(jr, jj, atol=1e-9)
 
@@ -264,17 +261,17 @@ def test_subspace_reflector_is_isometric_involution():
                                       rng.normal(size=(dim, rank)))
         for _ in range(10):
             x, y = random_point(rng, dim), random_point(rng, dim)
-            assert np.allclose(reflect(op, reflect(op, x)), x, atol=1e-9)
-            assert abs(np.linalg.norm(reflect(op, x) - reflect(op, y))
+            assert np.allclose(op.reflect(op.reflect(x)), x, atol=1e-9)
+            assert abs(np.linalg.norm(op.reflect(x) - op.reflect(y))
                        - np.linalg.norm(x - y)) <= 1e-9
 
 
 def test_subspace_with_zero_rank_projects_to_point():
     point = NormalConeAffineSubspace([2.0, -1.0], np.zeros((2, 0)))
     assert point.rank == 0
-    assert np.allclose(resolve(point, [5.0, 5.0]), [2.0, -1.0], atol=0)
+    assert np.allclose(point.resolve([5.0, 5.0]), [2.0, -1.0], atol=0)
     rebuilt = operator_from_dict(point.to_dict())
-    assert np.allclose(resolve(rebuilt, [0.0, 0.0]), [2.0, -1.0], atol=0)
+    assert np.allclose(rebuilt.resolve([0.0, 0.0]), [2.0, -1.0], atol=0)
 
 
 def test_orthonormalization_matches_least_squares_projection():
@@ -290,7 +287,7 @@ def test_orthonormalization_matches_least_squares_projection():
         x = random_point(rng, 5)
         coeffs, *_ = np.linalg.lstsq(raw, x - a, rcond=None)
         expected = a + raw @ coeffs
-        assert np.allclose(resolve(op, x), expected, atol=1e-9)
+        assert np.allclose(op.resolve(x), expected, atol=1e-9)
 
 
 def test_affine_map_matches_resolve():
@@ -308,7 +305,7 @@ def test_affine_map_matches_resolve():
         c, b = op.resolvent_affine_map()
         for _ in range(5):
             x = random_point(rng, 4)
-            assert np.allclose(c @ x + b, resolve(op, x), atol=1e-10)
+            assert np.allclose(c @ x + b, op.resolve(x), atol=1e-10)
     with pytest.raises(NotAffineError):
         NormalConeBall([0.0, 0.0], 1.0).resolvent_affine_map()
 
@@ -319,10 +316,10 @@ def test_affine_map_matches_resolve():
 
 def test_sphere_selection_tie_break_and_scaling():
     sel = SphereSelection([1.0, 1.0], 2.0, [0.0, 1.0])
-    assert np.allclose(resolve(sel, [1.0, 1.0]), [1.0, 3.0], atol=0)
-    got = resolve(sel, [5.0, 1.0])
+    assert np.allclose(sel.resolve([1.0, 1.0]), [1.0, 3.0], atol=0)
+    got = sel.resolve([5.0, 1.0])
     assert np.allclose(got, [3.0, 1.0], atol=1e-15)
-    inside = resolve(sel, [1.5, 1.0])
+    inside = sel.resolve([1.5, 1.0])
     assert np.allclose(inside, [3.0, 1.0], atol=1e-15)  # pushed out to the sphere
 
 
@@ -333,11 +330,11 @@ def test_projection_idempotence_property(seed):
     dim = int(rng.integers(1, 6))
     op = random_monotone_operator(rng, dim)
     x = random_point(rng, dim)
-    px = resolve(op, x)
+    px = op.resolve(x)
     # idempotence is meaningful for projections; resolvents of linear
     # operators need not be idempotent, so restrict to normal cones
     if op.kind.startswith("normal_cone"):
-        assert np.allclose(resolve(op, px), px, atol=1e-11)
+        assert np.allclose(op.resolve(px), px, atol=1e-11)
 
 
 @given(st.integers(0, 10**6))
@@ -347,7 +344,7 @@ def test_firm_nonexpansiveness_property(seed):
     dim = int(rng.integers(1, 6))
     op = random_monotone_operator(rng, dim)
     x, y = random_point(rng, dim), random_point(rng, dim)
-    jx, jy = resolve(op, x), resolve(op, y)
+    jx, jy = op.resolve(x), op.resolve(y)
     assert float((jx - jy) @ ((x - jx) - (y - jy))) >= -1e-9
 
 
@@ -374,7 +371,7 @@ def test_serialization_round_trip_is_bit_identical():
         assert rebuilt.to_dict() == op.to_dict()
         for _ in range(5):
             x = random_point(rng, op.dim)
-            assert np.array_equal(resolve(rebuilt, x), resolve(op, x))
+            assert np.array_equal(rebuilt.resolve(x), op.resolve(x))
 
 
 def test_halfspace_rescaling_preserves_set():
@@ -383,7 +380,7 @@ def test_halfspace_rescaling_preserves_set():
     rng = np.random.default_rng(15)
     for _ in range(10):
         x = random_point(rng, 2)
-        assert np.allclose(resolve(scaled, x), resolve(plain, x), atol=1e-12)
+        assert np.allclose(scaled.resolve(x), plain.resolve(x), atol=1e-12)
 
 
 def test_serialization_rejects_bad_documents():
@@ -403,5 +400,5 @@ def test_box_infinite_bounds_round_trip():
     data = op.to_dict()
     assert data["lower"][0] == "-inf" and data["upper"][1] == "inf"
     rebuilt = operator_from_dict(data)
-    assert np.allclose(resolve(rebuilt, [-5.0, -3.0]), [-5.0, 0.0], atol=0)
-    assert np.allclose(resolve(rebuilt, [7.0, 9.0]), [1.0, 9.0], atol=0)
+    assert np.allclose(rebuilt.resolve([-5.0, -3.0]), [-5.0, 0.0], atol=0)
+    assert np.allclose(rebuilt.resolve([7.0, 9.0]), [1.0, 9.0], atol=0)

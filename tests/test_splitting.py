@@ -22,8 +22,6 @@ from drorder.splitting import (
     DivergenceError,
     FORM_BORWEIN_TAM,
     SplitOperator,
-    borwein_tam_apply,
-    dr_apply,
     dr_matrix,
     dr_step,
     iterate,
@@ -43,14 +41,14 @@ def test_dr_apply_closed_forms():
     T_ab = SplitOperator(X_AXIS, UP_RAY)
     T_ba = SplitOperator(UP_RAY, X_AXIS)
     for x, y in [(5.0, -3.0), (1.0, 2.0), (0.0, 0.0), (-4.0, 7.5)]:
-        assert np.allclose(dr_apply(T_ab, [x, y]), [0.0, max(y, 0.0)], atol=0)
-        assert np.allclose(dr_apply(T_ba, [x, y]), [0.0, min(y, 0.0)], atol=0)
+        assert np.allclose(T_ab.apply([x, y]), [0.0, max(y, 0.0)], atol=0)
+        assert np.allclose(T_ba.apply([x, y]), [0.0, min(y, 0.0)], atol=0)
 
 
 def test_dr_apply_zero_pair_is_identity():
     T = SplitOperator(ZERO2, ZERO2)
     x = np.array([3.0, -1.0])
-    assert np.array_equal(dr_apply(T, x), x)
+    assert np.array_equal(T.apply(x), x)
 
 
 def test_both_eq_forms_agree():
@@ -246,20 +244,11 @@ def test_orbit_csv_format(tmp_path):
 
 def test_borwein_tam_witness_points():
     T_ab = SplitOperator(DIAG_RAY, X_AXIS, FORM_BORWEIN_TAM)
-    assert np.allclose(borwein_tam_apply(T_ab, [-2.0, 2.0]), [1.0, 1.0], atol=1e-14)
-    assert np.allclose(borwein_tam_apply(T_ab, [0.0, 0.0]), [0.0, 0.0], atol=0)
+    assert np.allclose(T_ab.apply([-2.0, 2.0]), [1.0, 1.0], atol=1e-14)
+    assert np.allclose(T_ab.apply([0.0, 0.0]), [0.0, 0.0], atol=0)
     T_zero = SplitOperator(ZERO2, ZERO2, FORM_BORWEIN_TAM)
     x = np.array([4.0, -2.0])
-    assert np.array_equal(borwein_tam_apply(T_zero, x), x)
-
-
-def test_form_dispatch_guards():
-    T = SplitOperator(X_AXIS, UP_RAY)
-    with pytest.raises(ValueError):
-        borwein_tam_apply(T, [0.0, 0.0])
-    T_bt = SplitOperator(X_AXIS, UP_RAY, FORM_BORWEIN_TAM)
-    with pytest.raises(ValueError):
-        dr_apply(T_bt, [0.0, 0.0])
+    assert np.array_equal(T_zero.apply(x), x)
 
 
 def test_bt_factorizations_with_affine_subspace_first():
