@@ -4,6 +4,7 @@ between the two operand orders."""
 
 from .operators import (
     AffineRelation,
+    BlockSeparable,
     DimensionMismatchError,
     GraphPair,
     Inverse,
@@ -24,7 +25,6 @@ from .operators import (
     operator_from_dict,
 )
 from .splitting import (
-    BlockSeparable,
     DivergenceError,
     LiftedProblem,
     Orbit,

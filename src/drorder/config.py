@@ -10,7 +10,8 @@ objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .operators import (
     TAU_NUM,
     TAU_ORTHO,
     TAU_PSD,
+    _to_json,
     as_point,
     operator_from_dict,
 )
@@ -46,6 +48,28 @@ class ConfigError(ValueError):
     """A config document failed to parse or validate."""
 
 
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, _NUMBERS) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; integral floats pass, booleans and strings do not."""
+    if _finite(value) and value == math.floor(value):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _tolerance(value, name: str) -> float:
+    """``value`` as a finite nonnegative float; booleans and strings fail."""
+    if _finite(value) and value >= 0.0:
+        return float(value)
+    raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric tolerances, overridable per instance."""
@@ -60,14 +84,12 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tolerances":
+        if not isinstance(data, dict):
+            raise ConfigError("tolerances must be a JSON object")
         extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"tolerances: unknown fields {sorted(extra)}")
-        values = {k: float(v) for k, v in data.items()}
-        for name, value in values.items():
-            if not value >= 0.0:
-                raise ConfigError(f"tolerances.{name} must be nonnegative")
-        return cls(**values)
+        return cls(**{k: _tolerance(v, f"tolerances.{k}") for k, v in data.items()})
 
     def with_tau_num(self, tau_num: float) -> "Tolerances":
         return replace(self, tau_num=float(tau_num))
@@ -87,7 +109,7 @@ class ProblemConfig:
     mode: str = "standard"
 
     def __post_init__(self):
-        self.dimension = int(self.dimension)
+        self.dimension = _integer(self.dimension, "dimension")
         if self.dimension < 1:
             raise ConfigError("dimension must be at least 1")
         for name, op in (("operator_a", self.operator_a), ("operator_b", self.operator_b)):
@@ -98,12 +120,10 @@ class ProblemConfig:
         self.start_points = [as_point(p, self.dimension) for p in self.start_points]
         if not self.start_points:
             raise ConfigError("at least one start point is required")
-        self.max_iter = int(self.max_iter)
+        self.max_iter = _integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        self.stop_tol = float(self.stop_tol)
-        if self.stop_tol < 0.0:
-            raise ConfigError("stop_tol must be nonnegative")
+        self.stop_tol = _tolerance(self.stop_tol, "stop_tol")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.generalized and not isinstance(self.operator_a, NormalConeAffineSubspace):
@@ -136,29 +156,23 @@ class ProblemConfig:
         return SplitOperator(first, second, FORM_DR, self.generalized)
 
     def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "dimension": self.dimension,
-            "operator_a": self.operator_a.to_dict(),
-            "operator_b": self.operator_b.to_dict(),
-            "start_points": [[float(v) for v in p] for p in self.start_points],
-            "max_iter": self.max_iter,
-            "stop_tol": self.stop_tol,
-            "tolerances": self.tolerances.to_dict(),
-            "mode": self.mode,
-        }
+        return {"version": CONFIG_VERSION,
+                **{f.name: _to_json(getattr(self, f.name)) for f in fields(self)}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        required = {"version", "dimension", "operator_a", "operator_b", "start_points"}
-        optional = {"max_iter", "stop_tol", "tolerances", "mode"}
+        declared = {f.name: f for f in fields(cls)}
+        required = {"version"} | {
+            name for name, f in declared.items()
+            if f.default is MISSING and f.default_factory is MISSING
+        }
         keys = set(data)
         missing = required - keys
         if missing:
             raise ConfigError(f"missing config fields {sorted(missing)}")
-        extra = keys - required - optional
+        extra = keys - required - set(declared)
         if extra:
             raise ConfigError(f"unknown config fields {sorted(extra)}")
         if data["version"] != CONFIG_VERSION:
@@ -166,45 +180,28 @@ class ProblemConfig:
                 f"unsupported config version {data['version']!r} "
                 f"(expected {CONFIG_VERSION})"
             )
-        tolerances = Tolerances.from_dict(data.get("tolerances", {}))
+        args = {name: data[name] for name in declared if name in data}
         try:
-            operator_a = operator_from_dict(
-                data["operator_a"],
-                tau_psd=tolerances.tau_psd, tau_ortho=tolerances.tau_ortho,
-            )
-            operator_b = operator_from_dict(
-                data["operator_b"],
-                tau_psd=tolerances.tau_psd, tau_ortho=tolerances.tau_ortho,
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            return cls(
-                dimension=data["dimension"],
-                operator_a=operator_a,
-                operator_b=operator_b,
-                start_points=data["start_points"],
-                max_iter=data.get("max_iter", DEFAULT_MAX_ITER),
-                stop_tol=data.get("stop_tol", DEFAULT_STOP_TOL),
-                tolerances=tolerances,
-                mode=data.get("mode", "standard"),
-            )
-        except (ValueError, TypeError) as exc:
+            tolerances = Tolerances.from_dict(args.pop("tolerances", {}))
+            for name in ("operator_a", "operator_b"):
+                args[name] = operator_from_dict(args[name], tau_psd=tolerances.tau_psd,
+                                                tau_ortho=tolerances.tau_ortho)
+            return cls(**args, tolerances=tolerances)
+        except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_path(cls, path) -> "ProblemConfig":
         path = Path(path)
         try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        try:
-            data = json.loads(text)
+            data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except (OSError, ValueError, RecursionError) as exc:
+            # unreadable, not UTF-8, an over-long integer, or nested too deeply
+            raise ConfigError(f"{path}: {exc}") from exc
         try:
             return cls.from_dict(data)
         except ConfigError as exc:

@@ -37,6 +37,7 @@ from .analysis import (
 from .config import ProblemConfig
 from .operators import (
     AffineRelation,
+    BlockSeparable,
     Inverse,
     LinearMonotone,
     NormalConeAffineSubspace,
@@ -50,7 +51,6 @@ from .operators import (
 )
 from .splitting import (
     FORM_BORWEIN_TAM,
-    BlockSeparable,
     Orbit,
     SplitOperator,
     dr_matrix,

@@ -18,6 +18,7 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,10 @@ __all__ = [
     "SphereSelection",
     "Inverse",
     "Rotation",
+    "BlockSeparable",
     "graph_contains",
     "is_monotone",
     "operator_from_dict",
-    "register_operator_kind",
 ]
 
 # Default tolerances for unit-scale data in double precision.  All of
@@ -133,6 +134,11 @@ def _unit_vector(v, name: str, tau_ortho: float) -> np.ndarray:
     return v / nv
 
 
+def _require_operator(op) -> None:
+    if not isinstance(op, Operator):
+        raise TypeError(f"expected an operator, got {type(op).__name__}")
+
+
 def _orthonormal_columns(basis: np.ndarray, tau_ortho: float) -> np.ndarray:
     """Orthonormalize the columns of ``basis`` by modified Gram-Schmidt.
 
@@ -170,9 +176,15 @@ class Operator:
     this is the metric projection onto the underlying set) and declare
     ``monotone`` and ``affine``.  Affine members additionally expose
     their resolvent as an explicit affine map for closed-form assembly.
+
+    ``fields`` lists the JSON keys of a member in output order; each is
+    also a constructor argument and an attribute of the same name.
+    ``tolerance`` names the constructor's tolerance keyword, if any.
     """
 
     kind: str = "abstract"
+    fields: tuple[str, ...] = ()
+    tolerance: str | None = None
     monotone: bool = True
     affine: bool = False
 
@@ -193,7 +205,9 @@ class Operator:
         raise NotAffineError(f"{type(self).__name__} has no affine resolvent form")
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The JSON object form ``{"kind": ..., <fields>}``."""
+        return {"kind": self.kind,
+                **{name: _to_json(getattr(self, name)) for name in self.fields}}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(dim={self.dim})"
@@ -208,6 +222,8 @@ class LinearMonotone(Operator):
     """
 
     kind = "linear_monotone"
+    fields = ("matrix",)
+    tolerance = "tau_psd"
     affine = True
 
     def __init__(self, matrix, *, tau_psd: float = TAU_PSD):
@@ -227,9 +243,6 @@ class LinearMonotone(Operator):
     def resolvent_affine_map(self):
         return np.linalg.inv(self._shifted), np.zeros(self.dim)
 
-    def to_dict(self):
-        return {"kind": self.kind, "matrix": _matrix_rows(self.matrix)}
-
 
 class AffineRelation(Operator):
     """The affine operator x -> M x + b with monotone M.
@@ -238,6 +251,8 @@ class AffineRelation(Operator):
     """
 
     kind = "affine_relation"
+    fields = ("matrix", "offset")
+    tolerance = "tau_psd"
     affine = True
 
     def __init__(self, matrix, offset, *, tau_psd: float = TAU_PSD):
@@ -262,13 +277,6 @@ class AffineRelation(Operator):
         inv = np.linalg.inv(self._shifted)
         return inv, -inv @ self.offset
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "matrix": _matrix_rows(self.matrix),
-            "offset": _vector_list(self.offset),
-        }
-
 
 class NormalConeAffineSubspace(Operator):
     """Normal cone of the affine subspace U = offset + range(basis).
@@ -281,6 +289,8 @@ class NormalConeAffineSubspace(Operator):
     """
 
     kind = "normal_cone_affine_subspace"
+    fields = ("offset", "basis")
+    tolerance = "tau_ortho"
     affine = True
 
     def __init__(self, offset, basis, *, tau_ortho: float = TAU_ORTHO):
@@ -310,13 +320,6 @@ class NormalConeAffineSubspace(Operator):
         proj = self.basis @ self.basis.T
         return proj, self.offset - proj @ self.offset
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "offset": _vector_list(self.offset),
-            "basis": _matrix_rows(self.basis),
-        }
-
 
 class NormalConeHalfspace(Operator):
     """Normal cone of the halfspace {x : <normal, x> <= rhs}.
@@ -326,6 +329,8 @@ class NormalConeHalfspace(Operator):
     """
 
     kind = "normal_cone_halfspace"
+    fields = ("normal", "rhs")
+    tolerance = "tau_ortho"
 
     def __init__(self, normal, rhs: float, *, tau_ortho: float = TAU_ORTHO):
         normal = as_point(normal)
@@ -333,6 +338,8 @@ class NormalConeHalfspace(Operator):
         if nv <= tau_ortho:
             raise ValueError("halfspace normal must be nonzero")
         rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise ValueError("halfspace rhs must be finite")
         if abs(nv - 1.0) > tau_ortho:
             normal = normal / nv
             rhs = rhs / nv
@@ -347,18 +354,12 @@ class NormalConeHalfspace(Operator):
             return x.copy()
         return x - slack * self.normal
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "normal": _vector_list(self.normal),
-            "rhs": float(self.rhs),
-        }
-
 
 class NormalConeBall(Operator):
     """Normal cone of the closed ball with the given center and radius."""
 
     kind = "normal_cone_ball"
+    fields = ("center", "radius")
 
     def __init__(self, center, radius: float):
         center = as_point(center)
@@ -377,13 +378,6 @@ class NormalConeBall(Operator):
             return x.copy()
         return self.center + (self.radius / dist) * v
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "center": _vector_list(self.center),
-            "radius": float(self.radius),
-        }
-
 
 class NormalConeRay(Operator):
     """Normal cone of the ray {t * direction : t >= 0}.
@@ -392,6 +386,8 @@ class NormalConeRay(Operator):
     """
 
     kind = "normal_cone_ray"
+    fields = ("direction",)
+    tolerance = "tau_ortho"
 
     def __init__(self, direction, *, tau_ortho: float = TAU_ORTHO):
         direction = _unit_vector(direction, "ray direction", tau_ortho)
@@ -403,14 +399,12 @@ class NormalConeRay(Operator):
         t = float(self.direction @ x)
         return max(t, 0.0) * self.direction
 
-    def to_dict(self):
-        return {"kind": self.kind, "direction": _vector_list(self.direction)}
-
 
 class NormalConeBox(Operator):
     """Normal cone of the box [lower, upper]; bounds may be +-inf."""
 
     kind = "normal_cone_box"
+    fields = ("lower", "upper")
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -429,13 +423,6 @@ class NormalConeBox(Operator):
         x = as_point(x, self.dim)
         return np.clip(x, self.lower, self.upper)
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "lower": _bounds_list(self.lower),
-            "upper": _bounds_list(self.upper),
-        }
-
 
 class SphereSelection(Operator):
     """A single-valued selection of the set-valued projector onto a sphere.
@@ -448,6 +435,8 @@ class SphereSelection(Operator):
     """
 
     kind = "sphere_selection"
+    fields = ("center", "radius", "tie_direction")
+    tolerance = "tau_ortho"
     monotone = False
 
     def __init__(self, center, radius: float, tie_direction, *, tau_ortho: float = TAU_ORTHO):
@@ -471,14 +460,6 @@ class SphereSelection(Operator):
             return self.center + self.radius * self.tie_direction
         return self.center + (self.radius / dist) * v
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "center": _vector_list(self.center),
-            "radius": float(self.radius),
-            "tie_direction": _vector_list(self.tie_direction),
-        }
-
 
 class Inverse(Operator):
     """The inverse A^{-1} of a monotone catalog operator.
@@ -488,8 +469,10 @@ class Inverse(Operator):
     """
 
     kind = "inverse"
+    fields = ("inner",)
 
     def __init__(self, inner: Operator):
+        _require_operator(inner)
         if not inner.monotone:
             raise MonotonicityError("inverse requires a monotone operand")
         super().__init__(inner.dim)
@@ -507,9 +490,6 @@ class Inverse(Operator):
         c, b = self.inner.resolvent_affine_map()
         return np.eye(self.dim) - c, -b
 
-    def to_dict(self):
-        return {"kind": self.kind, "inner": self.inner.to_dict()}
-
 
 class Rotation(Operator):
     """The point reflection conjugate (-Id) o A o (-Id) of a catalog operator.
@@ -519,8 +499,10 @@ class Rotation(Operator):
     """
 
     kind = "rotation"
+    fields = ("inner",)
 
     def __init__(self, inner: Operator):
+        _require_operator(inner)
         super().__init__(inner.dim)
         self.inner = inner
 
@@ -540,8 +522,54 @@ class Rotation(Operator):
         c, b = self.inner.resolvent_affine_map()
         return c, -b
 
-    def to_dict(self):
-        return {"kind": self.kind, "inner": self.inner.to_dict()}
+
+class BlockSeparable(Operator):
+    """Blockwise application of equal-dimension operators on a product space.
+
+    The resolvent applies each member's resolvent to its contiguous
+    block, which is exactly the resolvent of the product operator.
+    """
+
+    kind = "block_separable"
+    fields = ("ops",)
+
+    def __init__(self, ops):
+        ops = list(ops)
+        if not ops:
+            raise ValueError("at least one block operator is required")
+        for op in ops:
+            _require_operator(op)
+            if op.dim != ops[0].dim:
+                raise DimensionMismatchError("all blocks must share one dimension")
+        super().__init__(ops[0].dim * len(ops))
+        self.ops = ops
+        self.block_dim = ops[0].dim
+
+    @property
+    def monotone(self):  # type: ignore[override]
+        return all(op.monotone for op in self.ops)
+
+    @property
+    def affine(self):  # type: ignore[override]
+        return all(op.affine for op in self.ops)
+
+    def resolve(self, x):
+        x = as_point(x, self.dim)
+        out = np.empty_like(x)
+        for i, op in enumerate(self.ops):
+            block = slice(i * self.block_dim, (i + 1) * self.block_dim)
+            out[block] = op.resolve(x[block])
+        return out
+
+    def resolvent_affine_map(self):
+        matrix = np.zeros((self.dim, self.dim))
+        offset = np.zeros(self.dim)
+        for i, op in enumerate(self.ops):
+            c, b = op.resolvent_affine_map()
+            block = slice(i * self.block_dim, (i + 1) * self.block_dim)
+            matrix[block, block] = c
+            offset[block] = b
+        return matrix, offset
 
 
 def graph_contains(op: Operator, pair: GraphPair, tol: float = TAU_GRAPH) -> bool:
@@ -575,34 +603,41 @@ def is_monotone(op: Operator, *, tau_psd: float = TAU_PSD) -> bool:
 # lists; box bounds use the strings "inf"/"-inf" for unbounded sides so the
 # emitted documents stay valid JSON.
 
-def _vector_list(v: np.ndarray) -> list[float]:
-    return [float(x) for x in v]
+_CATALOG = {cls.kind: cls for cls in (
+    LinearMonotone, AffineRelation, NormalConeAffineSubspace, NormalConeHalfspace,
+    NormalConeBall, NormalConeRay, NormalConeBox, SphereSelection, Inverse,
+    Rotation, BlockSeparable,
+)}
 
 
-def _matrix_rows(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in m]
+def _to_json(value):
+    """The JSON form of a field value: arrays become lists, and objects
+    with a ``to_dict`` (operators, tolerances) become JSON objects."""
+    if isinstance(value, np.ndarray):
+        out = value.tolist()
+        # only box bounds hold infinite entries, and they are vectors
+        if value.ndim == 1 and not all(map(math.isfinite, out)):
+            return [v if math.isfinite(v) else str(v) for v in out]
+        return out
+    if isinstance(value, list):
+        return [_to_json(v) for v in value]
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    return value
 
 
-def _bounds_list(v: np.ndarray) -> list:
-    out = []
-    for x in v:
-        if np.isposinf(x):
-            out.append("inf")
-        elif np.isneginf(x):
-            out.append("-inf")
-        else:
-            out.append(float(x))
-    return out
-
-
-def _parse_bound(value, name: str) -> float:
+def _from_json(value, tolerances: dict):
+    """A field value from its JSON form; objects are nested operators."""
+    if isinstance(value, list):
+        # floats, the common entries, skip the recursive call
+        return [v if type(v) is float else _from_json(v, tolerances) for v in value]
+    if isinstance(value, dict):
+        return operator_from_dict(value, **tolerances)
     if isinstance(value, str):
-        if value in ("inf", "+inf"):
-            return float("inf")
-        if value == "-inf":
-            return float("-inf")
-        raise ValueError(f"{name}: bad bound string {value!r}")
-    return float(value)
+        if value not in ("inf", "+inf", "-inf"):
+            raise ValueError(f"bad number string {value!r}")
+        return float(value)
+    return value
 
 
 def _expect_keys(data: dict, required: set[str]) -> None:
@@ -615,88 +650,18 @@ def _expect_keys(data: dict, required: set[str]) -> None:
         raise ValueError(f"operator {data.get('kind')!r}: unknown fields {sorted(extra)}")
 
 
-_KIND_REGISTRY: dict = {}
-
-
-def register_operator_kind(kind: str, loader) -> None:
-    """Register a loader(data, tau_psd, tau_ortho) for a serialized kind."""
-    _KIND_REGISTRY[kind] = loader
-
-
 def operator_from_dict(data: dict, *, tau_psd: float = TAU_PSD,
                        tau_ortho: float = TAU_ORTHO) -> Operator:
     """Rebuild an operator from its JSON object form."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("operator document must be an object with a 'kind' tag")
     kind = data["kind"]
-    try:
-        loader = _KIND_REGISTRY[kind]
-    except KeyError:
-        raise ValueError(f"unknown operator kind {kind!r}") from None
-    return loader(data, tau_psd, tau_ortho)
-
-
-def _load_linear(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"matrix"})
-    return LinearMonotone(data["matrix"], tau_psd=tau_psd)
-
-
-def _load_affine(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"matrix", "offset"})
-    return AffineRelation(data["matrix"], data["offset"], tau_psd=tau_psd)
-
-
-def _load_subspace(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"offset", "basis"})
-    return NormalConeAffineSubspace(data["offset"], data["basis"], tau_ortho=tau_ortho)
-
-
-def _load_halfspace(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"normal", "rhs"})
-    return NormalConeHalfspace(data["normal"], data["rhs"], tau_ortho=tau_ortho)
-
-
-def _load_ball(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"center", "radius"})
-    return NormalConeBall(data["center"], data["radius"])
-
-
-def _load_ray(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"direction"})
-    return NormalConeRay(data["direction"], tau_ortho=tau_ortho)
-
-
-def _load_box(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"lower", "upper"})
-    lower = [_parse_bound(v, "lower") for v in data["lower"]]
-    upper = [_parse_bound(v, "upper") for v in data["upper"]]
-    return NormalConeBox(lower, upper)
-
-
-def _load_sphere(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"center", "radius", "tie_direction"})
-    return SphereSelection(
-        data["center"], data["radius"], data["tie_direction"], tau_ortho=tau_ortho
-    )
-
-
-def _load_inverse(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"inner"})
-    return Inverse(operator_from_dict(data["inner"], tau_psd=tau_psd, tau_ortho=tau_ortho))
-
-
-def _load_rotation(data, tau_psd, tau_ortho):
-    _expect_keys(data, {"inner"})
-    return Rotation(operator_from_dict(data["inner"], tau_psd=tau_psd, tau_ortho=tau_ortho))
-
-
-register_operator_kind(LinearMonotone.kind, _load_linear)
-register_operator_kind(AffineRelation.kind, _load_affine)
-register_operator_kind(NormalConeAffineSubspace.kind, _load_subspace)
-register_operator_kind(NormalConeHalfspace.kind, _load_halfspace)
-register_operator_kind(NormalConeBall.kind, _load_ball)
-register_operator_kind(NormalConeRay.kind, _load_ray)
-register_operator_kind(NormalConeBox.kind, _load_box)
-register_operator_kind(SphereSelection.kind, _load_sphere)
-register_operator_kind(Inverse.kind, _load_inverse)
-register_operator_kind(Rotation.kind, _load_rotation)
+    cls = _CATALOG.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    _expect_keys(data, set(cls.fields))
+    tolerances = {"tau_psd": tau_psd, "tau_ortho": tau_ortho}
+    args = {name: _from_json(data[name], tolerances) for name in cls.fields}
+    if cls.tolerance is not None:
+        args[cls.tolerance] = tolerances[cls.tolerance]
+    return cls(**args)

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (
+    BlockSeparable,
     DimensionMismatchError,
     MonotonicityError,
     NonFinitePointError,
@@ -32,8 +33,6 @@ from .operators import (
     NormalConeAffineSubspace,
     Operator,
     as_point,
-    register_operator_kind,
-    operator_from_dict,
 )
 
 __all__ = [
@@ -275,6 +274,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 x_next = T.apply(x)
+                residual = float(np.linalg.norm(x_next - x))
         except NonFinitePointError:
             n += 1
             raise DivergenceError(f"non-finite iterate at step {n}",
@@ -282,7 +282,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         n += 1
         if not np.all(np.isfinite(x_next)):
             raise DivergenceError(f"non-finite iterate at step {n}", assemble())
-        residuals.append(float(np.linalg.norm(x_next - x)))
+        residuals.append(residual)
         record = (n, x_next, T.shadow(x_next))
         if len(head) < head_cap:
             head.append(record)
@@ -295,69 +295,6 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
             break
 
     return assemble()
-
-
-class BlockSeparable(Operator):
-    """Blockwise application of equal-dimension operators on a product space.
-
-    The resolvent applies each member's resolvent to its contiguous
-    block, which is exactly the resolvent of the product operator.
-    """
-
-    kind = "block_separable"
-
-    def __init__(self, ops):
-        ops = list(ops)
-        if not ops:
-            raise ValueError("at least one block operator is required")
-        base = ops[0].dim
-        for op in ops:
-            if op.dim != base:
-                raise DimensionMismatchError("all blocks must share one dimension")
-        super().__init__(base * len(ops))
-        self.ops = ops
-        self.block_dim = base
-
-    @property
-    def monotone(self):  # type: ignore[override]
-        return all(op.monotone for op in self.ops)
-
-    @property
-    def affine(self):  # type: ignore[override]
-        return all(op.affine for op in self.ops)
-
-    def resolve(self, x):
-        x = as_point(x, self.dim)
-        out = np.empty_like(x)
-        for i, op in enumerate(self.ops):
-            block = slice(i * self.block_dim, (i + 1) * self.block_dim)
-            out[block] = op.resolve(x[block])
-        return out
-
-    def resolvent_affine_map(self):
-        matrix = np.zeros((self.dim, self.dim))
-        offset = np.zeros(self.dim)
-        for i, op in enumerate(self.ops):
-            c, b = op.resolvent_affine_map()
-            block = slice(i * self.block_dim, (i + 1) * self.block_dim)
-            matrix[block, block] = c
-            offset[block] = b
-        return matrix, offset
-
-    def to_dict(self):
-        return {"kind": self.kind, "ops": [op.to_dict() for op in self.ops]}
-
-
-def _load_block_separable(data, tau_psd, tau_ortho):
-    keys = set(data) - {"kind"}
-    if keys != {"ops"}:
-        raise ValueError(f"operator 'block_separable': expected field 'ops', got {sorted(keys)}")
-    return BlockSeparable(
-        [operator_from_dict(d, tau_psd=tau_psd, tau_ortho=tau_ortho) for d in data["ops"]]
-    )
-
-
-register_operator_kind(BlockSeparable.kind, _load_block_separable)
 
 
 @dataclass(eq=False)

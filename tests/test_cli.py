@@ -1,10 +1,15 @@
+import copy
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drorder.cli import main
+from drorder.cli import _orbit_path, main
 from drorder.config import ConfigError, ProblemConfig, Tolerances
 from drorder.harness import corpus_instances
 from drorder.operators import operator_from_dict
@@ -413,3 +418,192 @@ def test_config_validation_rules():
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def _write_raw(tmp_path, name, field, raw):
+    """A corpus config whose top-level ``field`` holds the JSON text ``raw``."""
+    data = _config_dict(name)
+    data[field] = "@RAW@"
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(data).replace('"@RAW@"', raw))
+    return path
+
+
+# Documents that once ended in a Python traceback.
+_MALFORMED = {
+    "tolerances-list": ("tolerances", "[]"),
+    "tau-num-string": ("tolerances", '{"tau_num": "abc"}'),
+    "tau-num-null": ("tolerances", '{"tau_num": null}'),
+    "max-iter-overflow": ("max_iter", "1e400"),
+    "dimension-overflow": ("dimension", "1e400"),
+    "max-iter-digits": ("max_iter", "9" * 5000),
+    "nested-arrays": ("dimension", "[" * 100_000 + "]" * 100_000),
+    "nested-operators": ("operator_b", '{"kind": "rotation", "inner": ' * 400
+                         + '{"kind": "normal_cone_ray", "direction": [1.0, 0.0]}'
+                         + "}" * 400),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, case):
+    cfg = _write_raw(tmp_path, "subspace-ball", *_MALFORMED[case])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+# Values that were accepted silently: infinite tolerances, a NaN stopping
+# tolerance, non-integral or boolean counts, and a string count.
+_REJECTED = {
+    **{f"{tau}-overflow": ("tolerances", f'{{"{tau}": 1e400}}')
+       for tau in ("tau_num", "tau_graph", "tau_psd", "tau_ortho")},
+    "stop-tol-nan": ("stop_tol", "NaN"),
+    "dimension-fraction": ("dimension", "2.5"),
+    "max-iter-fraction": ("max_iter", "2.5"),
+    "max-iter-string": ("max_iter", '"10"'),
+    "max-iter-bool": ("max_iter", "true"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_non_finite_or_non_integral_values_are_rejected(tmp_path, capsys, case):
+    cfg = _write_raw(tmp_path, "subspace-ball", *_REJECTED[case])
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_halfspace_with_nan_rhs_is_rejected(tmp_path, capsys):
+    def nan_rhs(data):
+        data["operator_a"]["rhs"] = float("nan")
+
+    cfg = _write_config(tmp_path, "halfspace-ball", mutate=nan_rhs)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "rhs must be finite" in capsys.readouterr().err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    def floats(data):
+        data["dimension"] = 2.0
+        data["max_iter"] = 50.0
+
+    cfg = _write_config(tmp_path, "subspace-ball", mutate=floats)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: mutated corpus documents never end in a traceback
+
+_FUZZ_NUMBERS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-300,
+                 0.0, -1.0, 2.5]
+_FUZZ_OTHERS = [
+    "abc", "inf", "-inf", None, True, [], {}, [1.0], [[1.0], [2.0, 3.0]],
+    [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]],
+    [[1e308, 0.0], [0.0, 1e308]], {"kind": "nope"}, {"kind": "inverse", "inner": 5},
+    {"kind": "rotation", "inner": {"kind": "normal_cone_ray"}},
+    {"kind": "block_separable", "ops": [[0.0]]},
+]
+_MUTATIONS = ("drop", "add", "replace")
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutate(doc, pick: int, mutation: str, value):
+    paths = list(_json_paths(doc))[1:]
+    path = paths[pick % len(paths)]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "add":
+        target = parent[key] if isinstance(parent[key], dict) else parent
+        if isinstance(target, dict):
+            target["extra"] = value
+        else:
+            target.append(value)
+    else:
+        parent[key] = value
+
+
+def _budget_capped(doc):
+    # a valid max_iter above 200 (or the 10^4 default) would make the
+    # fuzzing slow, so it is capped; invalid values are kept
+    if isinstance(doc, dict):
+        it = doc.get("max_iter", 10_000)
+        if (isinstance(it, (int, float)) and not isinstance(it, bool)
+                and np.isfinite(it) and it > 200):
+            doc["max_iter"] = 200
+    return doc
+
+
+@given(name=st.sampled_from(list(_REPORT_SETS)),
+       steps=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from(_MUTATIONS),
+                                st.one_of(st.sampled_from(_FUZZ_NUMBERS),
+                                          st.sampled_from(_FUZZ_OTHERS))),
+                      min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_configs_never_raise(name, steps):
+    doc = _config_dict(name)
+    for pick, mutation, value in steps:
+        if not isinstance(doc, (dict, list)) or not doc:
+            break
+        _mutate(doc, pick, mutation, copy.deepcopy(value))
+    doc = _budget_capped(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["verify", "--n", "2", "--out", str(Path(tmp) / "r.json")],
+                     ["run", "--out", str(Path(tmp) / "o.csv")]):
+            assert main(argv + ["--config", str(cfg)]) in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# commutation through the CLI: R_A T_ab = T_ba R_A for affine A
+
+
+def _orbit_rows(path, dim):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(v) for v in row[1:dim + 1]] for row in rows])
+
+
+@pytest.mark.parametrize("name", ["subspace-ball", "parallel-lines"])
+def test_run_orders_commute_through_reflector(tmp_path, name):
+    data = _config_dict(name)
+    data["stop_tol"] = 0.0
+    data["max_iter"] = 15
+    reflector = operator_from_dict(data["operator_a"])
+    dim = data["dimension"]
+    starts = data["start_points"] + [[7.0, -5.0, 3.0][:dim]]
+    outputs = {}
+    for order, points in (("ab", starts),
+                          ("ba", [reflector.reflect(x).tolist() for x in starts])):
+        data["start_points"] = points
+        cfg = tmp_path / f"{order}.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / f"{order}.csv"
+        assert main(["run", "--config", str(cfg), "--order", order,
+                     "--out", str(out)]) == 0
+        outputs[order] = [_orbit_rows(_orbit_path(str(out), i, len(points)), dim)
+                          for i in range(len(points))]
+    for ab, ba in zip(outputs["ab"], outputs["ba"]):
+        # exact fixed points stop both orbits at the same step
+        assert ab.shape == ba.shape and len(ab) > 2
+        mapped = np.array([reflector.reflect(x) for x in ab])
+        assert np.max(np.abs(ba - mapped)) <= 1e-8

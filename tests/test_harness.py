@@ -1,5 +1,7 @@
 import csv
 import json
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +139,8 @@ def test_random_generators_are_seed_deterministic():
     for a, b in zip(ops1, ops2):
         assert a.kind == b.kind
         assert np.array_equal(a.resolve(x), b.resolve(x))
+
+
+def test_write_manifest_reproduces_shipped_corpus_bytes(tmp_path):
+    shipped = Path(str(resources.files("drorder").joinpath("data/corpus.json")))
+    assert write_manifest(tmp_path / "corpus.json").read_bytes() == shipped.read_bytes()

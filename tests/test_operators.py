@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -402,3 +404,23 @@ def test_box_infinite_bounds_round_trip():
     rebuilt = operator_from_dict(data)
     assert np.allclose(rebuilt.resolve([-5.0, -3.0]), [-5.0, 0.0], atol=0)
     assert np.allclose(rebuilt.resolve([7.0, 9.0]), [1.0, 9.0], atol=0)
+
+
+def test_block_separable_is_one_catalog_class():
+    from drorder import splitting
+    from drorder.operators import BlockSeparable
+
+    assert splitting.BlockSeparable is BlockSeparable
+    block = BlockSeparable([NormalConeRay([1.0, 0.0]), NormalConeBall([0.0, 0.0], 1.0)])
+    assert operator_from_dict(block.to_dict()).to_dict() == block.to_dict()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "block_separable"}, "missing fields ['ops']"),
+    ({"kind": "block_separable", "ops": [], "extra": 1}, "unknown fields ['extra']"),
+    ({"kind": "normal_cone_box", "lower": ["x"], "upper": [1.0]}, "bad number string 'x'"),
+    ({"kind": "inverse", "inner": 5}, "expected an operator"),
+])
+def test_operator_documents_report_what_is_wrong(data, message):
+    with pytest.raises((ValueError, TypeError), match=re.escape(message)):
+        operator_from_dict(data)
