@@ -55,7 +55,6 @@ from .analysis import (
 from .config import ConfigError, ProblemConfig, Tolerances
 from .harness import (
     NamedInstance,
-    corpus_instances,
     figure_scenarios,
     load_corpus,
     run_instance,

@@ -325,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run identity checks, emit a report array")
-    p_verify.add_argument("--config", help="problem config JSON")
-    p_verify.add_argument("--corpus", action="store_true",
-                          help="verify the whole named corpus instead of a config")
+    source = p_verify.add_mutually_exclusive_group()
+    source.add_argument("--config", help="problem config JSON")
+    source.add_argument("--corpus", action="store_true",
+                        help="verify the whole named corpus instead of a config")
     p_verify.add_argument("--out", help="report JSON path (default: stdout)")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for the randomized probe points")

@@ -52,15 +52,19 @@ _NUMBERS = (int, float, np.integer, np.floating)
 
 
 def _finite(value) -> bool:
-    return (isinstance(value, _NUMBERS) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if not isinstance(value, _NUMBERS) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _integer(value, name: str) -> int:
     """``value`` as an int; integral floats pass, booleans and strings do not."""
     if _finite(value) and value == math.floor(value):
         return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    raise ConfigError(f"{name} must be a finite integer, got {value!r}")
 
 
 def _tolerance(value, name: str) -> float:

@@ -8,8 +8,11 @@ nonexpansive, a line-inside-a-plane pair with a whole plane of fixed
 points, the line/ball and halfspace/ball scenario pair, and a
 three-halfspace consensus problem in product space.
 
-The corpus manifest (name + config per instance) ships with the package
-as ``data/corpus.json``; expectations are bound to instance names here.
+The corpus manifest ``data/corpus.json`` ships with the package and is
+the one declaration of each instance's config (name + config per
+instance).  This module holds only the expectations, bound to the
+instance names; they check the manifest's configs against independent
+constants (the figure geometry, the lift's halfspaces).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from .analysis import (
     CertificateError,
-    FixedPointBudgetError,
     IdentityReport,
     check_commutation,
     check_conjugation,
@@ -37,7 +39,6 @@ from .analysis import (
 from .config import ProblemConfig
 from .operators import (
     AffineRelation,
-    BlockSeparable,
     Inverse,
     LinearMonotone,
     NormalConeAffineSubspace,
@@ -56,14 +57,12 @@ from .splitting import (
     dr_matrix,
     dr_step,
     iterate,
-    lift,
 )
 
 __all__ = [
     "Expectation",
     "NamedInstance",
     "run_instance",
-    "corpus_instances",
     "load_corpus",
     "write_manifest",
     "figure_scenarios",
@@ -83,8 +82,6 @@ GRID_SIDE = 21
 FIGURE_LINE_DIRECTION = (1.0, 0.5)
 FIGURE_BALL_CENTER = (2.0, 1.0)
 FIGURE_BALL_RADIUS = 1.0
-FIGURE_HALFSPACE_NORMAL = (0.0, 1.0)
-FIGURE_HALFSPACE_RHS = 0.0
 FIGURE_START = (4.0, 3.0)
 
 
@@ -157,15 +154,6 @@ def _grid_expectation(label: str, provenance: str, tolerance: float,
 # ray-vs-axis: A the normal cone of the horizontal axis, B of the upward
 # ray.  All six pointwise formulas below are exact.
 
-def _config_ray_vs_axis() -> ProblemConfig:
-    return ProblemConfig(
-        dimension=2,
-        operator_a=NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]]),
-        operator_b=NormalConeRay([0.0, 1.0]),
-        start_points=[[5.0, -3.0], [1.0, 2.0], [-4.0, 0.5]],
-    )
-
-
 def _expect_ray_vs_axis() -> list[Expectation]:
     def pos(v: float) -> float:
         return max(v, 0.0)
@@ -212,15 +200,6 @@ _PRODUCT_AB_BA = np.array([[5.0, -1.0], [-1.0, 2.0]]) / 9.0
 _PRODUCT_BA_AB = np.array([[5.0, 1.0], [1.0, 2.0]]) / 9.0
 
 
-def _config_linear_asymmetric() -> ProblemConfig:
-    return ProblemConfig(
-        dimension=2,
-        operator_a=NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]]),
-        operator_b=LinearMonotone([[1.0, 1.0], [1.0, 1.0]]),
-        start_points=[[1.0, 0.0], [2.0, -3.0]],
-    )
-
-
 def _matrix_expectation(label: str, provenance: str, swap: bool,
                         expected: np.ndarray) -> Expectation:
     def run(config: ProblemConfig) -> tuple[float, int]:
@@ -256,18 +235,6 @@ def _expect_linear_asymmetric() -> list[Expectation]:
 # bt-not-firm: with a ray (not an affine subspace) in the first slot the
 # composite operators fail to be firmly nonexpansive; the witness inner
 # product equals -2 alpha^2 at the scaled test points.
-
-_SQRT2 = float(np.sqrt(2.0))
-
-
-def _config_bt_not_firm() -> ProblemConfig:
-    return ProblemConfig(
-        dimension=2,
-        operator_a=NormalConeRay([1.0 / _SQRT2, 1.0 / _SQRT2]),
-        operator_b=NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]]),
-        start_points=[[-2.0, 2.0], [0.0, 0.0]],
-    )
-
 
 def _expect_bt_not_firm() -> list[Expectation]:
     def half_pos(v: float) -> float:
@@ -315,20 +282,6 @@ def _expect_bt_not_firm() -> list[Expectation]:
 # horizontal plane.  The primal solutions fill the line, the dual
 # solutions the plane's normal line, so the fixed points of either order
 # fill a whole plane and the reflector acts on it nontrivially.
-
-def _config_parallel_lines() -> ProblemConfig:
-    return ProblemConfig(
-        dimension=3,
-        operator_a=NormalConeAffineSubspace(
-            [0.0, 0.0, 0.0], [[1.0], [0.0], [0.0]]
-        ),
-        operator_b=NormalConeAffineSubspace(
-            [0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
-        ),
-        start_points=[[4.0, 3.0, 2.0], [1.0, -2.0, 5.0],
-                      [-3.0, 0.5, -1.0], [2.0, 2.0, -4.0]],
-    )
-
 
 def _expect_parallel_lines() -> list[Expectation]:
     def fixed_points(config: ProblemConfig) -> list[np.ndarray]:
@@ -389,28 +342,6 @@ def _line_direction() -> np.ndarray:
     return d / np.linalg.norm(d)
 
 
-def _config_subspace_ball() -> ProblemConfig:
-    direction = _line_direction()
-    return ProblemConfig(
-        dimension=2,
-        operator_a=NormalConeAffineSubspace([0.0, 0.0],
-                                            direction.reshape(2, 1)),
-        operator_b=NormalConeBall(FIGURE_BALL_CENTER, FIGURE_BALL_RADIUS),
-        start_points=[list(FIGURE_START)],
-        stop_tol=1e-12,
-    )
-
-
-def _config_halfspace_ball() -> ProblemConfig:
-    return ProblemConfig(
-        dimension=2,
-        operator_a=NormalConeHalfspace(FIGURE_HALFSPACE_NORMAL,
-                                       FIGURE_HALFSPACE_RHS),
-        operator_b=NormalConeBall(FIGURE_BALL_CENTER, FIGURE_BALL_RADIUS),
-        start_points=[list(FIGURE_START)],
-    )
-
-
 def _checker_expectation(label: str, provenance: str, tolerance: float,
                          check: Callable[..., IdentityReport], n: int,
                          **kwargs) -> Expectation:
@@ -468,21 +399,6 @@ _LIFT_NORMALS = (
 _LIFT_RHS = (1.0, 1.0, 0.5)
 
 
-def _lift_halfspaces() -> list[NormalConeHalfspace]:
-    return [NormalConeHalfspace(n, c) for n, c in zip(_LIFT_NORMALS, _LIFT_RHS)]
-
-
-def _config_three_halfspace_lift() -> ProblemConfig:
-    lifted = lift(_lift_halfspaces(), 3)
-    return ProblemConfig(
-        dimension=9,
-        operator_a=lifted.diagonal,
-        operator_b=lifted.product,
-        start_points=[list(lifted.embed([3.0, 2.0, 1.0]))],
-        stop_tol=1e-12,
-    )
-
-
 def _expect_three_halfspace_lift() -> list[Expectation]:
     def feasibility(config: ProblemConfig) -> tuple[float, int]:
         orbit = iterate(config.split("ab"), config.start_points[0],
@@ -506,57 +422,43 @@ def _expect_three_halfspace_lift() -> list[Expectation]:
     ]
 
 
-_INSTANCE_BUILDERS: dict[str, tuple[Callable[[], ProblemConfig],
-                                    Callable[[], list[Expectation]]]] = {
-    "ray-vs-axis": (_config_ray_vs_axis, _expect_ray_vs_axis),
-    "linear-asymmetric": (_config_linear_asymmetric, _expect_linear_asymmetric),
-    "bt-not-firm": (_config_bt_not_firm, _expect_bt_not_firm),
-    "parallel-lines": (_config_parallel_lines, _expect_parallel_lines),
-    "subspace-ball": (_config_subspace_ball, _expect_subspace_ball),
-    "halfspace-ball": (_config_halfspace_ball, _expect_halfspace_ball),
-    "three-halfspace-lift": (_config_three_halfspace_lift,
-                             _expect_three_halfspace_lift),
+_EXPECTATIONS: dict[str, Callable[[], list[Expectation]]] = {
+    "ray-vs-axis": _expect_ray_vs_axis,
+    "linear-asymmetric": _expect_linear_asymmetric,
+    "bt-not-firm": _expect_bt_not_firm,
+    "parallel-lines": _expect_parallel_lines,
+    "subspace-ball": _expect_subspace_ball,
+    "halfspace-ball": _expect_halfspace_ball,
+    "three-halfspace-lift": _expect_three_halfspace_lift,
 }
-
-
-def corpus_instances() -> list[NamedInstance]:
-    """The named corpus, built from code (the manifest mirrors this)."""
-    return [
-        NamedInstance(name, build_config(), build_expected())
-        for name, (build_config, build_expected) in _INSTANCE_BUILDERS.items()
-    ]
 
 
 def _manifest_resource():
     return resources.files("drorder").joinpath("data/corpus.json")
 
 
-def write_manifest(path=None) -> Path:
-    """Export the corpus manifest (name + config per instance) as JSON."""
-    target = Path(path) if path is not None else Path(str(_manifest_resource()))
-    entries = [
-        {"name": inst.name, "config": inst.config.to_dict()}
-        for inst in corpus_instances()
-    ]
+def write_manifest(path) -> Path:
+    """Copy the shipped corpus manifest (name + config per instance) to ``path``."""
+    target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(entries, indent=2) + "\n")
+    target.write_bytes(_manifest_resource().read_bytes())
     return target
 
 
 def load_corpus(path=None) -> list[NamedInstance]:
-    """Load the shipped corpus manifest and bind the expectations."""
+    """Load a corpus manifest (the shipped one by default) and bind each
+    instance's expectations by name."""
     if path is not None:
         text = Path(path).read_text()
     else:
         text = _manifest_resource().read_text()
-    entries = json.loads(text)
     instances = []
-    for entry in entries:
+    for entry in json.loads(text):
         name = entry["name"]
-        if name not in _INSTANCE_BUILDERS:
+        if name not in _EXPECTATIONS:
             raise ValueError(f"manifest names unknown instance {name!r}")
         config = ProblemConfig.from_dict(entry["config"])
-        instances.append(NamedInstance(name, config, _INSTANCE_BUILDERS[name][1]()))
+        instances.append(NamedInstance(name, config, _EXPECTATIONS[name]()))
     return instances
 
 
@@ -573,12 +475,9 @@ def figure_scenarios(kind: str, x0=None, n: int = 5,
     """
     if n < 5:
         raise ValueError("n must be at least 5")
-    if kind == "subspace-ball":
-        config = _config_subspace_ball()
-    elif kind == "halfspace-ball":
-        config = _config_halfspace_ball()
-    else:
+    if kind not in ("subspace-ball", "halfspace-ball"):
         raise ValueError(f"unknown scenario kind {kind!r}")
+    config = next(inst.config for inst in load_corpus() if inst.name == kind)
     a, b = config.operator_a, config.operator_b
     start = config.start_points[0] if x0 is None else np.asarray(x0, dtype=float)
 

@@ -364,8 +364,8 @@ class NormalConeBall(Operator):
     def __init__(self, center, radius: float):
         center = as_point(center)
         radius = float(radius)
-        if not radius > 0.0:
-            raise ValueError("ball radius must be strictly positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("ball radius must be finite and strictly positive")
         super().__init__(center.shape[0])
         self.center = center
         self.radius = radius
@@ -415,6 +415,8 @@ class NormalConeBox(Operator):
             raise ValueError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("box requires lower <= upper entrywise")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("box is empty: a lower bound is +inf or an upper bound is -inf")
         super().__init__(lower.shape[0])
         self.lower = lower
         self.upper = upper
@@ -442,8 +444,8 @@ class SphereSelection(Operator):
     def __init__(self, center, radius: float, tie_direction, *, tau_ortho: float = TAU_ORTHO):
         center = as_point(center)
         radius = float(radius)
-        if not radius > 0.0:
-            raise ValueError("sphere radius must be strictly positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("sphere radius must be finite and strictly positive")
         tie_direction = _unit_vector(tie_direction, "tie_direction", tau_ortho)
         if tie_direction.shape[0] != center.shape[0]:
             raise DimensionMismatchError("center and tie_direction dimensions differ")

@@ -24,7 +24,7 @@ from drorder.analysis import (
     probe_conjugation,
 )
 from drorder.harness import (
-    corpus_instances,
+    load_corpus,
     random_affine_operator,
     random_monotone_operator,
     random_point,
@@ -49,7 +49,7 @@ from drorder.splitting import (
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
 UP_RAY = NormalConeRay([0.0, 1.0])
 
-_INSTANCES = {inst.name: inst for inst in corpus_instances()}
+_INSTANCES = {inst.name: inst for inst in load_corpus()}
 
 
 def _emit(num: int, label: str, ok: bool, detail: str) -> None:

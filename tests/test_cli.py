@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from drorder.cli import _orbit_path, main
 from drorder.config import ConfigError, ProblemConfig, Tolerances
-from drorder.harness import corpus_instances
+from drorder.harness import load_corpus
 from drorder.operators import operator_from_dict
 
 
 def _config_dict(name):
-    for inst in corpus_instances():
+    for inst in load_corpus():
         if inst.name == name:
             return inst.config.to_dict()
     raise KeyError(name)
@@ -232,6 +232,13 @@ def test_verify_needs_config_or_corpus(capsys):
     assert main(["verify"]) == 2
 
 
+def test_verify_config_and_corpus_together_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus", "--config", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_seed_changes_probe_points_not_outcome(tmp_path):
     cfg = _write_config(tmp_path, "subspace-ball")
     for seed in ("0", "1", "123"):
@@ -420,9 +427,10 @@ def test_missing_config_file(tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def _write_raw(tmp_path, name, field, raw):
-    """A corpus config whose top-level ``field`` holds the JSON text ``raw``."""
-    data = _config_dict(name)
+def _write_raw(tmp_path, name, field, raw, **values):
+    """A corpus config whose top-level ``field`` holds the JSON text ``raw``
+    and whose other top-level fields are updated from ``values``."""
+    data = {**_config_dict(name), **values}
     data[field] = "@RAW@"
     path = tmp_path / "raw.json"
     path.write_text(json.dumps(data).replace('"@RAW@"', raw))
@@ -471,14 +479,21 @@ _REJECTED = {
     "max-iter-fraction": ("max_iter", "2.5"),
     "max-iter-string": ("max_iter", '"10"'),
     "max-iter-bool": ("max_iter", "true"),
+    # JSON integers too large for a float
+    **{f"{name}-400-digits": (name, "1" + "0" * 399) for name in ("max_iter", "dimension")},
+    "tau-num-400-digits": ("tolerances", '{"tau_num": 1' + "0" * 399 + "}"),
 }
 
 
 @pytest.mark.parametrize("case", list(_REJECTED))
 def test_non_finite_or_non_integral_values_are_rejected(tmp_path, capsys, case):
-    cfg = _write_raw(tmp_path, "subspace-ball", *_REJECTED[case])
+    field, raw = _REJECTED[case]
+    cfg = _write_raw(tmp_path, "subspace-ball", field, raw)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    named = f"tolerances.{next(iter(json.loads(raw)))}" if field == "tolerances" else field
+    assert named in err
 
 
 def test_halfspace_with_nan_rhs_is_rejected(tmp_path, capsys):
@@ -488,6 +503,32 @@ def test_halfspace_with_nan_rhs_is_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, "halfspace-ball", mutate=nan_rhs)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     assert "rhs must be finite" in capsys.readouterr().err
+
+
+# Set parameters that once loaded as an empty box, a ball that is the
+# whole space, or a sphere whose selection diverges.
+_INFINITE_SETS = {
+    "box-lower-plus-inf": ("standard", '{"kind": "normal_cone_box", '
+                           '"lower": ["inf", 0.0], "upper": ["inf", 1.0]}', "box is empty"),
+    "box-upper-minus-inf": ("standard", '{"kind": "normal_cone_box", '
+                            '"lower": [0.0, "-inf"], "upper": [1.0, "-inf"]}', "box is empty"),
+    "ball-radius-1e400": ("standard", '{"kind": "normal_cone_ball", '
+                          '"center": [2.0, 1.0], "radius": 1e400}',
+                          "ball radius must be finite"),
+    "sphere-radius-1e400": ("generalized", '{"kind": "sphere_selection", '
+                            '"center": [2.0, 1.0], "radius": 1e400, "tie_direction": [0.0, 1.0]}',
+                            "sphere radius must be finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("case", list(_INFINITE_SETS))
+def test_infinite_set_parameters_are_config_errors(tmp_path, capsys, command, case):
+    mode, operator_b, message = _INFINITE_SETS[case]
+    cfg = _write_raw(tmp_path, "subspace-ball", "operator_b", operator_b, mode=mode)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_integral_float_counts_are_accepted(tmp_path):

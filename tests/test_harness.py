@@ -8,7 +8,6 @@ import pytest
 
 from drorder.harness import (
     FIGURE_START,
-    corpus_instances,
     figure_scenarios,
     load_corpus,
     random_affine_operator,
@@ -33,19 +32,11 @@ EXPECTED_NAMES = [
 
 
 def test_corpus_names_and_all_expectations_pass():
-    instances = corpus_instances()
+    instances = load_corpus()
     assert [inst.name for inst in instances] == EXPECTED_NAMES
     for inst in instances:
         for report in run_instance(inst):
             assert report.passed, (report.identity_name, report.max_violation)
-
-
-def test_shipped_manifest_matches_builders():
-    loaded = load_corpus()
-    built = corpus_instances()
-    assert [i.name for i in loaded] == [i.name for i in built]
-    for file_inst, code_inst in zip(loaded, built):
-        assert file_inst.config.to_dict() == code_inst.config.to_dict()
 
 
 def test_manifest_export_round_trip(tmp_path):
@@ -57,8 +48,17 @@ def test_manifest_export_round_trip(tmp_path):
         assert inst.expected  # expectations bound by name
 
 
+def test_manifest_naming_an_unknown_instance_is_rejected(tmp_path):
+    entries = json.loads(write_manifest(tmp_path / "corpus.json").read_text())
+    entries[0]["name"] = "no-such-instance"
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match="unknown instance 'no-such-instance'"):
+        load_corpus(path)
+
+
 def test_failure_exhibit_reports_shortfall():
-    instances = {inst.name: inst for inst in corpus_instances()}
+    instances = {inst.name: inst for inst in load_corpus()}
     reports = run_instance(instances["halfspace-ball"])
     assert len(reports) == 1
     report = reports[0]
@@ -109,7 +109,7 @@ def test_figure_scenarios_validation():
 
 
 def test_figure_start_matches_scenario_configs():
-    instances = {inst.name: inst for inst in corpus_instances()}
+    instances = {inst.name: inst for inst in load_corpus()}
     for name in ("subspace-ball", "halfspace-ball"):
         start = instances[name].config.start_points[0]
         assert np.array_equal(start, np.asarray(FIGURE_START))
@@ -141,6 +141,8 @@ def test_random_generators_are_seed_deterministic():
         assert np.array_equal(a.resolve(x), b.resolve(x))
 
 
-def test_write_manifest_reproduces_shipped_corpus_bytes(tmp_path):
+def test_shipped_manifest_is_in_canonical_round_trip_form():
     shipped = Path(str(resources.files("drorder").joinpath("data/corpus.json")))
-    assert write_manifest(tmp_path / "corpus.json").read_bytes() == shipped.read_bytes()
+    entries = [{"name": inst.name, "config": inst.config.to_dict()}
+               for inst in load_corpus()]
+    assert json.dumps(entries, indent=2) + "\n" == shipped.read_text()
