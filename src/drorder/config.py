@@ -74,6 +74,14 @@ def _tolerance(value, name: str) -> float:
     raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
+def _start_point(value, dim: int, name: str) -> np.ndarray:
+    """``value`` as a finite point in R^dim; the error names the point."""
+    try:
+        return as_point(value, dim)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric tolerances, overridable per instance."""
@@ -121,7 +129,8 @@ class ProblemConfig:
                 raise ConfigError(
                     f"{name} has dimension {op.dim}, expected {self.dimension}"
                 )
-        self.start_points = [as_point(p, self.dimension) for p in self.start_points]
+        self.start_points = [_start_point(p, self.dimension, f"start_points[{i}]")
+                             for i, p in enumerate(self.start_points)]
         if not self.start_points:
             raise ConfigError("at least one start point is required")
         self.max_iter = _integer(self.max_iter, "max_iter")
@@ -188,8 +197,11 @@ class ProblemConfig:
         try:
             tolerances = Tolerances.from_dict(args.pop("tolerances", {}))
             for name in ("operator_a", "operator_b"):
-                args[name] = operator_from_dict(args[name], tau_psd=tolerances.tau_psd,
-                                                tau_ortho=tolerances.tau_ortho)
+                try:
+                    args[name] = operator_from_dict(args[name], tau_psd=tolerances.tau_psd,
+                                                    tau_ortho=tolerances.tau_ortho)
+                except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
+                    raise ConfigError(f"{name}: {exc}") from exc
             return cls(**args, tolerances=tolerances)
         except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
             raise ConfigError(str(exc)) from exc

@@ -354,6 +354,22 @@ class NormalConeHalfspace(Operator):
             return x.copy()
         return x - slack * self.normal
 
+    @staticmethod
+    def stacked_resolvent(ops):
+        """The resolvents of the halfspaces ``ops`` on a (k, d) array of
+        rows, row i resolved as ``ops[i].resolve`` would, bit for bit."""
+        normals = np.array([op.normal for op in ops])
+        rhs = np.array([op.rhs for op in ops])
+
+        def resolve_rows(rows):
+            slack = np.vecdot(normals, rows) - rhs
+            out = rows.copy()
+            moved = ~(slack <= 0.0)
+            out[moved] = rows[moved] - slack[moved, None] * normals[moved]
+            return out
+
+        return resolve_rows
+
 
 class NormalConeBall(Operator):
     """Normal cone of the closed ball with the given center and radius."""
@@ -377,6 +393,23 @@ class NormalConeBall(Operator):
         if dist <= self.radius:
             return x.copy()
         return self.center + (self.radius / dist) * v
+
+    @staticmethod
+    def stacked_resolvent(ops):
+        """The resolvents of the balls ``ops`` on a (k, d) array of rows,
+        row i resolved as ``ops[i].resolve`` would, bit for bit."""
+        centers = np.array([op.center for op in ops])
+        radii = np.array([op.radius for op in ops])
+
+        def resolve_rows(rows):
+            v = rows - centers
+            dist = np.sqrt(np.vecdot(v, v))
+            out = rows.copy()
+            moved = ~(dist <= radii)
+            out[moved] = centers[moved] + (radii[moved] / dist[moved])[:, None] * v[moved]
+            return out
+
+        return resolve_rows
 
 
 class NormalConeRay(Operator):
@@ -525,11 +558,28 @@ class Rotation(Operator):
         return c, -b
 
 
+# Member classes that BlockSeparable resolves together, keyed by exact
+# class: each entry builds, from the members of that class, one resolvent
+# of their stacked blocks that matches the members' own ``resolve``.
+_STACKED_RESOLVENTS = {cls: cls.stacked_resolvent
+                       for cls in (NormalConeHalfspace, NormalConeBall)}
+
+
+def _rows(indices: list[int]):
+    """A slice for a run of consecutive block indices, else an index array."""
+    if indices[-1] - indices[0] == len(indices) - 1:
+        return slice(indices[0], indices[-1] + 1)
+    return np.array(indices)
+
+
 class BlockSeparable(Operator):
     """Blockwise application of equal-dimension operators on a product space.
 
     The resolvent applies each member's resolvent to its contiguous
     block, which is exactly the resolvent of the product operator.
+    Members of a class in ``_STACKED_RESOLVENTS`` that occurs more than
+    once are resolved together, one numpy expression per class over
+    their stacked blocks; every other member resolves its own block.
     """
 
     kind = "block_separable"
@@ -546,6 +596,17 @@ class BlockSeparable(Operator):
         super().__init__(ops[0].dim * len(ops))
         self.ops = ops
         self.block_dim = ops[0].dim
+        by_class: dict[type, list[int]] = {}
+        for i, op in enumerate(ops):
+            by_class.setdefault(type(op), []).append(i)
+        self._stacked = []  # (rows, resolvent of those rows)
+        self._single = []   # (row, member)
+        for cls, indices in by_class.items():
+            if cls in _STACKED_RESOLVENTS and len(indices) > 1:
+                resolvent = _STACKED_RESOLVENTS[cls]([ops[i] for i in indices])
+                self._stacked.append((_rows(indices), resolvent))
+            else:
+                self._single.extend((i, ops[i]) for i in indices)
 
     @property
     def monotone(self):  # type: ignore[override]
@@ -556,12 +617,13 @@ class BlockSeparable(Operator):
         return all(op.affine for op in self.ops)
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        out = np.empty_like(x)
-        for i, op in enumerate(self.ops):
-            block = slice(i * self.block_dim, (i + 1) * self.block_dim)
-            out[block] = op.resolve(x[block])
-        return out
+        rows = as_point(x, self.dim).reshape(len(self.ops), self.block_dim)
+        out = np.empty_like(rows)
+        for sel, resolvent in self._stacked:
+            out[sel] = resolvent(rows[sel])
+        for i, op in self._single:
+            out[i] = op.resolve(rows[i])
+        return out.reshape(self.dim)
 
     def resolvent_affine_map(self):
         matrix = np.zeros((self.dim, self.dim))
@@ -628,11 +690,20 @@ def _to_json(value):
     return value
 
 
-def _from_json(value, tolerances: dict):
-    """A field value from its JSON form; objects are nested operators."""
+def _from_json(value, tolerances: dict, where: str):
+    """A field value from its JSON form; objects are nested operators.
+
+    Integers become floats; one too large for a float is an error that
+    names ``where`` it was found.
+    """
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if isinstance(value, list):
         # floats, the common entries, skip the recursive call
-        return [v if type(v) is float else _from_json(v, tolerances) for v in value]
+        return [v if type(v) is float else _from_json(v, tolerances, where) for v in value]
     if isinstance(value, dict):
         return operator_from_dict(value, **tolerances)
     if isinstance(value, str):
@@ -663,7 +734,8 @@ def operator_from_dict(data: dict, *, tau_psd: float = TAU_PSD,
         raise ValueError(f"unknown operator kind {kind!r}")
     _expect_keys(data, set(cls.fields))
     tolerances = {"tau_psd": tau_psd, "tau_ortho": tau_ortho}
-    args = {name: _from_json(data[name], tolerances) for name in cls.fields}
+    args = {name: _from_json(data[name], tolerances, f"operator {kind!r} field {name!r}")
+            for name in cls.fields}
     if cls.tolerance is not None:
         args[cls.tolerance] = tolerances[cls.tolerance]
     return cls(**args)

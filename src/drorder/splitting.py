@@ -13,7 +13,8 @@ a two-operator problem with an affine-subspace first operand.
 
 Production evaluation uses the Id - J_A + J_B R_A form (two resolvent
 calls and one reflection); agreement with the half-sum form is part of
-the test suite.
+the test suite.  ``iterate`` evaluates J_first once per step: the shadow
+J_A x_n it records is the J_A x_n that the next step needs.
 """
 
 from __future__ import annotations
@@ -66,15 +67,20 @@ class DivergenceError(RuntimeError):
         self.orbit = orbit
 
 
-def dr_step(first: Operator, second: Operator, x: np.ndarray) -> np.ndarray:
+def dr_step(first: Operator, second: Operator, x: np.ndarray,
+            jx: np.ndarray | None = None) -> np.ndarray:
     """One application of x - J_first x + J_second(2 J_first x - x).
+
+    ``jx``, when given, is J_first x already evaluated; it is used in
+    place of a second evaluation.
 
     No slot validation is performed here; contract checking lives in
     SplitOperator.  This entry point exists because several identities
     need the swapped or generalized operator even when that combination
     is not constructible as a validated SplitOperator.
     """
-    jx = first.resolve(x)
+    if jx is None:
+        jx = first.resolve(x)
     return x - jx + second.resolve(2.0 * jx - x)
 
 
@@ -235,6 +241,8 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
             history_cap: int = DEFAULT_HISTORY_CAP) -> Orbit:
     """Iterate T from x0, recording governing and shadow sequences.
 
+    J_first is evaluated once per step: the shadow J_first x_n recorded
+    for x_n is, in form "dr", the J_first x_n of the step from x_n.
     Stops early once the governing residual ||x_{n+1} - x_n|| drops to
     ``stop_tol`` (marking the orbit converged).  A non-finite iterate
     raises DivergenceError carrying the orbit of the finite prefix.
@@ -249,7 +257,8 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     x = as_point(x0, T.dim)
     head_cap = history_cap // 2
     tail_cap = history_cap - head_cap
-    head: list[tuple[int, np.ndarray, np.ndarray]] = [(0, x, T.shadow(x))]
+    jx = T.first.resolve(x)
+    head: list[tuple[int, np.ndarray, np.ndarray]] = [(0, x, jx)]
     tail: deque = deque(maxlen=tail_cap)
     tail_seen = 0
     residuals: list[float] = []
@@ -273,7 +282,8 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         # point error; both cases are a diverging orbit
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x_next = T.apply(x)
+                x_next = (dr_step(T.first, T.second, x, jx) if T.form == FORM_DR
+                          else T.apply(x))
                 residual = float(np.linalg.norm(x_next - x))
         except NonFinitePointError:
             n += 1
@@ -283,7 +293,8 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         if not np.all(np.isfinite(x_next)):
             raise DivergenceError(f"non-finite iterate at step {n}", assemble())
         residuals.append(residual)
-        record = (n, x_next, T.shadow(x_next))
+        jx = T.first.resolve(x_next)
+        record = (n, x_next, jx)
         if len(head) < head_cap:
             head.append(record)
         else:
@@ -348,11 +359,8 @@ def lift(ops, dim: int) -> LiftedProblem:
         if not op.monotone:
             raise MonotonicityError("lift requires monotone members")
     m = len(ops)
-    basis = np.zeros((m * dim, dim))
-    scale = 1.0 / np.sqrt(m)
-    for i in range(m):
-        for j in range(dim):
-            basis[i * dim + j, j] = scale
+    # m stacked copies of I / sqrt(m): an orthonormal basis of the diagonal
+    basis = np.tile(np.eye(dim) / np.sqrt(m), (m, 1))
     diagonal = NormalConeAffineSubspace(np.zeros(m * dim), basis)
     product = BlockSeparable(ops)
     return LiftedProblem(ops=ops, base_dim=dim, copies=m,

@@ -482,18 +482,29 @@ _REJECTED = {
     # JSON integers too large for a float
     **{f"{name}-400-digits": (name, "1" + "0" * 399) for name in ("max_iter", "dimension")},
     "tau-num-400-digits": ("tolerances", '{"tau_num": 1' + "0" * 399 + "}"),
+    # ... in a point or an operator field, where the message names the
+    # point, or the operator slot, kind and field
+    "start-point-400-digits": ("start_points", "[[1" + "0" * 399 + ", 0.0]]",
+                               "start_points[0]:"),
+    "second-start-point-400-digits": ("start_points", "[[0.0, 0.0], [0.0, -1" + "0" * 399 + "]]",
+                                      "start_points[1]:"),
+    **{f"ball-{name}-400-digits": (
+        "operator_b", '{"kind": "normal_cone_ball", ' + body,
+        "operator_b: operator 'normal_cone_ball' field " + repr(name))
+       for name, body in (("center", '"center": [1' + "0" * 399 + ', 1.0], "radius": 1.0}'),
+                          ("radius", '"center": [2.0, 1.0], "radius": 1' + "0" * 399 + "}"))},
 }
 
 
 @pytest.mark.parametrize("case", list(_REJECTED))
 def test_non_finite_or_non_integral_values_are_rejected(tmp_path, capsys, case):
-    field, raw = _REJECTED[case]
+    field, raw, *named = _REJECTED[case]
     cfg = _write_raw(tmp_path, "subspace-ball", field, raw)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    named = f"tolerances.{next(iter(json.loads(raw)))}" if field == "tolerances" else field
-    assert named in err
+    default = f"tolerances.{next(iter(json.loads(raw)))}" if field == "tolerances" else field
+    assert (named[0] if named else default) in err
 
 
 def test_halfspace_with_nan_rhs_is_rejected(tmp_path, capsys):

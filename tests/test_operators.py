@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from drorder.operators import (
     AffineRelation,
+    BlockSeparable,
     DimensionMismatchError,
     GraphPair,
     Inverse,
@@ -424,3 +426,145 @@ def test_block_separable_is_one_catalog_class():
 def test_operator_documents_report_what_is_wrong(data, message):
     with pytest.raises((ValueError, TypeError), match=re.escape(message)):
         operator_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# BlockSeparable: stacked member resolvents against the per-member loop
+
+
+def _loop_resolve(block, x):
+    """The product resolvent one member block at a time: the reference."""
+    rows = np.asarray(x, dtype=float).reshape(len(block.ops), block.block_dim)
+    return np.concatenate([op.resolve(row) for op, row in zip(block.ops, rows)])
+
+
+def _halfspace_case(rng, d, case):
+    """A halfspace and a block that is inside, outside or on its boundary."""
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    scale = 1e200 if case.endswith("huge") else 1.0
+    x = rng.normal(size=d) * scale
+    if case.startswith("negzero"):
+        x = np.full(d, -0.0)
+    # the stored normal, so that a boundary block has slack exactly 0
+    dot = float(NormalConeHalfspace(u, 0.0).normal @ x)
+    margin = {"inside": 0.5, "outside": -0.5, "boundary": 0.0}[case.split("-")[-2]]
+    return NormalConeHalfspace(u, dot + margin * scale), x
+
+
+def _ball_case(rng, d, case):
+    """A ball and a block inside, outside, on its sphere or at its center."""
+    scale = 1e200 if case == "center-huge" else 1.0
+    center = rng.normal(size=d) * scale
+    if case.startswith("center"):
+        return NormalConeBall(center, float(rng.uniform(0.5, 2.0))), center.copy()
+    if case.startswith("negzero"):
+        x = np.full(d, -0.0)
+        center *= 0.1 if case == "negzero-inside" else 3.0 / np.linalg.norm(center)
+    else:
+        x = center + rng.normal(size=d)
+    dist = float(np.linalg.norm(x - center))
+    radius = {"inside": 2.0 * dist, "outside": 0.5 * dist, "boundary": dist,
+              "negzero-inside": 1.0, "negzero-outside": 1.0}[case]
+    return NormalConeBall(center, radius), x
+
+
+_HALFSPACE_CASES = [f"{kind}-{where}-{size}"
+                    for kind in ("plain", "negzero")
+                    for where in ("inside", "outside", "boundary")
+                    for size in ("unit", "huge")]
+_BALL_CASES = ["inside", "outside", "boundary", "center", "center-huge",
+               "negzero-inside", "negzero-outside"]
+
+
+def _fallback_member(rng, d, i):
+    """A member without a stacked resolvent, and a block for it."""
+    kinds = (
+        lambda: Inverse(NormalConeHalfspace(rng.normal(size=d), 0.3)),
+        lambda: Rotation(NormalConeBall(rng.normal(size=d), 1.0)),
+        lambda: NormalConeBox(-np.ones(d), np.ones(d)),
+    )
+    return kinds[i % len(kinds)](), rng.normal(size=d) * 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+@pytest.mark.parametrize("seed", range(6))
+def test_block_separable_stacked_matches_member_loop_bit_for_bit(d, seed):
+    rng = np.random.default_rng(1000 * d + seed)
+    members = []
+    for i in range(int(rng.integers(8, 24))):
+        pick = rng.uniform()
+        if pick < 0.45:
+            members.append(_halfspace_case(rng, d, str(rng.choice(_HALFSPACE_CASES))))
+        elif pick < 0.9:
+            members.append(_ball_case(rng, d, str(rng.choice(_BALL_CASES))))
+        elif seed % 2:  # odd seeds mix in members that resolve one block at a time
+            members.append(_fallback_member(rng, d, i))
+    order = rng.permutation(len(members))
+    block = BlockSeparable([members[i][0] for i in order])
+    x = np.concatenate([members[i][1] for i in order])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block.resolve(x)
+        want = _loop_resolve(block, x)
+    assert got.shape == want.shape == x.shape
+    assert got.tobytes() == want.tobytes()  # == on every bit, signed zeros too
+
+
+def test_block_separable_every_case_in_one_product():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 9):
+        members = ([_halfspace_case(rng, d, c) for c in _HALFSPACE_CASES]
+                   + [_ball_case(rng, d, c) for c in _BALL_CASES]
+                   + [_fallback_member(rng, d, i) for i in range(3)])
+        block = BlockSeparable([op for op, _ in members])
+        x = np.concatenate([p for _, p in members])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = block.resolve(x)
+        assert got.tobytes() == _loop_resolve(block, x).tobytes()
+        # blocks the member leaves in place keep their bits, -0.0 included
+        moved = 0
+        for i, (op, p) in enumerate(members):
+            row = got[i * d:(i + 1) * d]
+            if isinstance(op, (NormalConeHalfspace, NormalConeBall)):
+                unchanged = op.resolve(p).tobytes() == p.tobytes()
+                assert (row.tobytes() == p.tobytes()) == unchanged
+                moved += not unchanged
+        assert moved > 0
+
+
+def test_block_separable_ball_overflow_matches_member_loop():
+    # |x - c|^2 overflows for 1e200 entries in both paths; both warn, and
+    # both send the block to the center
+    block = BlockSeparable([NormalConeBall([0.0, 0.0], 1.0), NormalConeBall([1.0, 0.0], 1.0)])
+    x = np.array([1e200, -1e200, 3.0, 0.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = block.resolve(x)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        want = _loop_resolve(block, x)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_separable_resolves_repeated_kinds_together(monkeypatch):
+    calls = {NormalConeHalfspace: 0, NormalConeBall: 0, NormalConeRay: 0}
+    for cls in calls:
+        original = cls.resolve
+
+        def counted(self, x, cls=cls, original=original):
+            calls[cls] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(cls, "resolve", counted)
+    ops = [NormalConeHalfspace([1.0, 0.0], 0.5), NormalConeBall([0.0, 0.0], 1.0),
+           NormalConeHalfspace([0.0, 1.0], 0.5), NormalConeBall([2.0, 0.0], 1.0),
+           NormalConeHalfspace([1.0, 1.0], 0.0), NormalConeRay([1.0, 0.0]),
+           NormalConeRay([0.0, 1.0]), NormalConeBox([-1.0, -1.0], [1.0, 1.0])]
+    x = np.arange(16.0) - 8.0
+    BlockSeparable(ops).resolve(x)
+    # halfspaces and balls go through their stacked resolvents; rays
+    # have none and resolve one block each
+    assert calls == {NormalConeHalfspace: 0, NormalConeBall: 0, NormalConeRay: 2}
+    BlockSeparable(ops[:2] + ops[5:]).resolve(x[:10])
+    # a kind that occurs once keeps its own resolve
+    assert calls == {NormalConeHalfspace: 1, NormalConeBall: 1, NormalConeRay: 4}

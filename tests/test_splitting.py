@@ -17,10 +17,13 @@ from drorder.operators import (
     NotAffineError,
     SphereSelection,
 )
+from drorder import splitting
+from drorder.analysis import power_orbit
 from drorder.splitting import (
     BlockSeparable,
     DivergenceError,
     FORM_BORWEIN_TAM,
+    FORM_DR,
     SplitOperator,
     dr_matrix,
     dr_step,
@@ -356,3 +359,57 @@ def test_swapped_round_trip_property(seed):
     assert S.first is T.second and S.second is T.first
     x = random_point(rng, dim)
     assert np.allclose(dr_step(T.second, T.first, x), S(x), atol=0)
+
+
+@pytest.mark.parametrize("order", ["ab", "ba", "bt"])
+def test_iterate_evaluates_first_resolvent_once_per_step(monkeypatch, order):
+    # a disjoint line and ball: the orbit never stops on a zero residual
+    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]])
+    ball = NormalConeBall([0.0, 4.0], 1.0)
+    a, b = (ball, line) if order == "ba" else (line, ball)
+    T = SplitOperator(a, b, FORM_BORWEIN_TAM if order == "bt" else FORM_DR)
+    x0 = np.array([4.0, 3.0])
+
+    def step(x):  # the reference step
+        return (dr_step(a, b, dr_step(b, a, x)) if order == "bt"
+                else power_orbit(a, b, x, 1)[-1])
+
+    counts = {"first": 0, "dr_step": 0}
+    first_resolve, original_step = a.resolve, splitting.dr_step
+
+    def counted_resolve(x):
+        counts["first"] += 1
+        return first_resolve(x)
+
+    def counted_step(*args, **kwargs):
+        counts["dr_step"] += 1
+        return original_step(*args, **kwargs)
+
+    monkeypatch.setattr(a, "resolve", counted_resolve)
+    monkeypatch.setattr(splitting, "dr_step", counted_step)
+    orbit = iterate(T, x0, max_iter=20, stop_tol=0.0)
+    monkeypatch.undo()
+
+    n = orbit.iterations
+    assert n == 20
+    if order == "bt":  # the composite applies T itself: two steps, three J_first
+        assert counts == {"first": 3 * n + 1, "dr_step": 2 * n}
+    else:
+        assert counts == {"first": n + 1, "dr_step": n}
+    governing = [x0]
+    for _ in range(n):
+        governing.append(step(governing[-1]))
+    assert [g.tobytes() for g in orbit.governing] == [g.tobytes() for g in governing]
+    assert [s.tobytes() for s in orbit.shadow] == [a.resolve(g).tobytes() for g in governing]
+    assert orbit.residuals == [float(np.linalg.norm(y - x))
+                               for x, y in zip(governing, governing[1:])]
+
+
+def test_dr_step_uses_a_given_first_resolvent():
+    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]])
+    ball = NormalConeBall([2.0, 1.0], 1.0)
+    x = np.array([4.0, 3.0])
+    jx = line.resolve(x)
+    assert dr_step(line, ball, x, jx).tobytes() == dr_step(line, ball, x).tobytes()
+    # a different jx is used as given, not recomputed
+    assert np.array_equal(dr_step(line, ball, x, np.zeros(2)), x + ball.resolve(-x))
