@@ -21,7 +21,6 @@ from .operators import (
     Rotation,
     SphereSelection,
     graph_contains,
-    is_monotone,
     operator_from_dict,
 )
 from .splitting import (

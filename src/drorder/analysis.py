@@ -23,6 +23,7 @@ import numpy as np
 
 from .operators import (
     GraphPair,
+    NonFinitePointError,
     NormalConeAffineSubspace,
     NotAffineError,
     Operator,
@@ -31,7 +32,7 @@ from .operators import (
     as_point,
     graph_contains,
 )
-from .splitting import SplitOperator, dr_step, require_operands
+from .splitting import DivergenceError, SplitOperator, dr_step, iterate, require_operands
 
 __all__ = [
     "FixedPointBudgetError",
@@ -57,7 +58,8 @@ __all__ = [
 
 
 class FixedPointBudgetError(RuntimeError):
-    """Iteration budget ran out; carries the best iterate seen."""
+    """Iteration budget ran out; carries the last iterate whose step
+    residual is known (``best``) and that residual."""
 
     def __init__(self, message: str, best: np.ndarray, residual: float):
         super().__init__(message)
@@ -71,17 +73,12 @@ class CertificateError(RuntimeError):
 
 @dataclass(eq=False)
 class SolutionPair:
-    """A primal/dual pair (z, k) with graph-membership certificates.
-
-    cert_a witnesses (z, k) in gra A and cert_b witnesses (z, -k) in
-    gra B, which together place z among the zeros of A + B and (z, -k)
-    in the extended solution set of the ordered pair.
-    """
+    """A primal/dual pair (z, k): (z, k) in gra A and (z, -k) in gra B,
+    which place z among the zeros of A + B and (z, -k) in the extended
+    solution set of the ordered pair."""
 
     z: np.ndarray
     k: np.ndarray
-    cert_a: GraphPair
-    cert_b: GraphPair
 
 
 @dataclass
@@ -106,29 +103,29 @@ class IdentityReport:
 
 def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
                      max_iter: int = 10_000) -> np.ndarray:
-    """Return x with ||T x - x|| <= tol, by plain iteration from x0.
+    """Return x with ||T x - x|| <= tol, by ``iterate`` from x0.
 
-    Raises FixedPointBudgetError (with the best iterate and its
-    residual) when the budget is exhausted; for monotone operands the
-    iteration converges whenever T has any fixed point.
+    The result is the orbit's second-to-last point, the one whose step
+    residual passed.  When the budget runs out, FixedPointBudgetError
+    carries the last iterate whose residual is known, with that
+    residual; for a nonexpansive T (monotone operands) residuals never
+    increase in exact arithmetic, so it is the least one up to rounding,
+    and the iteration converges whenever T has a fixed point.  A
+    non-finite iterate raises NonFinitePointError; ``iterate`` rejects
+    max_iter < 1 and tol < 0 with ValueError.
     """
-    x = as_point(x0, T.dim)
-    best = x
-    best_residual = float("inf")
-    for _ in range(max_iter):
-        tx = T.apply(x)
-        residual = float(np.linalg.norm(tx - x))
-        if residual < best_residual:
-            best, best_residual = x, residual
-        if residual <= tol:
-            return x
-        x = tx
-    raise FixedPointBudgetError(
-        f"no fixed point to tolerance {tol:.1e} within {max_iter} iterations "
-        f"(best residual {best_residual:.3e})",
-        best,
-        best_residual,
-    )
+    try:
+        orbit = iterate(T, x0, max_iter, tol, history_cap=4)
+    except DivergenceError as exc:
+        raise NonFinitePointError(str(exc)) from None
+    if not orbit.converged:
+        raise FixedPointBudgetError(
+            f"no fixed point to tolerance {tol:.1e} within {max_iter} iterations "
+            f"(best residual {orbit.final_residual:.3e})",
+            orbit.governing[-2],
+            orbit.final_residual,
+        )
+    return orbit.governing[-2]
 
 
 def _require_fixed_point(first: Operator, second: Operator, f: np.ndarray,
@@ -152,13 +149,11 @@ def extract_solution(A: Operator, B: Operator, fixed_point, *,
     _require_fixed_point(A, B, f, fix_tol)
     z = A.resolve(f)
     k = f - z
-    cert_a = GraphPair(z, k)
-    cert_b = GraphPair(z, -k)
-    if not graph_contains(A, cert_a, graph_tol):
+    if not graph_contains(A, GraphPair(z, k), graph_tol):
         raise CertificateError("certificate (z, k) in gra A failed")
-    if not graph_contains(B, cert_b, graph_tol):
+    if not graph_contains(B, GraphPair(z, -k), graph_tol):
         raise CertificateError("certificate (z, -k) in gra B failed")
-    return SolutionPair(z=z, k=k, cert_a=cert_a, cert_b=cert_b)
+    return SolutionPair(z=z, k=k)
 
 
 def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
@@ -201,20 +196,24 @@ class FixedPointCertificates:
     ||J_B(z - k) - z|| of the extracted pairs; ``bijection`` the worst
     round trip ||R_B R_A f - f|| or reflector image ||R_A f - (z - k)||;
     ``isometry`` the worst | ||R_A f - R_A g|| - ||f - g|| | over the
-    pairs of distinct fixed points (0 for a single fixed point).
+    pairs of distinct fixed points (0 for a single fixed point);
+    ``dual`` the worst ||R_A(z + k) - (z - k)||, the defect that
+    ``check_dual_symmetry`` reports for the same pairs.
     """
 
     pairs: list[SolutionPair]
     certificate: float
     bijection: float
     isometry: float
+    dual: float
 
 
 def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
                          fix_tol: float = TAU_GRAPH,
                          graph_tol: float = TAU_GRAPH) -> FixedPointCertificates:
     """Extract the solution pair of each fixed point of T_ab and measure the
-    certificates and the bijection/isometry of R_A between the fixed sets.
+    certificates, the bijection/isometry of R_A between the fixed sets,
+    and the transfer z + k -> z - k of each pair to the swapped order.
 
     Raises CertificateError when a pair cannot be extracted.
     """
@@ -232,7 +231,8 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
          for i in range(len(fixed)) for j in range(i + 1, len(fixed))),
         default=0.0,
     )
-    return FixedPointCertificates(pairs, certificate, bijection, isometry)
+    dual = _worst_gap([A.reflect(p.z + p.k) for p in pairs], [p.z - p.k for p in pairs])
+    return FixedPointCertificates(pairs, certificate, bijection, isometry, dual)
 
 
 def _require_subspace_first(A: Operator, identity: str) -> None:

@@ -129,6 +129,10 @@ class ProblemConfig:
                 raise ConfigError(
                     f"{name} has dimension {op.dim}, expected {self.dimension}"
                 )
+        if not isinstance(self.start_points, (list, tuple)):
+            raise ConfigError(
+                f"start_points must be a list of points, got {self.start_points!r}"
+            )
         self.start_points = [_start_point(p, self.dimension, f"start_points[{i}]")
                              for i, p in enumerate(self.start_points)]
         if not self.start_points:

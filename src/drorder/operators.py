@@ -47,7 +47,6 @@ __all__ = [
     "Rotation",
     "BlockSeparable",
     "graph_contains",
-    "is_monotone",
     "operator_from_dict",
 ]
 
@@ -647,25 +646,15 @@ def graph_contains(op: Operator, pair: GraphPair, tol: float = TAU_GRAPH) -> boo
     return float(np.linalg.norm(op.resolve(x + u) - x)) <= tol
 
 
-def is_monotone(op: Operator, *, tau_psd: float = TAU_PSD) -> bool:
-    """Monotonicity of a catalog member.
-
-    For linear/affine variants this re-certifies that the symmetric part
-    is PSD to ``tau_psd`` (construction already enforced it); for other
-    variants it is the declared catalog property.
-    """
-    if isinstance(op, (LinearMonotone, AffineRelation)):
-        sym = 0.5 * (op.matrix + op.matrix.T)
-        return float(np.linalg.eigvalsh(sym)[0]) >= -tau_psd
-    if isinstance(op, (Inverse, Rotation)):
-        return is_monotone(op.inner, tau_psd=tau_psd)
-    return bool(op.monotone)
-
-
 # --------------------------------------------------------------------------
 # JSON serialization.  Matrices are row-major nested lists, vectors plain
 # lists; box bounds use the strings "inf"/"-inf" for unbounded sides so the
 # emitted documents stay valid JSON.
+
+# The deepest an operator may sit inside other operators in a document: a
+# fixed limit, so which documents load does not depend on the interpreter's
+# recursion limit.
+MAX_NESTING = 64
 
 _CATALOG = {cls.kind: cls for cls in (
     LinearMonotone, AffineRelation, NormalConeAffineSubspace, NormalConeHalfspace,
@@ -690,8 +679,9 @@ def _to_json(value):
     return value
 
 
-def _from_json(value, tolerances: dict, where: str):
-    """A field value from its JSON form; objects are nested operators.
+def _from_json(value, tolerances: dict, where: str, depth: int):
+    """A field value from its JSON form; objects are operators nested
+    one level below ``depth``.
 
     Integers become floats; one too large for a float is an error that
     names ``where`` it was found.
@@ -703,9 +693,10 @@ def _from_json(value, tolerances: dict, where: str):
             raise ValueError(f"{where}: {exc}") from None
     if isinstance(value, list):
         # floats, the common entries, skip the recursive call
-        return [v if type(v) is float else _from_json(v, tolerances, where) for v in value]
+        return [v if type(v) is float else _from_json(v, tolerances, where, depth)
+                for v in value]
     if isinstance(value, dict):
-        return operator_from_dict(value, **tolerances)
+        return _decode(value, tolerances, depth + 1)
     if isinstance(value, str):
         if value not in ("inf", "+inf", "-inf"):
             raise ValueError(f"bad number string {value!r}")
@@ -725,7 +716,17 @@ def _expect_keys(data: dict, required: set[str]) -> None:
 
 def operator_from_dict(data: dict, *, tau_psd: float = TAU_PSD,
                        tau_ortho: float = TAU_ORTHO) -> Operator:
-    """Rebuild an operator from its JSON object form."""
+    """Rebuild an operator from its JSON object form.
+
+    Operators inside operators (``inverse``, ``rotation``,
+    ``block_separable``) may nest at most MAX_NESTING levels deep.
+    """
+    return _decode(data, {"tau_psd": tau_psd, "tau_ortho": tau_ortho}, 0)
+
+
+def _decode(data, tolerances: dict, depth: int) -> Operator:
+    if depth > MAX_NESTING:
+        raise ValueError(f"operators nested deeper than {MAX_NESTING}")
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("operator document must be an object with a 'kind' tag")
     kind = data["kind"]
@@ -733,8 +734,8 @@ def operator_from_dict(data: dict, *, tau_psd: float = TAU_PSD,
     if cls is None:
         raise ValueError(f"unknown operator kind {kind!r}")
     _expect_keys(data, set(cls.fields))
-    tolerances = {"tau_psd": tau_psd, "tau_ortho": tau_ortho}
-    args = {name: _from_json(data[name], tolerances, f"operator {kind!r} field {name!r}")
+    args = {name: _from_json(data[name], tolerances,
+                             f"operator {kind!r} field {name!r}", depth)
             for name in cls.fields}
     if cls.tolerance is not None:
         args[cls.tolerance] = tolerances[cls.tolerance]

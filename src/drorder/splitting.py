@@ -134,10 +134,6 @@ class SplitOperator:
         self.generalized = generalized
         self.dim = first.dim
 
-    def swapped(self) -> "SplitOperator":
-        """The same form with the operand order exchanged."""
-        return SplitOperator(self.second, self.first, self.form, self.generalized)
-
     def apply(self, x) -> np.ndarray:
         x = as_point(x, self.dim)
         if self.form == FORM_DR:

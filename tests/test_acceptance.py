@@ -23,14 +23,7 @@ from drorder.analysis import (
     map_fixed_point,
     probe_conjugation,
 )
-from drorder.harness import (
-    load_corpus,
-    random_affine_operator,
-    random_monotone_operator,
-    random_point,
-    random_sphere_selection,
-    random_subspace,
-)
+from drorder.harness import load_corpus
 from drorder.operators import (
     LinearMonotone,
     NormalConeAffineSubspace,
@@ -44,6 +37,14 @@ from drorder.splitting import (
     dr_step,
     iterate,
     lift,
+)
+
+from draws import (
+    random_affine_operator,
+    random_monotone_operator,
+    random_point,
+    random_sphere_selection,
+    random_subspace,
 )
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])

@@ -28,10 +28,14 @@ from drorder.operators import (
     NormalConeBall,
     NormalConeHalfspace,
     NormalConeRay,
+    NonFinitePointError,
     NotAffineError,
+    as_point,
 )
+from drorder.harness import load_corpus
 from drorder.splitting import FORM_BORWEIN_TAM, SplitOperator, dr_matrix, dr_step
-from drorder.harness import (
+
+from draws import (
     random_monotone_operator,
     random_point,
     random_sphere_selection,
@@ -86,6 +90,99 @@ def test_find_fixed_point_subspace_ball_lands_in_intersection():
     z = a.resolve(f)
     assert np.linalg.norm(z - a.resolve(z)) <= 1e-9
     assert np.linalg.norm(z - np.array([2.0, 1.0])) <= 1.0 + 1e-9
+
+
+
+class _ReferenceBudgetError(FixedPointBudgetError):
+    """The reference loop's budget error, plus the last iterate whose
+    residual it computed."""
+
+    def __init__(self, best, best_residual, last, last_residual):
+        super().__init__("budget", best, best_residual)
+        self.last, self.last_residual = last, last_residual
+
+
+def reference_fixed_point(T, x0, tol=1e-10, max_iter=10_000):
+    """find_fixed_point as its own loop: the reference for the iterate path."""
+    x = as_point(x0, T.dim)
+    best = x
+    best_residual = float("inf")
+    for _ in range(max_iter):
+        tx = T.apply(x)
+        residual = float(np.linalg.norm(tx - x))
+        if residual < best_residual:
+            best, best_residual = x, residual
+        if residual <= tol:
+            return x
+        last, last_residual = x, residual
+        x = tx
+    raise _ReferenceBudgetError(best, best_residual, last, last_residual)
+
+
+def assert_same_fixed_point(T, x0, tol=1e-10, max_iter=10_000) -> bool:
+    """Both paths return the same bits, or both run out of budget with the
+    last iterate whose residual is known; True when a fixed point was found."""
+    try:
+        expected = reference_fixed_point(T, x0, tol, max_iter)
+    except _ReferenceBudgetError as ref:
+        with pytest.raises(FixedPointBudgetError) as err:
+            find_fixed_point(T, x0, tol, max_iter)
+        assert err.value.best.tobytes() == ref.last.tobytes()
+        assert err.value.residual == ref.last_residual
+        # the least residual, up to rounding, as nonexpansiveness promises
+        assert err.value.residual <= ref.residual * (1.0 + 1e-9)
+        return False
+    got = find_fixed_point(T, x0, tol, max_iter)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    return True
+
+
+@pytest.mark.parametrize("order", ["ab", "ba", "bt"])
+def test_find_fixed_point_matches_reference_loop_on_corpus_starts(order):
+    found = 0
+    for inst in load_corpus():
+        config = inst.config
+        for start in config.start_points:
+            found += assert_same_fixed_point(config.split(order), start,
+                                             config.stop_tol, config.max_iter)
+    assert found >= 10
+
+
+def test_find_fixed_point_matches_reference_loop_on_random_pairs():
+    rng = np.random.default_rng(2024)
+    found = 0
+    for i in range(50):
+        dim = int(rng.integers(1, 5))
+        # odd draws shift the second set off the origin: some have no zero
+        T = SplitOperator(random_monotone_operator(rng, dim),
+                          random_monotone_operator(rng, dim, through_origin=bool(i % 2)))
+        found += assert_same_fixed_point(T, random_point(rng, dim), max_iter=2000)
+    assert 40 <= found < 50
+
+
+def test_find_fixed_point_budget_carries_last_iterate_and_least_residual():
+    # two lines at a small angle: residuals fall strictly, so the last
+    # iterate with a known residual is also the one of least residual
+    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.1]])
+    T = SplitOperator(X_AXIS, line)
+    with pytest.raises(_ReferenceBudgetError) as ref:
+        reference_fixed_point(T, [3.0, 4.0], tol=1e-14, max_iter=30)
+    assert ref.value.best.tobytes() == ref.value.last.tobytes()
+    with pytest.raises(FixedPointBudgetError) as err:
+        find_fixed_point(T, [3.0, 4.0], tol=1e-14, max_iter=30)
+    assert err.value.best.tobytes() == ref.value.best.tobytes()
+    assert err.value.residual == ref.value.residual
+    assert "within 30 iterations" in str(err.value)
+
+
+def test_find_fixed_point_divergence_is_a_non_finite_point():
+    # J_B translates by -1e308: the second step overflows
+    T = SplitOperator(ZERO2, AffineRelation(np.zeros((2, 2)), [1e308, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinitePointError):
+            reference_fixed_point(T, [0.0, 0.0])
+    with pytest.raises(NonFinitePointError):
+        find_fixed_point(T, [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +592,13 @@ def test_dual_symmetry_cross_product_structure():
     crossed = []
     for p in base:
         for q in base:
-            crossed.append(SolutionPair(z=p.z, k=q.k, cert_a=p.cert_a,
-                                        cert_b=q.cert_b))
+            crossed.append(SolutionPair(z=p.z, k=q.k))
     rep = check_dual_symmetry(LINE3, PLANE3, crossed)
     assert rep.passed and rep.sample_count == 36
 
 
 def test_dual_symmetry_certificate_failure_raises():
-    bogus = SolutionPair(z=np.array([1.0, 1.0]), k=np.array([2.0, 0.0]),
-                         cert_a=None, cert_b=None)
+    bogus = SolutionPair(z=np.array([1.0, 1.0]), k=np.array([2.0, 0.0]))
     with pytest.raises(CertificateError):
         check_dual_symmetry(X_AXIS, UP_RAY, [bogus])
 

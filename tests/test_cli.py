@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drorder.analysis import (
+    FixedPointBudgetError,
+    check_dual_symmetry,
+    extract_solution,
+    find_fixed_point,
+)
 from drorder.cli import _orbit_path, main
 from drorder.config import ConfigError, ProblemConfig, Tolerances
 from drorder.harness import load_corpus
-from drorder.operators import operator_from_dict
+from drorder.operators import MAX_NESTING, operator_from_dict
 
 
 def _config_dict(name):
@@ -157,10 +164,11 @@ def test_verify_generalized_mode_runs_orbit_identities_only(tmp_path):
 
 # Ordered (identity_name, sample_count) of `verify --config` per corpus
 # config; the counts follow from the start points plus ten probe points
-# and the default depth 20.
+# and the default depth 20 (shadow equality also compares m = 0, so it
+# counts 21 per point, as check_shadow_equality does).
 _FIRM = [("dr-form-equivalence", 1), ("defect-decomposition", 1),
          ("dr-firmly-nonexpansive", 1)]
-_ORBITS = [("commutation", 20), ("conjugation", 20), ("shadow-equality", 20),
+_ORBITS = [("commutation", 20), ("conjugation", 20), ("shadow-equality", 21),
            ("nonexpansive-transfer", 1), ("bt-factorization", 1)]
 _REPORT_SETS = {
     "ray-vs-axis": (13, _FIRM + _ORBITS, 3, True),
@@ -192,6 +200,31 @@ def test_verify_report_set_per_corpus_config(tmp_path, name):
                             "bt-not-firm": 7, "parallel-lines": 16,
                             "subspace-ball": 11, "halfspace-ball": 6,
                             "three-halfspace-lift": 11}[name]
+
+
+@pytest.mark.parametrize("name", list(_REPORT_SETS))
+def test_verify_dual_symmetry_matches_check_dual_symmetry(tmp_path, name):
+    # the report comes from the certificate pass; check_dual_symmetry
+    # evaluates the same defect through map_fixed_point
+    cfg = _write_config(tmp_path, name)
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0
+    got = [r for r in json.loads(report_path.read_text())
+           if r["identity_name"] == "dual-symmetry"]
+    config = ProblemConfig.from_path(cfg)
+    a, b, tau = config.operator_a, config.operator_b, config.tolerances
+    pairs = []
+    for start in config.start_points:
+        try:
+            f = find_fixed_point(config.split("ab"), start, config.stop_tol,
+                                 config.max_iter)
+        except FixedPointBudgetError:
+            continue
+        pairs.append(extract_solution(a, b, f, fix_tol=3.0 * max(config.stop_tol, 1e-15),
+                                      graph_tol=tau.tau_graph))
+    expected = check_dual_symmetry(a, b, pairs, graph_tol=tau.tau_graph,
+                                   tol=3.0 * tau.tau_graph)
+    assert got == [expected.to_dict()]
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "123"])
@@ -461,6 +494,33 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, case):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def _rotation_nest(depth):
+    """A ray inside ``depth`` rotations, as JSON text."""
+    return ('{"kind": "rotation", "inner": ' * depth
+            + '{"kind": "normal_cone_ray", "direction": [1.0, 0.0]}' + "}" * depth)
+
+
+def test_operator_nesting_limit_loads(tmp_path):
+    cfg = _write_raw(tmp_path, "subspace-ball", "operator_b", _rotation_nest(MAX_NESTING))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400])
+def test_operator_nesting_past_the_limit_is_a_config_error(tmp_path, capsys, depth):
+    cfg = _write_raw(tmp_path, "subspace-ball", "operator_b", _rotation_nest(depth))
+    # the limit, not the interpreter's recursion limit, rejects the nest
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10 * depth))
+    try:
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"operator_b: operators nested deeper than {MAX_NESTING}" in err
+
+
 @pytest.mark.parametrize("command", ["verify", "run"])
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
     cfg = tmp_path / "bad.json"
@@ -488,6 +548,11 @@ _REJECTED = {
                                "start_points[0]:"),
     "second-start-point-400-digits": ("start_points", "[[0.0, 0.0], [0.0, -1" + "0" * 399 + "]]",
                                       "start_points[1]:"),
+    # a start point list that is not a list
+    **{f"start-points-{case}": ("start_points", raw,
+                                "start_points must be a list of points, got " + shown)
+       for case, raw, shown in (("number", "5", "5"), ("null", "null", "None"),
+                                ("string", '"ab"', "'ab'"))},
     **{f"ball-{name}-400-digits": (
         "operator_b", '{"kind": "normal_cone_ball", ' + body,
         "operator_b: operator 'normal_cone_ball' field " + repr(name))

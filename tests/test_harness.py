@@ -10,15 +10,17 @@ from drorder.harness import (
     FIGURE_START,
     figure_scenarios,
     load_corpus,
+    run_instance,
+    write_manifest,
+)
+
+from draws import (
     random_affine_operator,
     random_monotone_operator,
     random_point,
     random_sphere_selection,
     random_subspace,
-    run_instance,
-    write_manifest,
 )
-from drorder.operators import is_monotone
 
 EXPECTED_NAMES = [
     "ray-vs-axis",
@@ -121,7 +123,7 @@ def test_random_generators_produce_valid_operators():
         for _ in range(30):
             op = random_monotone_operator(rng, dim)
             assert op.dim == dim
-            assert is_monotone(op)
+            assert op.monotone
             x = random_point(rng, dim)
             assert op.resolve(x).shape == (dim,)
         affine = random_affine_operator(rng, dim)

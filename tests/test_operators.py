@@ -23,10 +23,10 @@ from drorder.operators import (
     Rotation,
     SphereSelection,
     graph_contains,
-    is_monotone,
     operator_from_dict,
 )
-from drorder.harness import random_monotone_operator, random_point
+
+from draws import random_monotone_operator, random_point
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
 UP_RAY = NormalConeRay([0.0, 1.0])
@@ -206,11 +206,11 @@ def test_graph_contains_rejects_selection():
 
 
 def test_is_monotone_catalog():
-    assert is_monotone(LinearMonotone(ALL_ONES_MATRIX))
-    assert is_monotone(LinearMonotone([[0.0, -1.0], [1.0, 0.0]]))  # skew
-    assert not is_monotone(SphereSelection([0.0, 0.0], 2.0, [0.0, 1.0]))
-    assert is_monotone(Rotation(Inverse(UP_RAY)))
-    assert not is_monotone(Rotation(SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])))
+    assert LinearMonotone(ALL_ONES_MATRIX).monotone
+    assert LinearMonotone([[0.0, -1.0], [1.0, 0.0]]).monotone  # skew
+    assert not SphereSelection([0.0, 0.0], 2.0, [0.0, 1.0]).monotone
+    assert Rotation(Inverse(UP_RAY)).monotone
+    assert not Rotation(SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])).monotone
 
 
 def test_construction_rejects_nonmonotone_matrix():

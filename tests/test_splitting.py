@@ -2,8 +2,6 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from drorder.operators import (
     AffineRelation,
@@ -30,7 +28,8 @@ from drorder.splitting import (
     iterate,
     lift,
 )
-from drorder.harness import random_monotone_operator, random_point, random_subspace
+
+from draws import random_monotone_operator, random_point, random_subspace
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
 UP_RAY = NormalConeRay([0.0, 1.0])
@@ -346,19 +345,6 @@ def test_block_separable_affine_map():
     for _ in range(5):
         x = random_point(rng, 4)
         assert np.allclose(c @ x + b, block.resolve(x), atol=1e-12)
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_swapped_round_trip_property(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(2, 5))
-    T = SplitOperator(random_monotone_operator(rng, dim),
-                      random_monotone_operator(rng, dim))
-    S = T.swapped()
-    assert S.first is T.second and S.second is T.first
-    x = random_point(rng, dim)
-    assert np.allclose(dr_step(T.second, T.first, x), S(x), atol=0)
 
 
 @pytest.mark.parametrize("order", ["ab", "ba", "bt"])
