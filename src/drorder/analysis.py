@@ -10,6 +10,11 @@ with the stronger commutation, conjugation, and shadow identities that
 hold when the first operand is affine (or a normal cone of an affine
 subspace), and the failure probes that show where they break.
 
+``IDENTITIES`` is the one declaration of each identity that
+``drorder verify --config`` reports: its violation at a sample and the
+hypothesis it holds under.  The public ``check_*`` checkers evaluate
+the same entries and raise NotAffineError when the hypothesis fails.
+
 All checkers are pure; randomized callers can fan trials out across
 workers and merge the reports by taking the worst violation.
 """
@@ -29,6 +34,7 @@ from .operators import (
     Operator,
     TAU_GRAPH,
     TAU_NUM,
+    _graph_defect,
     as_point,
     graph_contains,
 )
@@ -39,6 +45,7 @@ __all__ = [
     "CertificateError",
     "SolutionPair",
     "IdentityReport",
+    "IDENTITIES",
     "find_fixed_point",
     "extract_solution",
     "map_fixed_point",
@@ -137,6 +144,22 @@ def _require_fixed_point(first: Operator, second: Operator, f: np.ndarray,
         )
 
 
+def _extract(A: Operator, B: Operator, fixed_point, fix_tol: float,
+             graph_tol: float) -> tuple[SolutionPair, float]:
+    """The solution pair of a fixed point, and the worse of its two graph
+    defects ||J_A(z + k) - z|| and ||J_B(z - k) - z||."""
+    f = as_point(fixed_point, A.dim)
+    _require_fixed_point(A, B, f, fix_tol)
+    z = A.resolve(f)
+    k = f - z
+    defects = []
+    for op, u, member in ((A, k, "(z, k) in gra A"), (B, -k, "(z, -k) in gra B")):
+        defects.append(_graph_defect(op, z, u))
+        if not defects[-1] <= graph_tol:
+            raise CertificateError(f"certificate {member} failed")
+    return SolutionPair(z=z, k=k), max(defects)
+
+
 def extract_solution(A: Operator, B: Operator, fixed_point, *,
                      fix_tol: float = TAU_GRAPH,
                      graph_tol: float = TAU_GRAPH) -> SolutionPair:
@@ -145,15 +168,7 @@ def extract_solution(A: Operator, B: Operator, fixed_point, *,
     Both graph certificates are validated; a failure signals that f was
     not a fixed point to sufficient accuracy.
     """
-    f = as_point(fixed_point, A.dim)
-    _require_fixed_point(A, B, f, fix_tol)
-    z = A.resolve(f)
-    k = f - z
-    if not graph_contains(A, GraphPair(z, k), graph_tol):
-        raise CertificateError("certificate (z, k) in gra A failed")
-    if not graph_contains(B, GraphPair(z, -k), graph_tol):
-        raise CertificateError("certificate (z, -k) in gra B failed")
-    return SolutionPair(z=z, k=k)
+    return _extract(A, B, fixed_point, fix_tol, graph_tol)[0]
 
 
 def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
@@ -182,10 +197,13 @@ def power_orbit(first: Operator, second: Operator, x: np.ndarray,
     return orbit
 
 
+def _gap(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.linalg.norm(u - v))
+
+
 def _worst_gap(left, right) -> float:
     """Largest ||l - r|| over paired points; 0 when there are none."""
-    return max((float(np.linalg.norm(l - r)) for l, r in zip(left, right)),
-               default=0.0)
+    return max((_gap(l, r) for l, r in zip(left, right)), default=0.0)
 
 
 @dataclass(eq=False)
@@ -217,17 +235,15 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
 
     Raises CertificateError when a pair cannot be extracted.
     """
-    pairs = [extract_solution(A, B, f, fix_tol=fix_tol, graph_tol=graph_tol)
-             for f in fixed]
-    images = [A.reflect(f) for f in fixed]
-    primal = [p.z for p in pairs]
-    certificate = max(_worst_gap([A.resolve(p.z + p.k) for p in pairs], primal),
-                      _worst_gap([B.resolve(p.z - p.k) for p in pairs], primal))
+    extracted = [_extract(A, B, f, fix_tol, graph_tol) for f in fixed]
+    pairs = [pair for pair, _ in extracted]
+    certificate = max((defect for _, defect in extracted), default=0.0)
+    # R_A f = 2 J_A f - f, and z = J_A f
+    images = [2.0 * p.z - f for p, f in zip(pairs, fixed)]
     bijection = max(_worst_gap([B.reflect(image) for image in images], fixed),
                     _worst_gap(images, [p.z - p.k for p in pairs]))
     isometry = max(
-        (abs(float(np.linalg.norm(images[i] - images[j]))
-             - float(np.linalg.norm(fixed[i] - fixed[j])))
+        (abs(_gap(images[i], images[j]) - _gap(fixed[i], fixed[j]))
          for i in range(len(fixed)) for j in range(i + 1, len(fixed))),
         default=0.0,
     )
@@ -235,11 +251,165 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
     return FixedPointCertificates(pairs, certificate, bijection, isometry, dual)
 
 
-def _require_subspace_first(A: Operator, identity: str) -> None:
-    if not isinstance(A, NormalConeAffineSubspace):
-        raise NotAffineError(
-            f"{identity} requires an affine-subspace normal cone first operand"
-        )
+def _bt(first: Operator, second: Operator, x: np.ndarray) -> np.ndarray:
+    """The composite T_(first,second) T_(second,first) x."""
+    return dr_step(first, second, dr_step(second, first, x))
+
+
+# The violation of each identity at one sample (a point, or a pair of
+# points for the pairwise ones), with signature (A, B, sample, n).  Each
+# holds only under the requirements its registry entry names.
+
+def _defect_decomposition(A: Operator, B: Operator, x, n: int) -> float:
+    x = as_point(x, A.dim)
+    tab = dr_step(A, B, x)
+    lhs = A.reflect(tab) - dr_step(B, A, A.reflect(x))
+    rhs = 2.0 * A.resolve(tab) - A.resolve(x) - A.resolve(B.reflect(A.reflect(x)))
+    return _gap(lhs, rhs)
+
+
+def _not_firm(step, A: Operator, B: Operator, pair) -> float:
+    """How far the firm-nonexpansiveness product of x -> step(A, B, x)
+    falls below zero at the pair."""
+    return max(0.0, -check_firmly_nonexpansive(lambda p: step(A, B, p), *pair))
+
+
+def _commutation(A: Operator, B: Operator, x, n: int) -> float:
+    require_operands(A, B, generalized=True)
+    x = as_point(x, A.dim)
+    forward = power_orbit(A, B, x, n)[1:]
+    reflected = power_orbit(B, A, A.reflect(x), n)[1:]
+    return _worst_gap([A.reflect(f) for f in forward], reflected)
+
+
+def _conjugation(A: Operator, B: Operator, x, n: int) -> float:
+    x = as_point(x, A.dim)
+    rx = A.reflect(x)
+    conjugated_ab = [A.reflect(p) for p in power_orbit(A, B, rx, n)[1:]]
+    conjugated_ba = [A.reflect(p) for p in power_orbit(B, A, rx, n)[1:]]
+    return max(_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
+               _worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
+
+
+def _shadow_equality(A: Operator, B: Operator, x, n: int) -> float:
+    x = as_point(x, A.dim)
+    return _worst_gap([A.resolve(p) for p in power_orbit(B, A, x, n)],
+                      [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
+
+
+def _nonexpansive_transfer(A: Operator, B: Operator, pair, n: int) -> float:
+    require_operands(A, B)
+    x = as_point(pair[0], A.dim)
+    y = as_point(pair[1], A.dim)
+    direct = _gap(dr_step(A, B, x), dr_step(A, B, y))
+    rx, ry = A.reflect(x), A.reflect(y)
+    swapped = _gap(dr_step(B, A, rx), dr_step(B, A, ry))
+    return max(abs(direct - swapped), swapped - _gap(rx, ry), 0.0)
+
+
+def _bt_factorization(A: Operator, B: Operator, x, n: int) -> float:
+    # T_ab T_ba = (T_ab R_A)^2 = R_A (T_ba T_ab) R_A
+    composite = _bt(A, B, x)
+    squared = dr_step(A, B, A.reflect(dr_step(A, B, A.reflect(x))))
+    conjugated = A.reflect(_bt(B, A, A.reflect(x)))
+    return max(_gap(composite, squared), _gap(composite, conjugated))
+
+
+def _commutator(A: Operator, B: Operator, x, n: int) -> float:
+    x = as_point(x, A.dim)
+    ab_ba, ba_ab = _bt(A, B, x), _bt(B, A, x)
+    rhs = (B.reflect(A.reflect(A.reflect(B.reflect(x))))
+           - A.reflect(B.reflect(B.reflect(A.reflect(x)))))
+    exchange = _gap(dr_step(A, B, B.reflect(A.reflect(x))),
+                    B.reflect(A.reflect(dr_step(A, B, x))))
+    violation = max(_gap(4.0 * (ab_ba - ba_ab), rhs), exchange)
+    if _REQUIREMENTS[_SUBSPACE_BOTH](A, B, False):
+        # reflectors are involutions, and the two product orders coincide
+        violation = max(violation, _gap(ab_ba, ba_ab))
+    return violation
+
+
+def _bt_half_sum(A: Operator, B: Operator, x, n: int) -> float:
+    return _gap(_bt(A, B, x), 0.5 * (dr_step(A, B, x) + dr_step(B, A, x)))
+
+
+# The hypotheses of the identities, keyed by the words that complete
+# "<identity> requires ...".  Generalized mode may hold a non-monotone
+# projector selection, under which T_ab need not be nonexpansive.
+_REQUIREMENTS: dict[str, Callable[[Operator, Operator, bool], bool]] = {
+    "an affine first operand": lambda A, B, generalized: A.affine,
+    "an affine-subspace normal cone first operand":
+        lambda A, B, generalized: isinstance(A, NormalConeAffineSubspace),
+    "affine operands": lambda A, B, generalized: A.affine and B.affine,
+    "affine-subspace normal cone operands": lambda A, B, generalized: (
+        isinstance(A, NormalConeAffineSubspace) and isinstance(B, NormalConeAffineSubspace)),
+    "standard mode": lambda A, B, generalized: not generalized,
+}
+# names for the keys above, in table order
+_AFFINE_FIRST, _SUBSPACE_FIRST, _AFFINE_BOTH, _SUBSPACE_BOTH, _STANDARD = _REQUIREMENTS
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One identity of the registry: its report name, its violation at
+    one sample, the hypothesis it holds under, and its sample count.
+
+    ``violation(A, B, sample, n)`` evaluates the defect at a point, or
+    at a pair of points when ``pairwise``; ``n`` is the depth of the
+    power identities.  One sample counts for ``per_sample(n)`` reported
+    samples.  ``requires`` lists keys of the requirement table, checked
+    in order.
+    """
+
+    name: str
+    violation: Callable[[Operator, Operator, object, int], float]
+    requires: tuple[str, ...] = ()
+    pairwise: bool = False
+    per_sample: Callable[[int], int] = lambda n: 1
+
+    def unmet(self, A: Operator, B: Operator, generalized: bool = False) -> str | None:
+        """The first requirement that (A, B, generalized) fails, or None."""
+        return next((need for need in self.requires
+                     if not _REQUIREMENTS[need](A, B, generalized)), None)
+
+    def report(self, A: Operator, B: Operator, samples: list, n: int,
+               tol: float) -> IdentityReport:
+        """Worst violation over the samples; the requirements are not checked."""
+        worst = max(self.violation(A, B, sample, n) for sample in samples)
+        return IdentityReport.from_violation(self.name, worst,
+                                             len(samples) * self.per_sample(n), tol)
+
+    def check(self, A: Operator, B: Operator, sample, n: int,
+              tol: float) -> IdentityReport:
+        """The report at one sample; NotAffineError when a requirement fails."""
+        need = self.unmet(A, B)
+        if need is not None:
+            raise NotAffineError(f"{self.name} requires {need}")
+        return self.report(A, B, [sample], n, tol)
+
+
+# Every identity `verify --config` reports, in report order.
+IDENTITIES: tuple[Identity, ...] = (
+    Identity("dr-form-equivalence",
+             lambda A, B, x, n: _gap(dr_step(A, B, x), 0.5 * (x + B.reflect(A.reflect(x))))),
+    Identity("defect-decomposition", _defect_decomposition),
+    Identity("dr-firmly-nonexpansive", lambda A, B, pair, n: _not_firm(dr_step, A, B, pair),
+             (_STANDARD,), pairwise=True),
+    Identity("commutation", _commutation, (_AFFINE_FIRST,), per_sample=int),
+    Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), per_sample=int),
+    Identity("shadow-equality", _shadow_equality, (_SUBSPACE_FIRST,),
+             per_sample=lambda n: int(n) + 1),
+    Identity("nonexpansive-transfer", _nonexpansive_transfer, (_SUBSPACE_FIRST, _STANDARD),
+             pairwise=True),
+    Identity("bt-factorization", _bt_factorization, (_SUBSPACE_FIRST,)),
+    Identity("commutator", _commutator, (_AFFINE_BOTH, _STANDARD)),
+    Identity("bt-order-invariance", lambda A, B, x, n: _gap(_bt(A, B, x), _bt(B, A, x)),
+             (_SUBSPACE_BOTH,)),
+    Identity("bt-half-sum", _bt_half_sum, (_SUBSPACE_BOTH,)),
+    Identity("bt-firmly-nonexpansive", lambda A, B, pair, n: _not_firm(_bt, A, B, pair),
+             (_SUBSPACE_BOTH,), pairwise=True),
+)
+_IDENTITY = {identity.name: identity for identity in IDENTITIES}
 
 
 def check_commutation(A: Operator, B: Operator, x, n: int, *,
@@ -249,23 +419,7 @@ def check_commutation(A: Operator, B: Operator, x, n: int, *,
     Requires an affine first operand; the second may be a projector
     selection only when the first is an affine-subspace normal cone.
     """
-    if not A.affine:
-        raise NotAffineError("commutation requires an affine first operand")
-    require_operands(A, B, generalized=True)
-    x = as_point(x, A.dim)
-    forward = power_orbit(A, B, x, n)[1:]
-    reflected = power_orbit(B, A, A.reflect(x), n)[1:]
-    worst = _worst_gap([A.reflect(f) for f in forward], reflected)
-    return IdentityReport.from_violation("commutation", worst, int(n), tol)
-
-
-def _conjugation_violation(A: Operator, B: Operator, x, n: int) -> float:
-    x = as_point(x, A.dim)
-    rx = A.reflect(x)
-    conjugated_ab = [A.reflect(p) for p in power_orbit(A, B, rx, n)[1:]]
-    conjugated_ba = [A.reflect(p) for p in power_orbit(B, A, rx, n)[1:]]
-    return max(_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
-               _worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
+    return _IDENTITY["commutation"].check(A, B, x, n, tol)
 
 
 def check_conjugation(A: Operator, B: Operator, x, n: int, *,
@@ -278,9 +432,7 @@ def check_conjugation(A: Operator, B: Operator, x, n: int, *,
     its reflector is an involution); the second operand may also be a
     projector selection.
     """
-    _require_subspace_first(A, "conjugation")
-    worst = _conjugation_violation(A, B, x, n)
-    return IdentityReport.from_violation("conjugation", worst, int(n), tol)
+    return _IDENTITY["conjugation"].check(A, B, x, n, tol)
 
 
 def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
@@ -292,19 +444,14 @@ def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
     for exhibiting counterexamples (e.g. a halfspace in the first slot);
     contract-honoring code paths should call check_conjugation instead.
     """
-    worst = _conjugation_violation(A, B, x, n)
+    worst = _IDENTITY["conjugation"].violation(A, B, x, n)
     return IdentityReport.from_violation("conjugation-probe", worst, int(n), tol)
 
 
 def check_shadow_equality(A: Operator, B: Operator, x, n: int, *,
                           tol: float = TAU_NUM) -> IdentityReport:
     """Worst defect over m <= n of J_A T_ba^m x = J_A T_ab^m (R_A x)."""
-    _require_subspace_first(A, "shadow equality")
-    require_operands(A, B, generalized=True)
-    x = as_point(x, A.dim)
-    worst = _worst_gap([A.resolve(p) for p in power_orbit(B, A, x, n)],
-                       [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
-    return IdentityReport.from_violation("shadow-equality", worst, int(n) + 1, tol)
+    return _IDENTITY["shadow-equality"].check(A, B, x, n, tol)
 
 
 def check_nonexpansive_transfer(A: Operator, B: Operator, x, y, *,
@@ -315,16 +462,7 @@ def check_nonexpansive_transfer(A: Operator, B: Operator, x, y, *,
     excess over the inequality.  The inequality needs a nonexpansive
     T_ba, so B must be monotone.
     """
-    _require_subspace_first(A, "nonexpansive transfer")
-    require_operands(A, B)
-    x = as_point(x, A.dim)
-    y = as_point(y, A.dim)
-    direct = float(np.linalg.norm(dr_step(A, B, x) - dr_step(A, B, y)))
-    rx, ry = A.reflect(x), A.reflect(y)
-    swapped = float(np.linalg.norm(dr_step(B, A, rx) - dr_step(B, A, ry)))
-    bound = float(np.linalg.norm(rx - ry))
-    violation = max(abs(direct - swapped), swapped - bound, 0.0)
-    return IdentityReport.from_violation("nonexpansive-transfer", violation, 1, tol)
+    return _IDENTITY["nonexpansive-transfer"].check(A, B, (x, y), 0, tol)
 
 
 def check_commutator(A: Operator, B: Operator, x, *,
@@ -336,25 +474,7 @@ def check_commutator(A: Operator, B: Operator, x, *,
     are affine-subspace normal cones (reflectors are involutions) it
     additionally certifies that the two product orders coincide.
     """
-    if not (A.affine and B.affine):
-        raise NotAffineError("commutator requires affine operands")
-    x = as_point(x, A.dim)
-    ab_ba = dr_step(A, B, dr_step(B, A, x))
-    ba_ab = dr_step(B, A, dr_step(A, B, x))
-    lhs = 4.0 * (ab_ba - ba_ab)
-    rhs = (B.reflect(A.reflect(A.reflect(B.reflect(x))))
-           - A.reflect(B.reflect(B.reflect(A.reflect(x)))))
-    violation = float(np.linalg.norm(lhs - rhs))
-
-    exchange = float(np.linalg.norm(
-        dr_step(A, B, B.reflect(A.reflect(x)))
-        - B.reflect(A.reflect(dr_step(A, B, x)))
-    ))
-    violation = max(violation, exchange)
-
-    if isinstance(A, NormalConeAffineSubspace) and isinstance(B, NormalConeAffineSubspace):
-        violation = max(violation, float(np.linalg.norm(ab_ba - ba_ab)))
-    return IdentityReport.from_violation("commutator", violation, 1, tol)
+    return _IDENTITY["commutator"].check(A, B, x, 0, tol)
 
 
 def check_defect_decomposition(A: Operator, B: Operator, x, *,
@@ -365,12 +485,7 @@ def check_defect_decomposition(A: Operator, B: Operator, x, *,
 
     which holds for arbitrary operand pairs (no affinity needed).
     """
-    x = as_point(x, A.dim)
-    tab = dr_step(A, B, x)
-    lhs = A.reflect(tab) - dr_step(B, A, A.reflect(x))
-    rhs = 2.0 * A.resolve(tab) - A.resolve(x) - A.resolve(B.reflect(A.reflect(x)))
-    violation = float(np.linalg.norm(lhs - rhs))
-    return IdentityReport.from_violation("defect-decomposition", violation, 1, tol)
+    return _IDENTITY["defect-decomposition"].check(A, B, x, 0, tol)
 
 
 def check_firmly_nonexpansive(T: Callable[[np.ndarray], np.ndarray], x, y) -> float:

@@ -27,17 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    IDENTITIES,
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
     certify_fixed_points,
-    check_commutation,
-    check_commutator,
-    check_conjugation,
-    check_defect_decomposition,
-    check_firmly_nonexpansive,
-    check_nonexpansive_transfer,
-    check_shadow_equality,
     find_fixed_point,
     power_orbit,
 )
@@ -47,16 +41,9 @@ from .operators import (
     GraphPair,
     MonotonicityError,
     NonFinitePointError,
-    NormalConeAffineSubspace,
     graph_contains,
 )
-from .splitting import (
-    FORM_BORWEIN_TAM,
-    DivergenceError,
-    SplitOperator,
-    dr_step,
-    iterate,
-)
+from .splitting import DivergenceError, iterate
 
 ENV_TOL = "DR_ORDER_TOL"
 
@@ -144,62 +131,20 @@ def cmd_run(args) -> int:
 
 
 def _verify_config(config: ProblemConfig, seed: int, depth: int) -> list[IdentityReport]:
-    """Every identity check applicable to the instance, worst case over
-    the start points plus seeded random probe points."""
+    """Every identity of ``analysis.IDENTITIES`` whose requirements the
+    instance meets, worst case over the start points plus seeded random
+    probe points (consecutive points pair up for the pairwise ones)."""
     rng = np.random.default_rng(seed)
     a, b = config.operator_a, config.operator_b
     points = [p.copy() for p in config.start_points]
     points += [rng.normal(0.0, 2.0, config.dimension) for _ in range(10)]
     pairs = [(points[i], points[(i + 1) % len(points)]) for i in range(len(points))]
-    standard = not config.generalized
-    subspace_a = isinstance(a, NormalConeAffineSubspace)
-    subspaces = subspace_a and isinstance(b, NormalConeAffineSubspace)
-    T = config.split("ab")
-    bt_ab = SplitOperator(a, b, FORM_BORWEIN_TAM, config.generalized)
-    bt_ba = SplitOperator(b, a, FORM_BORWEIN_TAM, config.generalized)
-
-    def gap(u, v) -> float:
-        return float(np.linalg.norm(u - v))
-
-    def checked(check, *args):
-        return lambda x: check(a, b, x, *args).max_violation
-
-    def firm(S):
-        return lambda pair: max(0.0, -check_firmly_nonexpansive(S, *pair))
-
-    def bt_factorization(x):
-        # T_ab T_ba = (T_ab R_a)^2 = R_a (T_ba T_ab) R_a
-        composite = dr_step(a, b, dr_step(b, a, x))
-        squared = dr_step(a, b, a.reflect(dr_step(a, b, a.reflect(x))))
-        conjugated = a.reflect(dr_step(b, a, dr_step(a, b, a.reflect(x))))
-        return max(gap(composite, squared), gap(composite, conjugated))
-
-    # (name, applies, samples, reported samples per sample, violation at a sample)
-    table = [
-        ("dr-form-equivalence", True, points, 1,
-         lambda x: gap(dr_step(a, b, x), 0.5 * (x + b.reflect(a.reflect(x))))),
-        ("defect-decomposition", True, points, 1, checked(check_defect_decomposition)),
-        ("dr-firmly-nonexpansive", standard, pairs, 1, firm(T)),
-        ("commutation", a.affine, points, depth, checked(check_commutation, depth)),
-        ("conjugation", subspace_a, points, depth, checked(check_conjugation, depth)),
-        ("shadow-equality", subspace_a, points, depth + 1,
-         checked(check_shadow_equality, depth)),
-        ("nonexpansive-transfer", subspace_a and standard, pairs, 1,
-         lambda pair: check_nonexpansive_transfer(a, b, *pair).max_violation),
-        ("bt-factorization", subspace_a, points, 1, bt_factorization),
-        ("commutator", a.affine and b.affine and standard, points, 1,
-         checked(check_commutator)),
-        ("bt-order-invariance", subspaces, points, 1, lambda x: gap(bt_ab(x), bt_ba(x))),
-        ("bt-half-sum", subspaces, points, 1,
-         lambda x: gap(bt_ab(x), 0.5 * (dr_step(a, b, x) + dr_step(b, a, x)))),
-        ("bt-firmly-nonexpansive", subspaces, pairs, 1, firm(bt_ab)),
-    ]
     reports = [
-        IdentityReport.from_violation(name, max(map(violation, samples)),
-                                      len(samples) * scale, config.tolerances.tau_num)
-        for name, applies, samples, scale, violation in table if applies
+        identity.report(a, b, pairs if identity.pairwise else points, depth,
+                        config.tolerances.tau_num)
+        for identity in IDENTITIES if identity.unmet(a, b, config.generalized) is None
     ]
-    if standard:
+    if not config.generalized:
         reports.extend(_verify_solutions(config))
     return reports
 

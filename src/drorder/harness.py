@@ -80,7 +80,8 @@ class Expectation:
     ``expect_violation_above`` is set the expectation is a failure
     exhibit: it passes only if the observed violation exceeds that
     threshold, and the report then carries the shortfall
-    (threshold - observed) against a zero tolerance.
+    (threshold - observed) against ``tolerance``, which is 0.0 for every
+    exhibit of the corpus.
     """
 
     label: str
@@ -102,16 +103,10 @@ def run_instance(instance: NamedInstance) -> list[IdentityReport]:
     reports = []
     for exp in instance.expected:
         violation, samples = exp.run(instance.config)
-        name = f"{instance.name}/{exp.label}"
-        if exp.expect_violation_above is None:
-            reports.append(
-                IdentityReport.from_violation(name, violation, samples, exp.tolerance)
-            )
-        else:
-            shortfall = exp.expect_violation_above - violation
-            reports.append(
-                IdentityReport(name, shortfall, samples, 0.0, shortfall <= 0.0)
-            )
+        if exp.expect_violation_above is not None:
+            violation = exp.expect_violation_above - violation  # the shortfall
+        reports.append(IdentityReport.from_violation(
+            f"{instance.name}/{exp.label}", violation, samples, exp.tolerance))
     return reports
 
 

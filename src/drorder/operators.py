@@ -635,15 +635,20 @@ class BlockSeparable(Operator):
         return matrix, offset
 
 
-def graph_contains(op: Operator, pair: GraphPair, tol: float = TAU_GRAPH) -> bool:
-    """Certify (x, u) in gra(op) via ||J_op(x + u) - x|| <= tol."""
+def _graph_defect(op: Operator, x, u) -> float:
+    """The graph defect ||J_op(x + u) - x||, zero exactly when (x, u) in gra(op)."""
     if not op.monotone:
         raise MonotonicityError(
             f"graph_contains requires a monotone operator, got {op.kind}"
         )
-    x = as_point(pair.x, op.dim)
-    u = as_point(pair.u, op.dim)
-    return float(np.linalg.norm(op.resolve(x + u) - x)) <= tol
+    x = as_point(x, op.dim)
+    u = as_point(u, op.dim)
+    return float(np.linalg.norm(op.resolve(x + u) - x))
+
+
+def graph_contains(op: Operator, pair: GraphPair, tol: float = TAU_GRAPH) -> bool:
+    """Certify (x, u) in gra(op) via ||J_op(x + u) - x|| <= tol."""
+    return _graph_defect(op, pair.x, pair.u) <= tol
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drorder.analysis import (
+    IDENTITIES,
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
@@ -30,12 +31,14 @@ from drorder.operators import (
     NormalConeRay,
     NonFinitePointError,
     NotAffineError,
+    SphereSelection,
     as_point,
 )
 from drorder.harness import load_corpus
 from drorder.splitting import FORM_BORWEIN_TAM, SplitOperator, dr_matrix, dr_step
 
 from draws import (
+    random_affine_operator,
     random_monotone_operator,
     random_point,
     random_sphere_selection,
@@ -601,6 +604,60 @@ def test_dual_symmetry_certificate_failure_raises():
     bogus = SolutionPair(z=np.array([1.0, 1.0]), k=np.array([2.0, 0.0]))
     with pytest.raises(CertificateError):
         check_dual_symmetry(X_AXIS, UP_RAY, [bogus])
+
+
+# ---------------------------------------------------------------------------
+# the registry states each checker's hypothesis
+
+
+# each public checker, called at a point x of the operands' space
+_CHECKERS = {
+    "commutation": lambda a, b, x: check_commutation(a, b, x, 3),
+    "conjugation": lambda a, b, x: check_conjugation(a, b, x, 3),
+    "shadow-equality": lambda a, b, x: check_shadow_equality(a, b, x, 3),
+    "nonexpansive-transfer": lambda a, b, x: check_nonexpansive_transfer(a, b, x, -x),
+    "commutator": lambda a, b, x: check_commutator(a, b, x),
+    "defect-decomposition": lambda a, b, x: check_defect_decomposition(a, b, x),
+}
+
+
+def _operand_pairs():
+    """Both orders of each corpus pair, the generalized sphere pair, and draws."""
+    pairs = []
+    for inst in load_corpus():
+        a, b = inst.config.operator_a, inst.config.operator_b
+        pairs += [(a, b), (b, a)]
+    line, _ = subspace_ball_pair()
+    sphere = SphereSelection([2.0, 1.0], 1.0, [0.0, 1.0])
+    pairs += [(line, sphere), (sphere, line)]
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        dim = int(rng.integers(2, 5))
+        draw = rng.choice([random_affine_operator, random_monotone_operator,
+                           random_sphere_selection], size=2)
+        pairs.append((draw[0](rng, dim), draw[1](rng, dim)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", list(_CHECKERS))
+def test_checker_raises_not_affine_exactly_when_its_registry_entry_is_unmet(name):
+    entry = next(identity for identity in IDENTITIES if identity.name == name)
+    rng = np.random.default_rng(38)
+    outcomes = set()
+    for a, b in _operand_pairs():
+        need = entry.unmet(a, b)
+        x = random_point(rng, a.dim)
+        try:
+            _CHECKERS[name](a, b, x)
+        except NotAffineError as exc:
+            assert need is not None and need in str(exc), (a.kind, b.kind, exc)
+        except MonotonicityError:
+            # the operand rule applies only once the requirement holds
+            assert need is None, (a.kind, b.kind)
+        else:
+            assert need is None, (a.kind, b.kind)
+        outcomes.add(need is None)
+    assert outcomes == ({True} if name == "defect-decomposition" else {True, False})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drorder.analysis import (
+    IDENTITIES,
     FixedPointBudgetError,
     check_dual_symmetry,
     extract_solution,
@@ -225,6 +226,38 @@ def test_verify_dual_symmetry_matches_check_dual_symmetry(tmp_path, name):
     expected = check_dual_symmetry(a, b, pairs, graph_tol=tau.tau_graph,
                                    tol=3.0 * tau.tau_graph)
     assert got == [expected.to_dict()]
+
+
+_SOLUTION_REPORTS = ("solution-certificates", "fixed-point-bijection",
+                     "fixed-point-isometry", "dual-symmetry")
+
+
+def _generalized_monotone_config(tmp_path):
+    data = _config_dict("subspace-ball")
+    data["mode"] = "generalized"
+    cfg = tmp_path / "gen-monotone.json"
+    cfg.write_text(json.dumps(data))
+    return cfg
+
+
+@pytest.mark.parametrize("name", list(_REPORT_SETS)
+                         + ["generalized-sphere", "generalized-monotone"])
+def test_verify_reports_every_registry_identity_that_applies(tmp_path, name):
+    if name == "generalized-sphere":
+        cfg = _generalized_config(tmp_path)
+    elif name == "generalized-monotone":
+        cfg = _generalized_monotone_config(tmp_path)
+    else:
+        cfg = _write_config(tmp_path, name)
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0
+    names = [r["identity_name"] for r in json.loads(report_path.read_text())]
+    identities = [n for n in names if n not in _SOLUTION_REPORTS]
+    assert names[:len(identities)] == identities
+    config = ProblemConfig.from_path(cfg)
+    a, b = config.operator_a, config.operator_b
+    assert identities == [identity.name for identity in IDENTITIES
+                          if identity.unmet(a, b, config.generalized) is None]
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "123"])
