@@ -12,8 +12,10 @@ subspace), and the failure probes that show where they break.
 
 ``IDENTITIES`` is the one declaration of each identity that
 ``drorder verify --config`` reports: its violation at a sample and the
-hypothesis it holds under.  The public ``check_*`` checkers evaluate
-the same entries and raise NotAffineError when the hypothesis fails.
+hypothesis on the operands (A, B) it holds under.  The public
+``check_*`` checkers evaluate the same entries and raise the error the
+failed hypothesis declares: NotAffineError for a structural one,
+MonotonicityError for an operand rule.
 
 All checkers are pure; randomized callers can fan trials out across
 workers and merge the reports by taking the worst violation.
@@ -28,6 +30,7 @@ import numpy as np
 
 from .operators import (
     GraphPair,
+    MonotonicityError,
     NonFinitePointError,
     NormalConeAffineSubspace,
     NotAffineError,
@@ -38,7 +41,7 @@ from .operators import (
     as_point,
     graph_contains,
 )
-from .splitting import DivergenceError, SplitOperator, dr_step, iterate, require_operands
+from .splitting import DivergenceError, SplitOperator, dr_step, iterate
 
 __all__ = [
     "FixedPointBudgetError",
@@ -275,7 +278,6 @@ def _not_firm(step, A: Operator, B: Operator, pair) -> float:
 
 
 def _commutation(A: Operator, B: Operator, x, n: int) -> float:
-    require_operands(A, B, generalized=True)
     x = as_point(x, A.dim)
     forward = power_orbit(A, B, x, n)[1:]
     reflected = power_orbit(B, A, A.reflect(x), n)[1:]
@@ -298,7 +300,6 @@ def _shadow_equality(A: Operator, B: Operator, x, n: int) -> float:
 
 
 def _nonexpansive_transfer(A: Operator, B: Operator, pair, n: int) -> float:
-    require_operands(A, B)
     x = as_point(pair[0], A.dim)
     y = as_point(pair[1], A.dim)
     direct = _gap(dr_step(A, B, x), dr_step(A, B, y))
@@ -323,7 +324,7 @@ def _commutator(A: Operator, B: Operator, x, n: int) -> float:
     exchange = _gap(dr_step(A, B, B.reflect(A.reflect(x))),
                     B.reflect(A.reflect(dr_step(A, B, x))))
     violation = max(_gap(4.0 * (ab_ba - ba_ab), rhs), exchange)
-    if _REQUIREMENTS[_SUBSPACE_BOTH](A, B, False):
+    if _REQUIREMENTS[_SUBSPACE_BOTH][0](A, B):
         # reflectors are involutions, and the two product orders coincide
         violation = max(violation, _gap(ab_ba, ba_ab))
     return violation
@@ -333,20 +334,27 @@ def _bt_half_sum(A: Operator, B: Operator, x, n: int) -> float:
     return _gap(_bt(A, B, x), 0.5 * (dr_step(A, B, x) + dr_step(B, A, x)))
 
 
-# The hypotheses of the identities, keyed by the words that complete
-# "<identity> requires ...".  Generalized mode may hold a non-monotone
-# projector selection, under which T_ab need not be nonexpansive.
-_REQUIREMENTS: dict[str, Callable[[Operator, Operator, bool], bool]] = {
-    "an affine first operand": lambda A, B, generalized: A.affine,
+# The hypotheses of the identities, each a statement about the operands
+# (A, B), keyed by the words that complete "<identity> requires ...",
+# with the error a checker raises when it fails.  A non-monotone
+# projector selection leaves T_ab not nonexpansive; the orbit identities
+# survive it only opposite an affine-subspace normal cone.
+_REQUIREMENTS: dict[str, tuple[Callable[[Operator, Operator], bool], type[Exception]]] = {
+    "an affine first operand": (lambda A, B: A.affine, NotAffineError),
     "an affine-subspace normal cone first operand":
-        lambda A, B, generalized: isinstance(A, NormalConeAffineSubspace),
-    "affine operands": lambda A, B, generalized: A.affine and B.affine,
-    "affine-subspace normal cone operands": lambda A, B, generalized: (
+        (lambda A, B: isinstance(A, NormalConeAffineSubspace), NotAffineError),
+    "affine operands": (lambda A, B: A.affine and B.affine, NotAffineError),
+    "affine-subspace normal cone operands": (lambda A, B: (
         isinstance(A, NormalConeAffineSubspace) and isinstance(B, NormalConeAffineSubspace)),
-    "standard mode": lambda A, B, generalized: not generalized,
+        NotAffineError),
+    "monotone operands": (lambda A, B: A.monotone and B.monotone, MonotonicityError),
+    "monotone operands or an affine-subspace normal cone partner": (lambda A, B: all(
+        op.monotone or isinstance(partner, NormalConeAffineSubspace)
+        for op, partner in ((A, B), (B, A))), MonotonicityError),
 }
 # names for the keys above, in table order
-_AFFINE_FIRST, _SUBSPACE_FIRST, _AFFINE_BOTH, _SUBSPACE_BOTH, _STANDARD = _REQUIREMENTS
+(_AFFINE_FIRST, _SUBSPACE_FIRST, _AFFINE_BOTH, _SUBSPACE_BOTH, _MONOTONE,
+ _MONOTONE_OR_SUBSPACE_PARTNER) = _REQUIREMENTS
 
 
 @dataclass(frozen=True)
@@ -358,7 +366,8 @@ class Identity:
     at a pair of points when ``pairwise``; ``n`` is the depth of the
     power identities.  One sample counts for ``per_sample(n)`` reported
     samples.  ``requires`` lists keys of the requirement table, checked
-    in order.
+    in order, so a structural key listed first fails before an operand
+    rule.
     """
 
     name: str
@@ -367,10 +376,10 @@ class Identity:
     pairwise: bool = False
     per_sample: Callable[[int], int] = lambda n: 1
 
-    def unmet(self, A: Operator, B: Operator, generalized: bool = False) -> str | None:
-        """The first requirement that (A, B, generalized) fails, or None."""
+    def unmet(self, A: Operator, B: Operator) -> str | None:
+        """The first requirement that (A, B) fails, or None."""
         return next((need for need in self.requires
-                     if not _REQUIREMENTS[need](A, B, generalized)), None)
+                     if not _REQUIREMENTS[need][0](A, B)), None)
 
     def report(self, A: Operator, B: Operator, samples: list, n: int,
                tol: float) -> IdentityReport:
@@ -381,10 +390,10 @@ class Identity:
 
     def check(self, A: Operator, B: Operator, sample, n: int,
               tol: float) -> IdentityReport:
-        """The report at one sample; NotAffineError when a requirement fails."""
+        """The report at one sample; the unmet requirement's error when one fails."""
         need = self.unmet(A, B)
         if need is not None:
-            raise NotAffineError(f"{self.name} requires {need}")
+            raise _REQUIREMENTS[need][1](f"{self.name} requires {need}")
         return self.report(A, B, [sample], n, tol)
 
 
@@ -394,15 +403,16 @@ IDENTITIES: tuple[Identity, ...] = (
              lambda A, B, x, n: _gap(dr_step(A, B, x), 0.5 * (x + B.reflect(A.reflect(x))))),
     Identity("defect-decomposition", _defect_decomposition),
     Identity("dr-firmly-nonexpansive", lambda A, B, pair, n: _not_firm(dr_step, A, B, pair),
-             (_STANDARD,), pairwise=True),
-    Identity("commutation", _commutation, (_AFFINE_FIRST,), per_sample=int),
+             (_MONOTONE,), pairwise=True),
+    Identity("commutation", _commutation, (_AFFINE_FIRST, _MONOTONE_OR_SUBSPACE_PARTNER),
+             per_sample=int),
     Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), per_sample=int),
     Identity("shadow-equality", _shadow_equality, (_SUBSPACE_FIRST,),
              per_sample=lambda n: int(n) + 1),
-    Identity("nonexpansive-transfer", _nonexpansive_transfer, (_SUBSPACE_FIRST, _STANDARD),
+    Identity("nonexpansive-transfer", _nonexpansive_transfer, (_SUBSPACE_FIRST, _MONOTONE),
              pairwise=True),
     Identity("bt-factorization", _bt_factorization, (_SUBSPACE_FIRST,)),
-    Identity("commutator", _commutator, (_AFFINE_BOTH, _STANDARD)),
+    Identity("commutator", _commutator, (_AFFINE_BOTH, _MONOTONE)),
     Identity("bt-order-invariance", lambda A, B, x, n: _gap(_bt(A, B, x), _bt(B, A, x)),
              (_SUBSPACE_BOTH,)),
     Identity("bt-half-sum", _bt_half_sum, (_SUBSPACE_BOTH,)),

@@ -16,7 +16,6 @@ Output files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -43,7 +42,7 @@ from .operators import (
     NonFinitePointError,
     graph_contains,
 )
-from .splitting import DivergenceError, iterate
+from .splitting import DivergenceError, _write_rows, iterate
 
 ENV_TOL = "DR_ORDER_TOL"
 
@@ -66,16 +65,24 @@ def _atomic_write(path, write_fn) -> None:
         raise
 
 
+def _env_tau_num() -> float | None:
+    """The DR_ORDER_TOL override of tau_num, or None when it is unset."""
+    env = os.environ.get(ENV_TOL)
+    if env is None:
+        return None
+    try:
+        tau = float(env)
+    except ValueError:
+        raise ConfigError(f"{ENV_TOL}={env!r} is not a number") from None
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigError(f"{ENV_TOL}={env!r} must be finite and nonnegative")
+    return tau
+
+
 def _load_config(path: str) -> ProblemConfig:
     config = ProblemConfig.from_path(path)
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
-        try:
-            tau = float(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_TOL}={env!r} is not a number") from None
-        if not (math.isfinite(tau) and tau >= 0.0):
-            raise ConfigError(f"{ENV_TOL}={env!r} must be finite and nonnegative")
+    tau = _env_tau_num()
+    if tau is not None:
         config.tolerances = config.tolerances.with_tau_num(tau)
     return config
 
@@ -107,7 +114,7 @@ def cmd_run(args) -> int:
         z = orbit.final_shadow
         k = orbit.final - z
         cert_a = cert_b = None
-        if not config.generalized and not diverged:
+        if not diverged:
             try:
                 cert_a = graph_contains(T.first, GraphPair(z, k), tau_graph)
                 cert_b = graph_contains(T.second, GraphPair(z, -k), tau_graph)
@@ -132,8 +139,10 @@ def cmd_run(args) -> int:
 
 def _verify_config(config: ProblemConfig, seed: int, depth: int) -> list[IdentityReport]:
     """Every identity of ``analysis.IDENTITIES`` whose requirements the
-    instance meets, worst case over the start points plus seeded random
-    probe points (consecutive points pair up for the pairwise ones)."""
+    operands meet, worst case over the start points plus seeded random
+    probe points (consecutive points pair up for the pairwise ones), and
+    the solution certificates when both operands are monotone (their
+    graph certificates need monotone operands)."""
     rng = np.random.default_rng(seed)
     a, b = config.operator_a, config.operator_b
     points = [p.copy() for p in config.start_points]
@@ -142,9 +151,9 @@ def _verify_config(config: ProblemConfig, seed: int, depth: int) -> list[Identit
     reports = [
         identity.report(a, b, pairs if identity.pairwise else points, depth,
                         config.tolerances.tau_num)
-        for identity in IDENTITIES if identity.unmet(a, b, config.generalized) is None
+        for identity in IDENTITIES if identity.unmet(a, b) is None
     ]
-    if not config.generalized:
+    if a.monotone and b.monotone:
         reports.extend(_verify_solutions(config))
     return reports
 
@@ -169,8 +178,8 @@ def _verify_solutions(config: ProblemConfig) -> list[IdentityReport]:
                                     fix_tol=3.0 * max(config.stop_tol, 1e-15),
                                     graph_tol=tau.tau_graph)
     except CertificateError:
-        return [IdentityReport("solution-certificates", float("inf"),
-                               len(fixed), tau.tau_graph, False)]
+        return [IdentityReport.from_violation("solution-certificates", float("inf"),
+                                              len(fixed), tau.tau_graph)]
     reports = [
         IdentityReport.from_violation("solution-certificates", cert.certificate,
                                       len(fixed), tau.tau_graph),
@@ -188,6 +197,7 @@ def _verify_solutions(config: ProblemConfig) -> list[IdentityReport]:
 
 def cmd_verify(args) -> int:
     if args.corpus:
+        _env_tau_num()  # rejected when malformed; the expectations keep their tolerances
         reports = []
         for instance in load_corpus():
             reports.extend(run_instance(instance))
@@ -215,29 +225,12 @@ def cmd_compare(args) -> int:
     config = _load_config(args.config)
     a, b = config.operator_a, config.operator_b
     x0 = config.start_points[0]
-    d = config.dimension
     left = power_orbit(a, b, a.reflect(x0), args.n)   # T_ab orbit started at R_a x0
     right = power_orbit(b, a, x0, args.n)             # T_ba orbit started at x0
-
-    def write(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n"]
-                + [f"left_{i + 1}" for i in range(d)]
-                + [f"right_{i + 1}" for i in range(d)]
-                + ["conj_residual"]
-            )
-            for m, (lv, rv) in enumerate(zip(left, right)):
-                defect = float(np.linalg.norm(rv - a.reflect(lv)))
-                writer.writerow(
-                    [m]
-                    + [format(v, ".17g") for v in lv]
-                    + [format(v, ".17g") for v in rv]
-                    + [format(defect, ".17g")]
-                )
-
-    _atomic_write(args.out, write)
+    rows = [(m, lv, rv, float(np.linalg.norm(rv - a.reflect(lv))))
+            for m, (lv, rv) in enumerate(zip(left, right))]
+    _atomic_write(args.out, lambda tmp: _write_rows(
+        tmp, config.dimension, ("left", "right", "conj_residual"), rows))
     return 0
 
 

@@ -19,7 +19,6 @@ J_A x_n it records is the J_A x_n that the next step needs.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 
@@ -214,22 +213,28 @@ class Orbit:
         Floats carry 17 significant digits; the residual cell of the
         last recorded step is empty when no successor was computed.
         """
-        d = self.governing[0].shape[0]
-        header = (["n"]
-                  + [f"x_{i + 1}" for i in range(d)]
-                  + [f"shadow_{i + 1}" for i in range(d)]
-                  + ["residual"])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row, n in enumerate(self.steps):
-                res = format(self.residuals[n], ".17g") if n < len(self.residuals) else ""
-                writer.writerow(
-                    [n]
-                    + [format(v, ".17g") for v in self.governing[row]]
-                    + [format(v, ".17g") for v in self.shadow[row]]
-                    + [res]
-                )
+        residuals = self.residuals
+        _write_rows(path, self.governing[0].shape[0], ("x", "shadow", "residual"),
+                    ((n, x, jx, residuals[n] if n < len(residuals) else None)
+                     for n, x, jx in zip(self.steps, self.governing, self.shadow)))
+
+
+def _write_rows(path, d: int, names: tuple[str, str, str], rows) -> None:
+    """Write the CSV rows `n, u_1..u_d, v_1..v_d, s` for ``names`` = (u, v, s).
+
+    Each row is (n, u, v, s) with d-vectors u, v and a float s, or None
+    for an empty cell.  Floats carry 17 significant digits.  No cell
+    needs quoting, so rows are joined directly, with the CRLF line ends
+    of the csv module's default dialect.
+    """
+    u, v, s = names
+    vectors = ",".join(["%.17g"] * (2 * d))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["n", *(f"{u}_{i + 1}" for i in range(d)),
+                           *(f"{v}_{i + 1}" for i in range(d)), s]) + "\r\n")
+        fh.writelines(f"{n},{vectors % (*left, *right)},"
+                      f"{'' if scalar is None else format(scalar, '.17g')}\r\n"
+                      for n, left, right, scalar in rows)
 
 
 def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,

@@ -3,6 +3,7 @@ import pytest
 
 from drorder.analysis import (
     IDENTITIES,
+    _REQUIREMENTS,
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
@@ -641,6 +642,8 @@ def _operand_pairs():
 
 @pytest.mark.parametrize("name", list(_CHECKERS))
 def test_checker_raises_not_affine_exactly_when_its_registry_entry_is_unmet(name):
+    # every hypothesis, structural or an operand rule, is a registry key,
+    # and the checker raises the error that key declares
     entry = next(identity for identity in IDENTITIES if identity.name == name)
     rng = np.random.default_rng(38)
     outcomes = set()
@@ -649,15 +652,16 @@ def test_checker_raises_not_affine_exactly_when_its_registry_entry_is_unmet(name
         x = random_point(rng, a.dim)
         try:
             _CHECKERS[name](a, b, x)
-        except NotAffineError as exc:
-            assert need is not None and need in str(exc), (a.kind, b.kind, exc)
-        except MonotonicityError:
-            # the operand rule applies only once the requirement holds
-            assert need is None, (a.kind, b.kind)
+        except (NotAffineError, MonotonicityError) as exc:
+            assert need is not None and str(exc) == f"{name} requires {need}", (
+                a.kind, b.kind, exc)
+            assert type(exc) is _REQUIREMENTS[need][1], (a.kind, b.kind, exc)
         else:
             assert need is None, (a.kind, b.kind)
-        outcomes.add(need is None)
-    assert outcomes == ({True} if name == "defect-decomposition" else {True, False})
+        outcomes.add(need)
+    # both outcomes occur, except for the identity that holds unconditionally
+    assert None in outcomes
+    assert (outcomes != {None}) == (name != "defect-decomposition")
 
 
 # ---------------------------------------------------------------------------

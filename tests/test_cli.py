@@ -257,7 +257,36 @@ def test_verify_reports_every_registry_identity_that_applies(tmp_path, name):
     config = ProblemConfig.from_path(cfg)
     a, b = config.operator_a, config.operator_b
     assert identities == [identity.name for identity in IDENTITIES
-                          if identity.unmet(a, b, config.generalized) is None]
+                          if identity.unmet(a, b) is None]
+
+
+# Manifest configs whose operator_a is an affine-subspace normal cone,
+# the configs that generalized mode admits.
+_SUBSPACE_FIRST_CONFIGS = ["ray-vs-axis", "linear-asymmetric", "parallel-lines",
+                           "subspace-ball", "three-halfspace-lift"]
+
+
+@pytest.mark.parametrize("name", _SUBSPACE_FIRST_CONFIGS)
+def test_generalized_mode_changes_no_output_for_monotone_operands(tmp_path, capsys, name):
+    # the mode admits a non-monotone selection; with monotone operands
+    # every report, certificate and orbit is that of standard mode
+    outputs = {}
+    for mode in ("standard", "generalized"):
+        cfg = _write_config(tmp_path, name, f"{mode}.json",
+                            mutate=lambda d: d.__setitem__("mode", mode))
+        code = main(["verify", "--config", str(cfg)])
+        outputs[mode] = [(code, capsys.readouterr().out)]
+        for order in ("ab", "ba", "bt"):
+            out = tmp_path / mode / order / "orbit.csv"
+            out.parent.mkdir(parents=True)
+            code = main(["run", "--config", str(cfg), "--order", order, "--out", str(out)])
+            summary = json.loads(capsys.readouterr().out)
+            del summary["config"]
+            csvs = [Path(run.pop("csv")).read_bytes() for run in summary["runs"]]
+            outputs[mode].append((code, summary, csvs))
+    assert outputs["generalized"] == outputs["standard"]
+    assert all(run["cert_a"] is not None for _, summary, _ in outputs["standard"][1:]
+               for run in summary["runs"])
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "123"])
@@ -414,6 +443,9 @@ def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, tol
     cfg = _write_config(tmp_path, "subspace-ball")
     monkeypatch.setenv("DR_ORDER_TOL", tol)
     assert main(["verify", "--config", str(cfg)]) == 2
+    # the corpus expectations keep their own tolerances, but a malformed
+    # override is rejected there too
+    assert main(["verify", "--corpus"]) == 2
 
 
 @pytest.mark.parametrize("command", ["verify", "compare"])
