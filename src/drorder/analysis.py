@@ -8,7 +8,8 @@ points it acts as z + k -> z - k, where z is the primal solution
 checkers in this module certify these statements pointwise, together
 with the stronger commutation, conjugation, and shadow identities that
 hold when the first operand is affine (or a normal cone of an affine
-subspace), and the failure probes that show where they break.
+subspace), and the failure probes that show where they break.  Every
+identity is evaluated for a whole batch of probe points at once.
 
 ``IDENTITIES`` is the one declaration of each identity that
 ``drorder verify --config`` reports: its violation at a sample and the
@@ -193,20 +194,27 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
 
 def power_orbit(first: Operator, second: Operator, x: np.ndarray,
                 n: int) -> list[np.ndarray]:
-    """The points x, T x, ..., T^n x of T = T_(first, second), by dr_step."""
+    """The points x, T x, ..., T^n x of T = T_(first, second), by dr_step;
+    row-wise when x is an (N, d) batch."""
     orbit = [x]
     for _ in range(int(n)):
         orbit.append(dr_step(first, second, orbit[-1]))
     return orbit
 
 
-def _gap(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.linalg.norm(u - v))
+def _gap(u: np.ndarray, v: np.ndarray):
+    """||u - v||, row by row for batches."""
+    w = u - v
+    return np.sqrt(np.vecdot(w, w))
 
 
-def _worst_gap(left, right) -> float:
-    """Largest ||l - r|| over paired points; 0 when there are none."""
-    return max((_gap(l, r) for l, r in zip(left, right)), default=0.0)
+def _worst_gap(left, right):
+    """Largest ||l - r|| over paired points (row by row for batches); 0
+    when there are none."""
+    worst = 0.0
+    for l, r in zip(left, right):
+        worst = np.maximum(worst, _gap(l, r))
+    return worst
 
 
 @dataclass(eq=False)
@@ -259,78 +267,82 @@ def _bt(first: Operator, second: Operator, x: np.ndarray) -> np.ndarray:
     return dr_step(first, second, dr_step(second, first, x))
 
 
-# The violation of each identity at one sample (a point, or a pair of
-# points for the pairwise ones), with signature (A, B, sample, n).  Each
-# holds only under the requirements its registry entry names.
+# The violation of each identity at a batch of samples, one per row, with
+# signature (A, B, samples, n): the samples are an (N, d) array of points,
+# or for the pairwise ones a pair (X, Y) of such arrays; one point (d,),
+# or a pair of them, gives one violation.  Each holds only under the
+# requirements its registry entry names.
 
-def _defect_decomposition(A: Operator, B: Operator, x, n: int) -> float:
-    x = as_point(x, A.dim)
+def _defect_decomposition(A: Operator, B: Operator, x, n: int):
     tab = dr_step(A, B, x)
     lhs = A.reflect(tab) - dr_step(B, A, A.reflect(x))
     rhs = 2.0 * A.resolve(tab) - A.resolve(x) - A.resolve(B.reflect(A.reflect(x)))
     return _gap(lhs, rhs)
 
 
-def _not_firm(step, A: Operator, B: Operator, pair) -> float:
+def _firm_product(tx, ty, x, y):
+    """<Tx - Ty, (x - Tx) - (y - Ty)>, row by row for batches."""
+    return np.vecdot(tx - ty, (x - tx) - (y - ty))
+
+
+def _not_firm(step, A: Operator, B: Operator, pair):
     """How far the firm-nonexpansiveness product of x -> step(A, B, x)
-    falls below zero at the pair."""
-    return max(0.0, -check_firmly_nonexpansive(lambda p: step(A, B, p), *pair))
+    falls below zero at the pairs: max(0, -product), written so that a
+    zero product of either sign gives +0.0."""
+    x, y = pair
+    product = _firm_product(step(A, B, x), step(A, B, y), x, y)
+    return 0.0 - np.minimum(product, 0.0)
 
 
-def _commutation(A: Operator, B: Operator, x, n: int) -> float:
-    x = as_point(x, A.dim)
+def _commutation(A: Operator, B: Operator, x, n: int):
     forward = power_orbit(A, B, x, n)[1:]
     reflected = power_orbit(B, A, A.reflect(x), n)[1:]
     return _worst_gap([A.reflect(f) for f in forward], reflected)
 
 
-def _conjugation(A: Operator, B: Operator, x, n: int) -> float:
-    x = as_point(x, A.dim)
+def _conjugation(A: Operator, B: Operator, x, n: int):
     rx = A.reflect(x)
     conjugated_ab = [A.reflect(p) for p in power_orbit(A, B, rx, n)[1:]]
     conjugated_ba = [A.reflect(p) for p in power_orbit(B, A, rx, n)[1:]]
-    return max(_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
-               _worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
+    return np.maximum(_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
+                      _worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
 
 
-def _shadow_equality(A: Operator, B: Operator, x, n: int) -> float:
-    x = as_point(x, A.dim)
+def _shadow_equality(A: Operator, B: Operator, x, n: int):
     return _worst_gap([A.resolve(p) for p in power_orbit(B, A, x, n)],
                       [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
 
 
-def _nonexpansive_transfer(A: Operator, B: Operator, pair, n: int) -> float:
-    x = as_point(pair[0], A.dim)
-    y = as_point(pair[1], A.dim)
+def _nonexpansive_transfer(A: Operator, B: Operator, pair, n: int):
+    x, y = pair
     direct = _gap(dr_step(A, B, x), dr_step(A, B, y))
     rx, ry = A.reflect(x), A.reflect(y)
     swapped = _gap(dr_step(B, A, rx), dr_step(B, A, ry))
-    return max(abs(direct - swapped), swapped - _gap(rx, ry), 0.0)
+    return np.maximum(np.maximum(np.abs(direct - swapped), swapped - _gap(rx, ry)), 0.0)
 
 
-def _bt_factorization(A: Operator, B: Operator, x, n: int) -> float:
+def _bt_factorization(A: Operator, B: Operator, x, n: int):
     # T_ab T_ba = (T_ab R_A)^2 = R_A (T_ba T_ab) R_A
     composite = _bt(A, B, x)
     squared = dr_step(A, B, A.reflect(dr_step(A, B, A.reflect(x))))
     conjugated = A.reflect(_bt(B, A, A.reflect(x)))
-    return max(_gap(composite, squared), _gap(composite, conjugated))
+    return np.maximum(_gap(composite, squared), _gap(composite, conjugated))
 
 
-def _commutator(A: Operator, B: Operator, x, n: int) -> float:
-    x = as_point(x, A.dim)
+def _commutator(A: Operator, B: Operator, x, n: int):
     ab_ba, ba_ab = _bt(A, B, x), _bt(B, A, x)
     rhs = (B.reflect(A.reflect(A.reflect(B.reflect(x))))
            - A.reflect(B.reflect(B.reflect(A.reflect(x)))))
     exchange = _gap(dr_step(A, B, B.reflect(A.reflect(x))),
                     B.reflect(A.reflect(dr_step(A, B, x))))
-    violation = max(_gap(4.0 * (ab_ba - ba_ab), rhs), exchange)
+    violation = np.maximum(_gap(4.0 * (ab_ba - ba_ab), rhs), exchange)
     if _REQUIREMENTS[_SUBSPACE_BOTH][0](A, B):
         # reflectors are involutions, and the two product orders coincide
-        violation = max(violation, _gap(ab_ba, ba_ab))
+        violation = np.maximum(violation, _gap(ab_ba, ba_ab))
     return violation
 
 
-def _bt_half_sum(A: Operator, B: Operator, x, n: int) -> float:
+def _bt_half_sum(A: Operator, B: Operator, x, n: int):
     return _gap(_bt(A, B, x), 0.5 * (dr_step(A, B, x) + dr_step(B, A, x)))
 
 
@@ -359,19 +371,20 @@ _REQUIREMENTS: dict[str, tuple[Callable[[Operator, Operator], bool], type[Except
 
 @dataclass(frozen=True)
 class Identity:
-    """One identity of the registry: its report name, its violation at
-    one sample, the hypothesis it holds under, and its sample count.
+    """One identity of the registry: its report name, its violation at a
+    batch of samples, the hypothesis it holds under, and its sample count.
 
-    ``violation(A, B, sample, n)`` evaluates the defect at a point, or
-    at a pair of points when ``pairwise``; ``n`` is the depth of the
-    power identities.  One sample counts for ``per_sample(n)`` reported
-    samples.  ``requires`` lists keys of the requirement table, checked
-    in order, so a structural key listed first fails before an operand
-    rule.
+    ``violation(A, B, samples, n)`` evaluates the defect at each row of
+    an (N, d) array of points, or of a pair (X, Y) of such arrays when
+    ``pairwise``; given one point, shape (d,), or a pair of them, it
+    returns the one defect.  ``n`` is the depth of the power identities.
+    One sample counts for ``per_sample(n)`` reported samples.
+    ``requires`` lists keys of the requirement table, checked in order,
+    so a structural key listed first fails before an operand rule.
     """
 
     name: str
-    violation: Callable[[Operator, Operator, object, int], float]
+    violation: Callable[[Operator, Operator, object, int], np.ndarray]
     requires: tuple[str, ...] = ()
     pairwise: bool = False
     per_sample: Callable[[int], int] = lambda n: 1
@@ -381,20 +394,28 @@ class Identity:
         return next((need for need in self.requires
                      if not _REQUIREMENTS[need][0](A, B)), None)
 
-    def report(self, A: Operator, B: Operator, samples: list, n: int,
+    def report(self, A: Operator, B: Operator, samples, n: int,
                tol: float) -> IdentityReport:
-        """Worst violation over the samples; the requirements are not checked."""
-        worst = max(self.violation(A, B, sample, n) for sample in samples)
+        """Worst violation over a batch of samples, evaluated once for the
+        whole batch; the requirements are not checked."""
+        worst = np.max(self.violation(A, B, samples, n))
+        count = len(samples[0] if self.pairwise else samples)
         return IdentityReport.from_violation(self.name, worst,
-                                             len(samples) * self.per_sample(n), tol)
+                                             count * self.per_sample(n), tol)
 
     def check(self, A: Operator, B: Operator, sample, n: int,
               tol: float) -> IdentityReport:
-        """The report at one sample; the unmet requirement's error when one fails."""
+        """The report at one sample, a point or a pair of points; the unmet
+        requirement's error when one fails."""
         need = self.unmet(A, B)
         if need is not None:
             raise _REQUIREMENTS[need][1](f"{self.name} requires {need}")
-        return self.report(A, B, [sample], n, tol)
+        if self.pairwise:
+            sample = tuple(as_point(p, A.dim) for p in sample)
+        else:
+            sample = as_point(sample, A.dim)
+        return IdentityReport.from_violation(self.name, self.violation(A, B, sample, n),
+                                             self.per_sample(n), tol)
 
 
 # Every identity `verify --config` reports, in report order.
@@ -454,7 +475,7 @@ def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
     for exhibiting counterexamples (e.g. a halfspace in the first slot);
     contract-honoring code paths should call check_conjugation instead.
     """
-    worst = _IDENTITY["conjugation"].violation(A, B, x, n)
+    worst = _IDENTITY["conjugation"].violation(A, B, as_point(x, A.dim), n)
     return IdentityReport.from_violation("conjugation-probe", worst, int(n), tol)
 
 
@@ -507,9 +528,8 @@ def check_firmly_nonexpansive(T: Callable[[np.ndarray], np.ndarray], x, y) -> fl
     """
     x = as_point(x)
     y = as_point(y)
-    tx = as_point(T(x), x.shape[0])
-    ty = as_point(T(y), y.shape[0])
-    return float((tx - ty) @ ((x - tx) - (y - ty)))
+    return float(_firm_product(as_point(T(x), x.shape[0]), as_point(T(y), y.shape[0]),
+                               x, y))
 
 
 def check_dual_symmetry(A: Operator, B: Operator,

@@ -145,9 +145,9 @@ def _verify_config(config: ProblemConfig, seed: int, depth: int) -> list[Identit
     graph certificates need monotone operands)."""
     rng = np.random.default_rng(seed)
     a, b = config.operator_a, config.operator_b
-    points = [p.copy() for p in config.start_points]
-    points += [rng.normal(0.0, 2.0, config.dimension) for _ in range(10)]
-    pairs = [(points[i], points[(i + 1) % len(points)]) for i in range(len(points))]
+    points = np.array([*config.start_points,
+                       *(rng.normal(0.0, 2.0, config.dimension) for _ in range(10))])
+    pairs = (points, np.roll(points, -1, axis=0))
     reports = [
         identity.report(a, b, pairs if identity.pairwise else points, depth,
                         config.tolerances.tau_num)

@@ -99,7 +99,9 @@ class NamedInstance:
 
 
 def run_instance(instance: NamedInstance) -> list[IdentityReport]:
-    """Evaluate every expectation; failures become reports, not errors."""
+    """Evaluate every expectation, in order; failures become reports, not
+    errors.  A later expectation of an instance may read what an earlier
+    one computed in the same pass."""
     reports = []
     for exp in instance.expected:
         violation, samples = exp.run(instance.config)
@@ -110,21 +112,27 @@ def run_instance(instance: NamedInstance) -> list[IdentityReport]:
     return reports
 
 
-def _grid_points() -> list[np.ndarray]:
+def _grid_points() -> np.ndarray:
+    """The GRID_SIDE^2 grid points as the rows of one array."""
     axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_SIDE)
-    return [np.array([gx, gy]) for gx in axis for gy in axis]
+    return np.array([(gx, gy) for gx in axis for gy in axis])
+
+
+def _columns(first, second) -> np.ndarray:
+    """The (N, 2) array with the given columns; a scalar fills its column."""
+    return np.column_stack(np.broadcast_arrays(first, second))
 
 
 def _grid_expectation(label: str, provenance: str, tolerance: float,
                       computed: Callable[[Operator, Operator, np.ndarray], np.ndarray],
                       closed: Callable[[np.ndarray], np.ndarray]) -> Expectation:
+    """Compare ``computed`` with its ``closed`` form on the whole grid at
+    once; both map an (N, 2) array of points row by row."""
     def run(config: ProblemConfig) -> tuple[float, int]:
         a, b = config.operator_a, config.operator_b
         points = _grid_points()
-        worst = max(
-            float(np.linalg.norm(computed(a, b, p) - closed(p))) for p in points
-        )
-        return worst, len(points)
+        gap = computed(a, b, points) - closed(points)
+        return float(np.max(np.sqrt(np.vecdot(gap, gap)))), len(points)
 
     return Expectation(label, provenance, tolerance, run)
 
@@ -134,39 +142,39 @@ def _grid_expectation(label: str, provenance: str, tolerance: float,
 # ray.  All six pointwise formulas below are exact.
 
 def _expect_ray_vs_axis() -> list[Expectation]:
-    def pos(v: float) -> float:
-        return max(v, 0.0)
+    def pos(v: np.ndarray) -> np.ndarray:
+        return np.maximum(v, 0.0)
 
     return [
         _grid_expectation(
             "t-ab", "closed-form", 1e-12,
             lambda a, b, p: dr_step(a, b, p),
-            lambda p: np.array([0.0, pos(p[1])]),
+            lambda p: _columns(0.0, pos(p[:, 1])),
         ),
         _grid_expectation(
             "t-ba", "closed-form", 1e-12,
             lambda a, b, p: dr_step(b, a, p),
-            lambda p: np.array([0.0, min(p[1], 0.0)]),
+            lambda p: _columns(0.0, np.minimum(p[:, 1], 0.0)),
         ),
         _grid_expectation(
             "rb-of-t-ab", "closed-form", 1e-12,
             lambda a, b, p: b.reflect(dr_step(a, b, p)),
-            lambda p: np.array([0.0, pos(p[1])]),
+            lambda p: _columns(0.0, pos(p[:, 1])),
         ),
         _grid_expectation(
             "t-ba-of-rb", "closed-form", 1e-12,
             lambda a, b, p: dr_step(b, a, b.reflect(p)),
-            lambda p: np.zeros(2),
+            lambda p: np.zeros_like(p),
         ),
         _grid_expectation(
             "rb-of-t-ba", "closed-form", 1e-12,
             lambda a, b, p: b.reflect(dr_step(b, a, p)),
-            lambda p: np.array([0.0, pos(-p[1])]),
+            lambda p: _columns(0.0, pos(-p[:, 1])),
         ),
         _grid_expectation(
             "t-ab-of-rb", "closed-form", 1e-12,
             lambda a, b, p: dr_step(a, b, b.reflect(p)),
-            lambda p: np.array([0.0, abs(p[1])]),
+            lambda p: _columns(0.0, np.abs(p[:, 1])),
         ),
     ]
 
@@ -216,8 +224,8 @@ def _expect_linear_asymmetric() -> list[Expectation]:
 # product equals -2 alpha^2 at the scaled test points.
 
 def _expect_bt_not_firm() -> list[Expectation]:
-    def half_pos(v: float) -> float:
-        return max(0.5 * v, 0.0)
+    def half_pos(v: np.ndarray) -> np.ndarray:
+        return np.maximum(0.5 * v, 0.0)
 
     def witness(config: ProblemConfig) -> tuple[float, int]:
         a, b = config.operator_a, config.operator_b
@@ -243,14 +251,14 @@ def _expect_bt_not_firm() -> list[Expectation]:
         _grid_expectation(
             "t-ab", "closed-form", 1e-12,
             lambda a, b, p: dr_step(a, b, p),
-            lambda p: np.array([half_pos(p[0] + p[1]),
-                                p[1] - half_pos(p[0] + p[1])]),
+            lambda p: _columns(half_pos(p[:, 0] + p[:, 1]),
+                               p[:, 1] - half_pos(p[:, 0] + p[:, 1])),
         ),
         _grid_expectation(
             "t-ba", "closed-form", 1e-12,
             lambda a, b, p: dr_step(b, a, p),
-            lambda p: np.array([half_pos(p[0] - p[1]),
-                                p[1] + half_pos(p[0] - p[1])]),
+            lambda p: _columns(half_pos(p[:, 0] - p[:, 1]),
+                               p[:, 1] + half_pos(p[:, 0] - p[:, 1])),
         ),
         Expectation("composite-not-firm", "closed-form", 1e-12, witness),
     ]
@@ -263,31 +271,31 @@ def _expect_bt_not_firm() -> list[Expectation]:
 # fill a whole plane and the reflector acts on it nontrivially.
 
 def _expect_parallel_lines() -> list[Expectation]:
-    def fixed_points(config: ProblemConfig) -> list[np.ndarray]:
-        T = config.split("ab")
-        return [
-            find_fixed_point(T, s, tol=config.stop_tol, max_iter=config.max_iter)
-            for s in config.start_points
-        ]
+    # The fixed points of the starts and their certificates (None when
+    # one cannot be extracted): found once per pass, by the pass's first
+    # expectation, and read by the other two.
+    found = {}
 
     def fixed_point_form(config: ProblemConfig) -> tuple[float, int]:
+        T = config.split("ab")
+        fixed = [find_fixed_point(T, s, tol=config.stop_tol, max_iter=config.max_iter)
+                 for s in config.start_points]
+        try:
+            found["cert"] = certify_fixed_points(config.operator_a, config.operator_b,
+                                                 fixed, graph_tol=config.tolerances.tau_graph)
+        except CertificateError:
+            found["cert"] = None
         worst = 0.0
-        for s, f in zip(config.start_points, fixed_points(config)):
+        for s, f in zip(config.start_points, fixed):
             expected = np.array([s[0], 0.0, s[2]])
             worst = max(worst, float(np.linalg.norm(f - expected)))
         return worst, len(config.start_points)
 
-    def certificates(config: ProblemConfig):
-        return certify_fixed_points(config.operator_a, config.operator_b,
-                                    fixed_points(config),
-                                    graph_tol=config.tolerances.tau_graph)
-
     def solution_form(config: ProblemConfig) -> tuple[float, int]:
         starts = config.start_points
-        try:
-            pairs = certificates(config).pairs
-        except CertificateError:
+        if found["cert"] is None:
             return float("inf"), len(starts)
+        pairs = found["cert"].pairs
         worst = max(
             max(float(np.linalg.norm(p.z - np.array([s[0], 0.0, 0.0]))),
                 float(np.linalg.norm(p.k - np.array([0.0, 0.0, s[2]]))))
@@ -298,9 +306,8 @@ def _expect_parallel_lines() -> list[Expectation]:
     def bijection(config: ProblemConfig) -> tuple[float, int]:
         n = len(config.start_points)
         count = n + n * (n - 1) // 2
-        try:
-            cert = certificates(config)
-        except CertificateError:
+        cert = found["cert"]
+        if cert is None:
             return float("inf"), count
         return max(cert.bijection, cert.isometry), count
 

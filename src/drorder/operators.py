@@ -12,6 +12,9 @@ is nonexpansive.  Normal cone operators resolve to metric projections,
 so every resolvent here is an exact closed form (the only linear solve
 is the dense (I + M) system of the linear/affine variants).
 
+Every ``resolve`` and ``reflect`` takes one point, shape (d,), or a
+batch of points, shape (N, d), which it maps row by row.
+
 Operators are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 """
@@ -57,6 +60,9 @@ TAU_ORTHO = 1e-10  # orthonormality / unit-norm slack
 TAU_GRAPH = 1e-8   # graph membership certificates
 TAU_NUM = 1e-9     # generic numerical identity slack
 
+# the least positive normal float: a squared norm below it has lost bits
+_TINY = float(np.finfo(float).tiny)
+
 
 class DimensionMismatchError(ValueError):
     """Operand dimensions are inconsistent."""
@@ -83,9 +89,51 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a point in R^{dim}, got length {arr.shape[0]}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFinitePointError("point has non-finite entries")
     return arr
+
+
+def _as_points(x, dim: int) -> np.ndarray:
+    """Coerce ``x`` to a finite float point in R^dim, shape (dim,), or a
+    batch of such points, shape (N, dim)."""
+    arr = np.asarray(x, dtype=float)
+    if not (arr.ndim in (1, 2) and arr.shape[-1] == dim):
+        raise DimensionMismatchError(
+            f"expected a point in R^{dim} or an (N, {dim}) batch, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise NonFinitePointError("point has non-finite entries")
+    return arr
+
+
+def _scaled_norm(v: np.ndarray) -> float:
+    """||v|| as m ||v / m|| with m = max |v_i|: neither overflows nor
+    underflows for a finite v."""
+    m = float(np.max(np.abs(v)))
+    if m == 0.0:
+        return 0.0
+    w = v / m
+    return m * math.sqrt(w @ w)
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a point: sqrt(<v, v>), or the scaled norm where <v, v>
+    overflows or underflows."""
+    sq = float(v @ v)
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    return _scaled_norm(v)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``_norm`` of each row (last axis) of v, bit for bit."""
+    sq = np.vecdot(v, v)
+    norms = np.sqrt(sq)
+    if not (sq.min(initial=_TINY) >= _TINY and sq.max(initial=0.0) < math.inf):
+        odd = ~((sq >= _TINY) & (sq < math.inf))
+        norms[odd] = [_scaled_norm(row) for row in v[odd]]
+    return norms
 
 
 @dataclass(frozen=True)
@@ -112,10 +160,11 @@ def _require_psd_symmetric_part(matrix: np.ndarray, tau_psd: float) -> None:
 
 
 def _solve_shifted(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + M) y = r for a point r, or for each row of a batch."""
     # (I + M) is nonsingular whenever M is monotone; a failure here means
     # a broken internal invariant, not a user error.
     try:
-        return np.linalg.solve(shifted, rhs)
+        return np.linalg.solve(shifted, rhs.T).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(
             "internal invariant violation: (I + M) singular for a monotone M"
@@ -191,12 +240,12 @@ class Operator:
         self.dim = int(dim)
 
     def resolve(self, x) -> np.ndarray:
-        """Evaluate the resolvent J(x) = (Id + A)^{-1} x."""
+        """Evaluate the resolvent J(x) = (Id + A)^{-1} x, row-wise on a batch."""
         raise NotImplementedError
 
     def reflect(self, x) -> np.ndarray:
-        """Evaluate the reflected resolvent (2J - Id) x."""
-        x = as_point(x, self.dim)
+        """Evaluate the reflected resolvent (2J - Id) x, row-wise on a batch."""
+        x = _as_points(x, self.dim)
         return 2.0 * self.resolve(x) - x
 
     def resolvent_affine_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +285,7 @@ class LinearMonotone(Operator):
         self._shifted = np.eye(self.dim) + matrix
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        return _solve_shifted(self._shifted, x)
+        return _solve_shifted(self._shifted, _as_points(x, self.dim))
 
     def resolvent_affine_map(self):
         return np.linalg.inv(self._shifted), np.zeros(self.dim)
@@ -269,8 +317,7 @@ class AffineRelation(Operator):
         self._shifted = np.eye(self.dim) + matrix
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        return _solve_shifted(self._shifted, x - self.offset)
+        return _solve_shifted(self._shifted, _as_points(x, self.dim) - self.offset)
 
     def resolvent_affine_map(self):
         inv = np.linalg.inv(self._shifted)
@@ -311,9 +358,9 @@ class NormalConeAffineSubspace(Operator):
         return self.basis.shape[1]
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        centered = x - self.offset
-        return self.offset + self.basis @ (self.basis.T @ centered)
+        centered = _as_points(x, self.dim) - self.offset
+        # a batch goes through as the columns of centered.T
+        return self.offset + (self.basis @ (self.basis.T @ centered.T)).T
 
     def resolvent_affine_map(self):
         proj = self.basis @ self.basis.T
@@ -347,7 +394,9 @@ class NormalConeHalfspace(Operator):
         self.rhs = rhs
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
+        x = _as_points(x, self.dim)
+        if x.ndim == 2:
+            return _halfspace_rows(self.normal, self.rhs, x)
         slack = float(self.normal @ x) - self.rhs
         if slack <= 0.0:
             return x.copy()
@@ -355,19 +404,18 @@ class NormalConeHalfspace(Operator):
 
     @staticmethod
     def stacked_resolvent(ops):
-        """The resolvents of the halfspaces ``ops`` on a (k, d) array of
-        rows, row i resolved as ``ops[i].resolve`` would, bit for bit."""
+        """The resolvents of the halfspaces ``ops`` on a (..., k, d) array
+        of rows, row i resolved as ``ops[i].resolve`` would, bit for bit."""
         normals = np.array([op.normal for op in ops])
         rhs = np.array([op.rhs for op in ops])
+        return lambda rows: _halfspace_rows(normals, rhs, rows)
 
-        def resolve_rows(rows):
-            slack = np.vecdot(normals, rows) - rhs
-            out = rows.copy()
-            moved = ~(slack <= 0.0)
-            out[moved] = rows[moved] - slack[moved, None] * normals[moved]
-            return out
 
-        return resolve_rows
+def _halfspace_rows(normals, rhs, rows):
+    """Project each row of ``rows`` onto {x : <normal, x> <= rhs}, with
+    ``normals`` and ``rhs`` broadcast against the rows."""
+    slack = np.vecdot(normals, rows) - rhs
+    return np.where((slack <= 0.0)[..., None], rows, rows - slack[..., None] * normals)
 
 
 class NormalConeBall(Operator):
@@ -386,29 +434,33 @@ class NormalConeBall(Operator):
         self.radius = radius
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
+        x = _as_points(x, self.dim)
+        if x.ndim == 2:
+            return _ball_rows(self.center, self.radius, x)
         v = x - self.center
-        dist = float(np.linalg.norm(v))
+        dist = _norm(v)
         if dist <= self.radius:
             return x.copy()
         return self.center + (self.radius / dist) * v
 
     @staticmethod
     def stacked_resolvent(ops):
-        """The resolvents of the balls ``ops`` on a (k, d) array of rows,
-        row i resolved as ``ops[i].resolve`` would, bit for bit."""
+        """The resolvents of the balls ``ops`` on a (..., k, d) array of
+        rows, row i resolved as ``ops[i].resolve`` would, bit for bit."""
         centers = np.array([op.center for op in ops])
         radii = np.array([op.radius for op in ops])
+        return lambda rows: _ball_rows(centers, radii, rows)
 
-        def resolve_rows(rows):
-            v = rows - centers
-            dist = np.sqrt(np.vecdot(v, v))
-            out = rows.copy()
-            moved = ~(dist <= radii)
-            out[moved] = centers[moved] + (radii[moved] / dist[moved])[:, None] * v[moved]
-            return out
 
-        return resolve_rows
+def _ball_rows(centers, radii, rows):
+    """Project each row of ``rows`` onto the ball about ``centers`` of
+    radius ``radii``, both broadcast against the rows."""
+    v = rows - centers
+    dist = _row_norms(v)
+    # a row inside its ball keeps its own bits; elsewhere the scale is
+    # radius / dist, and max(dist, radius) keeps the division finite
+    scale = radii / np.maximum(dist, radii)
+    return np.where((dist <= radii)[..., None], rows, centers + scale[..., None] * v)
 
 
 class NormalConeRay(Operator):
@@ -427,9 +479,12 @@ class NormalConeRay(Operator):
         self.direction = direction
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        t = float(self.direction @ x)
-        return max(t, 0.0) * self.direction
+        x = _as_points(x, self.dim)
+        if x.ndim == 2:
+            t = np.vecdot(x, self.direction)
+            # max(t, 0.0) row by row
+            return np.where(t < 0.0, 0.0, t)[:, None] * self.direction
+        return max(float(self.direction @ x), 0.0) * self.direction
 
 
 class NormalConeBox(Operator):
@@ -454,8 +509,7 @@ class NormalConeBox(Operator):
         self.upper = upper
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        return np.clip(x, self.lower, self.upper)
+        return np.clip(_as_points(x, self.dim), self.lower, self.upper)
 
 
 class SphereSelection(Operator):
@@ -487,9 +541,14 @@ class SphereSelection(Operator):
         self.tie_direction = tie_direction
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        v = x - self.center
-        dist = float(np.linalg.norm(v))
+        v = _as_points(x, self.dim) - self.center
+        if v.ndim == 2:
+            dist = _row_norms(v)
+            at_center = (dist == 0.0)[:, None]
+            scale = self.radius / np.where(at_center, 1.0, dist[:, None])
+            return np.where(at_center, self.center + self.radius * self.tie_direction,
+                            self.center + scale * v)
+        dist = _norm(v)
         if dist == 0.0:
             return self.center + self.radius * self.tie_direction
         return self.center + (self.radius / dist) * v
@@ -517,7 +576,7 @@ class Inverse(Operator):
         return self.inner.affine
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
+        x = _as_points(x, self.dim)
         return x - self.inner.resolve(x)
 
     def resolvent_affine_map(self):
@@ -549,8 +608,7 @@ class Rotation(Operator):
         return self.inner.affine
 
     def resolve(self, x):
-        x = as_point(x, self.dim)
-        return -self.inner.resolve(-x)
+        return -self.inner.resolve(-_as_points(x, self.dim))
 
     def resolvent_affine_map(self):
         c, b = self.inner.resolvent_affine_map()
@@ -616,13 +674,15 @@ class BlockSeparable(Operator):
         return all(op.affine for op in self.ops)
 
     def resolve(self, x):
-        rows = as_point(x, self.dim).reshape(len(self.ops), self.block_dim)
+        x = _as_points(x, self.dim)
+        # (..., members, block_dim): a batch keeps its leading axis
+        rows = x.reshape(*x.shape[:-1], len(self.ops), self.block_dim)
         out = np.empty_like(rows)
         for sel, resolvent in self._stacked:
-            out[sel] = resolvent(rows[sel])
+            out[..., sel, :] = resolvent(rows[..., sel, :])
         for i, op in self._single:
-            out[i] = op.resolve(rows[i])
-        return out.reshape(self.dim)
+            out[..., i, :] = op.resolve(rows[..., i, :])
+        return out.reshape(x.shape)
 
     def resolvent_affine_map(self):
         matrix = np.zeros((self.dim, self.dim))

@@ -68,7 +68,8 @@ class DivergenceError(RuntimeError):
 
 def dr_step(first: Operator, second: Operator, x: np.ndarray,
             jx: np.ndarray | None = None) -> np.ndarray:
-    """One application of x - J_first x + J_second(2 J_first x - x).
+    """One application of x - J_first x + J_second(2 J_first x - x), to a
+    point or, row by row, to an (N, d) batch.
 
     ``jx``, when given, is J_first x already evaluated; it is used in
     place of a second evaluation.
@@ -291,7 +292,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
             raise DivergenceError(f"non-finite iterate at step {n}",
                                   assemble()) from None
         n += 1
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             raise DivergenceError(f"non-finite iterate at step {n}", assemble())
         residuals.append(residual)
         jx = T.first.resolve(x_next)

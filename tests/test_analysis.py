@@ -676,3 +676,35 @@ def test_identity_report_invariant():
     data = rep.to_dict()
     assert set(data) == {"identity_name", "max_violation", "sample_count",
                          "tolerance", "passed"}
+
+
+# ---------------------------------------------------------------------------
+# each identity is evaluated once per batch of samples
+
+
+@pytest.mark.parametrize("identity", IDENTITIES, ids=lambda identity: identity.name)
+def test_batch_report_is_the_worst_per_point_report(identity):
+    rng = np.random.default_rng(39)
+    applicable = 0
+    for a, b in _operand_pairs():
+        points = np.array([random_point(rng, a.dim) for _ in range(6)])
+        samples = (points, np.roll(points, -1, axis=0)) if identity.pairwise else points
+        singles = list(zip(*samples)) if identity.pairwise else list(points)
+        # row by row, also where the identity fails and its violations are
+        # large enough to tell the rows apart
+        got = identity.violation(a, b, samples, 4)
+        want = [identity.violation(a, b, sample, 4) for sample in singles]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a.kind, b.kind)
+        batch = identity.report(a, b, samples, 4, 1e-9)
+        assert batch.max_violation == np.max(got), (a.kind, b.kind)
+        if identity.unmet(a, b) is None:
+            applicable += 1
+            reports = [identity.check(a, b, sample, 4, 1e-9) for sample in singles]
+            assert batch.sample_count == sum(r.sample_count for r in reports)
+            worst = max(r.max_violation for r in reports)
+            assert abs(batch.max_violation - worst) <= 1e-12, (a.kind, b.kind)
+        # a non-finite row anywhere in the batch is a non-finite point
+        points[4, 0] = np.nan
+        with pytest.raises(NonFinitePointError):
+            identity.violation(a, b, samples, 4)
+    assert applicable > 0

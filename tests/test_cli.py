@@ -203,6 +203,18 @@ def test_verify_report_set_per_corpus_config(tmp_path, name):
                             "three-halfspace-lift": 11}[name]
 
 
+@pytest.mark.parametrize("n", ["20", "0"])
+def test_no_report_prints_negative_zero(tmp_path, capsys, n):
+    # every violation is max(0, ...) or a norm: an exact zero is +0.0
+    configs = [_write_config(tmp_path, name, f"{name}.json") for name in _REPORT_SETS]
+    for cfg in configs + [_generalized_config(tmp_path)]:
+        assert main(["verify", "--config", str(cfg), "--n", n]) == 0
+        out = capsys.readouterr().out
+        violations = [r["max_violation"] for r in json.loads(out)]
+        assert all(np.copysign(1.0, v) > 0.0 for v in violations), cfg.name
+        assert "-0.0" not in out
+
+
 @pytest.mark.parametrize("name", list(_REPORT_SETS))
 def test_verify_dual_symmetry_matches_check_dual_symmetry(tmp_path, name):
     # the report comes from the certificate pass; check_dual_symmetry

@@ -19,6 +19,7 @@ from drorder.operators import (
     NormalConeBox,
     NormalConeHalfspace,
     NormalConeRay,
+    NonFinitePointError,
     NotAffineError,
     Rotation,
     SphereSelection,
@@ -26,7 +27,12 @@ from drorder.operators import (
     operator_from_dict,
 )
 
-from draws import random_monotone_operator, random_point
+from draws import (
+    random_affine_relation,
+    random_linear_monotone,
+    random_monotone_operator,
+    random_point,
+)
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
 UP_RAY = NormalConeRay([0.0, 1.0])
@@ -536,7 +542,8 @@ def test_block_separable_every_case_in_one_product():
 
 def test_block_separable_ball_overflow_matches_member_loop():
     # |x - c|^2 overflows for 1e200 entries in both paths; both warn, and
-    # both send the block to the center
+    # both fall back to the norm scaled by max |x_i - c_i|, which sends
+    # the block to its true projection
     block = BlockSeparable([NormalConeBall([0.0, 0.0], 1.0), NormalConeBall([1.0, 0.0], 1.0)])
     x = np.array([1e200, -1e200, 3.0, 0.0])
     with pytest.warns(RuntimeWarning, match="overflow"):
@@ -544,6 +551,7 @@ def test_block_separable_ball_overflow_matches_member_loop():
     with pytest.warns(RuntimeWarning, match="overflow"):
         want = _loop_resolve(block, x)
     assert got.tobytes() == want.tobytes()
+    assert np.allclose(got, [np.sqrt(0.5), -np.sqrt(0.5), 2.0, 0.0], rtol=1e-15, atol=0.0)
 
 
 def test_block_separable_resolves_repeated_kinds_together(monkeypatch):
@@ -568,3 +576,110 @@ def test_block_separable_resolves_repeated_kinds_together(monkeypatch):
     BlockSeparable(ops[:2] + ops[5:]).resolve(x[:10])
     # a kind that occurs once keeps its own resolve
     assert calls == {NormalConeHalfspace: 1, NormalConeBall: 1, NormalConeRay: 4}
+
+
+# ---------------------------------------------------------------------------
+# point batches: resolve and reflect map an (N, d) array row by row
+
+
+def _batch_members(rng, d):
+    """One member of every catalog kind on R^d, keyed by a label, with
+    whether its batch kernel is the per-point kernel bit for bit (the
+    vecdot and elementwise kernels) or a matrix product within rounding
+    (subspace projections and the linear solves)."""
+    ball = NormalConeBall(rng.normal(size=d), 1.5)
+    halfspace = NormalConeHalfspace(rng.normal(size=d), 0.3)
+    subspace = NormalConeAffineSubspace(rng.normal(size=d), rng.normal(size=(d, 1)))
+    members = {
+        "linear": (random_linear_monotone(rng, d), False),
+        "affine": (random_affine_relation(rng, d, through_origin=False), False),
+        "subspace-point": (NormalConeAffineSubspace(rng.normal(size=d), np.zeros((d, 0))),
+                           False),
+        "subspace-rank1": (subspace, False),
+        "subspace-rank2": (NormalConeAffineSubspace(rng.normal(size=d),
+                                                    rng.normal(size=(d, min(2, d)))), False),
+        "halfspace": (halfspace, True),
+        "ball": (ball, True),
+        "ray": (NormalConeRay(rng.normal(size=d)), True),
+        "box": (NormalConeBox(-np.abs(rng.normal(size=d)), np.full(d, np.inf)), True),
+        "sphere": (SphereSelection(ball.center, 1.5, rng.normal(size=d)), True),
+        "inverse-ball": (Inverse(ball), True),
+        "inverse-subspace": (Inverse(subspace), False),
+        "rotation-halfspace": (Rotation(halfspace), True),
+        "rotation-linear": (Rotation(random_linear_monotone(rng, d)), False),
+        "block-stacked": (BlockSeparable([ball, halfspace, NormalConeBall(-ball.center, 0.5),
+                                          Inverse(ball), NormalConeHalfspace(ball.center, 0.0)]),
+                          True),
+        "block-single": (BlockSeparable([ball, halfspace, NormalConeRay(ball.center),
+                                         NormalConeBox(-np.ones(d), np.ones(d))]), True),
+        "block-subspace": (BlockSeparable([ball, ball, subspace]), False),
+    }
+    return members
+
+
+def _batch_points(rng, op):
+    """Rows that reach every branch: random, inside and on the far side,
+    zero and -0.0, each member center, and scales where a squared norm
+    overflows or underflows."""
+    d = op.dim
+    rows = [rng.normal(size=d) * s for s in (0.1, 1.0, 3.0, 10.0)]
+    rows += [np.zeros(d), np.full(d, -0.0), rng.normal(size=d) * 1e160,
+             rng.normal(size=d) * 1e-200]
+    members = op.ops if isinstance(op, BlockSeparable) else [op]
+    rows.append(np.concatenate([getattr(m, "center", rng.normal(size=m.dim))
+                                for m in members]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_batch_resolve_and_reflect_match_the_per_point_calls(d):
+    rng = np.random.default_rng(40 + d)
+    for label, (op, bitwise) in _batch_members(rng, d).items():
+        X = _batch_points(rng, op)
+        for method in ("resolve", "reflect"):
+            # 1e160 rows overflow ||x - c||^2 (then rescaled) in both paths
+            with np.errstate(over="ignore"):
+                got = getattr(op, method)(X)
+                want = np.array([getattr(op, method)(x) for x in X])
+            assert got.shape == X.shape, (label, method)
+            if bitwise:
+                assert got.tobytes() == want.tobytes(), (label, method)
+            else:
+                # within 1e-12 relative to the larger of the row, its image
+                # and the unit scale of the operators' offsets and matrices
+                scale = np.maximum(np.abs(want).max(axis=1), np.abs(X).max(axis=1))
+                scale = np.maximum(scale, 1.0)
+                gap = np.abs(got - want).max(axis=1)
+                assert np.all(gap <= 1e-12 * scale), (label, method, gap / scale)
+
+
+@pytest.mark.parametrize("method", ["resolve", "reflect"])
+def test_batch_with_a_non_finite_row_or_a_wrong_shape_is_rejected(method):
+    rng = np.random.default_rng(41)
+    for label, (op, _) in _batch_members(rng, 3).items():
+        call = getattr(op, method)
+        X = rng.normal(size=(5, op.dim))
+        for bad in (np.nan, np.inf, -np.inf):
+            Y = X.copy()
+            Y[3, -1] = bad
+            with pytest.raises(NonFinitePointError):
+                call(Y)
+        for shape in ((5, op.dim + 1), (5, op.dim - 1), (2, 5, op.dim), ()):
+            with pytest.raises(DimensionMismatchError):
+                call(np.ones(shape))
+
+
+def test_ball_and_sphere_scale_norms_that_overflow_or_underflow():
+    ball = NormalConeBall([0.0, 0.0], 1.0)
+    with np.errstate(over="ignore"):
+        assert ball.resolve([1e160, 0.0]).tolist() == [1.0, 0.0]
+        assert ball.resolve(np.array([[1e160, 0.0], [0.0, -1e200]])).tolist() == [
+            [1.0, 0.0], [0.0, -1.0]]
+    sphere = SphereSelection([0.0, 0.0], 2.0, [1.0, 0.0])
+    # ||x||^2 underflows to 0, yet x is not the center
+    assert sphere.resolve([0.0, 1e-200]).tolist() == [0.0, 2.0]
+    assert sphere.resolve(np.array([[0.0, 1e-200], [0.0, 0.0]])).tolist() == [
+        [0.0, 2.0], [2.0, 0.0]]
+    # in normal range the plain norm is kept, bit for bit
+    x = np.array([0.3, -2.7])
+    assert ball.resolve(x).tobytes() == ((1.0 / np.linalg.norm(x)) * x).tobytes()

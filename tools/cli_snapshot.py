@@ -17,8 +17,11 @@ for each manifest config whose operator_a is an affine-subspace normal
 cone, the same config in generalized mode ("<name>-generalized").
 
 Commands: ``verify --corpus`` once; per config ``verify --config`` with
-``--seed`` in {0, 1, 123} and ``--n`` in {20, 3}, ``run --order`` in
-{ab, ba, bt}, and ``compare --n 12``.
+``--seed`` in {0, 1, 123} and ``--n`` in {20, 3}, and with ``--n 0`` (no
+orbit steps), ``run --order`` in {ab, ba, bt}, and ``compare --n 12``.
+On top of those, ``verify --config`` and ``run`` on a config whose
+affine operator_b translates by 1e308, so that the first step
+overflows ("divergent"): both exit 1 with one ``diverged:`` line.
 
 Only the standard library and ``drorder`` are used.
 """
@@ -38,6 +41,12 @@ from drorder.cli import main as cli_main
 TOKEN = "<OUT_DIR>"
 SPHERE = {"kind": "sphere_selection", "center": [2.0, 1.0], "radius": 1.0,
           "tie_direction": [0.0, 1.0]}
+ZERO = [[0.0, 0.0], [0.0, 0.0]]
+DIVERGENT = {"version": 1, "dimension": 2,
+             "operator_a": {"kind": "linear_monotone", "matrix": ZERO},
+             "operator_b": {"kind": "affine_relation", "matrix": ZERO,
+                            "offset": [1e308, 0.0]},
+             "start_points": [[0.0, 0.0]]}
 
 
 def _configs() -> dict[str, dict]:
@@ -59,6 +68,7 @@ def _commands(config: Path) -> dict[str, list[str]]:
         for n in ("20", "3"):
             commands[f"verify-seed{seed}-n{n}"] = ["verify", "--config", str(config),
                                                    "--seed", seed, "--n", n]
+    commands["verify-n0"] = ["verify", "--config", str(config), "--n", "0"]
     for order in ("ab", "ba", "bt"):
         commands[f"run-{order}"] = ["run", "--config", str(config), "--order", order,
                                     "--out", "OUT/orbit.csv"]
@@ -92,6 +102,11 @@ def main(argv: list[str]) -> int:
         config.write_text(json.dumps(data))
         for label, command in _commands(config).items():
             _snapshot(out_dir, f"{name}/{label}", command)
+    divergent = out_dir / "configs" / "divergent.json"
+    divergent.write_text(json.dumps(DIVERGENT))
+    _snapshot(out_dir, "divergent/verify", ["verify", "--config", str(divergent)])
+    _snapshot(out_dir, "divergent/run", ["run", "--config", str(divergent),
+                                         "--out", "OUT/orbit.csv"])
     return 0
 
 
