@@ -9,14 +9,17 @@ checkers in this module certify these statements pointwise, together
 with the stronger commutation, conjugation, and shadow identities that
 hold when the first operand is affine (or a normal cone of an affine
 subspace), and the failure probes that show where they break.  Every
-identity is evaluated for a whole batch of probe points at once.
+identity is evaluated for a whole batch of probe points at once.  The
+three orbit identities (commutation, conjugation, shadow equality) all
+compare T_ab^m and T_ba^m started from x and from R_A x, so they read
+one set of probe orbits.
 
 ``IDENTITIES`` is the one declaration of each identity that
-``drorder verify --config`` reports: its violation at a sample and the
-hypothesis on the operands (A, B) it holds under.  The public
-``check_*`` checkers evaluate the same entries and raise the error the
-failed hypothesis declares: NotAffineError for a structural one,
-MonotonicityError for an operand rule.
+``drorder verify --config`` reports through ``report_identities``: its
+violation at a sample and the hypothesis on the operands (A, B) it
+holds under.  The public ``check_*`` checkers evaluate the same entries
+and raise the error the failed hypothesis declares: NotAffineError for
+a structural one, MonotonicityError for an operand rule.
 
 All checkers are pure; randomized callers can fan trials out across
 workers and merge the reports by taking the worst violation.
@@ -50,6 +53,7 @@ __all__ = [
     "SolutionPair",
     "IdentityReport",
     "IDENTITIES",
+    "report_identities",
     "find_fixed_point",
     "extract_solution",
     "map_fixed_point",
@@ -270,8 +274,9 @@ def _bt(first: Operator, second: Operator, x: np.ndarray) -> np.ndarray:
 # The violation of each identity at a batch of samples, one per row, with
 # signature (A, B, samples, n): the samples are an (N, d) array of points,
 # or for the pairwise ones a pair (X, Y) of such arrays; one point (d,),
-# or a pair of them, gives one violation.  Each holds only under the
-# requirements its registry entry names.
+# or a pair of them, gives one violation.  The orbit identities further
+# below read the samples' probe orbits instead.  Each holds only under
+# the requirements its registry entry names.
 
 def _defect_decomposition(A: Operator, B: Operator, x, n: int):
     tab = dr_step(A, B, x)
@@ -292,25 +297,6 @@ def _not_firm(step, A: Operator, B: Operator, pair):
     x, y = pair
     product = _firm_product(step(A, B, x), step(A, B, y), x, y)
     return 0.0 - np.minimum(product, 0.0)
-
-
-def _commutation(A: Operator, B: Operator, x, n: int):
-    forward = power_orbit(A, B, x, n)[1:]
-    reflected = power_orbit(B, A, A.reflect(x), n)[1:]
-    return _worst_gap([A.reflect(f) for f in forward], reflected)
-
-
-def _conjugation(A: Operator, B: Operator, x, n: int):
-    rx = A.reflect(x)
-    conjugated_ab = [A.reflect(p) for p in power_orbit(A, B, rx, n)[1:]]
-    conjugated_ba = [A.reflect(p) for p in power_orbit(B, A, rx, n)[1:]]
-    return np.maximum(_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
-                      _worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
-
-
-def _shadow_equality(A: Operator, B: Operator, x, n: int):
-    return _worst_gap([A.resolve(p) for p in power_orbit(B, A, x, n)],
-                      [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
 
 
 def _nonexpansive_transfer(A: Operator, B: Operator, pair, n: int):
@@ -346,6 +332,55 @@ def _bt_half_sum(A: Operator, B: Operator, x, n: int):
     return _gap(_bt(A, B, x), 0.5 * (dr_step(A, B, x) + dr_step(B, A, x)))
 
 
+def _power_orbits(A: Operator, B: Operator, x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits T_ab^m s and T_ba^m s, 0 <= m <= n, of the starts s = x
+    and s = R_A x, where x is one point or an (N, d) batch.
+
+    Both orders advance the stacked starts [x; R_A x] together, so the
+    four orbits cost two ``power_orbit`` calls.  Each result has shape
+    (n + 1, 2, *x.shape): index [m, 0] holds T^m x and [m, 1] holds
+    T^m R_A x.
+    """
+    starts = np.stack([x, A.reflect(x)]).reshape(-1, x.shape[-1])
+    shape = (int(n) + 1, 2, *x.shape)
+    return (np.reshape(power_orbit(A, B, starts, n), shape),
+            np.reshape(power_orbit(B, A, starts, n), shape))
+
+
+def _pointwise(f, points: np.ndarray) -> np.ndarray:
+    """f applied to every point of an (..., d) stack, in one call."""
+    return f(points.reshape(-1, points.shape[-1])).reshape(points.shape)
+
+
+def _orbit_gap(u: np.ndarray, v: np.ndarray):
+    """Worst ||u - v|| over the leading (orbit step) axis, row by row for
+    batches; 0 when there are no steps."""
+    return _gap(u, v).max(axis=0, initial=0.0)
+
+
+# The orbit identities, with signature (A, ab, ba): the violation at each
+# sample is a defect of the probe orbits (ab, ba) that ``_power_orbits``
+# returns for the samples, and the R_A or J_A each one needs of orbit
+# points is one call on all of them.
+
+def _commutation(A: Operator, ab: np.ndarray, ba: np.ndarray):
+    # R_A T_ab^m x = T_ba^m R_A x, 1 <= m <= n
+    return _orbit_gap(_pointwise(A.reflect, ab[1:, 0]), ba[1:, 1])
+
+
+def _conjugation(A: Operator, ab: np.ndarray, ba: np.ndarray):
+    # T_ba^m x = R_A T_ab^m R_A x and T_ab^m x = R_A T_ba^m R_A x, 1 <= m <= n
+    conjugated = _pointwise(A.reflect, np.stack([ab[1:, 1], ba[1:, 1]]))
+    return np.maximum(_orbit_gap(ba[1:, 0], conjugated[0]),
+                      _orbit_gap(ab[1:, 0], conjugated[1]))
+
+
+def _shadow_equality(A: Operator, ab: np.ndarray, ba: np.ndarray):
+    # J_A T_ba^m x = J_A T_ab^m R_A x, 0 <= m <= n
+    shadows = _pointwise(A.resolve, np.stack([ba[:, 0], ab[:, 1]]))
+    return _orbit_gap(shadows[0], shadows[1])
+
+
 # The hypotheses of the identities, each a statement about the operands
 # (A, B), keyed by the words that complete "<identity> requires ...",
 # with the error a checker raises when it fails.  A non-monotone
@@ -378,15 +413,21 @@ class Identity:
     an (N, d) array of points, or of a pair (X, Y) of such arrays when
     ``pairwise``; given one point, shape (d,), or a pair of them, it
     returns the one defect.  ``n`` is the depth of the power identities.
+    ``defect`` computes it: from the samples, with the signature of
+    ``violation``, or, when ``on_orbits``, as ``defect(A, ab, ba)`` from
+    the probe orbits of the samples (``_power_orbits``), which a caller
+    that evaluates several orbit identities at the same samples passes
+    in as ``orbits`` to compute them once.
     One sample counts for ``per_sample(n)`` reported samples.
     ``requires`` lists keys of the requirement table, checked in order,
     so a structural key listed first fails before an operand rule.
     """
 
     name: str
-    violation: Callable[[Operator, Operator, object, int], np.ndarray]
+    defect: Callable[..., np.ndarray]
     requires: tuple[str, ...] = ()
     pairwise: bool = False
+    on_orbits: bool = False
     per_sample: Callable[[int], int] = lambda n: 1
 
     def unmet(self, A: Operator, B: Operator) -> str | None:
@@ -394,11 +435,20 @@ class Identity:
         return next((need for need in self.requires
                      if not _REQUIREMENTS[need][0](A, B)), None)
 
+    def violation(self, A: Operator, B: Operator, samples, n: int, orbits=None):
+        """The defect at each sample; ``orbits``, when given, are the probe
+        orbits ``_power_orbits(A, B, samples, n)``."""
+        if not self.on_orbits:
+            return self.defect(A, B, samples, n)
+        if orbits is None:
+            orbits = _power_orbits(A, B, samples, n)
+        return self.defect(A, *orbits)
+
     def report(self, A: Operator, B: Operator, samples, n: int,
-               tol: float) -> IdentityReport:
+               tol: float, orbits=None) -> IdentityReport:
         """Worst violation over a batch of samples, evaluated once for the
         whole batch; the requirements are not checked."""
-        worst = np.max(self.violation(A, B, samples, n))
+        worst = np.max(self.violation(A, B, samples, n, orbits))
         count = len(samples[0] if self.pairwise else samples)
         return IdentityReport.from_violation(self.name, worst,
                                              count * self.per_sample(n), tol)
@@ -426,9 +476,10 @@ IDENTITIES: tuple[Identity, ...] = (
     Identity("dr-firmly-nonexpansive", lambda A, B, pair, n: _not_firm(dr_step, A, B, pair),
              (_MONOTONE,), pairwise=True),
     Identity("commutation", _commutation, (_AFFINE_FIRST, _MONOTONE_OR_SUBSPACE_PARTNER),
+             on_orbits=True, per_sample=int),
+    Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), on_orbits=True,
              per_sample=int),
-    Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), per_sample=int),
-    Identity("shadow-equality", _shadow_equality, (_SUBSPACE_FIRST,),
+    Identity("shadow-equality", _shadow_equality, (_SUBSPACE_FIRST,), on_orbits=True,
              per_sample=lambda n: int(n) + 1),
     Identity("nonexpansive-transfer", _nonexpansive_transfer, (_SUBSPACE_FIRST, _MONOTONE),
              pairwise=True),
@@ -441,6 +492,30 @@ IDENTITIES: tuple[Identity, ...] = (
              (_SUBSPACE_BOTH,), pairwise=True),
 )
 _IDENTITY = {identity.name: identity for identity in IDENTITIES}
+
+
+def report_identities(A: Operator, B: Operator, points: np.ndarray, n: int,
+                      tol: float) -> list[IdentityReport]:
+    """The report of every identity of ``IDENTITIES`` whose requirements
+    (A, B) meet, in registry order, worst case over an (N, d) batch of
+    probe points; consecutive points (the last with the first) pair up
+    for the pairwise ones.
+
+    The probe orbits are computed once, at the first applicable orbit
+    identity, and every orbit identity reads them; they are not kept
+    past the call.
+    """
+    pairs = (points, np.roll(points, -1, axis=0))
+    orbits = None
+    reports = []
+    for identity in IDENTITIES:
+        if identity.unmet(A, B) is not None:
+            continue
+        if identity.on_orbits and orbits is None:
+            orbits = _power_orbits(A, B, points, n)
+        reports.append(identity.report(A, B, pairs if identity.pairwise else points,
+                                       n, tol, orbits))
+    return reports
 
 
 def check_commutation(A: Operator, B: Operator, x, n: int, *,

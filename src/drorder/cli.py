@@ -26,13 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    IDENTITIES,
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
     certify_fixed_points,
     find_fixed_point,
     power_orbit,
+    report_identities,
 )
 from .config import ConfigError, ORDERS, ProblemConfig
 from .harness import load_corpus, run_instance
@@ -137,22 +137,23 @@ def cmd_run(args) -> int:
     return 1 if diverged_any else 0
 
 
+def _probe_points(config: ProblemConfig, seed: int) -> np.ndarray:
+    """The probe points of ``verify --config``: the start points, then 10
+    points drawn from N(0, 4 I) with the given seed."""
+    rng = np.random.default_rng(seed)
+    return np.array([*config.start_points,
+                     *(rng.normal(0.0, 2.0, config.dimension) for _ in range(10))])
+
+
 def _verify_config(config: ProblemConfig, seed: int, depth: int) -> list[IdentityReport]:
     """Every identity of ``analysis.IDENTITIES`` whose requirements the
-    operands meet, worst case over the start points plus seeded random
-    probe points (consecutive points pair up for the pairwise ones), and
-    the solution certificates when both operands are monotone (their
-    graph certificates need monotone operands)."""
-    rng = np.random.default_rng(seed)
+    operands meet (``analysis.report_identities``), worst case over the
+    start points plus seeded random probe points, and the solution
+    certificates when both operands are monotone (their graph
+    certificates need monotone operands)."""
     a, b = config.operator_a, config.operator_b
-    points = np.array([*config.start_points,
-                       *(rng.normal(0.0, 2.0, config.dimension) for _ in range(10))])
-    pairs = (points, np.roll(points, -1, axis=0))
-    reports = [
-        identity.report(a, b, pairs if identity.pairwise else points, depth,
-                        config.tolerances.tau_num)
-        for identity in IDENTITIES if identity.unmet(a, b) is None
-    ]
+    reports = report_identities(a, b, _probe_points(config, seed), depth,
+                                config.tolerances.tau_num)
     if a.monotone and b.monotone:
         reports.extend(_verify_solutions(config))
     return reports

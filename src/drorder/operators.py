@@ -245,7 +245,8 @@ class Operator:
 
     def reflect(self, x) -> np.ndarray:
         """Evaluate the reflected resolvent (2J - Id) x, row-wise on a batch."""
-        x = _as_points(x, self.dim)
+        # resolve validates x
+        x = np.asarray(x, dtype=float)
         return 2.0 * self.resolve(x) - x
 
     def resolvent_affine_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -541,17 +542,27 @@ class SphereSelection(Operator):
         self.tie_direction = tie_direction
 
     def resolve(self, x):
+        # radius / dist overflows for a subnormal dist, and there
+        # radius * (v / dist) is taken instead
         v = _as_points(x, self.dim) - self.center
         if v.ndim == 2:
-            dist = _row_norms(v)
-            at_center = (dist == 0.0)[:, None]
-            scale = self.radius / np.where(at_center, 1.0, dist[:, None])
+            dist = _row_norms(v)[:, None]
+            at_center = dist == 0.0
+            dist = np.where(at_center, 1.0, dist)
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = self.radius / dist
+                step = scale * v
+            huge = scale[:, 0] == math.inf
+            step[huge] = self.radius * (v[huge] / dist[huge])
             return np.where(at_center, self.center + self.radius * self.tie_direction,
-                            self.center + scale * v)
+                            self.center + step)
         dist = _norm(v)
         if dist == 0.0:
             return self.center + self.radius * self.tie_direction
-        return self.center + (self.radius / dist) * v
+        scale = self.radius / dist
+        if scale == math.inf:
+            return self.center + self.radius * (v / dist)
+        return self.center + scale * v
 
 
 class Inverse(Operator):
@@ -576,7 +587,8 @@ class Inverse(Operator):
         return self.inner.affine
 
     def resolve(self, x):
-        x = _as_points(x, self.dim)
+        # the inner resolve, of the same dimension, validates x
+        x = np.asarray(x, dtype=float)
         return x - self.inner.resolve(x)
 
     def resolvent_affine_map(self):
@@ -608,7 +620,8 @@ class Rotation(Operator):
         return self.inner.affine
 
     def resolve(self, x):
-        return -self.inner.resolve(-_as_points(x, self.dim))
+        # the inner resolve, of the same dimension, validates -x
+        return -self.inner.resolve(-np.asarray(x, dtype=float))
 
     def resolvent_affine_map(self):
         c, b = self.inner.resolvent_affine_map()

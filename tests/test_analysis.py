@@ -4,6 +4,7 @@ import pytest
 from drorder.analysis import (
     IDENTITIES,
     _REQUIREMENTS,
+    _power_orbits,
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
@@ -708,3 +709,62 @@ def test_batch_report_is_the_worst_per_point_report(identity):
         with pytest.raises(NonFinitePointError):
             identity.violation(a, b, samples, 4)
     assert applicable > 0
+
+
+# ---------------------------------------------------------------------------
+# the orbit identities read one set of probe orbits
+
+
+def _reference_worst_gap(left, right):
+    worst = 0.0
+    for l, r in zip(left, right):
+        w = l - r
+        worst = np.maximum(worst, np.sqrt(np.vecdot(w, w)))
+    return worst
+
+
+# each orbit identity with its own orbits, one R_A or J_A call per step
+def _reference_commutation(A, B, x, n):
+    forward = power_orbit(A, B, x, n)[1:]
+    reflected = power_orbit(B, A, A.reflect(x), n)[1:]
+    return _reference_worst_gap([A.reflect(f) for f in forward], reflected)
+
+
+def _reference_conjugation(A, B, x, n):
+    rx = A.reflect(x)
+    conjugated_ab = [A.reflect(p) for p in power_orbit(A, B, rx, n)[1:]]
+    conjugated_ba = [A.reflect(p) for p in power_orbit(B, A, rx, n)[1:]]
+    return np.maximum(_reference_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
+                      _reference_worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
+
+
+def _reference_shadow_equality(A, B, x, n):
+    return _reference_worst_gap([A.resolve(p) for p in power_orbit(B, A, x, n)],
+                                [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
+
+
+_ORBIT_REFERENCES = {
+    "commutation": _reference_commutation,
+    "conjugation": _reference_conjugation,
+    "shadow-equality": _reference_shadow_equality,
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+@pytest.mark.parametrize("name", list(_ORBIT_REFERENCES))
+def test_orbit_identities_match_their_per_orbit_formulas(name, n):
+    identity = next(identity for identity in IDENTITIES if identity.name == name)
+    assert identity.on_orbits
+    rng = np.random.default_rng(43)
+    for a, b in _operand_pairs():
+        points = np.array([random_point(rng, a.dim) for _ in range(5)])
+        for x in (points[0], points):
+            got = identity.violation(a, b, x, n)
+            assert np.shape(got) == x.shape[:-1], (a.kind, b.kind)
+            want = _ORBIT_REFERENCES[name](a, b, x, n)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a.kind, b.kind, got, want)
+            # orbits handed in give the same violation, bit for bit
+            shared = identity.violation(a, b, x, n, _power_orbits(a, b, x, n))
+            assert np.array_equal(shared, got), (a.kind, b.kind)
+            if n == 0 and name != "shadow-equality":
+                assert np.all(got == 0.0)

@@ -16,6 +16,7 @@ from drorder.analysis import (
     check_dual_symmetry,
     extract_solution,
     find_fixed_point,
+    power_orbit,
 )
 from drorder.cli import _orbit_path, main
 from drorder.config import ConfigError, ProblemConfig, Tolerances
@@ -276,6 +277,32 @@ def test_verify_reports_every_registry_identity_that_applies(tmp_path, name):
 # the configs that generalized mode admits.
 _SUBSPACE_FIRST_CONFIGS = ["ray-vs-axis", "linear-asymmetric", "parallel-lines",
                            "subspace-ball", "three-halfspace-lift"]
+
+
+@pytest.mark.parametrize("name", list(_REPORT_SETS) + ["generalized-sphere"])
+def test_verify_computes_the_probe_orbits_once(tmp_path, monkeypatch, name):
+    # commutation, conjugation and shadow equality read the same two
+    # orbits of the stacked probe points; no other report runs power_orbit
+    calls = []
+
+    def counted(first, second, x, n):
+        calls.append(np.shape(x))
+        return power_orbit(first, second, x, n)
+
+    monkeypatch.setattr("drorder.analysis.power_orbit", counted)
+    cfg = (_generalized_config(tmp_path) if name == "generalized-sphere"
+           else _write_config(tmp_path, name))
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0
+    names = {r["identity_name"] for r in json.loads(report_path.read_text())}
+    config = ProblemConfig.from_path(cfg)
+    points = len(config.start_points) + 10
+    if name in _SUBSPACE_FIRST_CONFIGS or name == "generalized-sphere":
+        assert {"commutation", "conjugation", "shadow-equality"} <= names
+        assert calls == [(2 * points, config.dimension)] * 2
+    else:
+        assert not names & {"commutation", "conjugation", "shadow-equality"}
+        assert calls == []
 
 
 @pytest.mark.parametrize("name", _SUBSPACE_FIRST_CONFIGS)

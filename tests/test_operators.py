@@ -680,6 +680,35 @@ def test_ball_and_sphere_scale_norms_that_overflow_or_underflow():
     assert sphere.resolve([0.0, 1e-200]).tolist() == [0.0, 2.0]
     assert sphere.resolve(np.array([[0.0, 1e-200], [0.0, 0.0]])).tolist() == [
         [0.0, 2.0], [2.0, 0.0]]
+    # a subnormal distance: radius / dist overflows, radius * (v / dist) does not
+    unit = SphereSelection([0.0, 0.0], 1.0, [0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unit.resolve([1e-310, 0.0]).tolist() == [1.0, 0.0]
+        assert unit.resolve(np.array([[1e-310, 0.0], [0.0, -5e-324], [0.0, 0.0],
+                                      [-4.0, 0.0]])).tolist() == [
+            [1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [-1.0, 0.0]]
     # in normal range the plain norm is kept, bit for bit
     x = np.array([0.3, -2.7])
     assert ball.resolve(x).tobytes() == ((1.0 / np.linalg.norm(x)) * x).tobytes()
+
+
+@pytest.mark.parametrize("wrap", ["reflect", "inverse", "rotation"])
+def test_reflect_inverse_and_rotation_raise_the_errors_of_the_resolve_they_call(wrap):
+    # each validates through the one resolve it calls, of the same dimension
+    rng = np.random.default_rng(42)
+    for op in (NormalConeBall([1.0, 2.0, 0.5], 1.5), X_AXIS,
+               BlockSeparable([UP_RAY, NormalConeHalfspace([0.0, 1.0], 0.0)])):
+        call = {"reflect": op.reflect, "inverse": Inverse(op).resolve,
+                "rotation": Rotation(op).resolve}[wrap]
+        d = op.dim
+        for shape in ((d + 1,), (4, d - 1), (2, 4, d), ()):
+            with pytest.raises(DimensionMismatchError) as exc:
+                call(np.ones(shape))
+            assert str(exc.value) == (
+                f"expected a point in R^{d} or an (N, {d}) batch, got shape {shape}")
+        for bad in (np.nan, np.inf, -np.inf):
+            for x in (np.full(d, bad), np.where(np.arange(2 * d).reshape(2, d) == 1, bad,
+                                                rng.normal(size=(2, d)))):
+                with pytest.raises(NonFinitePointError, match="^point has non-finite entries$"):
+                    call(x)

@@ -1,0 +1,90 @@
+"""Time each registry identity of ``verify --config`` on the manifest configs.
+
+For each config of the corpus manifest this builds the probe points of
+``drorder verify --config`` (``--seed``, ``--n``) and times, on those
+points, every identity of ``drorder.analysis.IDENTITIES`` whose
+requirements the operands meet, the way ``report_identities`` runs it.
+The probe orbits that commutation, conjugation and shadow equality
+share are computed once per call; they get their own row,
+"(probe orbits)", and the three orbit identities are timed from them.
+The solution certificates of ``verify`` are not registry identities
+and are not timed.
+
+Usage: PYTHONPATH=src python3 tools/identity_times.py [--repeat 51] [--seed 0] [--n 20]
+
+Prints one row per identity and one column per config: the median wall
+time of a call over --repeat calls, in microseconds ("-" where the
+identity does not apply), then a row with the sum of each column.  Set
+OMP_NUM_THREADS=1 (and the like) for numbers comparable with the
+benchmark, which pins BLAS to one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from drorder.analysis import IDENTITIES, _power_orbits
+from drorder.cli import _probe_points
+from drorder.harness import load_corpus
+
+ORBITS = "(probe orbits)"
+
+
+def _median_us(call, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e6 * statistics.median(times)
+
+
+def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
+    """Median microseconds of each applicable identity's report, and of
+    the shared probe orbits when an orbit identity applies."""
+    a, b = config.operator_a, config.operator_b
+    tol = config.tolerances.tau_num
+    points = _probe_points(config, seed)
+    pairs = (points, np.roll(points, -1, axis=0))
+    applicable = [identity for identity in IDENTITIES if identity.unmet(a, b) is None]
+    times = {}
+    orbits = None
+    if any(identity.on_orbits for identity in applicable):
+        times[ORBITS] = _median_us(lambda: _power_orbits(a, b, points, n), repeat)
+        orbits = _power_orbits(a, b, points, n)
+    for identity in applicable:
+        samples = pairs if identity.pairwise else points
+        times[identity.name] = _median_us(
+            lambda: identity.report(a, b, samples, n, tol, orbits), repeat)
+    return times
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=51, help="calls timed per cell")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the probe points")
+    parser.add_argument("--n", type=int, default=20, help="depth of the power identities")
+    args = parser.parse_args()
+    if args.repeat < 1 or args.n < 0:
+        parser.error("--repeat must be positive and --n nonnegative")
+
+    columns = {inst.name: _config_times(inst.config, args.seed, args.n, args.repeat)
+               for inst in load_corpus()}
+    rows = [ORBITS, *(identity.name for identity in IDENTITIES)]
+    width = max(map(len, rows))
+    print(f"{'median us':<{width}}" + "".join(f" {name:>20}" for name in columns))
+    for row in rows:
+        cells = [times.get(row) for times in columns.values()]
+        print(f"{row:<{width}}" + "".join(
+            f" {'-' if cell is None else f'{cell:.1f}':>20}" for cell in cells))
+    print(f"{'total':<{width}}" + "".join(
+        f" {sum(times.values()):>20.1f}" for times in columns.values()))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
