@@ -266,6 +266,26 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
     return FixedPointCertificates(pairs, certificate, bijection, isometry, dual)
 
 
+def _certified_fixed_points(config) -> tuple[list[np.ndarray], FixedPointCertificates | None]:
+    """The fixed points of T_ab that ``find_fixed_point`` reaches from a
+    problem config's start points, in start order, skipping a start whose
+    budget runs out; and their certificates, or None when a pair cannot
+    be extracted."""
+    T = config.split("ab")
+    fixed = []
+    for start in config.start_points:
+        try:
+            fixed.append(find_fixed_point(T, start, config.stop_tol, config.max_iter))
+        except FixedPointBudgetError:
+            continue
+    try:
+        return fixed, certify_fixed_points(config.operator_a, config.operator_b, fixed,
+                                           fix_tol=3.0 * max(config.stop_tol, 1e-15),
+                                           graph_tol=config.tolerances.tau_graph)
+    except CertificateError:
+        return fixed, None
+
+
 def _bt(first: Operator, second: Operator, x: np.ndarray) -> np.ndarray:
     """The composite T_(first,second) T_(second,first) x."""
     return dr_step(first, second, dr_step(second, first, x))
@@ -384,8 +404,7 @@ def _shadow_equality(A: Operator, ab: np.ndarray, ba: np.ndarray):
 # The hypotheses of the identities, each a statement about the operands
 # (A, B), keyed by the words that complete "<identity> requires ...",
 # with the error a checker raises when it fails.  A non-monotone
-# projector selection leaves T_ab not nonexpansive; the orbit identities
-# survive it only opposite an affine-subspace normal cone.
+# projector selection leaves T_ab not nonexpansive.
 _REQUIREMENTS: dict[str, tuple[Callable[[Operator, Operator], bool], type[Exception]]] = {
     "an affine first operand": (lambda A, B: A.affine, NotAffineError),
     "an affine-subspace normal cone first operand":
@@ -395,13 +414,9 @@ _REQUIREMENTS: dict[str, tuple[Callable[[Operator, Operator], bool], type[Except
         isinstance(A, NormalConeAffineSubspace) and isinstance(B, NormalConeAffineSubspace)),
         NotAffineError),
     "monotone operands": (lambda A, B: A.monotone and B.monotone, MonotonicityError),
-    "monotone operands or an affine-subspace normal cone partner": (lambda A, B: all(
-        op.monotone or isinstance(partner, NormalConeAffineSubspace)
-        for op, partner in ((A, B), (B, A))), MonotonicityError),
 }
 # names for the keys above, in table order
-(_AFFINE_FIRST, _SUBSPACE_FIRST, _AFFINE_BOTH, _SUBSPACE_BOTH, _MONOTONE,
- _MONOTONE_OR_SUBSPACE_PARTNER) = _REQUIREMENTS
+_AFFINE_FIRST, _SUBSPACE_FIRST, _AFFINE_BOTH, _SUBSPACE_BOTH, _MONOTONE = _REQUIREMENTS
 
 
 @dataclass(frozen=True)
@@ -447,16 +462,19 @@ class Identity:
     def report(self, A: Operator, B: Operator, samples, n: int,
                tol: float, orbits=None) -> IdentityReport:
         """Worst violation over a batch of samples, evaluated once for the
-        whole batch; the requirements are not checked."""
+        whole batch; one point (d,), or a pair of them, is one sample.  The
+        requirements are not checked."""
         worst = np.max(self.violation(A, B, samples, n, orbits))
-        count = len(samples[0] if self.pairwise else samples)
+        points = samples[0] if self.pairwise else samples
+        count = len(points) if np.ndim(points) > 1 else 1
         return IdentityReport.from_violation(self.name, worst,
                                              count * self.per_sample(n), tol)
 
     def check(self, A: Operator, B: Operator, sample, n: int,
-              tol: float) -> IdentityReport:
-        """The report at one sample, a point or a pair of points; the unmet
-        requirement's error when one fails."""
+              tol: float, orbits=None) -> IdentityReport:
+        """The report at one sample, a point or a pair of points, with
+        ``orbits`` as in ``violation``; the unmet requirement's error when
+        one fails."""
         need = self.unmet(A, B)
         if need is not None:
             raise _REQUIREMENTS[need][1](f"{self.name} requires {need}")
@@ -464,8 +482,7 @@ class Identity:
             sample = tuple(as_point(p, A.dim) for p in sample)
         else:
             sample = as_point(sample, A.dim)
-        return IdentityReport.from_violation(self.name, self.violation(A, B, sample, n),
-                                             self.per_sample(n), tol)
+        return self.report(A, B, sample, n, tol, orbits)
 
 
 # Every identity `verify --config` reports, in report order.
@@ -475,8 +492,8 @@ IDENTITIES: tuple[Identity, ...] = (
     Identity("defect-decomposition", _defect_decomposition),
     Identity("dr-firmly-nonexpansive", lambda A, B, pair, n: _not_firm(dr_step, A, B, pair),
              (_MONOTONE,), pairwise=True),
-    Identity("commutation", _commutation, (_AFFINE_FIRST, _MONOTONE_OR_SUBSPACE_PARTNER),
-             on_orbits=True, per_sample=int),
+    Identity("commutation", _commutation, (_AFFINE_FIRST,), on_orbits=True,
+             per_sample=int),
     Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), on_orbits=True,
              per_sample=int),
     Identity("shadow-equality", _shadow_equality, (_SUBSPACE_FIRST,), on_orbits=True,
@@ -484,7 +501,7 @@ IDENTITIES: tuple[Identity, ...] = (
     Identity("nonexpansive-transfer", _nonexpansive_transfer, (_SUBSPACE_FIRST, _MONOTONE),
              pairwise=True),
     Identity("bt-factorization", _bt_factorization, (_SUBSPACE_FIRST,)),
-    Identity("commutator", _commutator, (_AFFINE_BOTH, _MONOTONE)),
+    Identity("commutator", _commutator, (_AFFINE_BOTH,)),
     Identity("bt-order-invariance", lambda A, B, x, n: _gap(_bt(A, B, x), _bt(B, A, x)),
              (_SUBSPACE_BOTH,)),
     Identity("bt-half-sum", _bt_half_sum, (_SUBSPACE_BOTH,)),
@@ -522,8 +539,8 @@ def check_commutation(A: Operator, B: Operator, x, n: int, *,
                       tol: float = TAU_NUM) -> IdentityReport:
     """Worst defect of R_A T_ab^m x = T_ba^m R_A x over 1 <= m <= n.
 
-    Requires an affine first operand; the second may be a projector
-    selection only when the first is an affine-subspace normal cone.
+    Requires an affine first operand, and holds for any single-valued
+    J_B, a projector selection included.
     """
     return _IDENTITY["commutation"].check(A, B, x, n, tol)
 

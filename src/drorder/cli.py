@@ -16,6 +16,7 @@ Output files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,11 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    CertificateError,
-    FixedPointBudgetError,
     IdentityReport,
-    certify_fixed_points,
-    find_fixed_point,
+    _certified_fixed_points,
     power_orbit,
     report_identities,
 )
@@ -163,22 +161,11 @@ def _verify_solutions(config: ProblemConfig) -> list[IdentityReport]:
     """Convergence-dependent certificates: runs that reach a fixed point
     must extract a certified primal/dual pair, transfer it to the
     swapped order, and respect the bijection between the fixed sets."""
-    a, b = config.operator_a, config.operator_b
     tau = config.tolerances
-    T = config.split("ab")
-    fixed = []
-    for start in config.start_points:
-        try:
-            fixed.append(find_fixed_point(T, start, config.stop_tol, config.max_iter))
-        except FixedPointBudgetError:
-            continue
+    fixed, cert = _certified_fixed_points(config)
     if not fixed:
         return []
-    try:
-        cert = certify_fixed_points(a, b, fixed,
-                                    fix_tol=3.0 * max(config.stop_tol, 1e-15),
-                                    graph_tol=tau.tau_graph)
-    except CertificateError:
+    if cert is None:
         return [IdentityReport.from_violation("solution-certificates", float("inf"),
                                               len(fixed), tau.tau_graph)]
     reports = [
@@ -255,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--order", choices=ORDERS, default="ab",
                        help="operand order: ab, ba, or the composite bt")
     p_run.add_argument("--out", required=True, help="orbit CSV path (indexed per start)")
-    p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run identity checks, emit a report array")
     source = p_verify.add_mutually_exclusive_group()
@@ -267,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seed for the randomized probe points")
     p_verify.add_argument("--n", type=_nonnegative_int, default=20,
                           help="iteration depth for the power identities")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_compare = sub.add_parser("compare",
                                help="side-by-side orbits of the two orders")
@@ -275,17 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--n", type=_nonnegative_int, default=10,
                            help="number of steps")
     p_compare.add_argument("--out", required=True, help="comparison CSV path")
-    p_compare.set_defaults(func=cmd_compare)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the command is looked up by name on every call, so a rebound
+    # cmd_run/cmd_verify module attribute is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
         # overflow is reported as divergence, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

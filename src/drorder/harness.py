@@ -12,7 +12,13 @@ The corpus manifest ``data/corpus.json`` ships with the package and is
 the one declaration of each instance's config (name + config per
 instance).  This module holds only the expectations, bound to the
 instance names; they check the manifest's configs against independent
-constants (the figure geometry, the lift's halfspaces).
+constants (the figure geometry, the lift's halfspaces).  An orbit
+expectation (commutation, conjugation, shadow equality and the
+conjugation failure exhibit) names its entry of the identity registry
+``analysis.IDENTITIES`` and a depth n; an instance's orbit expectations
+read one set of probe orbits, computed once per pass.  The fixed points
+of parallel-lines are found and certified by the code that gives
+``verify --config`` its solution certificates.
 
 The seeded random operator draws of the property suites are a test
 helper (``tests/draws.py``), not part of the package.
@@ -29,14 +35,11 @@ from typing import Callable
 import numpy as np
 
 from .analysis import (
-    CertificateError,
+    _IDENTITY,
     IdentityReport,
-    check_commutation,
-    check_conjugation,
+    _certified_fixed_points,
+    _power_orbits,
     check_firmly_nonexpansive,
-    check_shadow_equality,
-    certify_fixed_points,
-    find_fixed_point,
     probe_conjugation,
 )
 from .config import ProblemConfig
@@ -271,25 +274,22 @@ def _expect_bt_not_firm() -> list[Expectation]:
 # fill a whole plane and the reflector acts on it nontrivially.
 
 def _expect_parallel_lines() -> list[Expectation]:
-    # The fixed points of the starts and their certificates (None when
-    # one cannot be extracted): found once per pass, by the pass's first
-    # expectation, and read by the other two.
+    # The fixed points of the starts and their certificates (None when a
+    # start runs out of budget or a pair cannot be extracted): found once
+    # per pass, by the pass's first expectation, and read by the other two.
     found = {}
 
     def fixed_point_form(config: ProblemConfig) -> tuple[float, int]:
-        T = config.split("ab")
-        fixed = [find_fixed_point(T, s, tol=config.stop_tol, max_iter=config.max_iter)
-                 for s in config.start_points]
-        try:
-            found["cert"] = certify_fixed_points(config.operator_a, config.operator_b,
-                                                 fixed, graph_tol=config.tolerances.tau_graph)
-        except CertificateError:
-            found["cert"] = None
+        starts = config.start_points
+        fixed, cert = _certified_fixed_points(config)
+        found["cert"] = cert if len(fixed) == len(starts) else None
+        if len(fixed) < len(starts):
+            return float("inf"), len(starts)
         worst = 0.0
-        for s, f in zip(config.start_points, fixed):
+        for s, f in zip(starts, fixed):
             expected = np.array([s[0], 0.0, s[2]])
             worst = max(worst, float(np.linalg.norm(f - expected)))
-        return worst, len(config.start_points)
+        return worst, len(starts)
 
     def solution_form(config: ProblemConfig) -> tuple[float, int]:
         starts = config.start_points
@@ -328,15 +328,37 @@ def _line_direction() -> np.ndarray:
     return d / np.linalg.norm(d)
 
 
-def _checker_expectation(label: str, provenance: str, tolerance: float,
-                         check: Callable[..., IdentityReport], n: int,
-                         **kwargs) -> Expectation:
-    """Run an orbit checker from the instance's first start point."""
-    def run(config: ProblemConfig) -> tuple[float, int]:
-        rep = check(config.operator_a, config.operator_b, config.start_points[0], n)
-        return rep.max_violation, rep.sample_count
+def _orbit_expectations(provenance: str, tolerance: float,
+                        *specs: tuple[str, str, int],
+                        above: float | None = None) -> list[Expectation]:
+    """One expectation per (label, registry identity name, n): the orbit
+    identity of ``analysis.IDENTITIES`` at depth n from the instance's
+    first start point.
 
-    return Expectation(label, provenance, tolerance, run, **kwargs)
+    The pass's first one computes the probe orbits once, at the deepest
+    n, and each reads its first n + 1 steps.  An unmet hypothesis of the
+    identity raises, except in a failure exhibit (``above`` set), which
+    waives it as ``probe_conjugation`` does.
+    """
+    depth = max(n for _, _, n in specs)
+    orbits = []
+
+    def expectation(index: int, label: str, name: str, n: int) -> Expectation:
+        identity = _IDENTITY[name]
+
+        def run(config: ProblemConfig) -> tuple[float, int]:
+            a, b = config.operator_a, config.operator_b
+            start = config.start_points[0]
+            if index == 0:
+                orbits[:] = _power_orbits(a, b, start, depth)
+            prefix = tuple(orbit[:n + 1] for orbit in orbits)
+            reader = identity.check if above is None else identity.report
+            rep = reader(a, b, start, n, tolerance, prefix)
+            return rep.max_violation, rep.sample_count
+
+        return Expectation(label, provenance, tolerance, run, above)
+
+    return [expectation(index, *spec) for index, spec in enumerate(specs)]
 
 
 def _expect_subspace_ball() -> list[Expectation]:
@@ -359,18 +381,15 @@ def _expect_subspace_ball() -> list[Expectation]:
         return worst, 2
 
     return [
-        _checker_expectation("conjugation", "closed-form", 1e-8, check_conjugation, 20),
-        _checker_expectation("shadow-equality", "closed-form", 1e-8,
-                             check_shadow_equality, 50),
+        *_orbit_expectations("closed-form", 1e-8, ("conjugation", "conjugation", 20),
+                             ("shadow-equality", "shadow-equality", 50)),
         Expectation("shadow-limit-membership", "derived", 1e-8, membership),
     ]
 
 
 def _expect_halfspace_ball() -> list[Expectation]:
-    return [
-        _checker_expectation("conjugation-failure", "derived", 0.0,
-                             probe_conjugation, 5, expect_violation_above=1e-3),
-    ]
+    return _orbit_expectations("derived", 0.0, ("conjugation-failure", "conjugation", 5),
+                               above=1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -401,10 +420,9 @@ def _expect_three_halfspace_lift() -> list[Expectation]:
 
     return [
         Expectation("consensus-feasibility", "derived", 1e-8, feasibility),
-        _checker_expectation("commutation", "closed-form", 1e-8, check_commutation, 25),
-        _checker_expectation("conjugation", "closed-form", 1e-8, check_conjugation, 25),
-        _checker_expectation("shadow-equality", "closed-form", 1e-8,
-                             check_shadow_equality, 25),
+        *_orbit_expectations("closed-form", 1e-8, ("commutation", "commutation", 25),
+                             ("conjugation", "conjugation", 25),
+                             ("shadow-equality", "shadow-equality", 25)),
     ]
 
 

@@ -372,6 +372,20 @@ def test_commutation_affine_first_slot_random_catalog():
         assert rep.max_violation <= 1e-10, (a.kind, b.kind, rep.max_violation)
 
 
+def test_commutation_needs_only_an_affine_first_operand():
+    # R_A T_ab = T_ba R_A follows from R_A being affine, for any
+    # single-valued J_B: a non-monotone sphere selection opposite a
+    # linear operator that is no normal cone still commutes
+    a = LinearMonotone([[1.0, 1.0], [-1.0, 0.0]])
+    sphere = SphereSelection([0.5, 0.2], 1.0, [0.0, 1.0])
+    rep = check_commutation(a, sphere, [1.5, -0.5], 30)
+    assert rep.passed and rep.max_violation <= 1e-8
+    points = np.random.default_rng(44).normal(0.0, 2.0, size=(500, 2))
+    commutation = next(identity for identity in IDENTITIES if identity.name == "commutation")
+    assert commutation.unmet(a, sphere) is None
+    assert commutation.report(a, sphere, points, 30, 1e-8).max_violation <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # conjugation and shadows
 
@@ -681,6 +695,18 @@ def test_identity_report_invariant():
 
 # ---------------------------------------------------------------------------
 # each identity is evaluated once per batch of samples
+
+
+@pytest.mark.parametrize("identity", IDENTITIES, ids=lambda identity: identity.name)
+def test_report_counts_one_point_as_one_sample(identity):
+    # a (d,) point, or a pair of them, is one sample, as a (1, d) batch is
+    lift = next(inst.config for inst in load_corpus() if inst.name == "three-halfspace-lift")
+    a, b = lift.operator_a, lift.operator_b
+    x = lift.start_points[0]
+    one, batch = ((x, -x), (x[None], -x[None])) if identity.pairwise else (x, x[None])
+    assert x.shape == (9,)
+    assert (identity.report(a, b, one, 3, 1e-9).sample_count
+            == identity.report(a, b, batch, 3, 1e-9).sample_count == identity.per_sample(3))
 
 
 @pytest.mark.parametrize("identity", IDENTITIES, ids=lambda identity: identity.name)

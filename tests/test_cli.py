@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drorder import cli
 from drorder.analysis import (
     IDENTITIES,
     FixedPointBudgetError,
@@ -303,6 +304,34 @@ def test_verify_computes_the_probe_orbits_once(tmp_path, monkeypatch, name):
     else:
         assert not names & {"commutation", "conjugation", "shadow-equality"}
         assert calls == []
+
+
+def test_verify_corpus_computes_each_instance_probe_orbits_once(tmp_path, monkeypatch):
+    # the orbit expectations of an instance read one pair of orbits of
+    # its first start point stacked with R_A of it, at the deepest depth
+    # they ask for: subspace-ball, halfspace-ball, three-halfspace-lift
+    calls = []
+
+    def counted(first, second, x, n):
+        calls.append((np.shape(x), n))
+        return power_orbit(first, second, x, n)
+
+    monkeypatch.setattr("drorder.analysis.power_orbit", counted)
+    assert main(["verify", "--corpus", "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [((2, 2), 50)] * 2 + [((2, 2), 5)] * 2 + [((2, 9), 25)] * 2
+
+
+def test_main_builds_one_parser_and_runs_the_command_bound_at_call_time(monkeypatch):
+    # a rebound cmd_verify module attribute is the one main runs, also
+    # after the parser is built
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.config) or 0)
+    monkeypatch.setattr(cli, "build_parser", None)  # a second build would fail
+    assert main(["verify", "--config", "a.json"]) == 0
+    assert main(["verify", "--config", "b.json"]) == 0
+    assert seen == ["a.json", "b.json"]
+    assert cli._parser() is parser
 
 
 @pytest.mark.parametrize("name", _SUBSPACE_FIRST_CONFIGS)

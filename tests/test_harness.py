@@ -1,11 +1,15 @@
 import csv
 import json
+import math
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drorder import analysis
+from drorder.cli import main
 from drorder.harness import (
     FIGURE_START,
     figure_scenarios,
@@ -69,6 +73,45 @@ def test_failure_exhibit_reports_shortfall():
     assert report.passed
     assert report.max_violation < -1.0
     assert report.tolerance == 0.0
+
+
+def test_out_of_budget_parallel_lines_gives_failed_reports(tmp_path):
+    # a start whose budget runs out fails the expectations, it does not raise
+    entries = json.loads(write_manifest(tmp_path / "corpus.json").read_text())
+    entry = next(e for e in entries if e["name"] == "parallel-lines")
+    entry["config"]["max_iter"] = 1
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(entries))
+    instance = next(inst for inst in load_corpus(path) if inst.name == "parallel-lines")
+    reports = run_instance(instance)
+    assert [r.identity_name for r in reports] == [
+        "parallel-lines/fixed-point-plane", "parallel-lines/solution-split",
+        "parallel-lines/bijection-isometry"]
+    for report in reports:
+        assert report.max_violation == math.inf and not report.passed
+
+
+@pytest.mark.parametrize("caller", ["corpus", "verify-config"])
+def test_parallel_lines_finds_and_certifies_its_fixed_points_once(tmp_path, monkeypatch,
+                                                                  caller):
+    # one corpus pass, like one `verify --config`, finds the fixed point
+    # of each of the 4 starts and certifies them once, through the same
+    # loop; the pass's later expectations read that certificate
+    counts = Counter()
+    for name in ("find_fixed_point", "certify_fixed_points"):
+        def counted(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    instance = next(inst for inst in load_corpus() if inst.name == "parallel-lines")
+    assert len(instance.config.start_points) == 4
+    if caller == "corpus":
+        assert all(report.passed for report in run_instance(instance))
+    else:
+        path = tmp_path / "parallel-lines.json"
+        path.write_text(json.dumps(instance.config.to_dict()))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert counts == {"find_fixed_point": 4, "certify_fixed_points": 1}
 
 
 def test_figure_scenarios_subspace(tmp_path):
