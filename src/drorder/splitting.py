@@ -15,10 +15,19 @@ Production evaluation uses the Id - J_A + J_B R_A form (two resolvent
 calls and one reflection); agreement with the half-sum form is part of
 the test suite.  ``iterate`` evaluates J_first once per step: the shadow
 J_A x_n it records is the J_A x_n that the next step needs.
+
+Step checks in ``iterate``: x0 is validated once, on entry; each
+resolvent validates the point it receives, the reflected point
+2 J x - x included; the next iterate x_{n+1} is tested only when its
+residual is not finite (a finite residual from a finite x_n proves it
+finite); and the last shadow is tested once, after the loop.  Overflow
+anywhere in the loop, the shadow resolves included, ends as a
+DivergenceError and emits no numpy warning.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -59,7 +68,8 @@ DEFAULT_HISTORY_CAP = 10_000
 
 
 class DivergenceError(RuntimeError):
-    """An iterate stopped being finite; ``orbit`` holds the finite prefix."""
+    """An iterate, or the last shadow, stopped being finite; ``orbit``
+    holds the governing points that are finite."""
 
     def __init__(self, message: str, orbit: "Orbit"):
         super().__init__(message)
@@ -246,8 +256,19 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     J_first is evaluated once per step: the shadow J_first x_n recorded
     for x_n is, in form "dr", the J_first x_n of the step from x_n.
     Stops early once the governing residual ||x_{n+1} - x_n|| drops to
-    ``stop_tol`` (marking the orbit converged).  A non-finite iterate
-    raises DivergenceError carrying the orbit of the finite prefix.
+    ``stop_tol`` (marking the orbit converged).
+
+    Step checks: x0 is validated on entry, and every resolvent validates
+    the point it receives, which covers the reflected point 2 J x - x of
+    each half step.  x_n is finite, so x_{n+1} is finite exactly when
+    ||x_{n+1} - x_n|| is; the loop tests x_{n+1} itself only when that
+    residual is inf or nan, and a finite step whose squared length
+    overflows goes on with residual inf.  The last shadow is tested
+    once, after the loop.  A non-finite iterate raises DivergenceError
+    "non-finite iterate at step n", a non-finite last shadow
+    "non-finite shadow at step n"; either carries the orbit so far.
+    Overflow inside the loop, the shadow resolves included, emits no
+    numpy warning.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -257,10 +278,11 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         raise ValueError("history_cap must be at least 4")
 
     x = as_point(x0, T.dim)
+    first, second = T.first, T.second
+    dr_form = T.form == FORM_DR
     head_cap = history_cap // 2
     tail_cap = history_cap - head_cap
-    jx = T.first.resolve(x)
-    head: list[tuple[int, np.ndarray, np.ndarray]] = [(0, x, jx)]
+    head: list[tuple[int, np.ndarray, np.ndarray]] = []
     tail: deque = deque(maxlen=tail_cap)
     tail_seen = 0
     residuals: list[float] = []
@@ -279,34 +301,39 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
             truncated=tail_seen > tail_cap,
         )
 
-    while n < max_iter:
-        # intermediate overflow inside the step surfaces as a non-finite
-        # point error; both cases are a diverging orbit
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_next = (dr_step(T.first, T.second, x, jx) if T.form == FORM_DR
-                          else T.apply(x))
-                residual = float(np.linalg.norm(x_next - x))
-        except NonFinitePointError:
+    # intermediate overflow surfaces as a non-finite point error or a
+    # non-finite residual; both cases are a diverging orbit
+    with np.errstate(over="ignore", invalid="ignore"):
+        jx = first.resolve(x)
+        head.append((0, x, jx))
+        while n < max_iter:
+            try:
+                x_next = (dr_step(first, second, x, jx) if dr_form
+                          else dr_step(first, second, dr_step(second, first, x)))
+            except NonFinitePointError:
+                n += 1
+                raise DivergenceError(f"non-finite iterate at step {n}",
+                                      assemble()) from None
             n += 1
-            raise DivergenceError(f"non-finite iterate at step {n}",
-                                  assemble()) from None
-        n += 1
-        if not np.isfinite(x_next).all():
-            raise DivergenceError(f"non-finite iterate at step {n}", assemble())
-        residuals.append(residual)
-        jx = T.first.resolve(x_next)
-        record = (n, x_next, jx)
-        if len(head) < head_cap:
-            head.append(record)
-        else:
-            tail.append(record)
-            tail_seen += 1
-        x = x_next
-        if residuals[-1] <= stop_tol:
-            converged = True
-            break
-
+            d = x_next - x
+            # sqrt(<d, d>) is what np.linalg.norm computes for a real vector
+            residual = math.sqrt(d.dot(d))
+            if not residual < math.inf and not np.isfinite(x_next).all():
+                raise DivergenceError(f"non-finite iterate at step {n}", assemble())
+            residuals.append(residual)
+            jx = first.resolve(x_next)
+            record = (n, x_next, jx)
+            if len(head) < head_cap:
+                head.append(record)
+            else:
+                tail.append(record)
+                tail_seen += 1
+            x = x_next
+            if residual <= stop_tol:
+                converged = True
+                break
+    if not np.isfinite(jx).all():
+        raise DivergenceError(f"non-finite shadow at step {n}", assemble())
     return assemble()
 
 

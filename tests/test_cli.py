@@ -123,6 +123,36 @@ def test_run_divergent_instance_exits_one(tmp_path, capsys):
     assert out.exists()  # partial orbit still written
 
 
+def _overflow_shadow_config(tmp_path):
+    # one finite step to (1.7e308, 1.7e308), whose projection onto the
+    # diagonal operator_a overflows
+    s = float(np.sqrt(0.5))
+    data = {
+        "version": 1,
+        "dimension": 2,
+        "operator_a": {"kind": "normal_cone_affine_subspace", "offset": [0.0, 0.0],
+                       "basis": [[s], [s]]},
+        "operator_b": {"kind": "affine_relation",
+                       "matrix": [[0.0, 0.0], [0.0, 0.0]],
+                       "offset": [-1.7e308, -1.7e308]},
+        "start_points": [[0.0, 0.0]],
+        "max_iter": 1,
+    }
+    cfg = tmp_path / "overflow-shadow.json"
+    cfg.write_text(json.dumps(data))
+    return cfg
+
+
+def test_run_with_an_overflowing_last_shadow_exits_one(tmp_path, capsys):
+    cfg = _overflow_shadow_config(tmp_path)
+    out = tmp_path / "shadow.csv"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    assert run["diverged"] and run["iterations"] == 1
+    assert out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drorder import operators
 from drorder.operators import (
     AffineRelation,
     BlockSeparable,
@@ -712,3 +713,70 @@ def test_reflect_inverse_and_rotation_raise_the_errors_of_the_resolve_they_call(
                                                 rng.normal(size=(2, d)))):
                 with pytest.raises(NonFinitePointError, match="^point has non-finite entries$"):
                     call(x)
+
+
+def _float_range_values():
+    """10^k for k in [-323, 308], +-0.0, the largest float and subnormals,
+    with alternating signs."""
+    tiny = np.finfo(float).tiny
+    values = [10.0 ** k for k in range(-323, 309)]
+    values += [0.0, -0.0, np.finfo(float).max, 5e-324, tiny / 2.0, tiny * (1.0 - 2.0 ** -52)]
+    return np.array(values) * np.where(np.arange(len(values)) % 3 == 1, -1.0, 1.0)
+
+
+def _checked(call, x):
+    """The error type and message ``call(x)`` raises, or None when it
+    returns; a RuntimeWarning fails the test (the suite turns it into an
+    error)."""
+    try:
+        call(x)
+    except (NonFinitePointError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _planted(rows):
+    """Each row with nan, inf and -inf planted at each position in turn."""
+    for row in rows:
+        for j in range(row.shape[0]):
+            for bad in (np.nan, np.inf, -np.inf):
+                out = row.copy()
+                out[j] = bad
+                yield out
+
+
+def _points_and_batches(d):
+    """Finite points of R^d over the float range and their planted copies,
+    then the (N, d) batch of the finite points and copies of it with one
+    planted row (first, middle, last)."""
+    values = _float_range_values()
+    finite = np.resize(values, (-(-len(values) // d), d))  # every value, cycled
+    points = [*finite, *_planted(finite)]
+    batches = [finite]
+    for i in (0, len(finite) // 2, len(finite) - 1):
+        batches += [np.concatenate([finite[:i], row[None], finite[i + 1:]])
+                    for row in _planted(finite[i:i + 1])]
+    return points + batches
+
+
+def test_point_check_decides_as_isfinite_all_over_the_float_range():
+    rejected = (NonFinitePointError, "point has non-finite entries")
+    members = _batch_members(np.random.default_rng(43), 2)
+    assert {op.kind for op, _ in members.values()} == set(operators._CATALOG)
+    inputs = {d: _points_and_batches(d) for d in {2, 3, *(op.dim for op, _ in members.values())}}
+    for d, xs in inputs.items():
+        for x in xs:
+            want = None if np.isfinite(x).all() else rejected
+            assert _checked(lambda p: operators._as_points(p, d), x) == want
+            if x.ndim == 1:
+                assert _checked(lambda p: operators.as_point(p, d), x) == want
+                assert _checked(operators.as_point, x) == want
+    for label, (op, _) in members.items():
+        for x in inputs[op.dim]:
+            if np.isfinite(x).all():
+                # the kernels' own overflow at these magnitudes belongs to
+                # the float-range contract, not to the point check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert _checked(op.resolve, x) is None, label
+            else:
+                assert _checked(op.resolve, x) == rejected, label

@@ -1,4 +1,5 @@
 import csv
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,15 +9,18 @@ from drorder.operators import (
     DimensionMismatchError,
     LinearMonotone,
     MonotonicityError,
+    NonFinitePointError,
     NormalConeAffineSubspace,
     NormalConeBall,
     NormalConeHalfspace,
     NormalConeRay,
     NotAffineError,
     SphereSelection,
+    as_point,
 )
 from drorder import splitting
 from drorder.analysis import power_orbit
+from drorder.harness import load_corpus
 from drorder.splitting import (
     BlockSeparable,
     DivergenceError,
@@ -30,6 +34,7 @@ from drorder.splitting import (
 )
 
 from draws import random_monotone_operator, random_point, random_subspace
+from test_analysis import _operand_pairs
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
 UP_RAY = NormalConeRay([0.0, 1.0])
@@ -199,6 +204,23 @@ def test_iterate_divergence_reports_finite_prefix():
     assert orbit.iterations == 2
     assert not orbit.converged
     assert np.all(np.isfinite(orbit.governing[-1]))
+
+
+def test_iterate_rejects_a_non_finite_last_shadow():
+    # x_1 = (1.7e308, 1.7e308) is finite, but its projection onto the
+    # diagonal overflows; no numpy warning escapes the loop
+    diagonal = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [1.0]])
+    translation = AffineRelation(np.zeros((2, 2)), [-1.7e308, -1.7e308])
+    T = SplitOperator(diagonal, translation)
+    with pytest.raises(DivergenceError, match="^non-finite shadow at step 1$") as err:
+        iterate(T, [0.0, 0.0], max_iter=1)
+    orbit = err.value.orbit
+    assert orbit.iterations == 1 and orbit.steps == [0, 1]
+    assert np.all(np.isfinite(orbit.governing[-1]))
+    assert not np.isfinite(orbit.final_shadow).any()
+    # one step further, the reflected point of step 2 is what fails
+    with pytest.raises(DivergenceError, match="^non-finite iterate at step 2$"):
+        iterate(T, [0.0, 0.0], max_iter=2)
 
 
 def test_iterate_history_cap_keeps_head_and_tail():
@@ -399,3 +421,134 @@ def test_dr_step_uses_a_given_first_resolvent():
     assert dr_step(line, ball, x, jx).tobytes() == dr_step(line, ball, x).tobytes()
     # a different jx is used as given, not recomputed
     assert np.array_equal(dr_step(line, ball, x, np.zeros(2)), x + ball.resolve(-x))
+
+
+def _reference_iterate(T, x0, max_iter=splitting.DEFAULT_MAX_ITER,
+                       stop_tol=splitting.DEFAULT_STOP_TOL,
+                       history_cap=splitting.DEFAULT_HISTORY_CAP):
+    """The step loop of ``iterate`` with every check made on every step:
+    np.errstate entered per step, the residual by np.linalg.norm and
+    x_next tested by np.isfinite(x_next).all()."""
+    x = as_point(x0, T.dim)
+    head_cap = history_cap // 2
+    tail_cap = history_cap - head_cap
+    jx = T.first.resolve(x)
+    head = [(0, x, jx)]
+    tail = deque(maxlen=tail_cap)
+    tail_seen = 0
+    residuals = []
+    converged = False
+    n = 0
+
+    def assemble():
+        rows = head + list(tail)
+        return splitting.Orbit(steps=[r[0] for r in rows], governing=[r[1] for r in rows],
+                               shadow=[r[2] for r in rows], residuals=residuals,
+                               iterations=n, converged=converged,
+                               truncated=tail_seen > tail_cap)
+
+    while n < max_iter:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_next = (dr_step(T.first, T.second, x, jx) if T.form == FORM_DR
+                          else T.apply(x))
+                residual = float(np.linalg.norm(x_next - x))
+        except NonFinitePointError:
+            n += 1
+            raise DivergenceError(f"non-finite iterate at step {n}", assemble()) from None
+        n += 1
+        if not np.isfinite(x_next).all():
+            raise DivergenceError(f"non-finite iterate at step {n}", assemble())
+        residuals.append(residual)
+        jx = T.first.resolve(x_next)
+        record = (n, x_next, jx)
+        if len(head) < head_cap:
+            head.append(record)
+        else:
+            tail.append(record)
+            tail_seen += 1
+        x = x_next
+        if residuals[-1] <= stop_tol:
+            converged = True
+            break
+    return assemble()
+
+
+def _orbit_bits(orbit):
+    return (orbit.steps, [g.tobytes() for g in orbit.governing],
+            [s.tobytes() for s in orbit.shadow], np.array(orbit.residuals).tobytes(),
+            orbit.iterations, orbit.converged, orbit.truncated)
+
+
+def _outcome(run, *args):
+    """The orbit's bits, or the DivergenceError message and the bits of
+    the orbit it carries."""
+    try:
+        return "orbit", _orbit_bits(run(*args))
+    except DivergenceError as exc:
+        return str(exc), _orbit_bits(exc.orbit)
+
+
+class _NanAbove(AffineRelation):
+    """The translation y -> y + e1, except that its resolvent returns nan
+    in each coordinate that passes ``threshold``."""
+
+    def __init__(self, threshold):
+        super().__init__(np.zeros((2, 2)), [-1.0, 0.0])
+        self.threshold = threshold
+
+    def resolve(self, x):
+        y = super().resolve(x)
+        return np.where(y > self.threshold, np.nan, y)
+
+
+def _differential_cases():
+    """(T, x0, max_iter, stop_tol, must diverge): the corpus configs in
+    each order, the operand pairs of the analysis suite in both forms,
+    and the divergence cases."""
+    cases = []
+    for inst in load_corpus():
+        config = inst.config
+        for order in ("ab", "ba", "bt"):
+            for x0 in config.start_points:
+                cases.append((config.split(order), x0, min(config.max_iter, 3000),
+                              config.stop_tol, False))
+    rng = np.random.default_rng(44)
+    for a, b in _operand_pairs():
+        for form in (FORM_DR, FORM_BORWEIN_TAM):
+            try:
+                T = SplitOperator(a, b, form, generalized=True)
+            except MonotonicityError:
+                continue
+            cases.append((T, random_point(rng, a.dim), 60, 1e-10, False))
+            cases.append((T, random_point(rng, a.dim, scale=1e3), 25, 0.0, False))
+    zero = LinearMonotone(np.zeros((2, 2)))
+    for form in (FORM_DR, FORM_BORWEIN_TAM):
+        # the 1e308 translation overflows within two steps
+        translation = AffineRelation(np.zeros((2, 2)), [1e308, 0.0])
+        cases.append((SplitOperator(zero, translation, form), [0.0, 0.0], 50, 1e-10, True))
+        # finite steps of 1e200 whose squared length overflows: every
+        # residual is inf, and the orbit goes on
+        translation = AffineRelation(np.zeros((2, 2)), [-1e200, 0.0])
+        cases.append((SplitOperator(zero, translation, form), [0.0, 0.0], 30, 1e-10, False))
+        # J_B returns nan from a finite point
+        cases.append((SplitOperator(zero, _NanAbove(5.5), form), [0.0, 0.0], 50, 0.0, True))
+    return cases
+
+
+def test_iterate_matches_the_reference_loop():
+    seen = set()
+    for T, x0, max_iter, stop_tol, diverges in _differential_cases():
+        for cap in (4, splitting.DEFAULT_HISTORY_CAP):
+            args = (T, x0, max_iter, stop_tol, cap)
+            message, bits = _outcome(iterate, *args)
+            assert (message, bits) == _outcome(_reference_iterate, *args), (T, x0, cap)
+            assert (message != "orbit") == diverges, (T, x0, message)
+            if diverges:
+                seen.add(("diverged", T.form))
+            elif np.isinf(np.frombuffer(bits[3])).any():
+                seen.add(("inf residual", T.form))
+            if bits[-1]:
+                seen.add(("truncated", T.form))
+    assert seen == {(case, form) for case in ("diverged", "inf residual", "truncated")
+                    for form in (FORM_DR, FORM_BORWEIN_TAM)}
