@@ -12,7 +12,11 @@ subspace), and the failure probes that show where they break.  Every
 identity is evaluated for a whole batch of probe points at once.  The
 three orbit identities (commutation, conjugation, shadow equality) all
 compare T_ab^m and T_ba^m started from x and from R_A x, so they read
-one set of probe orbits.
+one set of probe orbits, which advance both orders together with one
+J_A and one J_B call per step.  Every other identity is a formula over
+words in J_A, J_B, R_A, R_B, T_ab and T_ba applied to the probe points,
+such as R_A T_ab - T_ba R_A; they read one table of such words per
+batch, which computes each word once, on its first read.
 
 ``IDENTITIES`` is the one declaration of each identity that
 ``drorder verify --config`` reports through ``report_identities``: its
@@ -286,22 +290,51 @@ def _certified_fixed_points(config) -> tuple[list[np.ndarray], FixedPointCertifi
         return fixed, None
 
 
-def _bt(first: Operator, second: Operator, x: np.ndarray) -> np.ndarray:
-    """The composite T_(first,second) T_(second,first) x."""
-    return dr_step(first, second, dr_step(second, first, x))
+class _Words:
+    """The operator words of one probe batch x, each computed once, on its
+    first read: ``w("RA", "Tab")`` is R_A T_ab x (the rightmost letter
+    acts first), and ``w()`` is x itself.
+
+    The letters are JA, JB, RA, RB, Tab and Tba.  A J word is one
+    ``resolve`` call; R and T words are built from J words of the same
+    table as ``Operator.reflect`` and ``dr_step`` build them, 2 J u - u
+    and u - J_f u + J_s(R_f u), so every word keeps their bits.
+    """
+
+    def __init__(self, A: Operator, B: Operator, x: np.ndarray):
+        self.A, self.B, self._values = A, B, {(): x}
+
+    def __call__(self, *word: str) -> np.ndarray:
+        if word not in self._values:
+            self._values[word] = self._compute(word[0], word[1:])
+        return self._values[word]
+
+    def _compute(self, letter: str, rest: tuple[str, ...]) -> np.ndarray:
+        u = self(*rest)
+        if letter[0] == "J":
+            return (self.A if letter == "JA" else self.B).resolve(u)
+        if letter[0] == "R":
+            return 2.0 * self("J" + letter[1], *rest) - u
+        first, second = letter[1].upper(), letter[2].upper()
+        return u - self("J" + first, *rest) + self("J" + second, "R" + first, *rest)
 
 
-# The violation of each identity at a batch of samples, one per row, with
-# signature (A, B, samples, n): the samples are an (N, d) array of points,
-# or for the pairwise ones a pair (X, Y) of such arrays; one point (d,),
-# or a pair of them, gives one violation.  The orbit identities further
-# below read the samples' probe orbits instead.  Each holds only under
-# the requirements its registry entry names.
+def _word_tables(A: Operator, B: Operator, samples, pairwise: bool):
+    """The word table of the samples, or of each of a pair (X, Y)."""
+    return tuple(_Words(A, B, points) for points in samples) if pairwise else _Words(A, B, samples)
 
-def _defect_decomposition(A: Operator, B: Operator, x, n: int):
-    tab = dr_step(A, B, x)
-    lhs = A.reflect(tab) - dr_step(B, A, A.reflect(x))
-    rhs = 2.0 * A.resolve(tab) - A.resolve(x) - A.resolve(B.reflect(A.reflect(x)))
+
+# The violation of each identity at a batch of samples, one per row, as a
+# formula over the word table of an (N, d) array of points, or for the
+# pairwise ones over the pair of tables of two such arrays (X, Y); the
+# table of one point (d,), or a pair of them, gives one violation.  The
+# orbit identities further below read the samples' probe orbits instead.
+# Each holds only under the requirements its registry entry names.
+
+def _defect_decomposition(w: _Words):
+    # R_A T_ab - T_ba R_A = 2 J_A T_ab - J_A - J_A R_B R_A
+    lhs = w("RA", "Tab") - w("Tba", "RA")
+    rhs = 2.0 * w("JA", "Tab") - w("JA") - w("JA", "RB", "RA")
     return _gap(lhs, rhs)
 
 
@@ -310,61 +343,67 @@ def _firm_product(tx, ty, x, y):
     return np.vecdot(tx - ty, (x - tx) - (y - ty))
 
 
-def _not_firm(step, A: Operator, B: Operator, pair):
-    """How far the firm-nonexpansiveness product of x -> step(A, B, x)
-    falls below zero at the pairs: max(0, -product), written so that a
-    zero product of either sign gives +0.0."""
-    x, y = pair
-    product = _firm_product(step(A, B, x), step(A, B, y), x, y)
-    return 0.0 - np.minimum(product, 0.0)
+def _not_firm(pair: tuple[_Words, _Words], *word: str):
+    """How far the firm-nonexpansiveness product of the map ``word`` falls
+    below zero at the pairs: max(0, -product), written so that a zero
+    product of either sign gives +0.0."""
+    wx, wy = pair
+    return 0.0 - np.minimum(_firm_product(wx(*word), wy(*word), wx(), wy()), 0.0)
 
 
-def _nonexpansive_transfer(A: Operator, B: Operator, pair, n: int):
-    x, y = pair
-    direct = _gap(dr_step(A, B, x), dr_step(A, B, y))
-    rx, ry = A.reflect(x), A.reflect(y)
-    swapped = _gap(dr_step(B, A, rx), dr_step(B, A, ry))
-    return np.maximum(np.maximum(np.abs(direct - swapped), swapped - _gap(rx, ry)), 0.0)
+def _nonexpansive_transfer(pair: tuple[_Words, _Words]):
+    wx, wy = pair
+    direct = _gap(wx("Tab"), wy("Tab"))
+    swapped = _gap(wx("Tba", "RA"), wy("Tba", "RA"))
+    return np.maximum(np.maximum(np.abs(direct - swapped),
+                                 swapped - _gap(wx("RA"), wy("RA"))), 0.0)
 
 
-def _bt_factorization(A: Operator, B: Operator, x, n: int):
+def _bt_factorization(w: _Words):
     # T_ab T_ba = (T_ab R_A)^2 = R_A (T_ba T_ab) R_A
-    composite = _bt(A, B, x)
-    squared = dr_step(A, B, A.reflect(dr_step(A, B, A.reflect(x))))
-    conjugated = A.reflect(_bt(B, A, A.reflect(x)))
-    return np.maximum(_gap(composite, squared), _gap(composite, conjugated))
+    composite = w("Tab", "Tba")
+    return np.maximum(_gap(composite, w("Tab", "RA", "Tab", "RA")),
+                      _gap(composite, w("RA", "Tba", "Tab", "RA")))
 
 
-def _commutator(A: Operator, B: Operator, x, n: int):
-    ab_ba, ba_ab = _bt(A, B, x), _bt(B, A, x)
-    rhs = (B.reflect(A.reflect(A.reflect(B.reflect(x))))
-           - A.reflect(B.reflect(B.reflect(A.reflect(x)))))
-    exchange = _gap(dr_step(A, B, B.reflect(A.reflect(x))),
-                    B.reflect(A.reflect(dr_step(A, B, x))))
+def _commutator(w: _Words):
+    ab_ba, ba_ab = w("Tab", "Tba"), w("Tba", "Tab")
+    rhs = w("RB", "RA", "RA", "RB") - w("RA", "RB", "RB", "RA")
+    exchange = _gap(w("Tab", "RB", "RA"), w("RB", "RA", "Tab"))
     violation = np.maximum(_gap(4.0 * (ab_ba - ba_ab), rhs), exchange)
-    if _REQUIREMENTS[_SUBSPACE_BOTH][0](A, B):
+    if _REQUIREMENTS[_SUBSPACE_BOTH][0](w.A, w.B):
         # reflectors are involutions, and the two product orders coincide
         violation = np.maximum(violation, _gap(ab_ba, ba_ab))
     return violation
 
 
-def _bt_half_sum(A: Operator, B: Operator, x, n: int):
-    return _gap(_bt(A, B, x), 0.5 * (dr_step(A, B, x) + dr_step(B, A, x)))
-
-
-def _power_orbits(A: Operator, B: Operator, x, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _power_orbits(A: Operator, B: Operator, x, n: int, rx=None) -> tuple[np.ndarray, np.ndarray]:
     """The orbits T_ab^m s and T_ba^m s, 0 <= m <= n, of the starts s = x
-    and s = R_A x, where x is one point or an (N, d) batch.
+    and s = R_A x, where x is one point or an (N, d) batch; ``rx``, when
+    given, is R_A x already evaluated.
 
-    Both orders advance the stacked starts [x; R_A x] together, so the
-    four orbits cost two ``power_orbit`` calls.  Each result has shape
-    (n + 1, 2, *x.shape): index [m, 0] holds T^m x and [m, 1] holds
-    T^m R_A x.
+    Both orders advance the stacked starts [x; R_A x] in one loop.  Step m
+    makes one J_A call on [ab_m; R_B ba_m] and one J_B call on
+    [R_A ab_m; ba_(m+1)], whose second half is the J_B the next step
+    needs, so the four orbits cost 2n + 2 resolve calls (one when
+    n = 0).  Each point is computed by the expressions of ``dr_step``.
+    Each result has shape (n + 1, 2, *x.shape): index [m, 0] holds T^m x
+    and [m, 1] holds T^m R_A x.
     """
-    starts = np.stack([x, A.reflect(x)]).reshape(-1, x.shape[-1])
-    shape = (int(n) + 1, 2, *x.shape)
-    return (np.reshape(power_orbit(A, B, starts, n), shape),
-            np.reshape(power_orbit(B, A, starts, n), shape))
+    starts = np.stack([x, A.reflect(x) if rx is None else rx]).reshape(-1, x.shape[-1])
+    k, n = len(starts), int(n)
+    ab, ba = [starts], [starts]
+    jb = B.resolve(starts) if n else None
+    for m in range(n):
+        u, v = ab[-1], ba[-1]
+        ja = A.resolve(np.concatenate([u, 2.0 * jb - v]))
+        ba.append(v - jb + ja[k:])
+        # with J_B of ba_(m+1), which the next step needs, if there is one
+        jb = B.resolve(np.concatenate([2.0 * ja[:k] - u, *ba[m + 1:n]]))
+        ab.append(u - ja[:k] + jb[:k])
+        jb = jb[k:]
+    shape = (n + 1, 2, *x.shape)
+    return np.reshape(ab, shape), np.reshape(ba, shape)
 
 
 def _pointwise(f, points: np.ndarray) -> np.ndarray:
@@ -428,11 +467,12 @@ class Identity:
     an (N, d) array of points, or of a pair (X, Y) of such arrays when
     ``pairwise``; given one point, shape (d,), or a pair of them, it
     returns the one defect.  ``n`` is the depth of the power identities.
-    ``defect`` computes it: from the samples, with the signature of
-    ``violation``, or, when ``on_orbits``, as ``defect(A, ab, ba)`` from
-    the probe orbits of the samples (``_power_orbits``), which a caller
-    that evaluates several orbit identities at the same samples passes
-    in as ``orbits`` to compute them once.
+    ``defect`` computes it: as ``defect(words)`` from the word table of
+    the samples (``_word_tables``), or, when ``on_orbits``, as
+    ``defect(A, ab, ba)`` from their probe orbits (``_power_orbits``).
+    A caller that evaluates several identities at the same samples
+    passes these in as ``words`` and ``orbits``, so each word and each
+    orbit is computed once.
     One sample counts for ``per_sample(n)`` reported samples.
     ``requires`` lists keys of the requirement table, checked in order,
     so a structural key listed first fails before an operand rule.
@@ -450,21 +490,22 @@ class Identity:
         return next((need for need in self.requires
                      if not _REQUIREMENTS[need][0](A, B)), None)
 
-    def violation(self, A: Operator, B: Operator, samples, n: int, orbits=None):
+    def violation(self, A: Operator, B: Operator, samples, n: int, orbits=None, words=None):
         """The defect at each sample; ``orbits``, when given, are the probe
-        orbits ``_power_orbits(A, B, samples, n)``."""
+        orbits ``_power_orbits(A, B, samples, n)``, and ``words`` the word
+        tables ``_word_tables(A, B, samples, self.pairwise)``."""
         if not self.on_orbits:
-            return self.defect(A, B, samples, n)
+            return self.defect(words or _word_tables(A, B, samples, self.pairwise))
         if orbits is None:
             orbits = _power_orbits(A, B, samples, n)
         return self.defect(A, *orbits)
 
     def report(self, A: Operator, B: Operator, samples, n: int,
-               tol: float, orbits=None) -> IdentityReport:
+               tol: float, orbits=None, words=None) -> IdentityReport:
         """Worst violation over a batch of samples, evaluated once for the
         whole batch; one point (d,), or a pair of them, is one sample.  The
         requirements are not checked."""
-        worst = np.max(self.violation(A, B, samples, n, orbits))
+        worst = np.max(self.violation(A, B, samples, n, orbits, words))
         points = samples[0] if self.pairwise else samples
         count = len(points) if np.ndim(points) > 1 else 1
         return IdentityReport.from_violation(self.name, worst,
@@ -487,11 +528,10 @@ class Identity:
 
 # Every identity `verify --config` reports, in report order.
 IDENTITIES: tuple[Identity, ...] = (
-    Identity("dr-form-equivalence",
-             lambda A, B, x, n: _gap(dr_step(A, B, x), 0.5 * (x + B.reflect(A.reflect(x))))),
+    Identity("dr-form-equivalence", lambda w: _gap(w("Tab"), 0.5 * (w() + w("RB", "RA")))),
     Identity("defect-decomposition", _defect_decomposition),
-    Identity("dr-firmly-nonexpansive", lambda A, B, pair, n: _not_firm(dr_step, A, B, pair),
-             (_MONOTONE,), pairwise=True),
+    Identity("dr-firmly-nonexpansive", lambda pair: _not_firm(pair, "Tab"), (_MONOTONE,),
+             pairwise=True),
     Identity("commutation", _commutation, (_AFFINE_FIRST,), on_orbits=True,
              per_sample=int),
     Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), on_orbits=True,
@@ -502,10 +542,11 @@ IDENTITIES: tuple[Identity, ...] = (
              pairwise=True),
     Identity("bt-factorization", _bt_factorization, (_SUBSPACE_FIRST,)),
     Identity("commutator", _commutator, (_AFFINE_BOTH,)),
-    Identity("bt-order-invariance", lambda A, B, x, n: _gap(_bt(A, B, x), _bt(B, A, x)),
+    Identity("bt-order-invariance", lambda w: _gap(w("Tab", "Tba"), w("Tba", "Tab")),
              (_SUBSPACE_BOTH,)),
-    Identity("bt-half-sum", _bt_half_sum, (_SUBSPACE_BOTH,)),
-    Identity("bt-firmly-nonexpansive", lambda A, B, pair, n: _not_firm(_bt, A, B, pair),
+    Identity("bt-half-sum", lambda w: _gap(w("Tab", "Tba"), 0.5 * (w("Tab") + w("Tba"))),
+             (_SUBSPACE_BOTH,)),
+    Identity("bt-firmly-nonexpansive", lambda pair: _not_firm(pair, "Tab", "Tba"),
              (_SUBSPACE_BOTH,), pairwise=True),
 )
 _IDENTITY = {identity.name: identity for identity in IDENTITIES}
@@ -518,20 +559,23 @@ def report_identities(A: Operator, B: Operator, points: np.ndarray, n: int,
     probe points; consecutive points (the last with the first) pair up
     for the pairwise ones.
 
-    The probe orbits are computed once, at the first applicable orbit
-    identity, and every orbit identity reads them; they are not kept
-    past the call.
+    Every identity reads one word table of the points and one of the
+    paired points, so each operator word is computed once, on its first
+    read.  The probe orbits are computed once, at the first applicable
+    orbit identity, and every orbit identity reads them.  Nothing is
+    kept past the call.
     """
     pairs = (points, np.roll(points, -1, axis=0))
+    words = _word_tables(A, B, pairs, pairwise=True)
     orbits = None
     reports = []
     for identity in IDENTITIES:
         if identity.unmet(A, B) is not None:
             continue
         if identity.on_orbits and orbits is None:
-            orbits = _power_orbits(A, B, points, n)
+            orbits = _power_orbits(A, B, points, n, words[0]("RA"))
         reports.append(identity.report(A, B, pairs if identity.pairwise else points,
-                                       n, tol, orbits))
+                                       n, tol, orbits, words if identity.pairwise else words[0]))
     return reports
 
 

@@ -38,6 +38,7 @@ from .operators import (
     GraphPair,
     MonotonicityError,
     NonFinitePointError,
+    _to_json,
     graph_contains,
 )
 from .splitting import DivergenceError, _write_rows, iterate
@@ -130,7 +131,7 @@ def cmd_run(args) -> int:
             "cert_a": cert_a,
             "cert_b": cert_b,
         })
-    print(json.dumps({"config": args.config, "order": args.order, "runs": runs},
+    print(json.dumps(_to_json({"config": args.config, "order": args.order, "runs": runs}),
                      indent=2))
     return 1 if diverged_any else 0
 
@@ -195,7 +196,7 @@ def cmd_verify(args) -> int:
         config = _load_config(args.config)
         reports = _verify_config(config, args.seed, args.n)
 
-    payload = json.dumps([r.to_dict() for r in reports], indent=2)
+    payload = json.dumps(_to_json([r.to_dict() for r in reports]), indent=2)
     if args.out:
         _atomic_write(args.out, lambda tmp: Path(tmp).write_text(payload + "\n"))
     else:

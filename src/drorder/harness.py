@@ -118,7 +118,7 @@ def run_instance(instance: NamedInstance) -> list[IdentityReport]:
 def _grid_points() -> np.ndarray:
     """The GRID_SIDE^2 grid points as the rows of one array."""
     axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_SIDE)
-    return np.array([(gx, gy) for gx in axis for gy in axis])
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _columns(first, second) -> np.ndarray:

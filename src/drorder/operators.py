@@ -743,16 +743,23 @@ _CATALOG = {cls.kind: cls for cls in (
 
 
 def _to_json(value):
-    """The JSON form of a field value: arrays become lists, and objects
-    with a ``to_dict`` (operators, tolerances) become JSON objects."""
+    """The JSON form of a field value or of CLI output: arrays become
+    lists, objects with a ``to_dict`` (operators, tolerances) become JSON
+    objects, lists and dicts are converted item by item, and a non-finite
+    number becomes the string "inf", "-inf" or "nan"."""
     if isinstance(value, np.ndarray):
         out = value.tolist()
-        # only box bounds hold infinite entries, and they are vectors
+        # of the array fields, only box bounds hold infinite entries, and
+        # they are vectors
         if value.ndim == 1 and not all(map(math.isfinite, out)):
             return [v if math.isfinite(v) else str(v) for v in out]
         return out
     if isinstance(value, list):
         return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _to_json(v) for key, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     if hasattr(value, "to_dict"):
         return value.to_dict()
     return value

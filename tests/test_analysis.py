@@ -4,7 +4,9 @@ import pytest
 from drorder.analysis import (
     IDENTITIES,
     _REQUIREMENTS,
+    _Words,
     _power_orbits,
+    _word_tables,
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
@@ -22,6 +24,7 @@ from drorder.analysis import (
     map_fixed_point,
     power_orbit,
     probe_conjugation,
+    report_identities,
 )
 from drorder.operators import (
     AffineRelation,
@@ -794,3 +797,236 @@ def test_orbit_identities_match_their_per_orbit_formulas(name, n):
             assert np.array_equal(shared, got), (a.kind, b.kind)
             if n == 0 and name != "shadow-equality":
                 assert np.all(got == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the word table and the joint orbit loop keep every bit of the dr_step
+# and reflect formulas they replace
+
+
+def _reference_power_orbits(A, B, x, n):
+    # one power_orbit call per order on the stacked starts [x; R_A x]
+    starts = np.stack([x, A.reflect(x)]).reshape(-1, x.shape[-1])
+    shape = (int(n) + 1, 2, *x.shape)
+    return (np.reshape(power_orbit(A, B, starts, n), shape),
+            np.reshape(power_orbit(B, A, starts, n), shape))
+
+
+def _reference_gap(u, v):
+    w = u - v
+    return np.sqrt(np.vecdot(w, w))
+
+
+def _reference_bt(first, second, x):
+    return dr_step(first, second, dr_step(second, first, x))
+
+
+def _reference_not_firm(step, A, B, pair):
+    x, y = pair
+    tx, ty = step(A, B, x), step(A, B, y)
+    return 0.0 - np.minimum(np.vecdot(tx - ty, (x - tx) - (y - ty)), 0.0)
+
+
+def _reference_defect_decomposition(A, B, x):
+    tab = dr_step(A, B, x)
+    lhs = A.reflect(tab) - dr_step(B, A, A.reflect(x))
+    rhs = 2.0 * A.resolve(tab) - A.resolve(x) - A.resolve(B.reflect(A.reflect(x)))
+    return _reference_gap(lhs, rhs)
+
+
+def _reference_nonexpansive_transfer(A, B, pair):
+    x, y = pair
+    direct = _reference_gap(dr_step(A, B, x), dr_step(A, B, y))
+    rx, ry = A.reflect(x), A.reflect(y)
+    swapped = _reference_gap(dr_step(B, A, rx), dr_step(B, A, ry))
+    return np.maximum(np.maximum(np.abs(direct - swapped),
+                                 swapped - _reference_gap(rx, ry)), 0.0)
+
+
+def _reference_bt_factorization(A, B, x):
+    composite = _reference_bt(A, B, x)
+    squared = dr_step(A, B, A.reflect(dr_step(A, B, A.reflect(x))))
+    conjugated = A.reflect(_reference_bt(B, A, A.reflect(x)))
+    return np.maximum(_reference_gap(composite, squared),
+                      _reference_gap(composite, conjugated))
+
+
+def _reference_commutator(A, B, x):
+    ab_ba, ba_ab = _reference_bt(A, B, x), _reference_bt(B, A, x)
+    rhs = (B.reflect(A.reflect(A.reflect(B.reflect(x))))
+           - A.reflect(B.reflect(B.reflect(A.reflect(x)))))
+    exchange = _reference_gap(dr_step(A, B, B.reflect(A.reflect(x))),
+                              B.reflect(A.reflect(dr_step(A, B, x))))
+    violation = np.maximum(_reference_gap(4.0 * (ab_ba - ba_ab), rhs), exchange)
+    if isinstance(A, NormalConeAffineSubspace) and isinstance(B, NormalConeAffineSubspace):
+        violation = np.maximum(violation, _reference_gap(ab_ba, ba_ab))
+    return violation
+
+
+# each non-orbit identity by dr_step and reflect, as it was written
+# before the word table
+_WORD_REFERENCES = {
+    "dr-form-equivalence": lambda A, B, x: _reference_gap(
+        dr_step(A, B, x), 0.5 * (x + B.reflect(A.reflect(x)))),
+    "defect-decomposition": _reference_defect_decomposition,
+    "dr-firmly-nonexpansive": lambda A, B, pair: _reference_not_firm(dr_step, A, B, pair),
+    "nonexpansive-transfer": _reference_nonexpansive_transfer,
+    "bt-factorization": _reference_bt_factorization,
+    "commutator": _reference_commutator,
+    "bt-order-invariance": lambda A, B, x: _reference_gap(_reference_bt(A, B, x),
+                                                          _reference_bt(B, A, x)),
+    "bt-half-sum": lambda A, B, x: _reference_gap(
+        _reference_bt(A, B, x), 0.5 * (dr_step(A, B, x) + dr_step(B, A, x))),
+    "bt-firmly-nonexpansive": lambda A, B, pair: _reference_not_firm(_reference_bt, A, B, pair),
+}
+
+
+def _outcome(call):
+    """The result of call(), or the type and message of the divergence it
+    raised."""
+    try:
+        return call()
+    except NonFinitePointError as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        return got == want
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same_bits, got, want))
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def _bit_pairs():
+    """``_operand_pairs()`` and pairs whose orbits overflow within 20 steps."""
+    push = AffineRelation(np.zeros((2, 2)), [1e307, -1e307])
+    return [*_operand_pairs(), (ZERO2, push), (push, ZERO2), (X_AXIS, push)]
+
+
+def _probe_batches(rng, dim):
+    """One point and batches of 1, 2, 5 and 12 points."""
+    return [random_point(rng, dim), *(np.array([random_point(rng, dim) for _ in range(rows)])
+                                      for rows in (1, 2, 5, 12))]
+
+
+def test_the_registry_names_a_reference_for_every_identity():
+    assert ({identity.name for identity in IDENTITIES}
+            == set(_WORD_REFERENCES) | set(_ORBIT_REFERENCES))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 20])
+def test_power_orbits_match_two_power_orbit_calls_bit_for_bit(n):
+    rng = np.random.default_rng(45)
+    orbit_identities = [identity for identity in IDENTITIES if identity.on_orbits]
+    raised = 0
+    with np.errstate(all="ignore"):
+        for a, b in _bit_pairs():
+            for x in _probe_batches(rng, a.dim):
+                got = _outcome(lambda: _power_orbits(a, b, x, n))
+                want = _outcome(lambda: _reference_power_orbits(a, b, x, n))
+                assert _same_bits(got, want), (a.kind, b.kind, x.shape)
+                if isinstance(want[0], type):
+                    raised += 1
+                    continue
+                assert want[0].shape == (n + 1, 2, *x.shape)
+                # R_A x handed in gives the same orbits
+                assert _same_bits(_power_orbits(a, b, x, n, a.reflect(x)), want)
+                for identity in orbit_identities:
+                    assert _same_bits(_outcome(lambda: identity.violation(a, b, x, n)),
+                                      _outcome(lambda: identity.defect(a, *want))), (
+                        identity.name, a.kind, b.kind, x.shape)
+    # the overflowing pairs raise the same error as the reference
+    assert (raised > 0) == (n == 20)
+
+
+def test_word_identities_match_the_dr_step_formulas_bit_for_bit():
+    # every non-orbit identity, the pairwise ones included, alone and read
+    # in registry order from one shared pair of word tables per batch, as
+    # report_identities reads them
+    rng = np.random.default_rng(46)
+    word_identities = [identity for identity in IDENTITIES if not identity.on_orbits]
+    with np.errstate(all="ignore"):
+        for a, b in _bit_pairs():
+            for x in _probe_batches(rng, a.dim):
+                y = np.roll(x, -1, axis=0) if x.ndim > 1 else random_point(rng, a.dim)
+                words = _word_tables(a, b, (x, y), pairwise=True)
+                for identity in word_identities:
+                    samples, table = ((x, y), words) if identity.pairwise else (x, words[0])
+                    want = _outcome(lambda: _WORD_REFERENCES[identity.name](a, b, samples))
+                    alone = _outcome(lambda: identity.violation(a, b, samples, 3))
+                    shared = _outcome(lambda: identity.violation(a, b, samples, 3, words=table))
+                    assert _same_bits(alone, want), (identity.name, a.kind, b.kind, x.shape)
+                    assert _same_bits(shared, want), (identity.name, a.kind, b.kind, x.shape)
+
+
+def _counted_resolves(monkeypatch, *operators):
+    """Record the input of every resolve call of the operators' classes;
+    the inputs are kept, so no two recorded arrays share an id."""
+    inputs = []
+    for cls in {type(op) for op in operators}:
+        def counted(self, x, resolve=cls.resolve):
+            inputs.append((self, x))
+            return resolve(self, x)
+        monkeypatch.setattr(cls, "resolve", counted)
+    return inputs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 20])
+def test_power_orbits_make_two_resolve_calls_per_step(monkeypatch, n):
+    lift = next(inst.config for inst in load_corpus() if inst.name == "three-halfspace-lift")
+    a, b = lift.operator_a, lift.operator_b
+    inputs = _counted_resolves(monkeypatch, a, b)
+    for x in (lift.start_points[0], np.array([random_point(np.random.default_rng(47), 9)
+                                               for _ in range(4)])):
+        inputs.clear()
+        _power_orbits(a, b, x, n)
+        # R_A x, then J_B of the 2N starts, and two calls of 4N rows per
+        # step, but for the last J_B call, which leaves out T_ba^n
+        rows = len(np.atleast_2d(x))
+        want = [rows] + ([2 * rows] + [4 * rows] * (2 * n - 1) + [2 * rows] if n else [])
+        assert [len(np.atleast_2d(points)) for _, points in inputs] == want
+        rx = a.reflect(x)
+        inputs.clear()
+        _power_orbits(a, b, x, n, rx)
+        assert len(inputs) == (2 * n + 1 if n else 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 20])
+def test_report_identities_resolves_each_j_word_once(monkeypatch, n):
+    config = next(inst.config for inst in load_corpus() if inst.name == "linear-asymmetric")
+    a, b = config.operator_a, config.operator_b
+    points = np.random.default_rng(48).normal(0.0, 2.0, size=(12, 2))
+    words_read = set()
+    read = _Words.__call__
+
+    def spied(self, *word):
+        if word and word[0][0] == "J":
+            words_read.add((id(self), word))
+        return read(self, *word)
+
+    monkeypatch.setattr(_Words, "__call__", spied)
+    inputs = _counted_resolves(monkeypatch, a, b)
+    reports = report_identities(a, b, points, n, 1e-9)
+    assert {"commutation", "defect-decomposition", "commutator"} <= {
+        r.identity_name for r in reports}
+    # the orbits' calls, with R_A x taken from the word table; one R_A or
+    # J_A call of orbit points per orbit identity; one call per J word of
+    # the two tables
+    orbit_calls = (2 * n + 1 if n else 0) + 3
+    assert len(inputs) == orbit_calls + len(words_read)
+    assert len({(id(op), id(x)) for op, x in inputs}) == len(inputs)
+
+
+def test_report_identities_resolves_no_input_twice_on_the_lift():
+    # on the lift no two distinct words coincide, so no resolve input
+    # repeats by value either
+    lift = next(inst.config for inst in load_corpus() if inst.name == "three-halfspace-lift")
+    a, b = lift.operator_a, lift.operator_b
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        inputs = _counted_resolves(monkeypatch, a, b)
+        report_identities(a, b, np.random.default_rng(49).normal(0.0, 2.0, (12, 9)), 20, 1e-9)
+    seen = [(id(op), np.shape(x), np.asarray(x).tobytes()) for op, x in inputs]
+    assert len(set(seen)) == len(seen)

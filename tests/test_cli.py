@@ -14,10 +14,10 @@ from drorder import cli
 from drorder.analysis import (
     IDENTITIES,
     FixedPointBudgetError,
+    _power_orbits,
     check_dual_symmetry,
     extract_solution,
     find_fixed_point,
-    power_orbit,
 )
 from drorder.cli import _orbit_path, main
 from drorder.config import ConfigError, ProblemConfig, Tolerances
@@ -151,6 +151,40 @@ def test_run_with_an_overflowing_last_shadow_exits_one(tmp_path, capsys):
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["diverged"] and run["iterations"] == 1
     assert out.exists()
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_run_writes_non_finite_numbers_as_strings(tmp_path, capsys):
+    # finite steps of 1e200 whose squared length overflows: every residual
+    # is inf, and the run does not diverge
+    data = json.loads(_zero_config(tmp_path).read_text())
+    data["operator_b"] = {"kind": "affine_relation", "matrix": [[0.0, 0.0], [0.0, 0.0]],
+                          "offset": [-1e200, 0.0]}
+    data["max_iter"] = 3
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "far.csv")]) == 0
+    run = _strict_json(capsys.readouterr().out)["runs"][0]
+    assert run["final_residual"] == "inf" and not run["diverged"]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.float64("inf")])
+def test_output_json_writes_a_non_finite_number_as_its_string(value):
+    text = json.dumps(cli._to_json([{"a": [1.5, value], "b": value, "c": None}]))
+    assert _strict_json(text) == [{"a": [1.5, str(value)], "b": str(value), "c": None}]
+
+
+def test_output_json_of_finite_output_is_json_dumps(tmp_path):
+    payload = [{"identity_name": "x", "max_violation": 1e-300, "sample_count": 3,
+                "tolerance": 1e-08, "passed": True, "z": [-0.0, 1.7976931348623157e308],
+                "cert": None, "nested": {"k": [2.5, [np.float64(0.1)]]}}]
+    assert (json.dumps(cli._to_json(payload), indent=2)
+            == json.dumps(payload, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +344,25 @@ _SUBSPACE_FIRST_CONFIGS = ["ray-vs-axis", "linear-asymmetric", "parallel-lines",
                            "subspace-ball", "three-halfspace-lift"]
 
 
-@pytest.mark.parametrize("name", list(_REPORT_SETS) + ["generalized-sphere"])
-def test_verify_computes_the_probe_orbits_once(tmp_path, monkeypatch, name):
-    # commutation, conjugation and shadow equality read the same two
-    # orbits of the stacked probe points; no other report runs power_orbit
+def _counted_power_orbits(monkeypatch, *modules):
+    """Record (shape of x, n) of every _power_orbits call through the
+    modules that hold the name."""
     calls = []
 
-    def counted(first, second, x, n):
-        calls.append(np.shape(x))
-        return power_orbit(first, second, x, n)
+    def counted(a, b, x, n, *rest):
+        calls.append((np.shape(x), n))
+        return _power_orbits(a, b, x, n, *rest)
 
-    monkeypatch.setattr("drorder.analysis.power_orbit", counted)
+    for module in modules:
+        monkeypatch.setattr(f"drorder.{module}._power_orbits", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_REPORT_SETS) + ["generalized-sphere"])
+def test_verify_computes_the_probe_orbits_once(tmp_path, monkeypatch, name):
+    # commutation, conjugation and shadow equality read the same orbits
+    # of the probe points; no other report computes them
+    calls = _counted_power_orbits(monkeypatch, "analysis")
     cfg = (_generalized_config(tmp_path) if name == "generalized-sphere"
            else _write_config(tmp_path, name))
     report_path = tmp_path / "report.json"
@@ -330,25 +372,19 @@ def test_verify_computes_the_probe_orbits_once(tmp_path, monkeypatch, name):
     points = len(config.start_points) + 10
     if name in _SUBSPACE_FIRST_CONFIGS or name == "generalized-sphere":
         assert {"commutation", "conjugation", "shadow-equality"} <= names
-        assert calls == [(2 * points, config.dimension)] * 2
+        assert calls == [((points, config.dimension), 20)]
     else:
         assert not names & {"commutation", "conjugation", "shadow-equality"}
         assert calls == []
 
 
 def test_verify_corpus_computes_each_instance_probe_orbits_once(tmp_path, monkeypatch):
-    # the orbit expectations of an instance read one pair of orbits of
-    # its first start point stacked with R_A of it, at the deepest depth
-    # they ask for: subspace-ball, halfspace-ball, three-halfspace-lift
-    calls = []
-
-    def counted(first, second, x, n):
-        calls.append((np.shape(x), n))
-        return power_orbit(first, second, x, n)
-
-    monkeypatch.setattr("drorder.analysis.power_orbit", counted)
+    # the orbit expectations of an instance read one set of orbits of its
+    # first start point, at the deepest depth they ask for: subspace-ball,
+    # halfspace-ball, three-halfspace-lift
+    calls = _counted_power_orbits(monkeypatch, "analysis", "harness")
     assert main(["verify", "--corpus", "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == [((2, 2), 50)] * 2 + [((2, 2), 5)] * 2 + [((2, 9), 25)] * 2
+    assert calls == [((2,), 50), ((2,), 5), ((9,), 25)]
 
 
 def test_main_builds_one_parser_and_runs_the_command_bound_at_call_time(monkeypatch):

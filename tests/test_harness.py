@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drorder import analysis
+from drorder import analysis, harness
 from drorder.cli import main
 from drorder.harness import (
     FIGURE_START,
@@ -191,3 +191,10 @@ def test_shipped_manifest_is_in_canonical_round_trip_form():
     entries = [{"name": inst.name, "config": inst.config.to_dict()}
                for inst in load_corpus()]
     assert json.dumps(entries, indent=2) + "\n" == shipped.read_text()
+
+
+def test_grid_points_are_the_rows_of_the_grid_in_x_major_order():
+    axis = np.linspace(-harness.GRID_EXTENT, harness.GRID_EXTENT, harness.GRID_SIDE)
+    want = np.array([(gx, gy) for gx in axis for gy in axis])
+    got = harness._grid_points()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -3,12 +3,15 @@
 For each config of the corpus manifest this builds the probe points of
 ``drorder verify --config`` (``--seed``, ``--n``) and times, on those
 points, every identity of ``drorder.analysis.IDENTITIES`` whose
-requirements the operands meet, the way ``report_identities`` runs it.
-The probe orbits that commutation, conjugation and shadow equality
-share are computed once per call; they get their own row,
-"(probe orbits)", and the three orbit identities are timed from them.
-The solution certificates of ``verify`` are not registry identities
-and are not timed.
+requirements the operands meet, the way ``report_identities`` runs it:
+each repeat builds one pair of word tables of the points and evaluates
+the identities in registry order, all reading the same tables, so an
+identity's row is the time of the words it adds to those of the rows
+above it.  The probe orbits that commutation, conjugation and shadow
+equality share are computed once per repeat, at the first of them;
+they get their own row, "(probe orbits)", and the three orbit
+identities are timed from them.  The solution certificates of
+``verify`` are not registry identities and are not timed.
 
 Usage: PYTHONPATH=src python3 tools/identity_times.py [--repeat 51] [--seed 0] [--n 20]
 
@@ -27,20 +30,11 @@ import time
 
 import numpy as np
 
-from drorder.analysis import IDENTITIES, _power_orbits
+from drorder.analysis import IDENTITIES, _power_orbits, _word_tables
 from drorder.cli import _probe_points
 from drorder.harness import load_corpus
 
 ORBITS = "(probe orbits)"
-
-
-def _median_us(call, repeat: int) -> float:
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return 1e6 * statistics.median(times)
 
 
 def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
@@ -51,16 +45,24 @@ def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
     points = _probe_points(config, seed)
     pairs = (points, np.roll(points, -1, axis=0))
     applicable = [identity for identity in IDENTITIES if identity.unmet(a, b) is None]
-    times = {}
-    orbits = None
-    if any(identity.on_orbits for identity in applicable):
-        times[ORBITS] = _median_us(lambda: _power_orbits(a, b, points, n), repeat)
-        orbits = _power_orbits(a, b, points, n)
-    for identity in applicable:
-        samples = pairs if identity.pairwise else points
-        times[identity.name] = _median_us(
-            lambda: identity.report(a, b, samples, n, tol, orbits), repeat)
-    return times
+    times: dict[str, list[float]] = {}
+
+    def timed(row: str, call):
+        start = time.perf_counter()
+        value = call()
+        times.setdefault(row, []).append(time.perf_counter() - start)
+        return value
+
+    for _ in range(repeat):
+        words = _word_tables(a, b, pairs, pairwise=True)
+        orbits = None
+        for identity in applicable:
+            if identity.on_orbits and orbits is None:
+                orbits = timed(ORBITS, lambda: _power_orbits(a, b, points, n, words[0]("RA")))
+            samples, table = (pairs, words) if identity.pairwise else (points, words[0])
+            timed(identity.name,
+                  lambda: identity.report(a, b, samples, n, tol, orbits, table))
+    return {row: 1e6 * statistics.median(samples) for row, samples in times.items()}
 
 
 def main() -> int:
