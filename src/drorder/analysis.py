@@ -9,14 +9,14 @@ checkers in this module certify these statements pointwise, together
 with the stronger commutation, conjugation, and shadow identities that
 hold when the first operand is affine (or a normal cone of an affine
 subspace), and the failure probes that show where they break.  Every
-identity is evaluated for a whole batch of probe points at once.  The
-three orbit identities (commutation, conjugation, shadow equality) all
-compare T_ab^m and T_ba^m started from x and from R_A x, so they read
-one set of probe orbits, which advance both orders together with one
-J_A and one J_B call per step.  Every other identity is a formula over
-words in J_A, J_B, R_A, R_B, T_ab and T_ba applied to the probe points,
-such as R_A T_ab - T_ba R_A; they read one table of such words per
-batch, which computes each word once, on its first read.
+identity is evaluated for a whole batch of probe points at once, and
+reads one table of the batch's operator words, which computes each of
+them once, on its first read.  Most identities are formulas over words
+in J_A, J_B, R_A, R_B, T_ab and T_ba applied to the probe points, such
+as R_A T_ab - T_ba R_A.  The three orbit identities (commutation,
+conjugation, shadow equality) all compare T_ab^m and T_ba^m started
+from x and from R_A x; the table holds those probe orbits too, which
+advance both orders together with one J_A and one J_B call per step.
 
 ``IDENTITIES`` is the one declaration of each identity that
 ``drorder verify --config`` reports through ``report_identities``: its
@@ -299,10 +299,14 @@ class _Words:
     ``resolve`` call; R and T words are built from J words of the same
     table as ``Operator.reflect`` and ``dr_step`` build them, 2 J u - u
     and u - J_f u + J_s(R_f u), so every word keeps their bits.
+
+    ``orbits(n)`` are the probe orbits of x, ``_power_orbits`` to depth
+    n, computed on the first read: a read at a shallower depth takes
+    their first n + 1 steps, and only a deeper one computes them again.
     """
 
     def __init__(self, A: Operator, B: Operator, x: np.ndarray):
-        self.A, self.B, self._values = A, B, {(): x}
+        self.A, self.B, self._values, self._orbits = A, B, {(): x}, None
 
     def __call__(self, *word: str) -> np.ndarray:
         if word not in self._values:
@@ -318,6 +322,11 @@ class _Words:
         first, second = letter[1].upper(), letter[2].upper()
         return u - self("J" + first, *rest) + self("J" + second, "R" + first, *rest)
 
+    def orbits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._orbits is None or len(self._orbits[0]) <= n:
+            self._orbits = _power_orbits(self.A, self.B, self(), n, self("RA"))
+        return tuple(orbit[:int(n) + 1] for orbit in self._orbits)
+
 
 def _word_tables(A: Operator, B: Operator, samples, pairwise: bool):
     """The word table of the samples, or of each of a pair (X, Y)."""
@@ -328,7 +337,7 @@ def _word_tables(A: Operator, B: Operator, samples, pairwise: bool):
 # formula over the word table of an (N, d) array of points, or for the
 # pairwise ones over the pair of tables of two such arrays (X, Y); the
 # table of one point (d,), or a pair of them, gives one violation.  The
-# orbit identities further below read the samples' probe orbits instead.
+# orbit identities further below read the table's probe orbits instead.
 # Each holds only under the requirements its registry entry names.
 
 def _defect_decomposition(w: _Words):
@@ -418,8 +427,8 @@ def _orbit_gap(u: np.ndarray, v: np.ndarray):
 
 
 # The orbit identities, with signature (A, ab, ba): the violation at each
-# sample is a defect of the probe orbits (ab, ba) that ``_power_orbits``
-# returns for the samples, and the R_A or J_A each one needs of orbit
+# sample is a defect of the probe orbits (ab, ba) that ``_Words.orbits``
+# holds for the samples, and the R_A or J_A each one needs of orbit
 # points is one call on all of them.
 
 def _commutation(A: Operator, ab: np.ndarray, ba: np.ndarray):
@@ -467,12 +476,12 @@ class Identity:
     an (N, d) array of points, or of a pair (X, Y) of such arrays when
     ``pairwise``; given one point, shape (d,), or a pair of them, it
     returns the one defect.  ``n`` is the depth of the power identities.
-    ``defect`` computes it: as ``defect(words)`` from the word table of
-    the samples (``_word_tables``), or, when ``on_orbits``, as
-    ``defect(A, ab, ba)`` from their probe orbits (``_power_orbits``).
-    A caller that evaluates several identities at the same samples
-    passes these in as ``words`` and ``orbits``, so each word and each
-    orbit is computed once.
+    ``defect`` computes it from the word table of the samples
+    (``_word_tables``): as ``defect(words)``, or, when ``on_orbits``, as
+    ``defect(A, ab, ba)`` from the table's probe orbits to depth n.  A
+    caller that evaluates several identities at the same samples passes
+    their table in as ``words``, so each word and each orbit is computed
+    once.
     One sample counts for ``per_sample(n)`` reported samples.
     ``requires`` lists keys of the requirement table, checked in order,
     so a structural key listed first fails before an operand rule.
@@ -490,31 +499,27 @@ class Identity:
         return next((need for need in self.requires
                      if not _REQUIREMENTS[need][0](A, B)), None)
 
-    def violation(self, A: Operator, B: Operator, samples, n: int, orbits=None, words=None):
-        """The defect at each sample; ``orbits``, when given, are the probe
-        orbits ``_power_orbits(A, B, samples, n)``, and ``words`` the word
-        tables ``_word_tables(A, B, samples, self.pairwise)``."""
-        if not self.on_orbits:
-            return self.defect(words or _word_tables(A, B, samples, self.pairwise))
-        if orbits is None:
-            orbits = _power_orbits(A, B, samples, n)
-        return self.defect(A, *orbits)
+    def violation(self, A: Operator, B: Operator, samples, n: int, words=None):
+        """The defect at each sample; ``words``, when given, is the word
+        table ``_word_tables(A, B, samples, self.pairwise)``."""
+        words = words or _word_tables(A, B, samples, self.pairwise)
+        return self.defect(A, *words.orbits(n)) if self.on_orbits else self.defect(words)
 
     def report(self, A: Operator, B: Operator, samples, n: int,
-               tol: float, orbits=None, words=None) -> IdentityReport:
+               tol: float, words=None) -> IdentityReport:
         """Worst violation over a batch of samples, evaluated once for the
         whole batch; one point (d,), or a pair of them, is one sample.  The
         requirements are not checked."""
-        worst = np.max(self.violation(A, B, samples, n, orbits, words))
+        worst = np.max(self.violation(A, B, samples, n, words))
         points = samples[0] if self.pairwise else samples
         count = len(points) if np.ndim(points) > 1 else 1
         return IdentityReport.from_violation(self.name, worst,
                                              count * self.per_sample(n), tol)
 
     def check(self, A: Operator, B: Operator, sample, n: int,
-              tol: float, orbits=None) -> IdentityReport:
+              tol: float, words=None) -> IdentityReport:
         """The report at one sample, a point or a pair of points, with
-        ``orbits`` as in ``violation``; the unmet requirement's error when
+        ``words`` as in ``violation``; the unmet requirement's error when
         one fails."""
         need = self.unmet(A, B)
         if need is not None:
@@ -523,7 +528,7 @@ class Identity:
             sample = tuple(as_point(p, A.dim) for p in sample)
         else:
             sample = as_point(sample, A.dim)
-        return self.report(A, B, sample, n, tol, orbits)
+        return self.report(A, B, sample, n, tol, words)
 
 
 # Every identity `verify --config` reports, in report order.
@@ -560,23 +565,15 @@ def report_identities(A: Operator, B: Operator, points: np.ndarray, n: int,
     for the pairwise ones.
 
     Every identity reads one word table of the points and one of the
-    paired points, so each operator word is computed once, on its first
-    read.  The probe orbits are computed once, at the first applicable
-    orbit identity, and every orbit identity reads them.  Nothing is
-    kept past the call.
+    paired points, so each operator word, and the probe orbits of the
+    points, are computed once, on their first read.  Nothing is kept
+    past the call.
     """
     pairs = (points, np.roll(points, -1, axis=0))
     words = _word_tables(A, B, pairs, pairwise=True)
-    orbits = None
-    reports = []
-    for identity in IDENTITIES:
-        if identity.unmet(A, B) is not None:
-            continue
-        if identity.on_orbits and orbits is None:
-            orbits = _power_orbits(A, B, points, n, words[0]("RA"))
-        reports.append(identity.report(A, B, pairs if identity.pairwise else points,
-                                       n, tol, orbits, words if identity.pairwise else words[0]))
-    return reports
+    return [identity.report(A, B, pairs if identity.pairwise else points, n, tol,
+                            words if identity.pairwise else words[0])
+            for identity in IDENTITIES if identity.unmet(A, B) is None]
 
 
 def check_commutation(A: Operator, B: Operator, x, n: int, *,

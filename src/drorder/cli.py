@@ -47,21 +47,22 @@ ENV_TOL = "DR_ORDER_TOL"
 
 
 def _atomic_write(path, write_fn) -> None:
-    """Write through a temp file in the target directory, then rename."""
+    """Write through a temp file in the target directory, then rename; a
+    path that cannot be written (a missing directory, a directory) is a
+    ConfigError, and no temp file is left behind."""
     path = Path(path)
     parent = path.parent if str(path.parent) else Path(".")
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-    os.close(fd)
-    try:
+        os.close(fd)
         write_fn(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _env_tau_num() -> float | None:

@@ -12,11 +12,18 @@ The corpus manifest ``data/corpus.json`` ships with the package and is
 the one declaration of each instance's config (name + config per
 instance).  This module holds only the expectations, bound to the
 instance names; they check the manifest's configs against independent
-constants (the figure geometry, the lift's halfspaces).  An orbit
-expectation (commutation, conjugation, shadow equality and the
-conjugation failure exhibit) names its entry of the identity registry
-``analysis.IDENTITIES`` and a depth n; an instance's orbit expectations
-read one set of probe orbits, computed once per pass.  The fixed points
+constants (the figure geometry, the lift's halfspaces).
+
+``run_instance`` gives the expectations of one pass a private ``_Pass``,
+the only state they share.  It holds the config and, each computed on
+its first read, the word table of the grid, the word table of the first
+start point and the certified fixed points of the starts; nothing
+outlives the pass, and no expectation depends on another having run.
+The pointwise formulas of ray-vs-axis and bt-not-firm are words of the
+grid table (``analysis._Words``).  An orbit expectation (commutation,
+conjugation, shadow equality and the conjugation failure exhibit) names
+its entry of the identity registry ``analysis.IDENTITIES`` and a depth
+n, and reads the probe orbits the start table holds.  The fixed points
 of parallel-lines are found and certified by the code that gives
 ``verify --config`` its solution certificates.
 
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -38,20 +46,12 @@ from .analysis import (
     _IDENTITY,
     IdentityReport,
     _certified_fixed_points,
-    _power_orbits,
+    _Words,
     check_firmly_nonexpansive,
     probe_conjugation,
 )
 from .config import ProblemConfig
-from .operators import Operator
-from .splitting import (
-    FORM_BORWEIN_TAM,
-    Orbit,
-    SplitOperator,
-    dr_matrix,
-    dr_step,
-    iterate,
-)
+from .splitting import FORM_BORWEIN_TAM, Orbit, SplitOperator, dr_matrix, iterate
 
 __all__ = [
     "Expectation",
@@ -76,10 +76,11 @@ FIGURE_START = (4.0, 3.0)
 class Expectation:
     """One reproducible expectation of a named instance.
 
-    ``run`` returns (max_violation, sample_count) for the instance
-    config.  ``provenance`` records where the expected values come from:
-    "closed-form" for formulas stated with the instance, "derived" for
-    values recomputed by an independent oracle.  When
+    ``run`` returns (max_violation, sample_count) for the pass of an
+    instance (``_Pass``), which holds its config.  ``provenance``
+    records where the expected values come from: "closed-form" for
+    formulas stated with the instance, "derived" for values recomputed
+    by an independent oracle.  When
     ``expect_violation_above`` is set the expectation is a failure
     exhibit: it passes only if the observed violation exceeds that
     threshold, and the report then carries the shortfall
@@ -90,7 +91,7 @@ class Expectation:
     label: str
     provenance: str
     tolerance: float
-    run: Callable[[ProblemConfig], tuple[float, int]]
+    run: Callable[[_Pass], tuple[float, int]]
     expect_violation_above: float | None = None
 
 
@@ -101,13 +102,36 @@ class NamedInstance:
     expected: list[Expectation]
 
 
+@dataclass(eq=False)
+class _Pass:
+    """What the expectations of one pass over an instance share: its
+    config and, each computed on its first read, the word table of the
+    grid points, the word table of the first start point, and the fixed
+    points of the starts with their certificates."""
+
+    config: ProblemConfig
+
+    @cached_property
+    def grid(self) -> _Words:
+        return _Words(self.config.operator_a, self.config.operator_b, _grid_points())
+
+    @cached_property
+    def start(self) -> _Words:
+        return _Words(self.config.operator_a, self.config.operator_b, self.config.start_points[0])
+
+    @cached_property
+    def fixed_points(self):
+        """``analysis._certified_fixed_points`` of the config."""
+        return _certified_fixed_points(self.config)
+
+
 def run_instance(instance: NamedInstance) -> list[IdentityReport]:
-    """Evaluate every expectation, in order; failures become reports, not
-    errors.  A later expectation of an instance may read what an earlier
-    one computed in the same pass."""
+    """Evaluate every expectation, in order, in one pass (``_Pass``);
+    failures become reports, not errors."""
+    shared = _Pass(instance.config)
     reports = []
     for exp in instance.expected:
-        violation, samples = exp.run(instance.config)
+        violation, samples = exp.run(shared)
         if exp.expect_violation_above is not None:
             violation = exp.expect_violation_above - violation  # the shortfall
         reports.append(IdentityReport.from_violation(
@@ -126,18 +150,21 @@ def _columns(first, second) -> np.ndarray:
     return np.column_stack(np.broadcast_arrays(first, second))
 
 
-def _grid_expectation(label: str, provenance: str, tolerance: float,
-                      computed: Callable[[Operator, Operator, np.ndarray], np.ndarray],
-                      closed: Callable[[np.ndarray], np.ndarray]) -> Expectation:
-    """Compare ``computed`` with its ``closed`` form on the whole grid at
-    once; both map an (N, 2) array of points row by row."""
-    def run(config: ProblemConfig) -> tuple[float, int]:
-        a, b = config.operator_a, config.operator_b
-        points = _grid_points()
-        gap = computed(a, b, points) - closed(points)
-        return float(np.max(np.sqrt(np.vecdot(gap, gap)))), len(points)
+def _grid_expectations(*rows: tuple[str, tuple[str, ...],
+                                      Callable[[np.ndarray], np.ndarray]]) -> list[Expectation]:
+    """One closed-form expectation, tolerance 1e-12, per (label, word,
+    closed form): the word of the pass's grid table (``_Words``) against
+    its closed form, which maps the (N, 2) array of grid points row by
+    row, on the whole grid at once."""
+    def expectation(label: str, word: tuple[str, ...], closed) -> Expectation:
+        def run(shared: _Pass) -> tuple[float, int]:
+            points = shared.grid()
+            gap = shared.grid(*word) - closed(points)
+            return float(np.max(np.sqrt(np.vecdot(gap, gap)))), len(points)
 
-    return Expectation(label, provenance, tolerance, run)
+        return Expectation(label, "closed-form", 1e-12, run)
+
+    return [expectation(*row) for row in rows]
 
 
 # --------------------------------------------------------------------------
@@ -148,38 +175,14 @@ def _expect_ray_vs_axis() -> list[Expectation]:
     def pos(v: np.ndarray) -> np.ndarray:
         return np.maximum(v, 0.0)
 
-    return [
-        _grid_expectation(
-            "t-ab", "closed-form", 1e-12,
-            lambda a, b, p: dr_step(a, b, p),
-            lambda p: _columns(0.0, pos(p[:, 1])),
-        ),
-        _grid_expectation(
-            "t-ba", "closed-form", 1e-12,
-            lambda a, b, p: dr_step(b, a, p),
-            lambda p: _columns(0.0, np.minimum(p[:, 1], 0.0)),
-        ),
-        _grid_expectation(
-            "rb-of-t-ab", "closed-form", 1e-12,
-            lambda a, b, p: b.reflect(dr_step(a, b, p)),
-            lambda p: _columns(0.0, pos(p[:, 1])),
-        ),
-        _grid_expectation(
-            "t-ba-of-rb", "closed-form", 1e-12,
-            lambda a, b, p: dr_step(b, a, b.reflect(p)),
-            lambda p: np.zeros_like(p),
-        ),
-        _grid_expectation(
-            "rb-of-t-ba", "closed-form", 1e-12,
-            lambda a, b, p: b.reflect(dr_step(b, a, p)),
-            lambda p: _columns(0.0, pos(-p[:, 1])),
-        ),
-        _grid_expectation(
-            "t-ab-of-rb", "closed-form", 1e-12,
-            lambda a, b, p: dr_step(a, b, b.reflect(p)),
-            lambda p: _columns(0.0, np.abs(p[:, 1])),
-        ),
-    ]
+    return _grid_expectations(
+        ("t-ab", ("Tab",), lambda p: _columns(0.0, pos(p[:, 1]))),
+        ("t-ba", ("Tba",), lambda p: _columns(0.0, np.minimum(p[:, 1], 0.0))),
+        ("rb-of-t-ab", ("RB", "Tab"), lambda p: _columns(0.0, pos(p[:, 1]))),
+        ("t-ba-of-rb", ("Tba", "RB"), np.zeros_like),
+        ("rb-of-t-ba", ("RB", "Tba"), lambda p: _columns(0.0, pos(-p[:, 1]))),
+        ("t-ab-of-rb", ("Tab", "RB"), lambda p: _columns(0.0, np.abs(p[:, 1]))),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -192,8 +195,8 @@ _PRODUCT_BA_AB = np.array([[5.0, 1.0], [1.0, 2.0]]) / 9.0
 
 def _matrix_expectation(label: str, provenance: str, swap: bool,
                         expected: np.ndarray) -> Expectation:
-    def run(config: ProblemConfig) -> tuple[float, int]:
-        first, second = config.operator_a, config.operator_b
+    def run(shared: _Pass) -> tuple[float, int]:
+        first, second = shared.config.operator_a, shared.config.operator_b
         if swap:
             first, second = second, first
         matrix, offset = dr_matrix(SplitOperator(first, second, FORM_BORWEIN_TAM))
@@ -207,8 +210,8 @@ def _matrix_expectation(label: str, provenance: str, swap: bool,
 
 
 def _expect_linear_asymmetric() -> list[Expectation]:
-    def commutator_gap(config: ProblemConfig) -> tuple[float, int]:
-        a, b = config.operator_a, config.operator_b
+    def commutator_gap(shared: _Pass) -> tuple[float, int]:
+        a, b = shared.config.operator_a, shared.config.operator_b
         m1, _ = dr_matrix(SplitOperator(a, b, FORM_BORWEIN_TAM))
         m2, _ = dr_matrix(SplitOperator(b, a, FORM_BORWEIN_TAM))
         expected = np.array([[0.0, -2.0], [-2.0, 0.0]]) / 9.0
@@ -230,8 +233,8 @@ def _expect_bt_not_firm() -> list[Expectation]:
     def half_pos(v: np.ndarray) -> np.ndarray:
         return np.maximum(0.5 * v, 0.0)
 
-    def witness(config: ProblemConfig) -> tuple[float, int]:
-        a, b = config.operator_a, config.operator_b
+    def witness(shared: _Pass) -> tuple[float, int]:
+        a, b = shared.config.operator_a, shared.config.operator_b
         forward = SplitOperator(a, b, FORM_BORWEIN_TAM)
         backward = SplitOperator(b, a, FORM_BORWEIN_TAM)
         origin = np.zeros(2)
@@ -251,17 +254,11 @@ def _expect_bt_not_firm() -> list[Expectation]:
         return worst, count
 
     return [
-        _grid_expectation(
-            "t-ab", "closed-form", 1e-12,
-            lambda a, b, p: dr_step(a, b, p),
-            lambda p: _columns(half_pos(p[:, 0] + p[:, 1]),
-                               p[:, 1] - half_pos(p[:, 0] + p[:, 1])),
-        ),
-        _grid_expectation(
-            "t-ba", "closed-form", 1e-12,
-            lambda a, b, p: dr_step(b, a, p),
-            lambda p: _columns(half_pos(p[:, 0] - p[:, 1]),
-                               p[:, 1] + half_pos(p[:, 0] - p[:, 1])),
+        *_grid_expectations(
+            ("t-ab", ("Tab",), lambda p: _columns(half_pos(p[:, 0] + p[:, 1]),
+                                                  p[:, 1] - half_pos(p[:, 0] + p[:, 1]))),
+            ("t-ba", ("Tba",), lambda p: _columns(half_pos(p[:, 0] - p[:, 1]),
+                                                  p[:, 1] + half_pos(p[:, 0] - p[:, 1]))),
         ),
         Expectation("composite-not-firm", "closed-form", 1e-12, witness),
     ]
@@ -274,15 +271,15 @@ def _expect_bt_not_firm() -> list[Expectation]:
 # fill a whole plane and the reflector acts on it nontrivially.
 
 def _expect_parallel_lines() -> list[Expectation]:
-    # The fixed points of the starts and their certificates (None when a
-    # start runs out of budget or a pair cannot be extracted): found once
-    # per pass, by the pass's first expectation, and read by the other two.
-    found = {}
+    def certificates(shared: _Pass):
+        """The certificates of the fixed points of the pass; None when a
+        start runs out of budget or a pair cannot be extracted."""
+        fixed, cert = shared.fixed_points
+        return cert if len(fixed) == len(shared.config.start_points) else None
 
-    def fixed_point_form(config: ProblemConfig) -> tuple[float, int]:
-        starts = config.start_points
-        fixed, cert = _certified_fixed_points(config)
-        found["cert"] = cert if len(fixed) == len(starts) else None
+    def fixed_point_form(shared: _Pass) -> tuple[float, int]:
+        starts = shared.config.start_points
+        fixed, _ = shared.fixed_points
         if len(fixed) < len(starts):
             return float("inf"), len(starts)
         worst = 0.0
@@ -291,11 +288,12 @@ def _expect_parallel_lines() -> list[Expectation]:
             worst = max(worst, float(np.linalg.norm(f - expected)))
         return worst, len(starts)
 
-    def solution_form(config: ProblemConfig) -> tuple[float, int]:
-        starts = config.start_points
-        if found["cert"] is None:
+    def solution_form(shared: _Pass) -> tuple[float, int]:
+        starts = shared.config.start_points
+        cert = certificates(shared)
+        if cert is None:
             return float("inf"), len(starts)
-        pairs = found["cert"].pairs
+        pairs = cert.pairs
         worst = max(
             max(float(np.linalg.norm(p.z - np.array([s[0], 0.0, 0.0]))),
                 float(np.linalg.norm(p.k - np.array([0.0, 0.0, s[2]]))))
@@ -303,10 +301,10 @@ def _expect_parallel_lines() -> list[Expectation]:
         )
         return worst, len(pairs)
 
-    def bijection(config: ProblemConfig) -> tuple[float, int]:
-        n = len(config.start_points)
+    def bijection(shared: _Pass) -> tuple[float, int]:
+        n = len(shared.config.start_points)
         count = n + n * (n - 1) // 2
-        cert = found["cert"]
+        cert = certificates(shared)
         if cert is None:
             return float("inf"), count
         return max(cert.bijection, cert.isometry), count
@@ -335,36 +333,36 @@ def _orbit_expectations(provenance: str, tolerance: float,
     identity of ``analysis.IDENTITIES`` at depth n from the instance's
     first start point.
 
-    The pass's first one computes the probe orbits once, at the deepest
-    n, and each reads its first n + 1 steps.  An unmet hypothesis of the
-    identity raises, except in a failure exhibit (``above`` set), which
-    waives it as ``probe_conjugation`` does.
+    Each reads the first n + 1 steps of the probe orbits of the pass's
+    start table, which holds them to the deepest n of the specs, so
+    every one of them reads the same orbits in whatever order they run.
+    An unmet hypothesis of the identity raises, except in a failure
+    exhibit (``above`` set), which waives it as ``probe_conjugation``
+    does.
     """
     depth = max(n for _, _, n in specs)
-    orbits = []
 
-    def expectation(index: int, label: str, name: str, n: int) -> Expectation:
+    def expectation(label: str, name: str, n: int) -> Expectation:
         identity = _IDENTITY[name]
 
-        def run(config: ProblemConfig) -> tuple[float, int]:
-            a, b = config.operator_a, config.operator_b
-            start = config.start_points[0]
-            if index == 0:
-                orbits[:] = _power_orbits(a, b, start, depth)
-            prefix = tuple(orbit[:n + 1] for orbit in orbits)
+        def run(shared: _Pass) -> tuple[float, int]:
+            config, words = shared.config, shared.start
+            words.orbits(depth)  # the deepest first, so each n reads a prefix
             reader = identity.check if above is None else identity.report
-            rep = reader(a, b, start, n, tolerance, prefix)
+            rep = reader(config.operator_a, config.operator_b, config.start_points[0], n,
+                         tolerance, words)
             return rep.max_violation, rep.sample_count
 
         return Expectation(label, provenance, tolerance, run, above)
 
-    return [expectation(index, *spec) for index, spec in enumerate(specs)]
+    return [expectation(*spec) for spec in specs]
 
 
 def _expect_subspace_ball() -> list[Expectation]:
-    def membership(config: ProblemConfig) -> tuple[float, int]:
+    def membership(shared: _Pass) -> tuple[float, int]:
         # Independent geometry: distance to the line and excess over the
         # ball radius, from the instance parameters alone.
+        config = shared.config
         direction = _line_direction()
         center = np.asarray(FIGURE_BALL_CENTER)
         worst = 0.0
@@ -405,7 +403,8 @@ _LIFT_RHS = (1.0, 1.0, 0.5)
 
 
 def _expect_three_halfspace_lift() -> list[Expectation]:
-    def feasibility(config: ProblemConfig) -> tuple[float, int]:
+    def feasibility(shared: _Pass) -> tuple[float, int]:
+        config = shared.config
         orbit = iterate(config.split("ab"), config.start_points[0],
                         config.max_iter, config.stop_tol)
         if not orbit.converged:
@@ -456,11 +455,18 @@ def load_corpus(path=None) -> list[NamedInstance]:
         text = Path(path).read_text()
     else:
         text = _manifest_resource().read_text()
+    entries = json.loads(text)
+    if not isinstance(entries, list):
+        raise ValueError("manifest must be a JSON array of {name, config} objects")
     instances = []
-    for entry in json.loads(text):
+    for index, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and "config" in entry):
+            raise ValueError(f"manifest entry {index} is not a {{name, config}} object "
+                             "with a string name")
         name = entry["name"]
         if name not in _EXPECTATIONS:
-            raise ValueError(f"manifest names unknown instance {name!r}")
+            raise ValueError(f"manifest entry {index} names unknown instance {name!r}")
         config = ProblemConfig.from_dict(entry["config"])
         instances.append(NamedInstance(name, config, _EXPECTATIONS[name]()))
     return instances

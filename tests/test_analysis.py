@@ -792,8 +792,11 @@ def test_orbit_identities_match_their_per_orbit_formulas(name, n):
             assert np.shape(got) == x.shape[:-1], (a.kind, b.kind)
             want = _ORBIT_REFERENCES[name](a, b, x, n)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a.kind, b.kind, got, want)
-            # orbits handed in give the same violation, bit for bit
-            shared = identity.violation(a, b, x, n, _power_orbits(a, b, x, n))
+            # a table whose orbits are filled gives the same violation, bit
+            # for bit
+            words = _Words(a, b, x)
+            words.orbits(n)
+            shared = identity.violation(a, b, x, n, words)
             assert np.array_equal(shared, got), (a.kind, b.kind)
             if n == 0 and name != "shadow-equality":
                 assert np.all(got == 0.0)

@@ -382,7 +382,7 @@ def test_verify_corpus_computes_each_instance_probe_orbits_once(tmp_path, monkey
     # the orbit expectations of an instance read one set of orbits of its
     # first start point, at the deepest depth they ask for: subspace-ball,
     # halfspace-ball, three-halfspace-lift
-    calls = _counted_power_orbits(monkeypatch, "analysis", "harness")
+    calls = _counted_power_orbits(monkeypatch, "analysis")
     assert main(["verify", "--corpus", "--out", str(tmp_path / "report.json")]) == 0
     assert calls == [((2,), 50), ((2,), 5), ((9,), 25)]
 
@@ -564,12 +564,22 @@ def test_divergent_instance_exits_one_with_one_line(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "diverged" in err
 
 
-@pytest.mark.parametrize("command", ["run", "verify", "compare"])
-def test_missing_output_directory_exits_two(tmp_path, capsys, command):
+# an output path in a missing directory, and one that is a directory
+# (subspace-ball has one start point, so `run` writes to the path itself)
+@pytest.mark.parametrize("command, out", [
+    *(pytest.param(command, "missing/out", id=command)
+      for command in ("run", "verify", "compare")),
+    *(pytest.param(command, "directory", id=f"{command}-directory")
+      for command in ("run", "verify", "compare")),
+])
+def test_missing_output_directory_exits_two(tmp_path, capsys, command, out):
     cfg = _write_config(tmp_path, "subspace-ball")
-    out = tmp_path / "missing" / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    (tmp_path / "directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
     assert "cannot write" in capsys.readouterr().err
+    # no temp file is left behind
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

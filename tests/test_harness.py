@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 
 from drorder import analysis, harness
 from drorder.cli import main
+from drorder.config import ProblemConfig
 from drorder.harness import (
     FIGURE_START,
+    NamedInstance,
     figure_scenarios,
     load_corpus,
     run_instance,
@@ -60,6 +63,29 @@ def test_manifest_naming_an_unknown_instance_is_rejected(tmp_path):
     path = tmp_path / "unknown.json"
     path.write_text(json.dumps(entries))
     with pytest.raises(ValueError, match="unknown instance 'no-such-instance'"):
+        load_corpus(path)
+
+
+_ENTRY_1 = "manifest entry 1 is not a {name, config} object"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda entries: {"instances": entries}, "must be a JSON array",
+                 id="not-an-array"),
+    pytest.param(lambda entries: [entries[0], entries[1]["name"]], _ENTRY_1,
+                 id="entry-not-an-object"),
+    pytest.param(lambda entries: [entries[0], {"config": entries[1]["config"]}], _ENTRY_1,
+                 id="no-name"),
+    pytest.param(lambda entries: [entries[0], {**entries[1], "name": ["ray-vs-axis"]}],
+                 _ENTRY_1, id="name-not-a-string"),
+    pytest.param(lambda entries: [entries[0], {"name": entries[1]["name"]}], _ENTRY_1,
+                 id="no-config"),
+])
+def test_malformed_manifest_is_a_value_error_naming_the_entry(tmp_path, mutate, message):
+    entries = json.loads(write_manifest(tmp_path / "corpus.json").read_text())
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(mutate(entries)))
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_corpus(path)
 
 
@@ -112,6 +138,45 @@ def test_parallel_lines_finds_and_certifies_its_fixed_points_once(tmp_path, monk
         path.write_text(json.dumps(instance.config.to_dict()))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
     assert counts == {"find_fixed_point": 4, "certify_fixed_points": 1}
+
+
+def test_each_expectation_alone_reports_as_in_the_full_pass():
+    # no expectation reads what another one computed: run alone, in a pass
+    # of a freshly loaded corpus, each gives the report of the full pass
+    full = {inst.name: [r.to_dict() for r in run_instance(inst)] for inst in load_corpus()}
+    assert sum(map(len, full.values())) == 23
+    for name, reports in full.items():
+        for index, want in enumerate(reports):
+            instance = next(inst for inst in load_corpus() if inst.name == name)
+            instance.expected = [instance.expected[index]]
+            assert [r.to_dict() for r in run_instance(instance)] == [want]
+
+
+def test_a_pass_reads_nothing_an_earlier_pass_computed():
+    # the same expectation, after a full pass that found the fixed points,
+    # in a pass whose budget finds none
+    instance = next(inst for inst in load_corpus() if inst.name == "parallel-lines")
+    assert all(report.passed for report in run_instance(instance))
+    short = ProblemConfig.from_dict({**instance.config.to_dict(), "max_iter": 1})
+    lone = NamedInstance(instance.name, short, [instance.expected[1]])
+    [report] = run_instance(lone)
+    assert report.identity_name == "parallel-lines/solution-split"
+    assert report.max_violation == math.inf and not report.passed
+
+
+def test_ray_vs_axis_resolves_each_grid_word_once(monkeypatch):
+    # the six formulas read 9 distinct J words of the grid: J_A x, J_B x,
+    # J_B R_A x, J_A R_B x, J_B T_ab x, J_B T_ba x, J_B R_B x,
+    # J_A R_B R_B x and J_B R_A R_B x
+    instance = next(inst for inst in load_corpus() if inst.name == "ray-vs-axis")
+    shapes = []
+    for cls in {type(instance.config.operator_a), type(instance.config.operator_b)}:
+        def counted(self, x, resolve=cls.resolve):
+            shapes.append(np.shape(x))
+            return resolve(self, x)
+        monkeypatch.setattr(cls, "resolve", counted)
+    assert all(report.passed for report in run_instance(instance))
+    assert shapes == [(harness.GRID_SIDE ** 2, 2)] * 9
 
 
 def test_figure_scenarios_subspace(tmp_path):

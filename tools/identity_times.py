@@ -8,8 +8,9 @@ each repeat builds one pair of word tables of the points and evaluates
 the identities in registry order, all reading the same tables, so an
 identity's row is the time of the words it adds to those of the rows
 above it.  The probe orbits that commutation, conjugation and shadow
-equality share are computed once per repeat, at the first of them;
-they get their own row, "(probe orbits)", and the three orbit
+equality share are held by the table of the points and are computed
+once per repeat, at the first of them; they get their own row,
+"(probe orbits)", the time of ``words.orbits(n)``, and the three orbit
 identities are timed from them.  The solution certificates of
 ``verify`` are not registry identities and are not timed.
 
@@ -30,7 +31,7 @@ import time
 
 import numpy as np
 
-from drorder.analysis import IDENTITIES, _power_orbits, _word_tables
+from drorder.analysis import IDENTITIES, _word_tables
 from drorder.cli import _probe_points
 from drorder.harness import load_corpus
 
@@ -58,10 +59,9 @@ def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
         orbits = None
         for identity in applicable:
             if identity.on_orbits and orbits is None:
-                orbits = timed(ORBITS, lambda: _power_orbits(a, b, points, n, words[0]("RA")))
+                orbits = timed(ORBITS, lambda: words[0].orbits(n))
             samples, table = (pairs, words) if identity.pairwise else (points, words[0])
-            timed(identity.name,
-                  lambda: identity.report(a, b, samples, n, tol, orbits, table))
+            timed(identity.name, lambda: identity.report(a, b, samples, n, tol, table))
     return {row: 1e6 * statistics.median(samples) for row, samples in times.items()}
 
 
