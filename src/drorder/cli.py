@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--corpus", action="store_true",
                         help="verify the whole named corpus instead of a config")
     p_verify.add_argument("--out", help="report JSON path (default: stdout)")
-    p_verify.add_argument("--seed", type=int, default=0,
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0,
                           help="seed for the randomized probe points")
     p_verify.add_argument("--n", type=_nonnegative_int, default=20,
                           help="iteration depth for the power identities")

@@ -37,6 +37,7 @@ from drorder.operators import (
     NonFinitePointError,
     NotAffineError,
     SphereSelection,
+    TAU_NUM,
     as_point,
 )
 from drorder.harness import load_corpus
@@ -680,6 +681,70 @@ def test_checker_raises_not_affine_exactly_when_its_registry_entry_is_unmet(name
     # both outcomes occur, except for the identity that holds unconditionally
     assert None in outcomes
     assert (outcomes != {None}) == (name != "defect-decomposition")
+
+
+def _witnesses():
+    """(identity, requirement key) -> (A, B, points): a pair that fails
+    that key and meets the identity's other keys, and the probe points
+    where the identity fails.
+
+    The structural keys take the paper's own counterexamples: a halfspace
+    where the theory wants a subspace (halfspace-ball), and a ray in the
+    first slot (bt-not-firm).  The operand rule "monotone operands" takes
+    a line against the unit-sphere selection, at points within 0.05 of
+    its center, where the selection jumps and T_ab expands distances.
+    """
+    corpus = {inst.name: (inst.config.operator_a, inst.config.operator_b)
+              for inst in load_corpus()}
+    halfspace_ball, ray_first = corpus["halfspace-ball"], corpus["bt-not-firm"]
+    line, _ = subspace_ball_pair()
+    sphere = SphereSelection([2.0, 1.0], 1.0, [0.0, 1.0])
+    axis = np.linspace(-3.0, 3.0, 5)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    near_center = sphere.center + (0.05 / np.linalg.norm(grid, axis=1).max()) * grid
+    subspace_first = "an affine-subspace normal cone first operand"
+    subspace_both = "affine-subspace normal cone operands"
+    return {
+        ("dr-firmly-nonexpansive", "monotone operands"): (line, sphere, near_center),
+        ("commutation", "an affine first operand"): (*ray_first, grid),
+        ("conjugation", subspace_first): (*halfspace_ball, grid),
+        ("shadow-equality", subspace_first): (*halfspace_ball, grid),
+        ("nonexpansive-transfer", subspace_first): (*halfspace_ball, grid),
+        ("nonexpansive-transfer", "monotone operands"): (line, sphere, near_center),
+        ("bt-factorization", subspace_first): (*ray_first, grid),
+        ("commutator", "affine operands"): (*ray_first, grid),
+        ("bt-order-invariance", subspace_both): (*ray_first, grid),
+        ("bt-half-sum", subspace_both): (*ray_first, grid),
+        ("bt-firmly-nonexpansive", subspace_both): (*ray_first, grid),
+    }
+
+
+def _probe_samples(identity, points):
+    """The samples of ``points`` as ``report_identities`` forms them."""
+    return (points, np.roll(points, -1, axis=0)) if identity.pairwise else points
+
+
+def test_every_requirement_key_has_a_witness_that_fails_it_alone():
+    # no registry entry can keep a hypothesis that its identity does not need
+    witnesses = _witnesses()
+    keys = [(identity, key) for identity in IDENTITIES for key in identity.requires]
+    assert sorted(witnesses) == sorted((identity.name, key) for identity, key in keys)
+    for identity, key in keys:
+        a, b, points = witnesses[(identity.name, key)]
+        failed = [need for need in identity.requires if not _REQUIREMENTS[need][0](a, b)]
+        assert failed == [key], (identity.name, key, failed)
+        worst = np.max(identity.violation(a, b, _probe_samples(identity, points), 6))
+        assert worst >= 1e-3, (identity.name, key, worst)
+
+
+def test_every_identity_holds_on_the_pairs_that_meet_its_keys():
+    rng = np.random.default_rng(45)
+    for a, b in _operand_pairs():
+        points = np.array([random_point(rng, a.dim) for _ in range(12)])
+        for identity in IDENTITIES:
+            if identity.unmet(a, b) is None:
+                worst = np.max(identity.violation(a, b, _probe_samples(identity, points), 6))
+                assert worst <= TAU_NUM, (identity.name, a.kind, b.kind, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -592,11 +592,15 @@ def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, tol
     assert main(["verify", "--corpus"]) == 2
 
 
-@pytest.mark.parametrize("command", ["verify", "compare"])
-def test_negative_depth_is_a_usage_error(tmp_path, command):
+@pytest.mark.parametrize("command, option", [
+    pytest.param("verify", "--n", id="verify"),
+    pytest.param("compare", "--n", id="compare"),
+    pytest.param("verify", "--seed", id="verify-seed"),
+])
+def test_negative_depth_is_a_usage_error(tmp_path, command, option):
     cfg = _write_config(tmp_path, "subspace-ball")
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cfg), "--n", "-1",
+        main([command, "--config", str(cfg), option, "-1",
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -780,3 +781,129 @@ def test_point_check_decides_as_isfinite_all_over_the_float_range():
                     assert _checked(op.resolve, x) is None, label
             else:
                 assert _checked(op.resolve, x) == rejected, label
+
+
+# ---------------------------------------------------------------------------
+# one kernel for both shapes: the halfspace, the ray and the sphere selection
+# resolve a point with their row kernel, and LinearMonotone is the affine
+# relation with a zero offset.  Their former one-point kernels are kept here
+# as references, each validating as ``resolve`` does.
+
+
+def _reference_halfspace(op, x):
+    x = operators._as_points(x, op.dim)
+    slack = float(op.normal @ x) - op.rhs
+    if slack <= 0.0:
+        return x.copy()
+    return x - slack * op.normal
+
+
+def _reference_ray(op, x):
+    return max(float(op.direction @ operators._as_points(x, op.dim)), 0.0) * op.direction
+
+
+def _reference_sphere(op, x):
+    v = operators._as_points(x, op.dim) - op.center
+    dist = operators._norm(v)
+    if dist == 0.0:
+        return op.center + op.radius * op.tie_direction
+    scale = op.radius / dist
+    if scale == math.inf:
+        return op.center + op.radius * (v / dist)
+    return op.center + scale * v
+
+
+def _reference_linear(op, x):
+    shifted = np.eye(op.dim) + op.matrix
+    return operators._solve_shifted(shifted, operators._as_points(x, op.dim))
+
+
+def _reference_linear_map(op):
+    return np.linalg.inv(np.eye(op.dim) + op.matrix), np.zeros(op.dim)
+
+
+_REFERENCES = {NormalConeHalfspace: _reference_halfspace, NormalConeRay: _reference_ray,
+               SphereSelection: _reference_sphere, LinearMonotone: _reference_linear}
+
+
+def _merged_kernel_members(rng, d):
+    """The members of ``_batch_members`` whose kernels merged, a sphere
+    about the origin (subnormal distances from its center), halfspaces
+    with the origin on their boundary and far outside, and linear maps
+    whose resolvent offsets are sums of -0.0 products."""
+    members = _batch_members(rng, d)
+    ops = [members[label][0] for label in ("halfspace", "ray", "sphere", "linear")]
+    ops += [SphereSelection(np.zeros(d), 1.5, rng.normal(size=d)),
+            NormalConeHalfspace(rng.normal(size=d), 0.0),
+            NormalConeHalfspace(rng.normal(size=d), -1e300),
+            LinearMonotone(np.zeros((d, d))), LinearMonotone(0.5 * np.eye(d))]
+    return ops
+
+
+def _merged_kernel_inputs(rng, op):
+    """``_batch_points`` rows, points near and a subnormal distance from the
+    sphere center, and the float-range points and batches."""
+    d = op.dim
+    near = [getattr(op, "center", np.zeros(d)) + s * rng.normal(size=d)
+            for s in (0.0, 5e-324, 1e-310, 1e-300)]
+    rows = [*_batch_points(rng, op), *near, rng.normal(size=d) * 1e300]
+    return [*rows, np.array(rows), *_points_and_batches(d), np.ones(d + 1), np.ones(())]
+
+
+def _resolve_outcome(call, x):
+    """The bytes and shape ``call(x)`` returns, or the error type and
+    message it raises."""
+    try:
+        got = call(x)
+    except (NonFinitePointError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return got.shape, got.tobytes()
+
+
+def _reference_outcome(reference, op, x):
+    """The reference's outcome on a point, or on each row of a batch in
+    turn, where a batch raises the error of its first rejected row; the
+    linear reference solves a batch in one call, as it did."""
+    if isinstance(op, LinearMonotone) or np.ndim(x) != 2 or np.shape(x)[-1] != op.dim:
+        return _resolve_outcome(lambda p: reference(op, p), x)
+    rows = [_resolve_outcome(lambda p: reference(op, p), row) for row in x]
+    failed = [row for row in rows if isinstance(row[0], type)]
+    if failed:
+        return failed[0]
+    return np.shape(x), b"".join(data for _, data in rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_merged_kernels_match_their_one_point_references_bit_for_bit(d):
+    rng = np.random.default_rng(44 + d)
+    for op in _merged_kernel_members(rng, d):
+        reference = _REFERENCES[type(op)]
+        for x in _merged_kernel_inputs(rng, op):
+            # overflow at these magnitudes belongs to the float-range
+            # contract; the kernels are compared on what they return
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _reference_outcome(reference, op, x)
+                got = _resolve_outcome(op.resolve, x)
+            assert got == want, (op.kind, x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_linear_monotone_affine_map_keeps_its_bits(d):
+    rng = np.random.default_rng(48 + d)
+    for op in (random_linear_monotone(rng, d), LinearMonotone(np.zeros((d, d))),
+               LinearMonotone(0.5 * np.eye(d))):
+        c, b = op.resolvent_affine_map()
+        want_c, want_b = _reference_linear_map(op)
+        assert c.tobytes() == want_c.tobytes()
+        # +0.0 in every entry, never -0.0
+        assert b.tobytes() == want_b.tobytes() == np.zeros(d).tobytes()
+        assert op.to_dict().keys() == {"kind", "matrix"} and op.kind == "linear_monotone"
+
+
+@pytest.mark.parametrize("matrix, shape", [
+    (3.0, ()), ([1.0, 2.0], (2,)), (np.zeros((2, 3)), (2, 3)), (np.zeros((1, 1, 1)), (1, 1, 1)),
+])
+def test_linear_monotone_names_a_matrix_that_is_not_square(matrix, shape):
+    with pytest.raises(DimensionMismatchError) as exc:
+        LinearMonotone(matrix)
+    assert str(exc.value) == f"matrix must be square, got {shape}"

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from drorder import operators
 from drorder.analysis import IDENTITIES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +48,11 @@ def test_layer_times_times_every_layer():
     names = [name.strip() for name, _ in rows]
     assert {"as_point", "_as_points", "resolve normal_cone_ball", "dr_step line/ball",
             "iterate line/ball ab, per step", "iterate plane/line ba, per step"} <= set(names)
+    # every kind's one-point resolve, and the same point as a (1, d) batch
+    kinds = [name for name in names if name.startswith("resolve ") and "," not in name]
+    assert len(kinds) == len(operators._CATALOG)
+    assert [name for name in names if name.endswith(", (1, d) batch")] == [
+        f"{name}, (1, d) batch" for name in kinds]
     assert all(float(value) > 0.0 for _, value in rows)
 
 

@@ -52,3 +52,9 @@ def test_tracer_installs_and_restores_every_name():
     changed = [f"{getattr(ns, '__name__', ns)}.{attr}"
                for (ns, attr), value in before.items() if after[(ns, attr)] is not value]
     assert changed == []
+
+
+def test_every_catalog_class_holds_its_own_resolve():
+    # the tracer wraps ``resolve`` per kind only where a class's own
+    # namespace holds it; an inherited one would count under the parent's kind
+    assert [kind for kind, cls in operators._CATALOG.items() if "resolve" not in vars(cls)] == []

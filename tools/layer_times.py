@@ -5,7 +5,10 @@ Rows, each the median wall time of one call over --repeat calls (the
 
 - ``as_point`` and ``_as_points`` on a finite point of R^2;
 - the one-point ``resolve`` of each catalog kind, in R^2 (the block
-  kind holds a halfspace and a ball, so its point lies in R^4);
+  kind holds a halfspace and a ball, so its point lies in R^4), and the
+  same point as a (1, d) batch: the gap is what a one-point kernel
+  saves, where there is one (the ball's, which the inverse, rotation and
+  block rows also reach);
 - ``dr_step`` on the line/ball pair of the long-orbit benchmark, with
   and without J_first x handed in;
 - ``iterate`` per step on the two long-orbit pairs, line/ball in order
@@ -92,6 +95,8 @@ def main() -> int:
     for op in KINDS:
         point = np.resize(x, op.dim)
         rows.append((f"resolve {op.kind}", _median_us(lambda: op.resolve(point), args.repeat)))
+        rows.append((f"resolve {op.kind}, (1, d) batch",
+                     _median_us(lambda: op.resolve(point[None]), args.repeat)))
     jx = LINE.resolve(x)
     rows.append(("dr_step line/ball",
                  _median_us(lambda: splitting.dr_step(LINE, BALL, x), args.repeat)))
