@@ -232,8 +232,9 @@ class Operator:
 
     Subclasses implement ``resolve`` (the resolvent; for normal cones
     this is the metric projection onto the underlying set) and declare
-    ``monotone`` and ``affine``.  Affine members additionally expose
-    their resolvent as an explicit affine map for closed-form assembly.
+    ``monotone`` and ``affine``.  ``affine`` is the claim that
+    ``resolve`` is an affine map x -> C x + b; ``splitting.dr_matrix``
+    relies on it to read that map at a basis.
 
     ``fields`` lists the JSON keys of a member in output order; each is
     also a constructor argument and an attribute of the same name.
@@ -258,10 +259,6 @@ class Operator:
         # resolve validates x
         x = np.asarray(x, dtype=float)
         return 2.0 * self.resolve(x) - x
-
-    def resolvent_affine_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (C, b) with J x = C x + b.  Affine operators only."""
-        raise NotAffineError(f"{type(self).__name__} has no affine resolvent form")
 
     def to_dict(self) -> dict:
         """The JSON object form ``{"kind": ..., <fields>}``."""
@@ -298,10 +295,6 @@ class AffineRelation(Operator):
 
     def resolve(self, x):
         return _solve_shifted(self._shifted, _as_points(x, self.dim) - self.offset)
-
-    def resolvent_affine_map(self):
-        inv = np.linalg.inv(self._shifted)
-        return inv, -inv @ self.offset
 
 
 class LinearMonotone(AffineRelation):
@@ -357,10 +350,6 @@ class NormalConeAffineSubspace(Operator):
         centered = _as_points(x, self.dim) - self.offset
         # a batch goes through as the columns of centered.T
         return self.offset + (self.basis @ (self.basis.T @ centered.T)).T
-
-    def resolvent_affine_map(self):
-        proj = self.basis @ self.basis.T
-        return proj, self.offset - proj @ self.offset
 
 
 class NormalConeHalfspace(Operator):
@@ -570,10 +559,6 @@ class Inverse(Operator):
         x = np.asarray(x, dtype=float)
         return x - self.inner.resolve(x)
 
-    def resolvent_affine_map(self):
-        c, b = self.inner.resolvent_affine_map()
-        return np.eye(self.dim) - c, -b
-
 
 class Rotation(Operator):
     """The point reflection conjugate (-Id) o A o (-Id) of a catalog operator.
@@ -601,10 +586,6 @@ class Rotation(Operator):
     def resolve(self, x):
         # the inner resolve, of the same dimension, validates -x
         return -self.inner.resolve(-np.asarray(x, dtype=float))
-
-    def resolvent_affine_map(self):
-        c, b = self.inner.resolvent_affine_map()
-        return c, -b
 
 
 # Member classes that BlockSeparable resolves together, keyed by exact
@@ -675,16 +656,6 @@ class BlockSeparable(Operator):
         for i, op in self._single:
             out[..., i, :] = op.resolve(rows[..., i, :])
         return out.reshape(x.shape)
-
-    def resolvent_affine_map(self):
-        matrix = np.zeros((self.dim, self.dim))
-        offset = np.zeros(self.dim)
-        for i, op in enumerate(self.ops):
-            c, b = op.resolvent_affine_map()
-            block = slice(i * self.block_dim, (i + 1) * self.block_dim)
-            matrix[block, block] = c
-            offset[block] = b
-        return matrix, offset
 
 
 def _graph_defect(op: Operator, x, u) -> float:

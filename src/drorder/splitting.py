@@ -7,9 +7,11 @@ For an ordered operator pair (A, B) the splitting operator is
 which depends on the order of the operands even though the underlying
 zero-of-the-sum problem does not.  This module builds T for either
 order, the composite T_ab o T_ba used by cyclic two-set methods, the
-closed affine form when both operands are affine, the governing/shadow
-iteration, and the product-space lift that turns an m-operator sum into
-a two-operator problem with an affine-subspace first operand.
+affine form x -> M x + b of T when both operands are affine (read off T
+at the basis points 0, e_1, ..., e_d, which the operands' ``affine``
+flags make valid), the governing/shadow iteration, and the
+product-space lift that turns an m-operator sum into a two-operator
+problem with an affine-subspace first operand.
 
 Production evaluation uses the Id - J_A + J_B R_A form (two resolvent
 calls and one reflection); agreement with the half-sum form is part of
@@ -161,29 +163,37 @@ class SplitOperator:
                 f"form={self.form!r}, generalized={self.generalized})")
 
 
-def _dr_affine(first: Operator, second: Operator) -> tuple[np.ndarray, np.ndarray]:
-    ca, ba = first.resolvent_affine_map()
-    cb, bb = second.resolvent_affine_map()
-    eye = np.eye(first.dim)
-    refl = 2.0 * ca - eye
-    refl_off = 2.0 * ba
-    matrix = eye - ca + cb @ refl
-    offset = -ba + cb @ refl_off + bb
-    return matrix, offset
+def _affine_form(f, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, b) with f x = M x + b, for an affine f on R^dim that maps an
+    (N, dim) batch row by row: one call on the rows [0; e_1 ... e_dim]
+    gives b = f 0 and the columns M e_i = f e_i - f 0.
+
+    Nothing here checks that f is affine; for any other f the result
+    is wrong and no error is raised.
+    """
+    rows = f(np.eye(dim + 1, dim, -1))
+    return (rows[1:] - rows[0]).T, rows[0]
 
 
 def dr_matrix(T: SplitOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Closed affine form (M, b) with T x = M x + b.
+    """Affine form (M, b) with T x = M x + b, read off T itself.
 
-    Requires both operands to be affine catalog members.
+    One batched evaluation of T at [0; e_1 ... e_d] (``_affine_form``),
+    the swapped step first in form "borwein_tam".  The reading is valid
+    because both operands are affine; their ``affine`` flags are the
+    only claim of that, and the NotAffineError raised otherwise comes
+    before any resolvent is evaluated.
     """
-    if not (T.first.affine and T.second.affine):
+    first, second = T.first, T.second
+    if not (first.affine and second.affine):
         raise NotAffineError("dr_matrix requires affine operands")
-    if T.form == FORM_DR:
-        return _dr_affine(T.first, T.second)
-    m_ab, b_ab = _dr_affine(T.first, T.second)
-    m_ba, b_ba = _dr_affine(T.second, T.first)
-    return m_ab @ m_ba, m_ab @ b_ba + b_ab
+
+    def step(x):
+        if T.form == FORM_BORWEIN_TAM:
+            x = dr_step(second, first, x)
+        return dr_step(first, second, x)
+
+    return _affine_form(step, T.dim)
 
 
 @dataclass(eq=False)

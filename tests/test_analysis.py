@@ -41,7 +41,7 @@ from drorder.operators import (
     as_point,
 )
 from drorder.harness import load_corpus
-from drorder.splitting import FORM_BORWEIN_TAM, SplitOperator, dr_matrix, dr_step
+from drorder.splitting import FORM_BORWEIN_TAM, SplitOperator, _affine_form, dr_matrix, dr_step
 
 from draws import (
     random_affine_operator,
@@ -484,8 +484,7 @@ def test_nonexpansive_transfer_against_matrix_norms():
     b = LinearMonotone(g @ g.T)
     m_ab, off_ab = dr_matrix(SplitOperator(a, b))
     m_ba, off_ba = dr_matrix(SplitOperator(b, a))
-    ra, ra_off = a.resolvent_affine_map()
-    refl = 2.0 * ra - np.eye(3)
+    refl, _ = _affine_form(a.reflect, 3)
     for _ in range(10):
         x, y = random_point(rng, 3), random_point(rng, 3)
         rep = check_nonexpansive_transfer(a, b, x, y)

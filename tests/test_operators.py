@@ -22,12 +22,12 @@ from drorder.operators import (
     NormalConeHalfspace,
     NormalConeRay,
     NonFinitePointError,
-    NotAffineError,
     Rotation,
     SphereSelection,
     graph_contains,
     operator_from_dict,
 )
+from drorder.splitting import _affine_form
 
 from draws import (
     random_affine_relation,
@@ -302,24 +302,37 @@ def test_orthonormalization_matches_least_squares_projection():
         assert np.allclose(op.resolve(x), expected, atol=1e-9)
 
 
-def test_affine_map_matches_resolve():
+def test_affine_flag_is_honest():
+    # dr_matrix reads an affine resolvent at a basis, and the affine flag
+    # is the only claim that this reading is valid
     rng = np.random.default_rng(13)
     g = rng.normal(size=(4, 4))
-    ops = [
+    subspace = NormalConeAffineSubspace(rng.normal(size=4), rng.normal(size=(4, 2)))
+    ball = NormalConeBall(rng.normal(size=2), 1.0)
+    halfspace = NormalConeHalfspace(rng.normal(size=2), 0.5)
+    affine = [
         LinearMonotone(g @ g.T + (g - g.T)),
         AffineRelation(g @ g.T, rng.normal(size=4)),
-        NormalConeAffineSubspace(rng.normal(size=4), rng.normal(size=(4, 2))),
+        subspace,
         Inverse(AffineRelation(g @ g.T, rng.normal(size=4))),
-        Rotation(NormalConeAffineSubspace(rng.normal(size=4),
-                                          rng.normal(size=(4, 3)))),
+        Rotation(NormalConeAffineSubspace(rng.normal(size=4), rng.normal(size=(4, 3)))),
+        Rotation(Inverse(subspace)),
+        BlockSeparable([LinearMonotone(g[:2, :2] @ g[:2, :2].T),
+                        NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])]),
+        BlockSeparable([Inverse(subspace), LinearMonotone(g @ g.T), subspace]),
     ]
-    for op in ops:
-        c, b = op.resolvent_affine_map()
+    not_affine = [
+        halfspace, ball, NormalConeRay([0.0, 1.0]), NormalConeBox([-1.0, -1.0], [1.0, 1.0]),
+        SphereSelection([1.0, 1.0], 2.0, [0.0, 1.0]), Inverse(ball), Rotation(halfspace),
+        BlockSeparable([NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]]), ball]),
+    ]
+    assert {op.kind for op in affine + not_affine} == set(operators._CATALOG)
+    assert all(op.affine for op in affine) and not any(op.affine for op in not_affine)
+    for op in affine:
+        c, b = _affine_form(op.resolve, op.dim)
         for _ in range(5):
-            x = random_point(rng, 4)
-            assert np.allclose(c @ x + b, op.resolve(x), atol=1e-10)
-    with pytest.raises(NotAffineError):
-        NormalConeBall([0.0, 0.0], 1.0).resolvent_affine_map()
+            x = random_point(rng, op.dim)
+            assert np.allclose(c @ x + b, op.resolve(x), rtol=0.0, atol=1e-12), op.kind
 
 
 # ---------------------------------------------------------------------------
@@ -818,10 +831,6 @@ def _reference_linear(op, x):
     return operators._solve_shifted(shifted, operators._as_points(x, op.dim))
 
 
-def _reference_linear_map(op):
-    return np.linalg.inv(np.eye(op.dim) + op.matrix), np.zeros(op.dim)
-
-
 _REFERENCES = {NormalConeHalfspace: _reference_halfspace, NormalConeRay: _reference_ray,
                SphereSelection: _reference_sphere, LinearMonotone: _reference_linear}
 
@@ -892,11 +901,10 @@ def test_linear_monotone_affine_map_keeps_its_bits(d):
     rng = np.random.default_rng(48 + d)
     for op in (random_linear_monotone(rng, d), LinearMonotone(np.zeros((d, d))),
                LinearMonotone(0.5 * np.eye(d))):
-        c, b = op.resolvent_affine_map()
-        want_c, want_b = _reference_linear_map(op)
-        assert c.tobytes() == want_c.tobytes()
-        # +0.0 in every entry, never -0.0
-        assert b.tobytes() == want_b.tobytes() == np.zeros(d).tobytes()
+        # the affine map of the zero-offset affine relation, bit for bit
+        zero_offset = AffineRelation(op.matrix, np.zeros(d))
+        for got, want in zip(_affine_form(op.resolve, d), _affine_form(zero_offset.resolve, d)):
+            assert got.tobytes() == want.tobytes()
         assert op.to_dict().keys() == {"kind", "matrix"} and op.kind == "linear_monotone"
 
 

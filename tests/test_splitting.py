@@ -4,9 +4,11 @@ from collections import deque
 import numpy as np
 import pytest
 
+from drorder import operators
 from drorder.operators import (
     AffineRelation,
     DimensionMismatchError,
+    Inverse,
     LinearMonotone,
     MonotonicityError,
     NonFinitePointError,
@@ -15,6 +17,7 @@ from drorder.operators import (
     NormalConeHalfspace,
     NormalConeRay,
     NotAffineError,
+    Rotation,
     SphereSelection,
     as_point,
 )
@@ -33,7 +36,12 @@ from drorder.splitting import (
     lift,
 )
 
-from draws import random_monotone_operator, random_point, random_subspace
+from draws import (
+    random_affine_operator,
+    random_monotone_operator,
+    random_point,
+    random_subspace,
+)
 from test_analysis import _operand_pairs
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
@@ -147,6 +155,127 @@ def test_dr_matrix_matches_pointwise_evaluation():
 def test_dr_matrix_rejects_nonaffine():
     with pytest.raises(NotAffineError):
         dr_matrix(SplitOperator(X_AXIS, NormalConeBall([0.0, 0.0], 1.0)))
+
+
+def _not_affine_pair(case):
+    """(non-affine operand, affine partner, generalized)."""
+    if case == "inverse-ball":
+        return Inverse(NormalConeBall([1.0, 0.5], 1.0)), X_AXIS, False
+    if case == "rotation-halfspace":
+        return Rotation(NormalConeHalfspace([0.6, 0.8], 0.5)), X_AXIS, False
+    if case == "block-subspace-ball":
+        block = BlockSeparable([X_AXIS, NormalConeBall([0.0, 2.0], 1.0)])
+        return block, NormalConeAffineSubspace(np.zeros(4), np.eye(4)[:, :2]), False
+    return SphereSelection([2.0, 1.0], 1.0, [0.0, 1.0]), X_AXIS, True
+
+
+@pytest.mark.parametrize("form", [FORM_DR, FORM_BORWEIN_TAM])
+@pytest.mark.parametrize("slot", ["first", "second"])
+@pytest.mark.parametrize("case", ["inverse-ball", "rotation-halfspace",
+                                  "block-subspace-ball", "sphere-selection"])
+def test_dr_matrix_raises_not_affine_before_any_resolve(monkeypatch, case, slot, form):
+    # a basis evaluation of a non-affine T returns a wrong matrix without
+    # an error, so the gate must come first
+    op, partner, generalized = _not_affine_pair(case)
+    first, second = (op, partner) if slot == "first" else (partner, op)
+    T = SplitOperator(first, second, form, generalized)
+    calls = []
+
+    def counted(resolve):
+        def wrapper(self, x):
+            calls.append(self.kind)
+            return resolve(self, x)
+        return wrapper
+
+    for cls in operators._CATALOG.values():
+        monkeypatch.setattr(cls, "resolve", counted(vars(cls)["resolve"]))
+    with pytest.raises(NotAffineError, match="dr_matrix requires affine operands"):
+        dr_matrix(T)
+    assert calls == []
+    # the counters see this pair's resolves
+    T(np.ones(T.dim))
+    assert calls
+
+
+def _reference_resolvent_map(op):
+    """(C, b) with J x = C x + b: the closed forms that the affine catalog
+    kinds carried as ``resolvent_affine_map`` before ``dr_matrix`` read T
+    at a basis."""
+    if isinstance(op, AffineRelation):  # LinearMonotone included
+        inv = np.linalg.inv(np.eye(op.dim) + op.matrix)
+        return inv, -inv @ op.offset
+    if isinstance(op, NormalConeAffineSubspace):
+        proj = op.basis @ op.basis.T
+        return proj, op.offset - proj @ op.offset
+    if isinstance(op, Inverse):
+        c, b = _reference_resolvent_map(op.inner)
+        return np.eye(op.dim) - c, -b
+    if isinstance(op, Rotation):
+        c, b = _reference_resolvent_map(op.inner)
+        return c, -b
+    assert isinstance(op, BlockSeparable), op.kind
+    matrix = np.zeros((op.dim, op.dim))
+    offset = np.zeros(op.dim)
+    for i, member in enumerate(op.ops):
+        c, b = _reference_resolvent_map(member)
+        block = slice(i * op.block_dim, (i + 1) * op.block_dim)
+        matrix[block, block] = c
+        offset[block] = b
+    return matrix, offset
+
+
+def _reference_dr_affine(first, second):
+    ca, ba = _reference_resolvent_map(first)
+    cb, bb = _reference_resolvent_map(second)
+    eye = np.eye(first.dim)
+    refl = 2.0 * ca - eye
+    return eye - ca + cb @ refl, -ba + cb @ (2.0 * ba) + bb
+
+
+def _reference_dr_matrix(T):
+    """``dr_matrix`` composed from the closed resolvent forms."""
+    if T.form == FORM_DR:
+        return _reference_dr_affine(T.first, T.second)
+    m_ab, b_ab = _reference_dr_affine(T.first, T.second)
+    m_ba, b_ba = _reference_dr_affine(T.second, T.first)
+    return m_ab @ m_ba, m_ab @ b_ba + b_ab
+
+
+def _affine_pairs():
+    """Both orders of every affine pair of ``_operand_pairs``, inverse and
+    rotation nestings in R^1 to R^9, and lifts of m = 2, 5, 20 affine
+    members with the diagonal in either slot."""
+    pairs = [pair for a, b in _operand_pairs() if a.affine and b.affine
+             for pair in ((a, b), (b, a))]
+    rng = np.random.default_rng(27)
+    wraps = (Inverse, Rotation, lambda op: Inverse(Rotation(op)),
+             lambda op: Rotation(Inverse(op)))
+    for dim in [*range(1, 10)] * 2:
+        for wrap in wraps:
+            a = wrap(random_affine_operator(rng, dim, through_origin=False))
+            b = random_affine_operator(rng, dim, through_origin=False)
+            pairs += [(a, b), (b, a), (a, wrap(b))]
+    for m in (2, 5, 20):
+        dim = int(rng.integers(1, 4))
+        lifted = lift([random_affine_operator(rng, dim, through_origin=False)
+                       for _ in range(m)], dim)
+        pairs += [(lifted.diagonal, lifted.product), (lifted.product, lifted.diagonal)]
+    return pairs
+
+
+def test_dr_matrix_matches_the_closed_resolvent_forms():
+    pairs = _affine_pairs()
+    assert len(pairs) > 250 and any(isinstance(a, BlockSeparable) and a.dim >= 20
+                                      for a, _ in pairs)
+    for a, b in pairs:
+        for form in (FORM_DR, FORM_BORWEIN_TAM):
+            T = SplitOperator(a, b, form)
+            matrix, offset = dr_matrix(T)
+            want_matrix, want_offset = _reference_dr_matrix(T)
+            bound = 1e-14 * max(1.0, float(np.max(np.abs(want_matrix))))
+            assert matrix.shape == want_matrix.shape and offset.shape == want_offset.shape
+            assert np.max(np.abs(matrix - want_matrix)) <= bound, (a.kind, b.kind, form)
+            assert np.max(np.abs(offset - want_offset)) <= bound, (a.kind, b.kind, form)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +484,6 @@ def test_lift_validation():
         lift([X_AXIS, SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])], 2)
     with pytest.raises(DimensionMismatchError):
         BlockSeparable([X_AXIS, LinearMonotone(np.zeros((3, 3)))])
-
-
-def test_block_separable_affine_map():
-    rng = np.random.default_rng(26)
-    g = rng.normal(size=(2, 2))
-    ops = [LinearMonotone(g @ g.T), X_AXIS]
-    block = BlockSeparable(ops)
-    assert block.affine
-    c, b = block.resolvent_affine_map()
-    for _ in range(5):
-        x = random_point(rng, 4)
-        assert np.allclose(c @ x + b, block.resolve(x), atol=1e-12)
 
 
 @pytest.mark.parametrize("order", ["ab", "ba", "bt"])

@@ -53,6 +53,9 @@ def test_layer_times_times_every_layer():
     assert len(kinds) == len(operators._CATALOG)
     assert [name for name in names if name.endswith(", (1, d) batch")] == [
         f"{name}, (1, d) batch" for name in kinds]
+    assert [name for name in names if name.startswith("dr_matrix ")] == [
+        f"dr_matrix {pair}, {form}" for pair in ("linear-asymmetric", "lift m=20")
+        for form in ("dr", "borwein_tam")]
     assert all(float(value) > 0.0 for _, value in rows)
 
 

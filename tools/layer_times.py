@@ -13,7 +13,10 @@ Rows, each the median wall time of one call over --repeat calls (the
   and without J_first x handed in;
 - ``iterate`` per step on the two long-orbit pairs, line/ball in order
   ab and plane/parallel line in order ba, --steps steps each with
-  ``stop_tol`` 0, from the benchmark's own kind of start point.
+  ``stop_tol`` 0, from the benchmark's own kind of start point;
+- ``dr_matrix`` in forms dr and borwein_tam on the corpus pair
+  linear-asymmetric (R^2) and on the lift of 20 lines through the
+  origin of R^2 (R^40), where it evaluates T at 41 basis rows.
 
 Usage: PYTHONPATH=src python3 tools/layer_times.py [--repeat 201] [--steps 20000]
 
@@ -37,6 +40,7 @@ import time
 import numpy as np
 
 from drorder import operators, splitting
+from drorder.harness import load_corpus
 from drorder.operators import (
     AffineRelation,
     BlockSeparable,
@@ -110,6 +114,20 @@ def main() -> int:
     ):
         rows.append((name, _median_us(
             lambda: splitting.iterate(T, x0, args.steps, 0.0), repeat, args.steps)))
+
+    corpus = {inst.name: inst.config for inst in load_corpus()}
+    asymmetric = corpus["linear-asymmetric"]
+    lines = [NormalConeAffineSubspace([0.0, 0.0], [[math.cos(t)], [math.sin(t)]])
+             for t in np.linspace(0.0, math.pi, 20, endpoint=False)]
+    lifted = splitting.lift(lines, 2)
+    for name, first, second in (
+        ("linear-asymmetric", asymmetric.operator_a, asymmetric.operator_b),
+        ("lift m=20", lifted.diagonal, lifted.product),
+    ):
+        for form in (splitting.FORM_DR, splitting.FORM_BORWEIN_TAM):
+            T = splitting.SplitOperator(first, second, form)
+            rows.append((f"dr_matrix {name}, {form}",
+                         _median_us(lambda: splitting.dr_matrix(T), args.repeat)))
 
     width = max(len(name) for name, _ in rows)
     print(f"{'median us':<{width}} {'':>9}")
