@@ -30,6 +30,7 @@ from drorder.splitting import (
     FORM_BORWEIN_TAM,
     FORM_DR,
     SplitOperator,
+    _affine_form,
     dr_matrix,
     dr_step,
     iterate,
@@ -484,6 +485,17 @@ def test_lift_validation():
         lift([X_AXIS, SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])], 2)
     with pytest.raises(DimensionMismatchError):
         BlockSeparable([X_AXIS, LinearMonotone(np.zeros((3, 3)))])
+
+
+def test_block_separable_affine_map():
+    rng = np.random.default_rng(26)
+    g = rng.normal(size=(2, 2))
+    block = BlockSeparable([LinearMonotone(g @ g.T), X_AXIS])
+    assert block.affine
+    c, b = _affine_form(block.resolve, block.dim)
+    for _ in range(5):
+        x = random_point(rng, 4)
+        assert np.allclose(c @ x + b, block.resolve(x), atol=1e-12)
 
 
 @pytest.mark.parametrize("order", ["ab", "ba", "bt"])
