@@ -54,7 +54,6 @@ from .analysis import (
 from .config import ConfigError, ProblemConfig, Tolerances
 from .harness import (
     NamedInstance,
-    figure_scenarios,
     load_corpus,
     run_instance,
 )

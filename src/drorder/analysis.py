@@ -203,7 +203,9 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
 def power_orbit(first: Operator, second: Operator, x: np.ndarray,
                 n: int) -> list[np.ndarray]:
     """The points x, T x, ..., T^n x of T = T_(first, second), by dr_step;
-    row-wise when x is an (N, d) batch."""
+    row-wise when x is an (N, d) batch.  A negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"orbit depth n must be nonnegative, got {n}")
     orbit = [x]
     for _ in range(int(n)):
         orbit.append(dr_step(first, second, orbit[-1]))
@@ -303,6 +305,8 @@ class _Words:
     ``orbits(n)`` are the probe orbits of x, ``_power_orbits`` to depth
     n, computed on the first read: a read at a shallower depth takes
     their first n + 1 steps, and only a deeper one computes them again.
+    A negative n raises ValueError; every orbit identity reads its
+    orbits here.
     """
 
     def __init__(self, A: Operator, B: Operator, x: np.ndarray):
@@ -323,6 +327,8 @@ class _Words:
         return u - self("J" + first, *rest) + self("J" + second, "R" + first, *rest)
 
     def orbits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n < 0:
+            raise ValueError(f"orbit depth n must be nonnegative, got {n}")
         if self._orbits is None or len(self._orbits[0]) <= n:
             self._orbits = _power_orbits(self.A, self.B, self(), n, self("RA"))
         return tuple(orbit[:int(n) + 1] for orbit in self._orbits)

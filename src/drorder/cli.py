@@ -7,9 +7,12 @@ Subcommands:
            whole named corpus with --corpus; emits an identity report
            array, exit 3 on any failed report
   compare  side-by-side CSV of the two orbit sequences related by the
-           conjugation identity, with the per-step defect
+           conjugation identity, T_ab^m R_A x0 and T_ba^m x0 from the
+           first start point x0, with the per-step defect
 
-The environment variable DR_ORDER_TOL overrides the instance's tau_num.
+The environment variable DR_ORDER_TOL overrides the instance's tau_num,
+which only ``verify --config`` reads; ``run``, ``compare`` and
+``verify --corpus`` still exit 2 on a malformed value.
 Output files are written atomically (temp file + rename).
 """
 
@@ -99,7 +102,6 @@ def cmd_run(args) -> int:
     T = config.split(args.order)
     tau_graph = config.tolerances.tau_graph
     runs = []
-    diverged_any = False
     for i, start in enumerate(config.start_points):
         diverged = False
         try:
@@ -107,7 +109,6 @@ def cmd_run(args) -> int:
         except DivergenceError as exc:
             orbit = exc.orbit
             diverged = True
-            diverged_any = True
         csv_path = _orbit_path(args.out, i, len(config.start_points))
         _atomic_write(csv_path, orbit.write_csv)
 
@@ -134,7 +135,7 @@ def cmd_run(args) -> int:
         })
     print(json.dumps(_to_json({"config": args.config, "order": args.order, "runs": runs}),
                      indent=2))
-    return 1 if diverged_any else 0
+    return 1 if any(run["diverged"] for run in runs) else 0
 
 
 def _probe_points(config: ProblemConfig, seed: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Named regression instances and the figure scenario generator.
+"""Named regression instances of the problem family.
 
 The named corpus encodes the closed-form worked examples of this
 problem family: the ray-against-axis pair with its six pointwise
@@ -12,7 +12,11 @@ The corpus manifest ``data/corpus.json`` ships with the package and is
 the one declaration of each instance's config (name + config per
 instance).  This module holds only the expectations, bound to the
 instance names; they check the manifest's configs against independent
-constants (the figure geometry, the lift's halfspaces).
+constants (the figure geometry, the lift's halfspaces).  The two
+orbits of the conjugation figure, T_ab^m R_A x0 and T_ba^m x0, with
+their per-step defect, are what ``drorder compare`` writes for the
+subspace-ball and halfspace-ball configs, from their first start point
+FIGURE_START.
 
 ``run_instance`` gives the expectations of one pass a private ``_Pass``,
 the only state they share.  It holds the config and, each computed on
@@ -48,10 +52,9 @@ from .analysis import (
     _certified_fixed_points,
     _Words,
     check_firmly_nonexpansive,
-    probe_conjugation,
 )
 from .config import ProblemConfig
-from .splitting import FORM_BORWEIN_TAM, Orbit, SplitOperator, dr_matrix, iterate
+from .splitting import FORM_BORWEIN_TAM, SplitOperator, dr_matrix, iterate
 
 __all__ = [
     "Expectation",
@@ -59,7 +62,6 @@ __all__ = [
     "run_instance",
     "load_corpus",
     "write_manifest",
-    "figure_scenarios",
     "FIGURE_START",
 ]
 
@@ -235,23 +237,13 @@ def _expect_bt_not_firm() -> list[Expectation]:
 
     def witness(shared: _Pass) -> tuple[float, int]:
         a, b = shared.config.operator_a, shared.config.operator_b
-        forward = SplitOperator(a, b, FORM_BORWEIN_TAM)
-        backward = SplitOperator(b, a, FORM_BORWEIN_TAM)
-        origin = np.zeros(2)
-        worst = 0.0
-        count = 0
-        for alpha in (1.0, 2.0, 0.5):
-            expected = -2.0 * alpha * alpha
-            got = check_firmly_nonexpansive(
-                forward, np.array([-2.0 * alpha, 2.0 * alpha]), origin
-            )
-            worst = max(worst, abs(got - expected))
-            got = check_firmly_nonexpansive(
-                backward, np.array([-2.0 * alpha, -2.0 * alpha]), origin
-            )
-            worst = max(worst, abs(got - expected))
-            count += 2
-        return worst, count
+        # (composite, direction): the test points are alpha * direction and 0
+        rows = ((SplitOperator(a, b, FORM_BORWEIN_TAM), (-2.0, 2.0)),
+                (SplitOperator(b, a, FORM_BORWEIN_TAM), (-2.0, -2.0)))
+        gaps = [abs(check_firmly_nonexpansive(T, alpha * np.array(direction), np.zeros(2))
+                    + 2.0 * alpha * alpha)
+                for alpha in (1.0, 2.0, 0.5) for T, direction in rows]
+        return max(gaps), len(gaps)
 
     return [
         *_grid_expectations(
@@ -321,11 +313,6 @@ def _expect_parallel_lines() -> list[Expectation]:
 # conjugation identity and its failure when the subspace is replaced by
 # a halfspace.  Parameters are representative, not canonical.
 
-def _line_direction() -> np.ndarray:
-    d = np.asarray(FIGURE_LINE_DIRECTION)
-    return d / np.linalg.norm(d)
-
-
 def _orbit_expectations(provenance: str, tolerance: float,
                         *specs: tuple[str, str, int],
                         above: float | None = None) -> list[Expectation]:
@@ -363,7 +350,7 @@ def _expect_subspace_ball() -> list[Expectation]:
         # Independent geometry: distance to the line and excess over the
         # ball radius, from the instance parameters alone.
         config = shared.config
-        direction = _line_direction()
+        direction = np.asarray(FIGURE_LINE_DIRECTION) / np.linalg.norm(FIGURE_LINE_DIRECTION)
         center = np.asarray(FIGURE_BALL_CENTER)
         worst = 0.0
         for order in ("ab", "ba"):
@@ -470,34 +457,3 @@ def load_corpus(path=None) -> list[NamedInstance]:
         config = ProblemConfig.from_dict(entry["config"])
         instances.append(NamedInstance(name, config, _EXPECTATIONS[name]()))
     return instances
-
-
-def figure_scenarios(kind: str, x0=None, n: int = 5,
-                     out_dir=None) -> tuple[Orbit, Orbit, IdentityReport]:
-    """The two-orbit scenario behind the conjugation figure.
-
-    Produces the orbits (T_ab^m R_A x0)_m and (T_ba^m x0)_m for the
-    requested geometry ("subspace-ball" or "halfspace-ball"), optionally
-    writes them as ``<kind>-red.csv`` / ``<kind>-blue.csv`` under
-    ``out_dir``, and reports the conjugation defect at x0: within
-    numerical tolerance for the subspace, strictly positive for the
-    halfspace.
-    """
-    if n < 5:
-        raise ValueError("n must be at least 5")
-    if kind not in ("subspace-ball", "halfspace-ball"):
-        raise ValueError(f"unknown scenario kind {kind!r}")
-    config = next(inst.config for inst in load_corpus() if inst.name == kind)
-    a, b = config.operator_a, config.operator_b
-    start = config.start_points[0] if x0 is None else np.asarray(x0, dtype=float)
-
-    red = iterate(config.split("ab"), a.reflect(start), max_iter=n, stop_tol=0.0)
-    blue = iterate(config.split("ba"), start, max_iter=n, stop_tol=0.0)
-    report = probe_conjugation(a, b, start, n, tol=config.tolerances.tau_num)
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        red.write_csv(out_dir / f"{kind}-red.csv")
-        blue.write_csv(out_dir / f"{kind}-blue.csv")
-    return red, blue, report

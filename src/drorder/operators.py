@@ -232,7 +232,10 @@ class Operator:
 
     Subclasses implement ``resolve`` (the resolvent; for normal cones
     this is the metric projection onto the underlying set) and declare
-    ``monotone`` and ``affine``.  ``affine`` is the claim that
+    ``monotone`` and ``affine``: a catalog kind as class attributes, a
+    wrapper of other operators (``Inverse``, ``Rotation``,
+    ``BlockSeparable``) as instance attributes that its constructor sets
+    from its members, which never change.  ``affine`` is the claim that
     ``resolve`` is an affine map x -> C x + b; ``splitting.dr_matrix``
     relies on it to read that map at a basis.
 
@@ -549,10 +552,7 @@ class Inverse(Operator):
             raise MonotonicityError("inverse requires a monotone operand")
         super().__init__(inner.dim)
         self.inner = inner
-
-    @property
-    def affine(self):  # type: ignore[override]
-        return self.inner.affine
+        self.affine = inner.affine
 
     def resolve(self, x):
         # the inner resolve, of the same dimension, validates x
@@ -574,14 +574,8 @@ class Rotation(Operator):
         _require_operator(inner)
         super().__init__(inner.dim)
         self.inner = inner
-
-    @property
-    def monotone(self):  # type: ignore[override]
-        return self.inner.monotone
-
-    @property
-    def affine(self):  # type: ignore[override]
-        return self.inner.affine
+        self.monotone = inner.monotone
+        self.affine = inner.affine
 
     def resolve(self, x):
         # the inner resolve, of the same dimension, validates -x
@@ -626,6 +620,8 @@ class BlockSeparable(Operator):
         super().__init__(ops[0].dim * len(ops))
         self.ops = ops
         self.block_dim = ops[0].dim
+        self.monotone = all(op.monotone for op in ops)
+        self.affine = all(op.affine for op in ops)
         by_class: dict[type, list[int]] = {}
         for i, op in enumerate(ops):
             by_class.setdefault(type(op), []).append(i)
@@ -637,14 +633,6 @@ class BlockSeparable(Operator):
                 self._stacked.append((_rows(indices), resolvent))
             else:
                 self._single.extend((i, ops[i]) for i in indices)
-
-    @property
-    def monotone(self):  # type: ignore[override]
-        return all(op.monotone for op in self.ops)
-
-    @property
-    def affine(self):  # type: ignore[override]
-        return all(op.affine for op in self.ops)
 
     def resolve(self, x):
         x = _as_points(x, self.dim)

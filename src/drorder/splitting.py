@@ -11,7 +11,9 @@ affine form x -> M x + b of T when both operands are affine (read off T
 at the basis points 0, e_1, ..., e_d, which the operands' ``affine``
 flags make valid), the governing/shadow iteration, and the
 product-space lift that turns an m-operator sum into a two-operator
-problem with an affine-subspace first operand.
+problem with an affine-subspace first operand.  ``SplitOperator.apply``
+is the one evaluation of T, on a point or an (N, d) batch; ``dr_matrix``
+and the composite steps of ``iterate`` call it.
 
 Production evaluation uses the Id - J_A + J_B R_A form (two resolvent
 calls and one reflection); agreement with the half-sum form is part of
@@ -43,6 +45,7 @@ from .operators import (
     NotAffineError,
     NormalConeAffineSubspace,
     Operator,
+    _as_points,
     as_point,
 )
 
@@ -147,16 +150,19 @@ class SplitOperator:
         self.dim = first.dim
 
     def apply(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
+        """T x for a point, or row by row for an (N, d) batch."""
+        x = _as_points(x, self.dim)
+        first, second = self.first, self.second
         if self.form == FORM_DR:
-            return dr_step(self.first, self.second, x)
-        return dr_step(self.first, self.second, dr_step(self.second, self.first, x))
+            return dr_step(first, second, x)
+        return dr_step(first, second, dr_step(second, first, x))
 
     __call__ = apply
 
     def shadow(self, x) -> np.ndarray:
-        """Resolvent of the first slot; the shadow map of the iteration."""
-        return self.first.resolve(as_point(x, self.dim))
+        """Resolvent of the first slot, the shadow map of the iteration;
+        row by row for an (N, d) batch."""
+        return self.first.resolve(_as_points(x, self.dim))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SplitOperator({self.first.kind}, {self.second.kind}, "
@@ -178,22 +184,14 @@ def _affine_form(f, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def dr_matrix(T: SplitOperator) -> tuple[np.ndarray, np.ndarray]:
     """Affine form (M, b) with T x = M x + b, read off T itself.
 
-    One batched evaluation of T at [0; e_1 ... e_d] (``_affine_form``),
-    the swapped step first in form "borwein_tam".  The reading is valid
-    because both operands are affine; their ``affine`` flags are the
-    only claim of that, and the NotAffineError raised otherwise comes
-    before any resolvent is evaluated.
+    One batched ``T.apply`` at [0; e_1 ... e_d] (``_affine_form``).
+    The reading is valid because both operands are affine; their
+    ``affine`` flags are the only claim of that, and the NotAffineError
+    raised otherwise comes before any resolvent is evaluated.
     """
-    first, second = T.first, T.second
-    if not (first.affine and second.affine):
+    if not (T.first.affine and T.second.affine):
         raise NotAffineError("dr_matrix requires affine operands")
-
-    def step(x):
-        if T.form == FORM_BORWEIN_TAM:
-            x = dr_step(second, first, x)
-        return dr_step(first, second, x)
-
-    return _affine_form(step, T.dim)
+    return _affine_form(T.apply, T.dim)
 
 
 @dataclass(eq=False)
@@ -268,7 +266,8 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     Stops early once the governing residual ||x_{n+1} - x_n|| drops to
     ``stop_tol`` (marking the orbit converged).
 
-    Step checks: x0 is validated on entry, and every resolvent validates
+    Step checks: x0 is validated on entry (in form "borwein_tam", where
+    the step is ``T.apply``, each x_n is), and every resolvent validates
     the point it receives, which covers the reflected point 2 J x - x of
     each half step.  x_n is finite, so x_{n+1} is finite exactly when
     ||x_{n+1} - x_n|| is; the loop tests x_{n+1} itself only when that
@@ -318,8 +317,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         head.append((0, x, jx))
         while n < max_iter:
             try:
-                x_next = (dr_step(first, second, x, jx) if dr_form
-                          else dr_step(first, second, dr_step(second, first, x)))
+                x_next = dr_step(first, second, x, jx) if dr_form else T.apply(x)
             except NonFinitePointError:
                 n += 1
                 raise DivergenceError(f"non-finite iterate at step {n}",

@@ -475,6 +475,18 @@ def test_power_orbit_matches_repeated_steps():
     assert power_orbit(a, b, x, 0) == [x]
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("orbits", [check_commutation, check_conjugation, check_shadow_equality,
+                                    probe_conjugation, power_orbit],
+                         ids=lambda f: f.__name__)
+def test_a_negative_orbit_depth_is_rejected(orbits, n):
+    # n <= -2 once gave a vacuous pass with a negative sample count, and
+    # n = -1 a numpy reshape error or, from power_orbit, the orbit [x]
+    a, b = subspace_ball_pair()
+    with pytest.raises(ValueError, match=f"orbit depth n must be nonnegative, got {n}$"):
+        orbits(a, b, np.array([4.0, 3.0]), n)
+
+
 def test_nonexpansive_transfer_against_matrix_norms():
     # with a linear second operand all three quantities have closed
     # matrix forms; compare against them

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import re
@@ -15,7 +14,6 @@ from drorder.config import ProblemConfig
 from drorder.harness import (
     FIGURE_START,
     NamedInstance,
-    figure_scenarios,
     load_corpus,
     run_instance,
     write_manifest,
@@ -177,45 +175,6 @@ def test_ray_vs_axis_resolves_each_grid_word_once(monkeypatch):
         monkeypatch.setattr(cls, "resolve", counted)
     assert all(report.passed for report in run_instance(instance))
     assert shapes == [(harness.GRID_SIDE ** 2, 2)] * 9
-
-
-def test_figure_scenarios_subspace(tmp_path):
-    red, blue, report = figure_scenarios("subspace-ball", n=5, out_dir=tmp_path)
-    assert report.passed
-    # piecewise affine instances can hit an exact fixed point before n
-    # steps; the orbit then stops and later terms coincide with the last
-    for orbit, color in [(red, "red"), (blue, "blue")]:
-        assert 2 <= len(orbit.governing) <= 6
-        if len(orbit.governing) < 6:
-            assert orbit.converged and orbit.residuals[-1] == 0.0
-        path = tmp_path / f"subspace-ball-{color}.csv"
-        assert path.exists()
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == len(orbit.governing) + 1
-
-
-def test_figure_scenarios_halfspace_failure():
-    red, blue, report = figure_scenarios("halfspace-ball", n=5)
-    assert not report.passed
-    assert report.max_violation > 1e-3
-
-
-def test_figure_scenarios_start_at_solution_is_constant():
-    # (2, 1) lies on the line and inside the ball
-    red, blue, report = figure_scenarios("subspace-ball", x0=[2.0, 1.0], n=5)
-    for orbit in (red, blue):
-        assert orbit.converged
-        for g in orbit.governing:
-            assert np.allclose(g, [2.0, 1.0], atol=1e-12)
-    assert report.max_violation <= 1e-12
-
-
-def test_figure_scenarios_validation():
-    with pytest.raises(ValueError):
-        figure_scenarios("subspace-ball", n=3)
-    with pytest.raises(ValueError):
-        figure_scenarios("triangle-ball", n=5)
 
 
 def test_figure_start_matches_scenario_configs():

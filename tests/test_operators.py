@@ -218,7 +218,14 @@ def test_is_monotone_catalog():
     assert LinearMonotone([[0.0, -1.0], [1.0, 0.0]]).monotone  # skew
     assert not SphereSelection([0.0, 0.0], 2.0, [0.0, 1.0]).monotone
     assert Rotation(Inverse(UP_RAY)).monotone
-    assert not Rotation(SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])).monotone
+    sphere = SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])
+    assert not Rotation(sphere).monotone
+    # a wrapper sets its flags from its members when it is built
+    assert not BlockSeparable([UP_RAY, sphere, X_AXIS]).monotone
+    assert BlockSeparable([UP_RAY, X_AXIS, Inverse(UP_RAY)]).monotone
+    for inner in (X_AXIS, UP_RAY):
+        assert Inverse(inner).affine is inner.affine
+        assert Rotation(inner).affine is inner.affine
 
 
 def test_construction_rejects_nonmonotone_matrix():

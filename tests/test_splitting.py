@@ -44,6 +44,7 @@ from draws import (
     random_subspace,
 )
 from test_analysis import _operand_pairs
+from test_operators import _batch_members
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
 UP_RAY = NormalConeRay([0.0, 1.0])
@@ -681,3 +682,65 @@ def test_iterate_matches_the_reference_loop():
                 seen.add(("truncated", T.form))
     assert seen == {(case, form) for case in ("diverged", "inf residual", "truncated")
                     for form in (FORM_DR, FORM_BORWEIN_TAM)}
+
+
+# ---------------------------------------------------------------------------
+# point batches: SplitOperator.apply and shadow map an (N, d) array row by row
+
+
+def _batch_split_operators(rng, d, form):
+    """A SplitOperator of each ordered pair of equal-dimension catalog
+    members of ``_batch_members`` that the operand rule admits in
+    generalized mode, with whether both members' batch kernels keep the
+    bits of the per-point kernels."""
+    members = _batch_members(rng, d)
+    for label_a, (a, bitwise_a) in members.items():
+        for label_b, (b, bitwise_b) in members.items():
+            if a.dim != b.dim:
+                continue
+            try:
+                T = SplitOperator(a, b, form, generalized=True)
+            except MonotonicityError:
+                continue
+            yield f"{label_a}/{label_b}", T, bitwise_a and bitwise_b
+
+
+@pytest.mark.parametrize("form", [FORM_DR, FORM_BORWEIN_TAM])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_apply_and_shadow_match_the_per_point_calls(d, form):
+    rng = np.random.default_rng(60 + d)
+    count = 0
+    for label, T, bitwise in _batch_split_operators(rng, d, form):
+        X = np.array([rng.normal(size=T.dim) * s for s in (0.1, 1.0, 3.0, 10.0)]
+                     + [np.zeros(T.dim), np.full(T.dim, -0.0)])
+        for method in ("apply", "shadow"):
+            got = getattr(T, method)(X)
+            want = np.array([getattr(T, method)(x) for x in X])
+            assert got.shape == X.shape, (label, method)
+            if bitwise:
+                assert got.tobytes() == want.tobytes(), (label, method)
+            else:
+                # within 1e-12 relative to the larger of the row, its image
+                # and the unit scale of the operators' offsets and matrices
+                scale = np.maximum(np.abs(want).max(axis=1), np.abs(X).max(axis=1))
+                gap = np.abs(got - want).max(axis=1)
+                assert np.all(gap <= 1e-12 * np.maximum(scale, 1.0)), (label, method)
+        count += 1
+    # every member of R^d in each slot, and each product space with itself
+    assert count > 100
+
+
+@pytest.mark.parametrize("method", ["apply", "shadow"])
+def test_batch_apply_and_shadow_reject_a_wrong_shape_or_a_non_finite_row(method):
+    rng = np.random.default_rng(61)
+    for label, T, _ in _batch_split_operators(rng, 2, FORM_BORWEIN_TAM):
+        call = getattr(T, method)
+        X = rng.normal(size=(5, T.dim))
+        for shape in ((5, T.dim + 1), (5, T.dim - 1), (2, 5, T.dim)):
+            with pytest.raises(DimensionMismatchError):
+                call(np.ones(shape))
+        for bad in (np.nan, np.inf, -np.inf):
+            Y = X.copy()
+            Y[3, -1] = bad
+            with pytest.raises(NonFinitePointError):
+                call(Y)
