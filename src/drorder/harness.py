@@ -21,7 +21,9 @@ FIGURE_START.
 ``run_instance`` gives the expectations of one pass a private ``_Pass``,
 the only state they share.  It holds the config and, each computed on
 its first read, the word table of the grid, the word table of the first
-start point and the certified fixed points of the starts; nothing
+start point, the certified fixed points of the starts and the affine
+forms (``dr_matrix``) of the two composites T_ab T_ba and T_ba T_ab,
+which the three linear-asymmetric expectations read; nothing
 outlives the pass, and no expectation depends on another having run.
 The pointwise formulas of ray-vs-axis and bt-not-firm are words of the
 grid table (``analysis._Words``).  An orbit expectation (commutation,
@@ -108,8 +110,9 @@ class NamedInstance:
 class _Pass:
     """What the expectations of one pass over an instance share: its
     config and, each computed on its first read, the word table of the
-    grid points, the word table of the first start point, and the fixed
-    points of the starts with their certificates."""
+    grid points, the word table of the first start point, the fixed
+    points of the starts with their certificates, and the affine forms
+    of the two composites."""
 
     config: ProblemConfig
 
@@ -125,6 +128,13 @@ class _Pass:
     def fixed_points(self):
         """``analysis._certified_fixed_points`` of the config."""
         return _certified_fixed_points(self.config)
+
+    @cached_property
+    def products(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``dr_matrix`` of the composites T_ab T_ba and T_ba T_ab."""
+        a, b = self.config.operator_a, self.config.operator_b
+        return (dr_matrix(SplitOperator(a, b, FORM_BORWEIN_TAM)),
+                dr_matrix(SplitOperator(b, a, FORM_BORWEIN_TAM)))
 
 
 def run_instance(instance: NamedInstance) -> list[IdentityReport]:
@@ -198,10 +208,7 @@ _PRODUCT_BA_AB = np.array([[5.0, 1.0], [1.0, 2.0]]) / 9.0
 def _matrix_expectation(label: str, provenance: str, swap: bool,
                         expected: np.ndarray) -> Expectation:
     def run(shared: _Pass) -> tuple[float, int]:
-        first, second = shared.config.operator_a, shared.config.operator_b
-        if swap:
-            first, second = second, first
-        matrix, offset = dr_matrix(SplitOperator(first, second, FORM_BORWEIN_TAM))
+        matrix, offset = shared.products[swap]
         worst = max(
             float(np.max(np.abs(matrix - expected))),
             float(np.max(np.abs(offset))),
@@ -213,9 +220,7 @@ def _matrix_expectation(label: str, provenance: str, swap: bool,
 
 def _expect_linear_asymmetric() -> list[Expectation]:
     def commutator_gap(shared: _Pass) -> tuple[float, int]:
-        a, b = shared.config.operator_a, shared.config.operator_b
-        m1, _ = dr_matrix(SplitOperator(a, b, FORM_BORWEIN_TAM))
-        m2, _ = dr_matrix(SplitOperator(b, a, FORM_BORWEIN_TAM))
+        (m1, _), (m2, _) = shared.products
         expected = np.array([[0.0, -2.0], [-2.0, 0.0]]) / 9.0
         return float(np.max(np.abs((m1 - m2) - expected))), expected.size
 

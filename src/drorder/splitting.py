@@ -32,6 +32,7 @@ DivergenceError and emits no numpy warning.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -201,15 +202,18 @@ class Orbit:
     ``steps`` maps recorded rows to iteration numbers; when the history
     cap truncates a long run only a head and a rolling tail of points
     are kept (``truncated`` is then set) while ``residuals`` always
-    holds the full scalar history, residuals[n] = ||x_{n+1} - x_n||.
-    ``shadow`` holds the first slot's resolvent of each recorded
-    governing point and is recomputable from it.
+    holds the full scalar history, residuals[n] = ||x_{n+1} - x_n||, as
+    a float64 array from ``iterate``.  ``shadow`` holds the first slot's
+    resolvent of each recorded governing point and is recomputable from
+    it.  A kept row is the step's own two arrays, x_{n+1} and
+    J_first x_{n+1}; a step past the history cap costs 8 bytes, its
+    residual.
     """
 
     steps: list[int]
     governing: list[np.ndarray]
     shadow: list[np.ndarray]
-    residuals: list[float]
+    residuals: np.ndarray
     iterations: int
     converged: bool
     truncated: bool = False
@@ -224,7 +228,9 @@ class Orbit:
 
     @property
     def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else 0.0
+        """The last residual, a Python float; nan when no step completed,
+        as when the first step diverges."""
+        return float(self.residuals[-1]) if len(self.residuals) else math.nan
 
     def write_csv(self, path) -> None:
         """Write rows `n, x_1..x_d, shadow_1..shadow_d, residual`.
@@ -234,7 +240,7 @@ class Orbit:
         """
         residuals = self.residuals
         _write_rows(path, self.governing[0].shape[0], ("x", "shadow", "residual"),
-                    ((n, x, jx, residuals[n] if n < len(residuals) else None)
+                    ((n, x, jx, float(residuals[n]) if n < len(residuals) else None)
                      for n, x, jx in zip(self.steps, self.governing, self.shadow)))
 
 
@@ -278,6 +284,14 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     "non-finite shadow at step n"; either carries the orbit so far.
     Overflow inside the loop, the shadow resolves included, emits no
     numpy warning.
+
+    Bookkeeping: a step's residual goes into one float64 array, 8 bytes
+    a step, which ``Orbit.residuals`` views without a copy.  A kept row
+    is the step's own x_{n+1} and J_first x_{n+1}, with no tuple or step
+    number of its own: the first history_cap // 2 rows in two lists,
+    the last history_cap - history_cap // 2 in two bounded deques, and
+    ``steps`` and ``truncated`` are derived from the residual count and
+    the caps.  Past the cap a step holds its 8 bytes and nothing else.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -291,30 +305,33 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     dr_form = T.form == FORM_DR
     head_cap = history_cap // 2
     tail_cap = history_cap - head_cap
-    head: list[tuple[int, np.ndarray, np.ndarray]] = []
-    tail: deque = deque(maxlen=tail_cap)
-    tail_seen = 0
-    residuals: list[float] = []
+    # a kept row is the step's own x and J_first x, one in each sequence;
+    # past the head, the tail deques drop their oldest row
+    head_x: list[np.ndarray] = []
+    head_jx: list[np.ndarray] = []
+    tail_x, tail_jx = deque(maxlen=tail_cap), deque(maxlen=tail_cap)
+    residuals = array("d")
     converged = False
     n = 0
 
     def assemble() -> Orbit:
-        rows = head + list(tail)
+        kept = len(residuals) + 1  # x_0 and each x_{n+1} with a residual
         return Orbit(
-            steps=[r[0] for r in rows],
-            governing=[r[1] for r in rows],
-            shadow=[r[2] for r in rows],
-            residuals=residuals,
+            steps=[*range(len(head_x)), *range(kept - len(tail_x), kept)],
+            governing=head_x + list(tail_x),
+            shadow=head_jx + list(tail_jx),
+            residuals=np.frombuffer(residuals),
             iterations=n,
             converged=converged,
-            truncated=tail_seen > tail_cap,
+            truncated=kept > history_cap,
         )
 
     # intermediate overflow surfaces as a non-finite point error or a
     # non-finite residual; both cases are a diverging orbit
     with np.errstate(over="ignore", invalid="ignore"):
         jx = first.resolve(x)
-        head.append((0, x, jx))
+        head_x.append(x)
+        head_jx.append(jx)
         while n < max_iter:
             try:
                 x_next = dr_step(first, second, x, jx) if dr_form else T.apply(x)
@@ -330,12 +347,12 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
                 raise DivergenceError(f"non-finite iterate at step {n}", assemble())
             residuals.append(residual)
             jx = first.resolve(x_next)
-            record = (n, x_next, jx)
-            if len(head) < head_cap:
-                head.append(record)
+            if len(head_x) < head_cap:
+                head_x.append(x_next)
+                head_jx.append(jx)
             else:
-                tail.append(record)
-                tail_seen += 1
+                tail_x.append(x_next)
+                tail_jx.append(jx)
             x = x_next
             if residual <= stop_tol:
                 converged = True

@@ -173,6 +173,27 @@ def test_run_writes_non_finite_numbers_as_strings(tmp_path, capsys):
     assert run["final_residual"] == "inf" and not run["diverged"]
 
 
+def test_run_diverging_at_the_first_step_reports_a_nan_final_residual(tmp_path, capsys):
+    # 2 J_A x0 - x0 overflows in the first step, so no residual exists
+    data = {
+        "version": 1,
+        "dimension": 2,
+        "operator_a": {"kind": "linear_monotone", "matrix": [[0.0, 0.0], [0.0, 0.0]]},
+        "operator_b": {"kind": "normal_cone_ball", "center": [0.0, 0.0], "radius": 1.0},
+        "start_points": [[1e308, 0.0]],
+    }
+    cfg = tmp_path / "first-step.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "first-step.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    run = _strict_json(capsys.readouterr().out)["runs"][0]
+    assert run["diverged"] and run["iterations"] == 1
+    assert run["final_residual"] == "nan"
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and rows[1][0] == "0" and rows[1][-1] == ""
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.float64("inf")])
 def test_output_json_writes_a_non_finite_number_as_its_string(value):
     text = json.dumps(cli._to_json([{"a": [1.5, value], "b": value, "c": None}]))

@@ -150,6 +150,31 @@ def test_each_expectation_alone_reports_as_in_the_full_pass():
             assert [r.to_dict() for r in run_instance(instance)] == [want]
 
 
+def test_linear_asymmetric_builds_each_composite_matrix_once_per_pass(monkeypatch):
+    # product-ab-ba, product-ba-ab and product-commutator read the affine
+    # forms of T_ab T_ba and T_ba T_ab that their pass computes once
+    calls = []
+
+    def counted(T, _original=harness.dr_matrix):
+        calls.append((T.first, T.second, T.form))
+        return _original(T)
+
+    monkeypatch.setattr(harness, "dr_matrix", counted)
+    instance = next(inst for inst in load_corpus() if inst.name == "linear-asymmetric")
+    a, b = instance.config.operator_a, instance.config.operator_b
+    full = [r.to_dict() for r in run_instance(instance)]
+    assert [r["identity_name"] for r in full] == [
+        f"linear-asymmetric/{label}"
+        for label in ("product-ab-ba", "product-ba-ab", "product-commutator")]
+    assert all(r["passed"] for r in full)
+    assert calls == [(a, b, "borwein_tam"), (b, a, "borwein_tam")]
+    for index, want in enumerate(full):
+        calls.clear()
+        lone = NamedInstance(instance.name, instance.config, [instance.expected[index]])
+        assert [r.to_dict() for r in run_instance(lone)] == [want]
+        assert len(calls) == 2
+
+
 def test_a_pass_reads_nothing_an_earlier_pass_computed():
     # the same expectation, after a full pass that found the fixed points,
     # in a pass whose budget finds none

@@ -1,4 +1,6 @@
 import csv
+import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -369,6 +371,45 @@ def test_iterate_history_cap_keeps_head_and_tail():
     assert np.array_equal(orbit.governing[-1], [50.0, 0.0])
 
 
+def test_iterate_diverging_at_its_first_step_has_a_nan_final_residual():
+    # 2 J_A x0 - x0 = 2e308 overflows, so no residual was ever computed;
+    # 0.0 would read as a fixed point
+    T = SplitOperator(ZERO2, NormalConeBall([0.0, 0.0], 1.0))
+    with pytest.raises(DivergenceError, match="^non-finite iterate at step 1$") as err:
+        iterate(T, [1e308, 0.0])
+    orbit = err.value.orbit
+    assert orbit.iterations == 1 and orbit.steps == [0] and len(orbit.residuals) == 0
+    assert type(orbit.final_residual) is float and math.isnan(orbit.final_residual)
+    # one completed step: its residual, as a Python float
+    orbit = iterate(T, [0.5, 0.0], max_iter=1)
+    assert orbit.residuals.dtype == np.float64 and orbit.residuals.shape == (1,)
+    assert type(orbit.final_residual) is float and orbit.final_residual == 0.0
+
+
+def _held_bytes(T, x0, steps):
+    """The bytes the orbit of ``iterate(T, x0, steps, 0.0, history_cap=4)``
+    holds, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        orbit = iterate(T, x0, steps, 0.0, history_cap=4)
+        assert orbit.iterations == steps and orbit.truncated
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_iterate_holds_at_most_16_bytes_per_step_past_the_history_cap():
+    # past a full cap a step keeps only its residual, 8 bytes of one
+    # float64 array; a Python float in a list would cost 32
+    line = NormalConeAffineSubspace([0.0, 0.0], [[2.0 / math.sqrt(5.0)], [1.0 / math.sqrt(5.0)]])
+    T = SplitOperator(line, NormalConeBall([2.0, 3.0], 1.0))
+    x0 = np.array([3.0, -1.5])
+    short, long = 1_000, 3_000
+    per_step = (_held_bytes(T, x0, long) - _held_bytes(T, x0, short)) / (long - short)
+    assert per_step <= 16.0, per_step
+
+
 def test_iterate_parameter_validation():
     T = SplitOperator(ZERO2, ZERO2)
     with pytest.raises(ValueError):
@@ -539,8 +580,8 @@ def test_iterate_evaluates_first_resolvent_once_per_step(monkeypatch, order):
         governing.append(step(governing[-1]))
     assert [g.tobytes() for g in orbit.governing] == [g.tobytes() for g in governing]
     assert [s.tobytes() for s in orbit.shadow] == [a.resolve(g).tobytes() for g in governing]
-    assert orbit.residuals == [float(np.linalg.norm(y - x))
-                               for x, y in zip(governing, governing[1:])]
+    assert orbit.residuals.tolist() == [float(np.linalg.norm(y - x))
+                                        for x, y in zip(governing, governing[1:])]
 
 
 def test_dr_step_uses_a_given_first_resolvent():

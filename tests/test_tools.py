@@ -59,6 +59,18 @@ def test_layer_times_times_every_layer():
     assert all(float(value) > 0.0 for _, value in rows)
 
 
+def test_orbit_memory_measures_both_long_orbit_pairs():
+    # a cap of 500 keeps the step numbers of both orbits' tails above the
+    # small ints that Python caches, so B/step is about the residual's 8 bytes
+    lines = _run_tool("orbit_memory.py", "--steps", "2000", "--cap", "500")
+    assert lines[0].split()[:4] == ["steps", "2000,", "cap", "500"]
+    rows = [line.rsplit(None, 3) for line in lines[1:]]
+    assert [row[0].strip() for row in rows] == ["iterate line/ball ab", "iterate plane/line ba"]
+    for _, held, peak, per_step in rows:
+        assert 0 < int(held) <= int(peak)
+        assert 0.0 < float(per_step) <= 16.0
+
+
 def test_cli_snapshot_writes_every_command(tmp_path):
     out = tmp_path / "snapshot"
     _run_tool("cli_snapshot.py", out)
