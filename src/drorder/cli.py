@@ -19,6 +19,7 @@ Output files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -32,18 +33,13 @@ import numpy as np
 from .analysis import (
     IdentityReport,
     _certified_fixed_points,
+    _pair_defects,
     power_orbit,
     report_identities,
 )
 from .config import ConfigError, ORDERS, ProblemConfig
 from .harness import load_corpus, run_instance
-from .operators import (
-    GraphPair,
-    MonotonicityError,
-    NonFinitePointError,
-    _to_json,
-    graph_contains,
-)
+from .operators import MonotonicityError, NonFinitePointError, _to_json
 from .splitting import DivergenceError, _write_rows, iterate
 
 ENV_TOL = "DR_ORDER_TOL"
@@ -116,11 +112,10 @@ def cmd_run(args) -> int:
         k = orbit.final - z
         cert_a = cert_b = None
         if not diverged:
-            try:
-                cert_a = graph_contains(T.first, GraphPair(z, k), tau_graph)
-                cert_b = graph_contains(T.second, GraphPair(z, -k), tau_graph)
-            except (MonotonicityError, NonFinitePointError):
-                cert_a = cert_b = None
+            # null certificates where a graph test does not apply
+            with contextlib.suppress(MonotonicityError, NonFinitePointError):
+                cert_a, cert_b = (defect <= tau_graph
+                                  for defect in _pair_defects(T.first, T.second, z, k))
         runs.append({
             "start_index": i,
             "csv": str(csv_path),

@@ -192,7 +192,7 @@ class ProblemConfig:
         extra = keys - required - set(declared)
         if extra:
             raise ConfigError(f"unknown config fields {sorted(extra)}")
-        if data["version"] != CONFIG_VERSION:
+        if isinstance(data["version"], bool) or data["version"] != CONFIG_VERSION:
             raise ConfigError(
                 f"unsupported config version {data['version']!r} "
                 f"(expected {CONFIG_VERSION})"

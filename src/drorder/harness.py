@@ -31,7 +31,10 @@ conjugation, shadow equality and the conjugation failure exhibit) names
 its entry of the identity registry ``analysis.IDENTITIES`` and a depth
 n, and reads the probe orbits the start table holds.  The fixed points
 of parallel-lines are found and certified by the code that gives
-``verify --config`` its solution certificates.
+``verify --config`` its solution certificates, whose pair certificates
+are the two that ``run`` and ``check_dual_symmetry`` read too:
+``analysis._pair_defects`` for the graph memberships of a pair (z, k)
+and ``analysis._dual_defect`` for the map z + k -> z - k.
 
 The seeded random operator draws of the property suites are a test
 helper (``tests/draws.py``), not part of the package.
@@ -81,10 +84,7 @@ class Expectation:
     """One reproducible expectation of a named instance.
 
     ``run`` returns (max_violation, sample_count) for the pass of an
-    instance (``_Pass``), which holds its config.  ``provenance``
-    records where the expected values come from: "closed-form" for
-    formulas stated with the instance, "derived" for values recomputed
-    by an independent oracle.  When
+    instance (``_Pass``), which holds its config.  When
     ``expect_violation_above`` is set the expectation is a failure
     exhibit: it passes only if the observed violation exceeds that
     threshold, and the report then carries the shortfall
@@ -93,7 +93,6 @@ class Expectation:
     """
 
     label: str
-    provenance: str
     tolerance: float
     run: Callable[[_Pass], tuple[float, int]]
     expect_violation_above: float | None = None
@@ -174,7 +173,7 @@ def _grid_expectations(*rows: tuple[str, tuple[str, ...],
             gap = shared.grid(*word) - closed(points)
             return float(np.max(np.sqrt(np.vecdot(gap, gap)))), len(points)
 
-        return Expectation(label, "closed-form", 1e-12, run)
+        return Expectation(label, 1e-12, run)
 
     return [expectation(*row) for row in rows]
 
@@ -205,8 +204,7 @@ _PRODUCT_AB_BA = np.array([[5.0, -1.0], [-1.0, 2.0]]) / 9.0
 _PRODUCT_BA_AB = np.array([[5.0, 1.0], [1.0, 2.0]]) / 9.0
 
 
-def _matrix_expectation(label: str, provenance: str, swap: bool,
-                        expected: np.ndarray) -> Expectation:
+def _matrix_expectation(label: str, swap: bool, expected: np.ndarray) -> Expectation:
     def run(shared: _Pass) -> tuple[float, int]:
         matrix, offset = shared.products[swap]
         worst = max(
@@ -215,7 +213,7 @@ def _matrix_expectation(label: str, provenance: str, swap: bool,
         )
         return worst, expected.size
 
-    return Expectation(label, provenance, 1e-12, run)
+    return Expectation(label, 1e-12, run)
 
 
 def _expect_linear_asymmetric() -> list[Expectation]:
@@ -225,9 +223,9 @@ def _expect_linear_asymmetric() -> list[Expectation]:
         return float(np.max(np.abs((m1 - m2) - expected))), expected.size
 
     return [
-        _matrix_expectation("product-ab-ba", "closed-form", False, _PRODUCT_AB_BA),
-        _matrix_expectation("product-ba-ab", "closed-form", True, _PRODUCT_BA_AB),
-        Expectation("product-commutator", "derived", 1e-12, commutator_gap),
+        _matrix_expectation("product-ab-ba", False, _PRODUCT_AB_BA),
+        _matrix_expectation("product-ba-ab", True, _PRODUCT_BA_AB),
+        Expectation("product-commutator", 1e-12, commutator_gap),
     ]
 
 
@@ -257,7 +255,7 @@ def _expect_bt_not_firm() -> list[Expectation]:
             ("t-ba", ("Tba",), lambda p: _columns(half_pos(p[:, 0] - p[:, 1]),
                                                   p[:, 1] + half_pos(p[:, 0] - p[:, 1]))),
         ),
-        Expectation("composite-not-firm", "closed-form", 1e-12, witness),
+        Expectation("composite-not-firm", 1e-12, witness),
     ]
 
 
@@ -307,9 +305,9 @@ def _expect_parallel_lines() -> list[Expectation]:
         return max(cert.bijection, cert.isometry), count
 
     return [
-        Expectation("fixed-point-plane", "derived", 1e-12, fixed_point_form),
-        Expectation("solution-split", "derived", 1e-12, solution_form),
-        Expectation("bijection-isometry", "derived", 1e-8, bijection),
+        Expectation("fixed-point-plane", 1e-12, fixed_point_form),
+        Expectation("solution-split", 1e-12, solution_form),
+        Expectation("bijection-isometry", 1e-8, bijection),
     ]
 
 
@@ -318,8 +316,7 @@ def _expect_parallel_lines() -> list[Expectation]:
 # conjugation identity and its failure when the subspace is replaced by
 # a halfspace.  Parameters are representative, not canonical.
 
-def _orbit_expectations(provenance: str, tolerance: float,
-                        *specs: tuple[str, str, int],
+def _orbit_expectations(tolerance: float, *specs: tuple[str, str, int],
                         above: float | None = None) -> list[Expectation]:
     """One expectation per (label, registry identity name, n): the orbit
     identity of ``analysis.IDENTITIES`` at depth n from the instance's
@@ -345,7 +342,7 @@ def _orbit_expectations(provenance: str, tolerance: float,
                          tolerance, words)
             return rep.max_violation, rep.sample_count
 
-        return Expectation(label, provenance, tolerance, run, above)
+        return Expectation(label, tolerance, run, above)
 
     return [expectation(*spec) for spec in specs]
 
@@ -371,15 +368,14 @@ def _expect_subspace_ball() -> list[Expectation]:
         return worst, 2
 
     return [
-        *_orbit_expectations("closed-form", 1e-8, ("conjugation", "conjugation", 20),
+        *_orbit_expectations(1e-8, ("conjugation", "conjugation", 20),
                              ("shadow-equality", "shadow-equality", 50)),
-        Expectation("shadow-limit-membership", "derived", 1e-8, membership),
+        Expectation("shadow-limit-membership", 1e-8, membership),
     ]
 
 
 def _expect_halfspace_ball() -> list[Expectation]:
-    return _orbit_expectations("derived", 0.0, ("conjugation-failure", "conjugation", 5),
-                               above=1e-3)
+    return _orbit_expectations(0.0, ("conjugation-failure", "conjugation", 5), above=1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -410,8 +406,8 @@ def _expect_three_halfspace_lift() -> list[Expectation]:
         return worst, 1 + len(_LIFT_NORMALS)
 
     return [
-        Expectation("consensus-feasibility", "derived", 1e-8, feasibility),
-        *_orbit_expectations("closed-form", 1e-8, ("commutation", "commutation", 25),
+        Expectation("consensus-feasibility", 1e-8, feasibility),
+        *_orbit_expectations(1e-8, ("commutation", "commutation", 25),
                              ("conjugation", "conjugation", 25),
                              ("shadow-equality", "shadow-equality", 25)),
     ]

@@ -125,7 +125,7 @@ def _scaled_norm(v: np.ndarray) -> float:
 def _norm(v: np.ndarray) -> float:
     """||v|| of a point: sqrt(<v, v>), or the scaled norm where <v, v>
     overflows or underflows."""
-    sq = float(v @ v)
+    sq = float(v.dot(v))
     if _TINY <= sq < math.inf:
         return math.sqrt(sq)
     return _scaled_norm(v)
@@ -352,7 +352,7 @@ class NormalConeAffineSubspace(Operator):
     def resolve(self, x):
         centered = _as_points(x, self.dim) - self.offset
         # a batch goes through as the columns of centered.T
-        return self.offset + (self.basis @ (self.basis.T @ centered.T)).T
+        return self.offset + self.basis.dot(self.basis.T.dot(centered.T)).T
 
 
 class NormalConeHalfspace(Operator):

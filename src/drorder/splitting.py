@@ -47,6 +47,7 @@ from .operators import (
     NormalConeAffineSubspace,
     Operator,
     _as_points,
+    _require_operator,
     as_point,
 )
 
@@ -406,6 +407,7 @@ def lift(ops, dim: int) -> LiftedProblem:
     if len(ops) < 2:
         raise ValueError("lift requires at least two operators")
     for op in ops:
+        _require_operator(op)
         if op.dim != dim:
             raise DimensionMismatchError(
                 f"operator of dimension {op.dim} does not live on R^{dim}"

@@ -635,6 +635,15 @@ def test_dual_symmetry_certificate_failure_raises():
     bogus = SolutionPair(z=np.array([1.0, 1.0]), k=np.array([2.0, 0.0]))
     with pytest.raises(CertificateError):
         check_dual_symmetry(X_AXIS, UP_RAY, [bogus])
+    # the first membership that fails is named, before the fixed-point
+    # check: z + k = 0 is the fixed point, but J_A 0 = 0 is not z; and
+    # J_A(z + k) = z, but J_B(z - k) = 0, where z + k is no fixed point
+    good = SolutionPair(z=np.zeros(2), k=np.zeros(2))
+    for z, k, member in (([1.0, 0.0], [-1.0, 0.0], "(z, k) in gra A"),
+                         ([1.0, 0.0], [0.0, 1.0], "(z, -k) in gra B")):
+        with pytest.raises(CertificateError) as exc:
+            check_dual_symmetry(X_AXIS, UP_RAY, [good, SolutionPair(z=z, k=k)])
+        assert str(exc.value) == f"swapped-order certificate {member} failed"
 
 
 # ---------------------------------------------------------------------------

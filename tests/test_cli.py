@@ -194,6 +194,42 @@ def test_run_diverging_at_the_first_step_reports_a_nan_final_residual(tmp_path, 
     assert len(rows) == 2 and rows[1][0] == "0" and rows[1][-1] == ""
 
 
+def _overflowing_reflection_config(tmp_path):
+    # J_A y = y + 4e307 and J_B y = y + 6e307: one finite step from the
+    # origin to f = (1e308, 0), whose reflection 2 J_A f - f = z - k
+    # overflows, so J_B(z - k) of the second membership cannot be taken
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    data = {
+        "version": 1,
+        "dimension": 2,
+        "operator_a": {"kind": "affine_relation", "matrix": zero, "offset": [-4e307, 0.0]},
+        "operator_b": {"kind": "affine_relation", "matrix": zero, "offset": [-6e307, 0.0]},
+        "start_points": [[0.0, 0.0]],
+        "max_iter": 1,
+    }
+    cfg = tmp_path / "overflowing-reflection.json"
+    cfg.write_text(json.dumps(data))
+    return cfg
+
+
+@pytest.mark.parametrize("case, order", [("non-finite", "ab"), ("not-monotone", "ab"),
+                                         ("not-monotone", "ba")])
+def test_run_certificates_are_null_where_a_graph_test_does_not_apply(tmp_path, capsys,
+                                                                     case, order):
+    # a run that ends undiverged still gets null cert_a and cert_b when
+    # the second membership overflows, or an operand is not monotone
+    cfg = (_overflowing_reflection_config(tmp_path) if case == "non-finite"
+           else _generalized_config(tmp_path))
+    out = tmp_path / "orbit.csv"
+    assert main(["run", "--config", str(cfg), "--order", order, "--out", str(out)]) == 0
+    runs = _strict_json(capsys.readouterr().out)["runs"]
+    assert all(not run["diverged"] and run["cert_a"] is None and run["cert_b"] is None
+               for run in runs)
+    if case == "non-finite":
+        (run,) = runs
+        assert run["iterations"] == 1 and run["z"][0] - run["k"][0] == float("inf")
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.float64("inf")])
 def test_output_json_writes_a_non_finite_number_as_its_string(value):
     text = json.dumps(cli._to_json([{"a": [1.5, value], "b": value, "c": None}]))
@@ -652,10 +688,13 @@ def test_config_rejects_unknown_fields(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def test_config_rejects_bad_version(tmp_path):
-    cfg = _write_config(tmp_path, "ray-vs-axis",
-                        mutate=lambda d: d.__setitem__("version", 2))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+def test_config_rejects_bad_version(tmp_path, capsys):
+    # True == 1 in Python, but a boolean is no version number
+    for version in (2, True):
+        cfg = _write_config(tmp_path, "ray-vs-axis",
+                            mutate=lambda d: d.__setitem__("version", version))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"unsupported config version {version!r}" in capsys.readouterr().err
 
 
 def test_config_parse_error_is_line_anchored(tmp_path, capsys):

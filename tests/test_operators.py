@@ -831,9 +831,17 @@ def _reference_ray(op, x):
     return max(float(op.direction @ operators._as_points(x, op.dim)), 0.0) * op.direction
 
 
+def _reference_norm(v):
+    # the former ``operators._norm``, with ``@``
+    sq = float(v @ v)
+    if operators._TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    return operators._scaled_norm(v)
+
+
 def _reference_sphere(op, x):
     v = operators._as_points(x, op.dim) - op.center
-    dist = operators._norm(v)
+    dist = _reference_norm(v)
     if dist == 0.0:
         return op.center + op.radius * op.tie_direction
     scale = op.radius / dist
@@ -842,26 +850,48 @@ def _reference_sphere(op, x):
     return op.center + scale * v
 
 
+def _reference_ball(op, x):
+    x = operators._as_points(x, op.dim)
+    v = x - op.center
+    dist = _reference_norm(v)
+    if dist <= op.radius:
+        return x.copy()
+    return op.center + (op.radius / dist) * v
+
+
+def _reference_subspace(op, x):
+    # the former ``@`` products, on a point and on a batch
+    centered = operators._as_points(x, op.dim) - op.offset
+    return op.offset + (op.basis @ (op.basis.T @ centered.T)).T
+
+
 def _reference_linear(op, x):
     shifted = np.eye(op.dim) + op.matrix
     return operators._solve_shifted(shifted, operators._as_points(x, op.dim))
 
 
 _REFERENCES = {NormalConeHalfspace: _reference_halfspace, NormalConeRay: _reference_ray,
-               SphereSelection: _reference_sphere, LinearMonotone: _reference_linear}
+               SphereSelection: _reference_sphere, LinearMonotone: _reference_linear,
+               NormalConeBall: _reference_ball, NormalConeAffineSubspace: _reference_subspace}
+# the references that take a batch in one call, as their kernels did
+_BATCH_REFERENCES = (LinearMonotone, NormalConeAffineSubspace)
 
 
 def _merged_kernel_members(rng, d):
     """The members of ``_batch_members`` whose kernels merged, a sphere
     about the origin (subnormal distances from its center), halfspaces
     with the origin on their boundary and far outside, and linear maps
-    whose resolvent offsets are sums of -0.0 products."""
+    whose resolvent offsets are sums of -0.0 products; then the ball and
+    the subspaces of rank 0, 1 and 2, whose kernels multiply with
+    ``ndarray.dot`` where they used ``@``."""
     members = _batch_members(rng, d)
     ops = [members[label][0] for label in ("halfspace", "ray", "sphere", "linear")]
     ops += [SphereSelection(np.zeros(d), 1.5, rng.normal(size=d)),
             NormalConeHalfspace(rng.normal(size=d), 0.0),
             NormalConeHalfspace(rng.normal(size=d), -1e300),
             LinearMonotone(np.zeros((d, d))), LinearMonotone(0.5 * np.eye(d))]
+    ops += [members[label][0] for label in ("ball", "subspace-point", "subspace-rank1",
+                                            "subspace-rank2")]
     return ops
 
 
@@ -888,8 +918,9 @@ def _resolve_outcome(call, x):
 def _reference_outcome(reference, op, x):
     """The reference's outcome on a point, or on each row of a batch in
     turn, where a batch raises the error of its first rejected row; the
-    linear reference solves a batch in one call, as it did."""
-    if isinstance(op, LinearMonotone) or np.ndim(x) != 2 or np.shape(x)[-1] != op.dim:
+    linear and subspace references take a batch in one call, as their
+    kernels did."""
+    if isinstance(op, _BATCH_REFERENCES) or np.ndim(x) != 2 or np.shape(x)[-1] != op.dim:
         return _resolve_outcome(lambda p: reference(op, p), x)
     rows = [_resolve_outcome(lambda p: reference(op, p), row) for row in x]
     failed = [row for row in rows if isinstance(row[0], type)]

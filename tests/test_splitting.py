@@ -527,6 +527,10 @@ def test_lift_validation():
         lift([X_AXIS, SphereSelection([0.0, 0.0], 1.0, [1.0, 0.0])], 2)
     with pytest.raises(DimensionMismatchError):
         BlockSeparable([X_AXIS, LinearMonotone(np.zeros((3, 3)))])
+    # the TypeError of BlockSeparable and Inverse, not an AttributeError
+    for ops, name in (([1, 2], "int"), ([X_AXIS, "line"], "str"), ([None, X_AXIS], "NoneType")):
+        with pytest.raises(TypeError, match=f"^expected an operator, got {name}$"):
+            lift(ops, 2)
 
 
 def test_block_separable_affine_map():

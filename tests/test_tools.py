@@ -5,6 +5,7 @@ on small inputs, so an API change that breaks one fails here.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,30 @@ def test_cli_snapshot_writes_every_command(tmp_path):
     assert (out / "verify-corpus" / "exit.txt").read_text().strip() == "0"
     assert (out / "divergent" / "run" / "exit.txt").read_text().strip() == "1"
     assert len([path for path in out.rglob("*") if path.is_file()]) > 500
+
+
+def test_ab_times_runs_a_tree_against_itself():
+    src = ROOT / "src"
+    lines = _run_tool("ab_times.py", src, src, "--rounds", "2")
+    assert lines[0].startswith("rounds 2, steps 10000,")
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [[workload, side] for workload in ("long-orbit", "lift")
+                                         for side in ("old", "new", "old/new")]
+    for old, new, ratio in (rows[0:3], rows[3:6]):
+        # median, q1 and q3, then the rounds won, which no tie adds to
+        assert all(float(cell) > 0.0 for row in (old, new, ratio) for cell in row[2:5])
+        assert int(old[5]) + int(new[5]) <= 2 and len(ratio) == 5
+
+
+def test_ab_times_rejects_trees_whose_outputs_differ(tmp_path):
+    # one ulp more in the one-point ball kernel moves the line/ball orbit
+    shutil.copytree(ROOT / "src" / "drorder", tmp_path / "drorder")
+    path = tmp_path / "drorder" / "operators.py"
+    kernel = "return self.center + (self.radius / dist) * v"
+    assert kernel in path.read_text()
+    path.write_text(path.read_text().replace(kernel, kernel + " * (1.0 + 2.0 ** -52)"))
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_times.py"), str(ROOT / "src"),
+                           str(tmp_path), "--rounds", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "long-orbit: the two trees give different outputs\n"
