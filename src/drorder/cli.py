@@ -213,10 +213,10 @@ def cmd_compare(args) -> int:
     x0 = config.start_points[0]
     left = power_orbit(a, b, a.reflect(x0), args.n)   # T_ab orbit started at R_a x0
     right = power_orbit(b, a, x0, args.n)             # T_ba orbit started at x0
-    rows = [(m, lv, rv, float(np.linalg.norm(rv - a.reflect(lv))))
-            for m, (lv, rv) in enumerate(zip(left, right))]
+    conj = [float(np.linalg.norm(rv - a.reflect(lv))) for lv, rv in zip(left, right)]
+    chunk = (range(len(left)), np.hstack([left, right]), conj)
     _atomic_write(args.out, lambda tmp: _write_rows(
-        tmp, config.dimension, ("left", "right", "conj_residual"), rows))
+        tmp, config.dimension, ("left", "right", "conj_residual"), [chunk]))
     return 0
 
 

@@ -35,6 +35,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,9 @@ FORM_BORWEIN_TAM = "borwein_tam"
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_STOP_TOL = 1e-10
 DEFAULT_HISTORY_CAP = 10_000
+# bytes of a block of kept rows: far below the 4 MiB from which numpy
+# asks for huge pages, and a partly filled block wastes little
+_BLOCK_BYTES = 1 << 16
 
 
 class DivergenceError(RuntimeError):
@@ -200,32 +204,61 @@ def dr_matrix(T: SplitOperator) -> tuple[np.ndarray, np.ndarray]:
 class Orbit:
     """Recorded trace of the iteration x, Tx, T^2 x, ...
 
-    ``steps`` maps recorded rows to iteration numbers; when the history
-    cap truncates a long run only a head and a rolling tail of points
-    are kept (``truncated`` is then set) while ``residuals`` always
-    holds the full scalar history, residuals[n] = ||x_{n+1} - x_n||, as
-    a float64 array from ``iterate``.  ``shadow`` holds the first slot's
-    resolvent of each recorded governing point and is recomputable from
-    it.  A kept row is the step's own two arrays, x_{n+1} and
-    J_first x_{n+1}; a step past the history cap costs 8 bytes, its
-    residual.
+    ``residuals`` always holds the full scalar history, residuals[n] =
+    ||x_{n+1} - x_n||, as a float64 array from ``iterate``.  The kept
+    rows (x_n, J_first x_n) are a head of steps 0, 1, ... and, when the
+    history cap truncates a long run (``truncated`` is then set), a
+    rolling tail that ends at step len(residuals).  ``head`` and
+    ``tail`` hold them in step order as float64 blocks of shape
+    (rows, 2, d), x_n at [r, 0] and J_first x_n at [r, 1]; ``steps``,
+    the iteration number of each kept row, and ``truncated`` are
+    derived from the row counts.
+
+    ``governing`` and ``shadow`` are the (rows, d) arrays of the kept
+    x_n and J_first x_n, built from the blocks on first read and then
+    cached, so an orbit that is only written to CSV never holds them.
+    ``final`` and ``final_shadow`` are copies of the last row: a caller
+    that keeps them does not keep the blocks alive.
     """
 
-    steps: list[int]
-    governing: list[np.ndarray]
-    shadow: list[np.ndarray]
+    head: list[np.ndarray]
+    tail: list[np.ndarray]
     residuals: np.ndarray
     iterations: int
     converged: bool
-    truncated: bool = False
+
+    def _pieces(self):
+        """(first step, block) of each block, in step order."""
+        for blocks, n in ((self.head, 0),
+                          (self.tail, len(self.residuals) + 1 - _rows(self.tail))):
+            for block in blocks:
+                yield n, block
+                n += len(block)
+
+    @property
+    def steps(self) -> list[int]:
+        return [n for first, block in self._pieces()
+                for n in range(first, first + len(block))]
+
+    @property
+    def truncated(self) -> bool:
+        return len(self.residuals) + 1 > _rows(self.head) + _rows(self.tail)
+
+    @cached_property
+    def governing(self) -> np.ndarray:
+        return np.concatenate([block[:, 0] for block in (*self.head, *self.tail)])
+
+    @cached_property
+    def shadow(self) -> np.ndarray:
+        return np.concatenate([block[:, 1] for block in (*self.head, *self.tail)])
 
     @property
     def final(self) -> np.ndarray:
-        return self.governing[-1]
+        return (self.tail or self.head)[-1][-1, 0].copy()
 
     @property
     def final_shadow(self) -> np.ndarray:
-        return self.shadow[-1]
+        return (self.tail or self.head)[-1][-1, 1].copy()
 
     @property
     def final_residual(self) -> float:
@@ -238,29 +271,43 @@ class Orbit:
 
         Floats carry 17 significant digits; the residual cell of the
         last recorded step is empty when no successor was computed.
+        Each block is formatted from one ``tolist``.
         """
-        residuals = self.residuals
-        _write_rows(path, self.governing[0].shape[0], ("x", "shadow", "residual"),
-                    ((n, x, jx, float(residuals[n]) if n < len(residuals) else None)
-                     for n, x, jx in zip(self.steps, self.governing, self.shadow)))
+        residuals = np.asarray(self.residuals, dtype=float)
+
+        def chunks():
+            for first, block in self._pieces():
+                rows = len(block)
+                scalars = residuals[first:first + rows].tolist()
+                yield (range(first, first + rows), block.reshape(rows, -1),
+                       scalars + [None] * (rows - len(scalars)))
+
+        _write_rows(path, self.head[0].shape[2], ("x", "shadow", "residual"), chunks())
 
 
-def _write_rows(path, d: int, names: tuple[str, str, str], rows) -> None:
+def _rows(blocks: list[np.ndarray]) -> int:
+    return sum(len(block) for block in blocks)
+
+
+def _write_rows(path, d: int, names: tuple[str, str, str], chunks) -> None:
     """Write the CSV rows `n, u_1..u_d, v_1..v_d, s` for ``names`` = (u, v, s).
 
-    Each row is (n, u, v, s) with d-vectors u, v and a float s, or None
-    for an empty cell.  Floats carry 17 significant digits.  No cell
-    needs quoting, so rows are joined directly, with the CRLF line ends
-    of the csv module's default dialect.
+    ``chunks`` yields (steps, cells, scalars): the step numbers n of its
+    rows, an (N, 2d) float array whose row holds u then v, and each
+    row's s, a float, or None for an empty cell.  Floats carry 17
+    significant digits.  No cell needs quoting, so rows are joined
+    directly, with the CRLF line ends of the csv module's default
+    dialect.
     """
     u, v, s = names
     vectors = ",".join(["%.17g"] * (2 * d))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["n", *(f"{u}_{i + 1}" for i in range(d)),
                            *(f"{v}_{i + 1}" for i in range(d)), s]) + "\r\n")
-        fh.writelines(f"{n},{vectors % (*left, *right)},"
-                      f"{'' if scalar is None else format(scalar, '.17g')}\r\n"
-                      for n, left, right, scalar in rows)
+        for steps, cells, scalars in chunks:
+            fh.writelines(f"{n},{vectors % tuple(row)},"
+                          f"{'' if scalar is None else format(scalar, '.17g')}\r\n"
+                          for n, row, scalar in zip(steps, cells.tolist(), scalars))
 
 
 def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
@@ -288,11 +335,17 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
 
     Bookkeeping: a step's residual goes into one float64 array, 8 bytes
     a step, which ``Orbit.residuals`` views without a copy.  A kept row
-    is the step's own x_{n+1} and J_first x_{n+1}, with no tuple or step
-    number of its own: the first history_cap // 2 rows in two lists,
-    the last history_cap - history_cap // 2 in two bounded deques, and
-    ``steps`` and ``truncated`` are derived from the residual count and
-    the caps.  Past the cap a step holds its 8 bytes and nothing else.
+    is a copy of x_{n+1} and J_first x_{n+1}, written in place into a
+    float64 block of shape (rows, 2, d) and at most 64 KiB, 16 d bytes
+    a row; the step's own arrays are not kept.  The first
+    history_cap // 2 rows go into head blocks sized to hold exactly the
+    rows the head can receive.  The last history_cap - history_cap // 2
+    rows live in a ring of equal tail blocks: starting a new block
+    reuses the oldest one once it holds no live row, and the first live
+    row's offset follows from the counts.  ``steps`` and ``truncated``
+    are derived from the residual count and the row counts.  Past the
+    cap a step holds its 8 bytes and nothing else, and no step copies
+    the kept rows as a whole.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -304,35 +357,51 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     x = as_point(x0, T.dim)
     first, second = T.first, T.second
     dr_form = T.form == FORM_DR
-    head_cap = history_cap // 2
-    tail_cap = history_cap - head_cap
-    # a kept row is the step's own x and J_first x, one in each sequence;
-    # past the head, the tail deques drop their oldest row
-    head_x: list[np.ndarray] = []
-    head_jx: list[np.ndarray] = []
-    tail_x, tail_jx = deque(maxlen=tail_cap), deque(maxlen=tail_cap)
+    dim = T.dim
+    block_rows = max(1, _BLOCK_BYTES // (16 * dim))
+    head_left = min(history_cap // 2, max_iter + 1)  # rows the head can still receive
+    tail_cap = history_cap - history_cap // 2
+    # equal tail blocks, as few as hold tail_cap rows (ceiling divisions)
+    tail_blocks = -(-tail_cap // block_rows)
+    tail_rows = -(-tail_cap // tail_blocks)
+    head: list[np.ndarray] = []
+    tail: deque[np.ndarray] = deque()
     residuals = array("d")
     converged = False
     n = 0
 
+    def next_block() -> np.ndarray:
+        nonlocal head_left
+        if head_left:
+            head.append(np.empty((min(block_rows, head_left), 2, dim)))
+            head_left -= len(head[-1])
+            return head[-1]
+        # every tail block is full here, and the oldest one is dead once
+        # the blocks hold tail_rows rows more than tail_cap
+        dead = len(tail) * tail_rows >= tail_cap + tail_rows
+        tail.append(tail.popleft() if dead else np.empty((tail_rows, 2, dim)))
+        return tail[-1]
+
     def assemble() -> Orbit:
-        kept = len(residuals) + 1  # x_0 and each x_{n+1} with a residual
-        return Orbit(
-            steps=[*range(len(head_x)), *range(kept - len(tail_x), kept)],
-            governing=head_x + list(tail_x),
-            shadow=head_jx + list(tail_jx),
-            residuals=np.frombuffer(residuals),
-            iterations=n,
-            converged=converged,
-            truncated=kept > history_cap,
-        )
+        # views of the live rows: the last block up to row i, and the
+        # tail from its first live row, which may be past a whole block
+        kept_head, kept_tail = list(head), list(tail)
+        current = kept_tail or kept_head
+        current[-1] = current[-1][:i]
+        if kept_tail:
+            dead = max(0, (len(kept_tail) - 1) * tail_rows + i - tail_cap)
+            del kept_tail[:dead // tail_rows]
+            kept_tail[0] = kept_tail[0][dead % tail_rows:]
+        return Orbit(head=kept_head, tail=kept_tail, residuals=np.frombuffer(residuals),
+                     iterations=n, converged=converged)
 
     # intermediate overflow surfaces as a non-finite point error or a
     # non-finite residual; both cases are a diverging orbit
     with np.errstate(over="ignore", invalid="ignore"):
         jx = first.resolve(x)
-        head_x.append(x)
-        head_jx.append(jx)
+        block = next_block()
+        block[0] = x, jx
+        i = 1  # rows written into block
         while n < max_iter:
             try:
                 x_next = dr_step(first, second, x, jx) if dr_form else T.apply(x)
@@ -348,12 +417,11 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
                 raise DivergenceError(f"non-finite iterate at step {n}", assemble())
             residuals.append(residual)
             jx = first.resolve(x_next)
-            if len(head_x) < head_cap:
-                head_x.append(x_next)
-                head_jx.append(jx)
-            else:
-                tail_x.append(x_next)
-                tail_jx.append(jx)
+            if i == len(block):
+                block, i = next_block(), 0
+            block[i, 0] = x_next
+            block[i, 1] = jx
+            i += 1
             x = x_next
             if residual <= stop_tol:
                 converged = True

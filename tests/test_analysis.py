@@ -5,6 +5,7 @@ from drorder.analysis import (
     IDENTITIES,
     _REQUIREMENTS,
     _Words,
+    _pair_defects,
     _power_orbits,
     _word_tables,
     CertificateError,
@@ -644,6 +645,25 @@ def test_dual_symmetry_certificate_failure_raises():
         with pytest.raises(CertificateError) as exc:
             check_dual_symmetry(X_AXIS, UP_RAY, [good, SolutionPair(z=z, k=k)])
         assert str(exc.value) == f"swapped-order certificate {member} failed"
+
+
+def test_pair_defects_bound_the_fixed_point_residual():
+    # for monotone A and B and any z, k, with u = z + k:
+    # ||T_ab u - u|| <= ||J_A u - z|| + ||J_B(z - k) - z||, which is why
+    # check_dual_symmetry makes no fixed-point test after the memberships.
+    # Drawn through the origin, (0, 0) is a solution pair, so points of
+    # scale 1e-8 test the bound where both defects are small
+    rng = np.random.default_rng(71)
+    for dim in (1, 2, 3, 5):
+        for i in range(60):
+            scale = 1e-8 if i % 2 else 2.0
+            a = random_monotone_operator(rng, dim, through_origin=scale < 1.0 or i % 4 == 0)
+            b = random_monotone_operator(rng, dim, through_origin=scale < 1.0 or i % 4 == 0)
+            z, k = random_point(rng, dim, scale), random_point(rng, dim, scale)
+            defect_a, defect_b = _pair_defects(a, b, z, k)
+            u = z + k
+            residual = float(np.linalg.norm(dr_step(a, b, u) - u))
+            assert residual <= defect_a + defect_b + 1e-13, (a.kind, b.kind, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from drorder.operators import (
     as_point,
 )
 from drorder import splitting
-from drorder.analysis import power_orbit
+from drorder.analysis import find_fixed_point, power_orbit
 from drorder.harness import load_corpus
 from drorder.splitting import (
     BlockSeparable,
@@ -386,15 +386,22 @@ def test_iterate_diverging_at_its_first_step_has_a_nan_final_residual():
     assert type(orbit.final_residual) is float and orbit.final_residual == 0.0
 
 
-def _held_bytes(T, x0, steps):
-    """The bytes the orbit of ``iterate(T, x0, steps, 0.0, history_cap=4)``
-    holds, traced by tracemalloc."""
+# the line/ball pair of the benchmark's long orbit, which it never leaves
+LONG_ORBIT = SplitOperator(
+    NormalConeAffineSubspace([0.0, 0.0], [[2.0 / math.sqrt(5.0)], [1.0 / math.sqrt(5.0)]]),
+    NormalConeBall([2.0, 3.0], 1.0))
+LONG_ORBIT_X0 = np.array([3.0, -1.5])
+
+
+def _held_bytes(steps, history_cap=4):
+    """The bytes that the long orbit of ``steps`` steps holds, traced by
+    tracemalloc, and the orbit."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        orbit = iterate(T, x0, steps, 0.0, history_cap=4)
+        orbit = iterate(LONG_ORBIT, LONG_ORBIT_X0, steps, 0.0, history_cap=history_cap)
         assert orbit.iterations == steps and orbit.truncated
-        return tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before, orbit
     finally:
         tracemalloc.stop()
 
@@ -402,12 +409,46 @@ def _held_bytes(T, x0, steps):
 def test_iterate_holds_at_most_16_bytes_per_step_past_the_history_cap():
     # past a full cap a step keeps only its residual, 8 bytes of one
     # float64 array; a Python float in a list would cost 32
-    line = NormalConeAffineSubspace([0.0, 0.0], [[2.0 / math.sqrt(5.0)], [1.0 / math.sqrt(5.0)]])
-    T = SplitOperator(line, NormalConeBall([2.0, 3.0], 1.0))
-    x0 = np.array([3.0, -1.5])
     short, long = 1_000, 3_000
-    per_step = (_held_bytes(T, x0, long) - _held_bytes(T, x0, short)) / (long - short)
+    per_step = (_held_bytes(long)[0] - _held_bytes(short)[0]) / (long - short)
     assert per_step <= 16.0, per_step
+
+
+def test_iterate_holds_at_most_48_bytes_per_kept_row_beyond_its_residuals():
+    # a kept row (x_n, J_first x_n) in R^2 is 32 bytes of a row block;
+    # as two arrays of its own it cost about 270.  By 12 000 steps the
+    # tail's ring holds the most blocks it ever does
+    held, orbit = _held_bytes(12_000, splitting.DEFAULT_HISTORY_CAP)
+    rows = len(orbit.steps)
+    assert rows == splitting.DEFAULT_HISTORY_CAP
+    per_row = (held - orbit.residuals.nbytes) / rows
+    assert per_row <= 48.0, per_row
+
+
+def test_final_points_do_not_keep_the_orbit_alive():
+    # the last point and its shadow are copies: once the orbit is gone,
+    # keeping them keeps only their own bytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        orbit = iterate(LONG_ORBIT, LONG_ORBIT_X0, 3_000, 0.0)
+        final, final_shadow = orbit.final, orbit.final_shadow
+        assert np.array_equal(final, orbit.governing[-1])
+        assert np.array_equal(final_shadow, orbit.shadow[-1])
+        del orbit
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1024, held
+    # nor do they share memory with the caller's start, even when the
+    # orbit never leaves it: x0 = 0 is fixed by the axis/ray pair
+    T = SplitOperator(X_AXIS, UP_RAY)
+    x0 = np.zeros(2)
+    orbit = iterate(T, x0, max_iter=1)
+    point = find_fixed_point(T, x0)
+    for got in (orbit.final, orbit.final_shadow, orbit.governing[0], point):
+        assert np.array_equal(got, x0) and not np.shares_memory(got, x0)
+    assert all(got.base is None for got in (orbit.final, orbit.final_shadow, point))
 
 
 def test_iterate_parameter_validation():
@@ -616,11 +657,13 @@ def _reference_iterate(T, x0, max_iter=splitting.DEFAULT_MAX_ITER,
     n = 0
 
     def assemble():
-        rows = head + list(tail)
-        return splitting.Orbit(steps=[r[0] for r in rows], governing=[r[1] for r in rows],
-                               shadow=[r[2] for r in rows], residuals=residuals,
-                               iterations=n, converged=converged,
-                               truncated=tail_seen > tail_cap)
+        blocks = [np.array([r[1:] for r in rows]) for rows in (head, tail) if rows]
+        orbit = splitting.Orbit(head=blocks[:1], tail=blocks[1:], residuals=residuals,
+                                iterations=n, converged=converged)
+        # the orbit derives the step numbers and the truncation recorded here
+        assert orbit.steps == [r[0] for r in head + list(tail)]
+        assert orbit.truncated == (tail_seen > tail_cap)
+        return orbit
 
     while n < max_iter:
         try:
@@ -657,11 +700,13 @@ def _orbit_bits(orbit):
 
 def _outcome(run, *args):
     """The orbit's bits, or the DivergenceError message and the bits of
-    the orbit it carries."""
+    the orbit it carries; no block of the orbit is empty."""
     try:
-        return "orbit", _orbit_bits(run(*args))
+        message, orbit = "orbit", run(*args)
     except DivergenceError as exc:
-        return str(exc), _orbit_bits(exc.orbit)
+        message, orbit = str(exc), exc.orbit
+    assert all(len(block) for block in (*orbit.head, *orbit.tail)), (message, args)
+    return message, _orbit_bits(orbit)
 
 
 class _NanAbove(AffineRelation):
@@ -727,6 +772,20 @@ def test_iterate_matches_the_reference_loop():
                 seen.add(("truncated", T.form))
     assert seen == {(case, form) for case in ("diverged", "inf residual", "truncated")
                     for form in (FORM_DR, FORM_BORWEIN_TAM)}
+    # kept rows across block boundaries and the head/tail seam, at every
+    # step count up to three caps: a block holds 65536 // (16 d) rows, 8
+    # at d = 512 and 1 at d = 4097; at d = 2 and a cap of 4100 the head
+    # holds 2048 + 2 rows and the tail two blocks of 1025
+    for d, cap, counts in ((512, 20, range(1, 61)), (4097, 6, range(1, 19)),
+                           (2, 4100, (6200,))):
+        far = np.zeros(d)
+        far[0] = 3.0
+        T = SplitOperator(NormalConeBall(np.zeros(d), 1.0), NormalConeBall(far, 1.0))
+        for max_iter in counts:
+            args = (T, np.full(d, 0.5), max_iter, 0.0, cap)
+            assert _outcome(iterate, *args) == _outcome(_reference_iterate, *args), (d, cap)
+        orbit = iterate(*args)
+        assert orbit.truncated and len(orbit.head) > 1 and len(orbit.tail) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,17 @@ def test_layer_times_times_every_layer():
 
 
 def test_orbit_memory_measures_both_long_orbit_pairs():
-    # a cap of 500 keeps the step numbers of both orbits' tails above the
-    # small ints that Python caches, so B/step is about the residual's 8 bytes
     lines = _run_tool("orbit_memory.py", "--steps", "2000", "--cap", "500")
-    assert lines[0].split()[:4] == ["steps", "2000,", "cap", "500"]
-    rows = [line.rsplit(None, 3) for line in lines[1:]]
+    assert lines[0].split() == ["steps", "2000,", "cap", "500", "held", "B", "peak", "B",
+                                "B/step", "B/row"]
+    rows = [line.rsplit(None, 4) for line in lines[1:]]
     assert [row[0].strip() for row in rows] == ["iterate line/ball ab", "iterate plane/line ba"]
-    for _, held, peak, per_step in rows:
+    for (_, held, peak, per_step, per_row), d in zip(rows, (2, 3)):
         assert 0 < int(held) <= int(peak)
+        # past the cap a step adds its residual's 8 bytes
         assert 0.0 < float(per_step) <= 16.0
+        # a kept row is 16 d bytes of a block; two array objects cost about 300
+        assert 16 * d <= float(per_row) <= 20 * d
 
 
 def test_cli_snapshot_writes_every_command(tmp_path):
@@ -82,8 +84,8 @@ def test_cli_snapshot_writes_every_command(tmp_path):
 
 def test_ab_times_runs_a_tree_against_itself():
     src = ROOT / "src"
-    lines = _run_tool("ab_times.py", src, src, "--rounds", "2")
-    assert lines[0].startswith("rounds 2, steps 10000,")
+    lines = _run_tool("ab_times.py", src, src, "--rounds", "2", "--steps", "500")
+    assert lines[0].startswith("rounds 2, steps 500,")
     rows = [line.split() for line in lines[2:]]
     assert [row[:2] for row in rows] == [[workload, side] for workload in ("long-orbit", "lift")
                                          for side in ("old", "new", "old/new")]
@@ -101,7 +103,7 @@ def test_ab_times_rejects_trees_whose_outputs_differ(tmp_path):
     assert kernel in path.read_text()
     path.write_text(path.read_text().replace(kernel, kernel + " * (1.0 + 2.0 ** -52)"))
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_times.py"), str(ROOT / "src"),
-                           str(tmp_path), "--rounds", "1"],
+                           str(tmp_path), "--rounds", "1", "--steps", "500"],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == "long-orbit: the two trees give different outputs\n"

@@ -1,6 +1,6 @@
 """Time two source trees of drorder against each other, in one process.
 
-Usage: python3 tools/ab_times.py OLD_SRC NEW_SRC [--rounds 20]
+Usage: python3 tools/ab_times.py OLD_SRC NEW_SRC [--rounds 20] [--steps 10000]
 
 Each SRC is a directory that holds a ``drorder`` package, such as the
 ``src/`` of a checkout.  Both trees are imported into this process, as
@@ -9,7 +9,7 @@ workloads built from its own classes:
 
 - ``long-orbit``: ``iterate`` on the two long-orbit pairs of the
   benchmark, line/ball in order ab and plane/parallel line in order ba
-  (the pairs of ``tools/layer_times.py``), 10 000 steps each with
+  (the pairs of ``tools/layer_times.py``), --steps steps each with
   ``stop_tol`` 0;
 - ``lift``: ``iterate`` on a lift of 100 members in R^3 (50 halfspaces
   and 50 balls, seeded, each holding the ball of radius 0.01 about the
@@ -67,7 +67,7 @@ def _import_tree(src: Path, name: str):
     return package
 
 
-def _long_orbit(dr):
+def _long_orbit(dr, steps: int):
     ops, splitting = dr.operators, dr.splitting
     line = ops.NormalConeAffineSubspace([0.0, 0.0], [[2.0 / math.sqrt(5.0)],
                                                      [1.0 / math.sqrt(5.0)]])
@@ -76,7 +76,7 @@ def _long_orbit(dr):
     parallel_line = ops.NormalConeAffineSubspace([0.0, 0.0, 1.0], [[1.0], [0.5], [0.0]])
     runs = ((splitting.SplitOperator(line, ball), np.array([3.0, -1.5])),
             (splitting.SplitOperator(parallel_line, plane), np.array([3.0, -1.5, 2.0])))
-    return lambda: [splitting.iterate(T, x0, ORBIT_STEPS, 0.0) for T, x0 in runs]
+    return lambda: [splitting.iterate(T, x0, steps, 0.0) for T, x0 in runs]
 
 
 def _lift(dr):
@@ -114,13 +114,15 @@ def main() -> int:
     parser.add_argument("old_src", type=Path, help="source tree of the old drorder")
     parser.add_argument("new_src", type=Path, help="source tree of the new drorder")
     parser.add_argument("--rounds", type=int, default=20, help="timed rounds")
+    parser.add_argument("--steps", type=int, default=ORBIT_STEPS,
+                        help="steps of each long-orbit run")
     args = parser.parse_args()
-    if args.rounds < 1:
-        parser.error("--rounds must be positive")
+    if args.rounds < 1 or args.steps < 1:
+        parser.error("--rounds and --steps must be positive")
 
     trees = {side: _import_tree(src.resolve(), f"drorder_{side}")
              for side, src in zip(SIDES, (args.old_src, args.new_src))}
-    workloads = {"long-orbit": {side: _long_orbit(dr) for side, dr in trees.items()},
+    workloads = {"long-orbit": {side: _long_orbit(dr, args.steps) for side, dr in trees.items()},
                  "lift": {side: _lift(dr) for side, dr in trees.items()}}
     for name, runs in workloads.items():
         if _bits(runs["old"]()) != _bits(runs["new"]()):
@@ -135,7 +137,7 @@ def main() -> int:
                 runs[side]()
                 times[name][side].append(time.perf_counter() - start)
 
-    print(f"rounds {args.rounds}, steps {ORBIT_STEPS}, lift of {LIFT_MEMBERS} members "
+    print(f"rounds {args.rounds}, steps {args.steps}, lift of {LIFT_MEMBERS} members "
           f"in R^{LIFT_DIM} from {LIFT_STARTS} starts")
     # the old and new rows are round times in ms, old/new their ratio per round
     print(f"{'workload':<11} {'side':<7} {'median':>10} {'q1':>10} {'q3':>10} {'won':>5}")

@@ -7,11 +7,13 @@ each iterated with ``stop_tol`` 0:
 - ``held``: what the returned orbit holds after --steps steps;
 - ``peak``: the most that was allocated during that call;
 - ``B/step``: the held bytes that each step past a full history cap
-  adds, (held at --steps - held at --cap - 1 steps) / (--steps - --cap + 1);
-  the orbit of --cap - 1 steps is the first whose kept rows fill the cap.
-  Below a cap of about 512, step numbers of that orbit's tail are ints
-  up to 256, which Python caches and the longer orbit's are not, so
-  B/step reads high.
+  adds, (held at --steps - held at 2 --cap steps) / (--steps - 2 --cap).
+  Once the cap is full the tail's ring of row blocks takes one more
+  block, by 1.5 --cap steps at the latest; from 2 --cap steps on, a
+  step adds only its residual;
+- ``B/row``: the held bytes per kept row at a full cap, (held at
+  --cap - 1 steps, less 8 bytes per residual) / --cap; the orbit of
+  --cap - 1 steps is the first whose kept rows fill the cap.
 
 Usage: PYTHONPATH=src python3 tools/orbit_memory.py [--steps 50000] [--cap 10000]
 
@@ -45,8 +47,8 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=splitting.DEFAULT_HISTORY_CAP,
                         help="history cap of iterate")
     args = parser.parse_args()
-    if args.cap < 4 or args.steps < args.cap:
-        parser.error("--cap must be at least 4 and --steps at least --cap")
+    if args.cap < 4 or args.steps <= 2 * args.cap:
+        parser.error("--cap must be at least 4 and --steps above 2 --cap")
 
     rows = []
     tracemalloc.start()
@@ -56,15 +58,17 @@ def main() -> int:
          np.array([3.0, -1.5, 2.0])),
     ):
         full, _ = _traced(T, x0, args.cap - 1, args.cap)
+        ring, _ = _traced(T, x0, 2 * args.cap, args.cap)
         held, peak = _traced(T, x0, args.steps, args.cap)
-        rows.append((name, held, peak, (held - full) / (args.steps - args.cap + 1)))
+        rows.append((name, held, peak, (held - ring) / (args.steps - 2 * args.cap),
+                     (full - 8 * (args.cap - 1)) / args.cap))
     tracemalloc.stop()
 
     width = max(len(name) for name, *_ in rows)
     print(f"{f'steps {args.steps}, cap {args.cap}':<{width}} {'held B':>10} {'peak B':>10} "
-          f"{'B/step':>8}")
-    for name, held, peak, per_step in rows:
-        print(f"{name:<{width}} {held:10d} {peak:10d} {per_step:8.2f}")
+          f"{'B/step':>8} {'B/row':>8}")
+    for name, held, peak, per_step, per_row in rows:
+        print(f"{name:<{width}} {held:10d} {peak:10d} {per_step:8.2f} {per_row:8.2f}")
     return 0
 
 
