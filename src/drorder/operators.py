@@ -19,6 +19,15 @@ one-point kernel: the long-orbit workload resolves one point at a time,
 where that kernel takes less than half the time of the row kernel.
 ``LinearMonotone`` is the ``AffineRelation`` with a zero offset.
 
+Each catalog kind splits its resolvent in two: ``resolve`` validates
+its input (a finite point of R^d or an (N, d) batch, else
+DimensionMismatchError or NonFinitePointError) and hands it to the
+unchecked kernel ``_kernel``, which trusts that it gets a finite float
+array of shape (d,) or (N, d).  A caller that has already proved its
+point calls the kernel directly: ``splitting.iterate``'s loop,
+``SplitOperator.apply`` and ``shadow``, and ``BlockSeparable`` and the
+wrappers for their members.
+
 Operators are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 """
@@ -230,14 +239,23 @@ def _orthonormal_columns(basis: np.ndarray, tau_ortho: float) -> np.ndarray:
 class Operator:
     """Common interface of the operator catalog.
 
-    Subclasses implement ``resolve`` (the resolvent; for normal cones
-    this is the metric projection onto the underlying set) and declare
-    ``monotone`` and ``affine``: a catalog kind as class attributes, a
-    wrapper of other operators (``Inverse``, ``Rotation``,
-    ``BlockSeparable``) as instance attributes that its constructor sets
-    from its members, which never change.  ``affine`` is the claim that
+    Subclasses implement the resolvent (for normal cones the metric
+    projection onto the underlying set) and declare ``monotone`` and
+    ``affine``: a catalog kind as class attributes, a wrapper of other
+    operators (``Inverse``, ``Rotation``, ``BlockSeparable``) as
+    instance attributes that its constructor sets from its members,
+    which never change.  ``affine`` is the claim that
     ``resolve`` is an affine map x -> C x + b; ``splitting.dr_matrix``
     relies on it to read that map at a basis.
+
+    A catalog kind implements the resolvent as ``_kernel``, which takes
+    a point or a batch that is already valid, and sets ``resolve =
+    _resolve``, the validating entry point (each kind holds ``resolve``
+    itself, so a tracer can tell the kinds apart).  A subclass of a
+    catalog kind overrides ``_kernel``, not ``resolve``: callers that
+    hold a proved point skip ``resolve``.  An operator outside the
+    catalog may implement only ``resolve``; the default ``_kernel``
+    calls it, so it works everywhere, validated on every call.
 
     ``fields`` lists the JSON keys of a member in output order; each is
     also a constructor argument and an attribute of the same name.
@@ -257,6 +275,10 @@ class Operator:
         """Evaluate the resolvent J(x) = (Id + A)^{-1} x, row-wise on a batch."""
         raise NotImplementedError
 
+    def _kernel(self, x) -> np.ndarray:
+        """The resolvent of a finite float point or (N, d) batch, unchecked."""
+        return self.resolve(x)
+
     def reflect(self, x) -> np.ndarray:
         """Evaluate the reflected resolvent (2J - Id) x, row-wise on a batch."""
         # resolve validates x
@@ -270,6 +292,11 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(dim={self.dim})"
+
+
+def _resolve(self, x) -> np.ndarray:
+    """Evaluate the resolvent J(x) = (Id + A)^{-1} x, row-wise on a batch."""
+    return self._kernel(_as_points(x, self.dim))
 
 
 class AffineRelation(Operator):
@@ -296,8 +323,10 @@ class AffineRelation(Operator):
         self.offset = offset
         self._shifted = np.eye(self.dim) + matrix
 
-    def resolve(self, x):
-        return _solve_shifted(self._shifted, _as_points(x, self.dim) - self.offset)
+    resolve = _resolve
+
+    def _kernel(self, x):
+        return _solve_shifted(self._shifted, x - self.offset)
 
 
 class LinearMonotone(AffineRelation):
@@ -306,9 +335,7 @@ class LinearMonotone(AffineRelation):
 
     kind = "linear_monotone"
     fields = ("matrix",)
-    # the benchmark tracer counts resolve calls per kind only for classes
-    # that hold ``resolve`` themselves
-    resolve = AffineRelation.resolve
+    resolve = _resolve
 
     def __init__(self, matrix, *, tau_psd: float = TAU_PSD):
         matrix = np.asarray(matrix, dtype=float)
@@ -344,15 +371,20 @@ class NormalConeAffineSubspace(Operator):
         super().__init__(offset.shape[0])
         self.offset = offset
         self.basis = _orthonormal_columns(basis, tau_ortho)
+        self._basis_t = self.basis.T
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    def resolve(self, x):
-        centered = _as_points(x, self.dim) - self.offset
+    resolve = _resolve
+
+    def _kernel(self, x):
+        centered = x - self.offset
+        if x.ndim == 1:
+            return self.offset + self.basis.dot(self._basis_t.dot(centered))
         # a batch goes through as the columns of centered.T
-        return self.offset + self.basis.dot(self.basis.T.dot(centered.T)).T
+        return self.offset + self.basis.dot(self._basis_t.dot(centered.T)).T
 
 
 class NormalConeHalfspace(Operator):
@@ -381,8 +413,10 @@ class NormalConeHalfspace(Operator):
         self.normal = normal
         self.rhs = rhs
 
-    def resolve(self, x):
-        return _halfspace_rows(self.normal, self.rhs, _as_points(x, self.dim))
+    resolve = _resolve
+
+    def _kernel(self, x):
+        return _halfspace_rows(self.normal, self.rhs, x)
 
     @staticmethod
     def stacked_resolvent(ops):
@@ -415,8 +449,9 @@ class NormalConeBall(Operator):
         self.center = center
         self.radius = radius
 
-    def resolve(self, x):
-        x = _as_points(x, self.dim)
+    resolve = _resolve
+
+    def _kernel(self, x):
         if x.ndim == 2:
             return _ball_rows(self.center, self.radius, x)
         v = x - self.center
@@ -460,8 +495,10 @@ class NormalConeRay(Operator):
         super().__init__(direction.shape[0])
         self.direction = direction
 
-    def resolve(self, x):
-        t = np.vecdot(_as_points(x, self.dim), self.direction)
+    resolve = _resolve
+
+    def _kernel(self, x):
+        t = np.vecdot(x, self.direction)
         # max(t, 0.0) row by row
         return np.where(t < 0.0, 0.0, t)[..., None] * self.direction
 
@@ -487,8 +524,10 @@ class NormalConeBox(Operator):
         self.lower = lower
         self.upper = upper
 
-    def resolve(self, x):
-        return np.clip(_as_points(x, self.dim), self.lower, self.upper)
+    resolve = _resolve
+
+    def _kernel(self, x):
+        return np.clip(x, self.lower, self.upper)
 
 
 class SphereSelection(Operator):
@@ -519,10 +558,12 @@ class SphereSelection(Operator):
         self.radius = radius
         self.tie_direction = tie_direction
 
-    def resolve(self, x):
+    resolve = _resolve
+
+    def _kernel(self, x):
         # radius / dist overflows for a subnormal dist, and there
         # radius * (v / dist) is taken instead
-        v = _as_points(x, self.dim) - self.center
+        v = x - self.center
         rows = v.reshape(-1, self.dim)
         dist = _row_norms(rows)[:, None]
         at_center = dist == 0.0
@@ -554,10 +595,10 @@ class Inverse(Operator):
         self.inner = inner
         self.affine = inner.affine
 
-    def resolve(self, x):
-        # the inner resolve, of the same dimension, validates x
-        x = np.asarray(x, dtype=float)
-        return x - self.inner.resolve(x)
+    resolve = _resolve
+
+    def _kernel(self, x):
+        return x - self.inner._kernel(x)
 
 
 class Rotation(Operator):
@@ -577,9 +618,10 @@ class Rotation(Operator):
         self.monotone = inner.monotone
         self.affine = inner.affine
 
-    def resolve(self, x):
-        # the inner resolve, of the same dimension, validates -x
-        return -self.inner.resolve(-np.asarray(x, dtype=float))
+    resolve = _resolve
+
+    def _kernel(self, x):
+        return -self.inner._kernel(-x)
 
 
 # Member classes that BlockSeparable resolves together, keyed by exact
@@ -603,7 +645,8 @@ class BlockSeparable(Operator):
     block, which is exactly the resolvent of the product operator.
     Members of a class in ``_STACKED_RESOLVENTS`` that occurs more than
     once are resolved together, one numpy expression per class over
-    their stacked blocks; every other member resolves its own block.
+    their stacked blocks; every other member resolves its own block
+    with its kernel, since the point was validated as a whole.
     """
 
     kind = "block_separable"
@@ -634,15 +677,16 @@ class BlockSeparable(Operator):
             else:
                 self._single.extend((i, ops[i]) for i in indices)
 
-    def resolve(self, x):
-        x = _as_points(x, self.dim)
+    resolve = _resolve
+
+    def _kernel(self, x):
         # (..., members, block_dim): a batch keeps its leading axis
         rows = x.reshape(*x.shape[:-1], len(self.ops), self.block_dim)
         out = np.empty_like(rows)
         for sel, resolvent in self._stacked:
             out[..., sel, :] = resolvent(rows[..., sel, :])
         for i, op in self._single:
-            out[..., i, :] = op.resolve(rows[..., i, :])
+            out[..., i, :] = op._kernel(rows[..., i, :])
         return out.reshape(x.shape)
 
 

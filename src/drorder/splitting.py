@@ -20,13 +20,16 @@ calls and one reflection); agreement with the half-sum form is part of
 the test suite.  ``iterate`` evaluates J_first once per step: the shadow
 J_A x_n it records is the J_A x_n that the next step needs.
 
-Step checks in ``iterate``: x0 is validated once, on entry; each
-resolvent validates the point it receives, the reflected point
-2 J x - x included; the next iterate x_{n+1} is tested only when its
-residual is not finite (a finite residual from a finite x_n proves it
-finite); and the last shadow is tested once, after the loop.  Overflow
-anywhere in the loop, the shadow resolves included, ends as a
-DivergenceError and emits no numpy warning.
+Step checks in ``iterate``: x0 is validated once, on entry; in form
+"dr" the loop tests the reflected point r = 2 J x - x itself, by its
+squared length and, only when that is not finite, entry by entry (form
+"borwein_tam" steps by ``apply``); the next iterate x_{n+1} is tested
+only when its residual is not finite (a finite residual from a finite
+x_n proves it finite); and the last shadow is tested once, after the
+loop.  The loop calls the operands' unchecked resolvent kernels on
+these proved points, as ``apply`` and ``shadow`` do on the point they
+validate.  Overflow anywhere in the loop, the shadow resolves
+included, ends as a DivergenceError and emits no numpy warning.
 """
 
 from __future__ import annotations
@@ -160,15 +163,15 @@ class SplitOperator:
         x = _as_points(x, self.dim)
         first, second = self.first, self.second
         if self.form == FORM_DR:
-            return dr_step(first, second, x)
-        return dr_step(first, second, dr_step(second, first, x))
+            return dr_step(first, second, x, first._kernel(x))
+        return dr_step(first, second, dr_step(second, first, x, second._kernel(x)))
 
     __call__ = apply
 
     def shadow(self, x) -> np.ndarray:
         """Resolvent of the first slot, the shadow map of the iteration;
         row by row for an (N, d) batch."""
-        return self.first.resolve(_as_points(x, self.dim))
+        return self.first._kernel(_as_points(x, self.dim))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SplitOperator({self.first.kind}, {self.second.kind}, "
@@ -320,18 +323,22 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     Stops early once the governing residual ||x_{n+1} - x_n|| drops to
     ``stop_tol`` (marking the orbit converged).
 
-    Step checks: x0 is validated on entry (in form "borwein_tam", where
-    the step is ``T.apply``, each x_n is), and every resolvent validates
-    the point it receives, which covers the reflected point 2 J x - x of
-    each half step.  x_n is finite, so x_{n+1} is finite exactly when
-    ||x_{n+1} - x_n|| is; the loop tests x_{n+1} itself only when that
-    residual is inf or nan, and a finite step whose squared length
-    overflows goes on with residual inf.  The last shadow is tested
-    once, after the loop.  A non-finite iterate raises DivergenceError
-    "non-finite iterate at step n", a non-finite last shadow
-    "non-finite shadow at step n"; either carries the orbit so far.
-    Overflow inside the loop, the shadow resolves included, emits no
-    numpy warning.
+    Step checks: in form "dr" each point is validated once, and the
+    resolvents of proved points are their unchecked kernels.  x0 is
+    validated on entry.  The step is ``dr_step``'s expressions, and the
+    loop tests the reflected point r = 2 J_first x_n - x_n before
+    J_second(r): by math.isfinite(<r, r>), and by np.isfinite(r).all()
+    only when that fails, so a finite r whose squared length overflows
+    goes on.  In form "borwein_tam" the step is ``T.apply``, which
+    validates x_n and each reflected point.  x_n is finite, so x_{n+1}
+    is finite exactly when ||x_{n+1} - x_n|| is; the loop tests x_{n+1}
+    itself only when that residual is inf or nan, and a finite step
+    whose squared length overflows goes on with residual inf.  The last
+    shadow is tested once, after the loop.  A non-finite iterate raises
+    DivergenceError "non-finite iterate at step n", a non-finite last
+    shadow "non-finite shadow at step n"; either carries the orbit so
+    far.  Overflow inside the loop, the shadow resolves included, emits
+    no numpy warning.
 
     Bookkeeping: a step's residual goes into one float64 array, 8 bytes
     a step, which ``Orbit.residuals`` views without a copy.  A kept row
@@ -355,7 +362,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         raise ValueError("history_cap must be at least 4")
 
     x = as_point(x0, T.dim)
-    first, second = T.first, T.second
+    first_kernel, second_kernel = T.first._kernel, T.second._kernel
     dr_form = T.form == FORM_DR
     dim = T.dim
     block_rows = max(1, _BLOCK_BYTES // (16 * dim))
@@ -398,13 +405,19 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     # intermediate overflow surfaces as a non-finite point error or a
     # non-finite residual; both cases are a diverging orbit
     with np.errstate(over="ignore", invalid="ignore"):
-        jx = first.resolve(x)
+        jx = first_kernel(x)
         block = next_block()
         block[0] = x, jx
         i = 1  # rows written into block
         while n < max_iter:
             try:
-                x_next = dr_step(first, second, x, jx) if dr_form else T.apply(x)
+                if dr_form:
+                    r = 2.0 * jx - x
+                    if not math.isfinite(r.dot(r)) and not np.isfinite(r).all():
+                        raise NonFinitePointError
+                    x_next = x - jx + second_kernel(r)
+                else:
+                    x_next = T.apply(x)
             except NonFinitePointError:
                 n += 1
                 raise DivergenceError(f"non-finite iterate at step {n}",
@@ -416,7 +429,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
             if not residual < math.inf and not np.isfinite(x_next).all():
                 raise DivergenceError(f"non-finite iterate at step {n}", assemble())
             residuals.append(residual)
-            jx = first.resolve(x_next)
+            jx = first_kernel(x_next)
             if i == len(block):
                 block, i = next_block(), 0
             block[i, 0] = x_next

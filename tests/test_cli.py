@@ -194,6 +194,28 @@ def test_run_diverging_at_the_first_step_reports_a_nan_final_residual(tmp_path, 
     assert len(rows) == 2 and rows[1][0] == "0" and rows[1][-1] == ""
 
 
+@pytest.mark.parametrize("order", ["ab", "bt"])
+def test_run_with_a_reflection_that_overflows_into_a_clipping_box_exits_one(tmp_path, capsys,
+                                                                           order):
+    # 2 J_A x0 - x0 = (inf, inf), which the box of operator_b would clip
+    # to the finite (1, 1)
+    data = {
+        "version": 1,
+        "dimension": 2,
+        "operator_a": {"kind": "normal_cone_box", "lower": [1e308, 1e308],
+                       "upper": [1e308, 1e308]},
+        "operator_b": {"kind": "normal_cone_box", "lower": [-1.0, -1.0],
+                       "upper": [1.0, 1.0]},
+        "start_points": [[-5e307, 0.0]],
+    }
+    cfg = tmp_path / "clipped-overflow.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "orbit.csv"
+    assert main(["run", "--config", str(cfg), "--order", order, "--out", str(out)]) == 1
+    run = _strict_json(capsys.readouterr().out)["runs"][0]
+    assert run["diverged"] and run["iterations"] == 1 and run["final_residual"] == "nan"
+
+
 def _overflowing_reflection_config(tmp_path):
     # J_A y = y + 4e307 and J_B y = y + 6e307: one finite step from the
     # origin to f = (1e308, 0), whose reflection 2 J_A f - f = z - k

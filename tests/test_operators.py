@@ -586,15 +586,17 @@ def test_block_separable_ball_overflow_matches_member_loop():
 
 
 def test_block_separable_resolves_repeated_kinds_together(monkeypatch):
+    # members are resolved by their kernels, the block having validated
+    # the point as a whole
     calls = {NormalConeHalfspace: 0, NormalConeBall: 0, NormalConeRay: 0}
     for cls in calls:
-        original = cls.resolve
+        original = cls._kernel
 
         def counted(self, x, cls=cls, original=original):
             calls[cls] += 1
             return original(self, x)
 
-        monkeypatch.setattr(cls, "resolve", counted)
+        monkeypatch.setattr(cls, "_kernel", counted)
     ops = [NormalConeHalfspace([1.0, 0.0], 0.5), NormalConeBall([0.0, 0.0], 1.0),
            NormalConeHalfspace([0.0, 1.0], 0.5), NormalConeBall([2.0, 0.0], 1.0),
            NormalConeHalfspace([1.0, 1.0], 0.0), NormalConeRay([1.0, 0.0]),
@@ -607,6 +609,79 @@ def test_block_separable_resolves_repeated_kinds_together(monkeypatch):
     BlockSeparable(ops[:2] + ops[5:]).resolve(x[:10])
     # a kind that occurs once keeps its own resolve
     assert calls == {NormalConeHalfspace: 1, NormalConeBall: 1, NormalConeRay: 4}
+
+
+def _counted_validations(monkeypatch, *modules):
+    """Count the calls of ``_as_points`` made through each of ``modules``."""
+    calls = []
+    original = operators._as_points
+
+    def counted(x, dim):
+        calls.append(np.shape(x))
+        return original(x, dim)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_as_points", counted)
+    return calls
+
+
+def test_block_separable_validates_the_point_once(monkeypatch):
+    # rays and the box have no stacked resolvent and resolve their own
+    # blocks, by their kernels
+    ops = [NormalConeHalfspace([1.0, 0.0], 0.5), NormalConeBall([0.0, 0.0], 1.0),
+           NormalConeHalfspace([0.0, 1.0], 0.5), NormalConeBall([2.0, 0.0], 1.0),
+           NormalConeRay([1.0, 0.0]), NormalConeRay([0.0, 1.0]),
+           NormalConeBox([-1.0, -1.0], [1.0, 1.0])]
+    block = BlockSeparable(ops)
+    calls = _counted_validations(monkeypatch, operators)
+    for x in (np.arange(14.0) - 7.0, np.arange(42.0).reshape(3, 14) - 20.0):
+        calls.clear()
+        block.resolve(x)
+        assert calls == [x.shape]
+
+
+# ---------------------------------------------------------------------------
+# resolvent kernels: resolve validates and hands its point to _kernel
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_kernel_is_its_resolve_on_a_valid_point(d):
+    rng = np.random.default_rng(70 + d)
+    members = _batch_members(rng, d)
+    assert {type(op) for op, _ in members.values()} == set(operators._CATALOG.values())
+    for label, (op, _) in members.items():
+        X = _batch_points(rng, op)
+        # 1e160 rows overflow ||x - c||^2 (then rescaled) in both paths
+        with np.errstate(over="ignore"):
+            for x in (*X, X):
+                assert op._kernel(x).tobytes() == op.resolve(x).tobytes(), (label, x.shape)
+
+
+class _LowerHalf(operators.Operator):
+    """The projection onto {x : x_1 <= 0}, outside the catalog: it
+    implements ``resolve`` only, on a point or a batch."""
+
+    kind = "lower_half"
+
+    def resolve(self, x):
+        y = np.array(x, dtype=float)
+        y[..., 0] = np.minimum(y[..., 0], 0.0)
+        return y
+
+
+def test_an_operator_with_only_resolve_is_its_own_kernel():
+    op = _LowerHalf(2)
+    x = np.array([[1.5, -2.0], [-0.5, 3.0]])
+    assert op._kernel(x).tobytes() == op.resolve(x).tobytes()
+    ball = NormalConeBall([1.0, 1.0], 0.5)
+    block = BlockSeparable([op, ball, Rotation(op), Inverse(op)])
+    X = np.random.default_rng(71).normal(size=(5, 8)) * 3.0
+    for x in (*X, X):
+        blocks = x.reshape(*x.shape[:-1], 4, 2)
+        want = np.stack([op.resolve(blocks[..., 0, :]), ball.resolve(blocks[..., 1, :]),
+                         -op.resolve(-blocks[..., 2, :]),
+                         blocks[..., 3, :] - op.resolve(blocks[..., 3, :])], axis=-2)
+        assert block.resolve(x).tobytes() == want.reshape(x.shape).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from drorder.operators import (
     NonFinitePointError,
     NormalConeAffineSubspace,
     NormalConeBall,
+    NormalConeBox,
     NormalConeHalfspace,
     NormalConeRay,
     NotAffineError,
@@ -46,7 +47,7 @@ from draws import (
     random_subspace,
 )
 from test_analysis import _operand_pairs
-from test_operators import _batch_members
+from test_operators import _LowerHalf, _batch_members, _counted_validations
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
 UP_RAY = NormalConeRay([0.0, 1.0])
@@ -185,14 +186,17 @@ def test_dr_matrix_raises_not_affine_before_any_resolve(monkeypatch, case, slot,
     T = SplitOperator(first, second, form, generalized)
     calls = []
 
-    def counted(resolve):
+    def counted(kernel):
         def wrapper(self, x):
             calls.append(self.kind)
-            return resolve(self, x)
+            return kernel(self, x)
         return wrapper
 
+    # every resolvent evaluation reaches a kernel; LinearMonotone's is
+    # AffineRelation's
     for cls in operators._CATALOG.values():
-        monkeypatch.setattr(cls, "resolve", counted(vars(cls)["resolve"]))
+        if "_kernel" in vars(cls):
+            monkeypatch.setattr(cls, "_kernel", counted(vars(cls)["_kernel"]))
     with pytest.raises(NotAffineError, match="dr_matrix requires affine operands"):
         dr_matrix(T)
     assert calls == []
@@ -598,18 +602,22 @@ def test_iterate_evaluates_first_resolvent_once_per_step(monkeypatch, order):
         return (dr_step(a, b, dr_step(b, a, x)) if order == "bt"
                 else power_orbit(a, b, x, 1)[-1])
 
-    counts = {"first": 0, "dr_step": 0}
-    first_resolve, original_step = a.resolve, splitting.dr_step
+    # every resolvent evaluation reaches the kernel, validated or not
+    counts = {"first": 0, "second": 0, "dr_step": 0}
+    original_step = splitting.dr_step
 
-    def counted_resolve(x):
-        counts["first"] += 1
-        return first_resolve(x)
+    def counted_kernel(slot, kernel):
+        def counted(x):
+            counts[slot] += 1
+            return kernel(x)
+        return counted
 
     def counted_step(*args, **kwargs):
         counts["dr_step"] += 1
         return original_step(*args, **kwargs)
 
-    monkeypatch.setattr(a, "resolve", counted_resolve)
+    monkeypatch.setattr(a, "_kernel", counted_kernel("first", a._kernel))
+    monkeypatch.setattr(b, "_kernel", counted_kernel("second", b._kernel))
     monkeypatch.setattr(splitting, "dr_step", counted_step)
     orbit = iterate(T, x0, max_iter=20, stop_tol=0.0)
     monkeypatch.undo()
@@ -617,9 +625,9 @@ def test_iterate_evaluates_first_resolvent_once_per_step(monkeypatch, order):
     n = orbit.iterations
     assert n == 20
     if order == "bt":  # the composite applies T itself: two steps, three J_first
-        assert counts == {"first": 3 * n + 1, "dr_step": 2 * n}
-    else:
-        assert counts == {"first": n + 1, "dr_step": n}
+        assert counts == {"first": 3 * n + 1, "second": 2 * n, "dr_step": 2 * n}
+    else:  # the loop evaluates dr_step's expressions itself
+        assert counts == {"first": n + 1, "second": n, "dr_step": 0}
     governing = [x0]
     for _ in range(n):
         governing.append(step(governing[-1]))
@@ -717,8 +725,8 @@ class _NanAbove(AffineRelation):
         super().__init__(np.zeros((2, 2)), [-1.0, 0.0])
         self.threshold = threshold
 
-    def resolve(self, x):
-        y = super().resolve(x)
+    def _kernel(self, x):
+        y = super()._kernel(x)
         return np.where(y > self.threshold, np.nan, y)
 
 
@@ -786,6 +794,66 @@ def test_iterate_matches_the_reference_loop():
             assert _outcome(iterate, *args) == _outcome(_reference_iterate, *args), (d, cap)
         orbit = iterate(*args)
         assert orbit.truncated and len(orbit.head) > 1 and len(orbit.tail) > 1
+
+
+def test_iterate_validates_only_its_start_point(monkeypatch):
+    # the loop proves each later point finite itself: x_{n+1} by its
+    # residual, the reflected point by its squared length
+    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]])
+    ball = NormalConeBall([0.0, 4.0], 1.0)
+    calls = _counted_validations(monkeypatch, operators, splitting)
+    original = splitting.as_point
+    monkeypatch.setattr(splitting, "as_point",
+                        lambda x, dim=None: calls.append(np.shape(x)) or original(x, dim))
+    for a, b in ((line, ball), (ball, line)):
+        for steps in (10, 100):
+            calls.clear()
+            assert iterate(SplitOperator(a, b), [4.0, 3.0], steps, 0.0).iterations == steps
+            assert calls == [(2,)], (a.kind, steps)
+
+
+def _clipped_overflow_pair(form):
+    """J_first sends every point to (1e308, 1e308), so from x0 =
+    (-5e307, 0) the reflected point 2 J_first x0 - x0 is (inf, inf),
+    which the box [-1, 1]^2 of the second slot would clip to (1, 1)."""
+    return SplitOperator(NormalConeBox([1e308, 1e308], [1e308, 1e308]),
+                         NormalConeBox([-1.0, -1.0], [1.0, 1.0]), form)
+
+
+@pytest.mark.parametrize("form", [FORM_DR, FORM_BORWEIN_TAM])
+def test_iterate_diverges_on_a_reflected_point_that_overflows(form):
+    # unchecked, J_second would return a finite x_1 = (-1.5e308, -1e308)
+    # with residual inf, and the orbit would go on
+    with pytest.raises(DivergenceError, match=r"^non-finite iterate at step 1$") as info:
+        iterate(_clipped_overflow_pair(form), [-5e307, 0.0])
+    orbit = info.value.orbit
+    assert orbit.iterations == 1 and orbit.residuals.size == 0
+    assert orbit.governing.tolist() == [[-5e307, 0.0]]
+
+
+def test_an_operator_with_only_resolve_iterates_and_lifts():
+    # outside the catalog the kernel is ``resolve``, validated: the loop
+    # gives the orbit of the reference loop, which calls resolve, and the
+    # lift the orbit of a product resolved member by member
+    op = _LowerHalf(2)
+    ball = NormalConeBall([2.0, 1.0], 1.0)
+    problem = lift([op, ball, NormalConeHalfspace([0.6, 0.8], 0.5)], 2)
+
+    class Blockwise(operators.Operator):
+        """The lift's product, resolved member by member with ``resolve``."""
+
+        def resolve(self, x):
+            rows = np.asarray(x, dtype=float).reshape(len(problem.ops), 2)
+            return np.concatenate([m.resolve(row) for m, row in zip(problem.ops, rows)])
+
+    for form in (FORM_DR, FORM_BORWEIN_TAM):
+        for T in (SplitOperator(op, ball, form), SplitOperator(ball, op, form)):
+            args = (T, [4.0, -3.0], 200, 1e-12, 8)
+            assert _outcome(iterate, *args) == _outcome(_reference_iterate, *args), T
+        reference = SplitOperator(problem.diagonal, Blockwise(6), form)
+        args = (problem.embed([4.0, -3.0]), 200, 1e-12, 8)
+        assert (_outcome(iterate, problem.split(form), *args)
+                == _outcome(_reference_iterate, reference, *args))
 
 
 # ---------------------------------------------------------------------------
