@@ -23,10 +23,14 @@ Each catalog kind splits its resolvent in two: ``resolve`` validates
 its input (a finite point of R^d or an (N, d) batch, else
 DimensionMismatchError or NonFinitePointError) and hands it to the
 unchecked kernel ``_kernel``, which trusts that it gets a finite float
-array of shape (d,) or (N, d).  A caller that has already proved its
-point calls the kernel directly: ``splitting.iterate``'s loop,
-``SplitOperator.apply`` and ``shadow``, and ``BlockSeparable`` and the
-wrappers for their members.
+array of shape (d,) or (N, d).  No kind writes ``resolve`` itself:
+``Operator.__init_subclass__`` sets it on each class that declares its
+own ``kind``, has a non-default ``_kernel`` and defines no ``resolve``.
+A caller that has already proved its point calls the kernel directly:
+``splitting``'s one step ``_dr`` (through ``dr_step``,
+``SplitOperator.apply`` and ``iterate``'s loop), ``SplitOperator.apply``
+and ``shadow``, and ``BlockSeparable`` and the wrappers for their
+members.
 
 Operators are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -249,13 +253,17 @@ class Operator:
     relies on it to read that map at a basis.
 
     A catalog kind implements the resolvent as ``_kernel``, which takes
-    a point or a batch that is already valid, and sets ``resolve =
-    _resolve``, the validating entry point (each kind holds ``resolve``
-    itself, so a tracer can tell the kinds apart).  A subclass of a
-    catalog kind overrides ``_kernel``, not ``resolve``: callers that
-    hold a proved point skip ``resolve``.  An operator outside the
-    catalog may implement only ``resolve``; the default ``_kernel``
-    calls it, so it works everywhere, validated on every call.
+    a point or a batch that is already valid.  ``__init_subclass__``
+    gives each class that declares its own ``kind``, has a ``_kernel``
+    other than the default and defines no ``resolve`` the validating
+    entry point ``resolve = _resolve`` in its own namespace, so a tracer
+    can tell the kinds apart.  A subclass of a catalog kind overrides
+    ``_kernel``, not ``resolve``: callers that hold a proved point skip
+    ``resolve``.  An operator outside the catalog may implement only
+    ``resolve``; the default ``_kernel`` calls it, so it works
+    everywhere, validated on every call.  A subclass that declares a
+    ``kind`` but neither ``resolve`` nor ``_kernel`` keeps the default
+    ``resolve``, which raises NotImplementedError.
 
     ``fields`` lists the JSON keys of a member in output order; each is
     also a constructor argument and an attribute of the same name.
@@ -267,6 +275,12 @@ class Operator:
     tolerance: str | None = None
     monotone: bool = True
     affine: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if ("kind" in vars(cls) and "resolve" not in vars(cls)
+                and cls._kernel is not Operator._kernel):
+            cls.resolve = _resolve
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -323,8 +337,6 @@ class AffineRelation(Operator):
         self.offset = offset
         self._shifted = np.eye(self.dim) + matrix
 
-    resolve = _resolve
-
     def _kernel(self, x):
         return _solve_shifted(self._shifted, x - self.offset)
 
@@ -335,7 +347,6 @@ class LinearMonotone(AffineRelation):
 
     kind = "linear_monotone"
     fields = ("matrix",)
-    resolve = _resolve
 
     def __init__(self, matrix, *, tau_psd: float = TAU_PSD):
         matrix = np.asarray(matrix, dtype=float)
@@ -377,8 +388,6 @@ class NormalConeAffineSubspace(Operator):
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    resolve = _resolve
-
     def _kernel(self, x):
         centered = x - self.offset
         if x.ndim == 1:
@@ -413,8 +422,6 @@ class NormalConeHalfspace(Operator):
         self.normal = normal
         self.rhs = rhs
 
-    resolve = _resolve
-
     def _kernel(self, x):
         return _halfspace_rows(self.normal, self.rhs, x)
 
@@ -448,8 +455,6 @@ class NormalConeBall(Operator):
         super().__init__(center.shape[0])
         self.center = center
         self.radius = radius
-
-    resolve = _resolve
 
     def _kernel(self, x):
         if x.ndim == 2:
@@ -495,8 +500,6 @@ class NormalConeRay(Operator):
         super().__init__(direction.shape[0])
         self.direction = direction
 
-    resolve = _resolve
-
     def _kernel(self, x):
         t = np.vecdot(x, self.direction)
         # max(t, 0.0) row by row
@@ -523,8 +526,6 @@ class NormalConeBox(Operator):
         super().__init__(lower.shape[0])
         self.lower = lower
         self.upper = upper
-
-    resolve = _resolve
 
     def _kernel(self, x):
         return np.clip(x, self.lower, self.upper)
@@ -557,8 +558,6 @@ class SphereSelection(Operator):
         self.center = center
         self.radius = radius
         self.tie_direction = tie_direction
-
-    resolve = _resolve
 
     def _kernel(self, x):
         # radius / dist overflows for a subnormal dist, and there
@@ -595,8 +594,6 @@ class Inverse(Operator):
         self.inner = inner
         self.affine = inner.affine
 
-    resolve = _resolve
-
     def _kernel(self, x):
         return x - self.inner._kernel(x)
 
@@ -617,8 +614,6 @@ class Rotation(Operator):
         self.inner = inner
         self.monotone = inner.monotone
         self.affine = inner.affine
-
-    resolve = _resolve
 
     def _kernel(self, x):
         return -self.inner._kernel(-x)
@@ -676,8 +671,6 @@ class BlockSeparable(Operator):
                 self._stacked.append((_rows(indices), resolvent))
             else:
                 self._single.extend((i, ops[i]) for i in indices)
-
-    resolve = _resolve
 
     def _kernel(self, x):
         # (..., members, block_dim): a batch keeps its leading axis

@@ -13,23 +13,25 @@ flags make valid), the governing/shadow iteration, and the
 product-space lift that turns an m-operator sum into a two-operator
 problem with an affine-subspace first operand.  ``SplitOperator.apply``
 is the one evaluation of T, on a point or an (N, d) batch; ``dr_matrix``
-and the composite steps of ``iterate`` call it.
+calls it.
 
 Production evaluation uses the Id - J_A + J_B R_A form (two resolvent
 calls and one reflection); agreement with the half-sum form is part of
 the test suite.  ``iterate`` evaluates J_first once per step: the shadow
 J_A x_n it records is the J_A x_n that the next step needs.
 
-Step checks in ``iterate``: x0 is validated once, on entry; in form
-"dr" the loop tests the reflected point r = 2 J x - x itself, by its
-squared length and, only when that is not finite, entry by entry (form
-"borwein_tam" steps by ``apply``); the next iterate x_{n+1} is tested
-only when its residual is not finite (a finite residual from a finite
-x_n proves it finite); and the last shadow is tested once, after the
-loop.  The loop calls the operands' unchecked resolvent kernels on
-these proved points, as ``apply`` and ``shadow`` do on the point they
-validate.  Overflow anywhere in the loop, the shadow resolves
-included, ends as a DivergenceError and emits no numpy warning.
+One step, one rule: ``_dr(second, x, jx)`` holds x - jx + J_second(r)
+with r = 2 jx - x, and the one finiteness test, of r.  ``dr_step``,
+``SplitOperator.apply`` in both forms and ``iterate``'s loop all step
+through it.  A finite r proves x and jx finite too, so each caller
+validates only the point it is handed: ``dr_step`` by ``first.resolve``,
+``apply`` and ``shadow`` by ``_as_points``, ``iterate`` x0 once, on
+entry.  In ``iterate`` the next iterate x_{n+1} is tested only when its
+residual is not finite (a finite residual from a finite x_n proves it
+finite), and the last shadow is tested once, after the loop.  Past the
+validation every resolvent is an unchecked kernel.  A reflected point
+that overflows ends as a NonFinitePointError (a DivergenceError in
+``iterate``), and no step emits a numpy warning.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -90,22 +92,54 @@ class DivergenceError(RuntimeError):
         self.orbit = orbit
 
 
-def dr_step(first: Operator, second: Operator, x: np.ndarray,
-            jx: np.ndarray | None = None) -> np.ndarray:
-    """One application of x - J_first x + J_second(2 J_first x - x), to a
-    point or, row by row, to an (N, d) batch.
+def _dr(second: Operator, x: np.ndarray, jx: np.ndarray) -> np.ndarray:
+    """x - jx + J_second(r) with r = 2 jx - x: the Douglas-Rachford step
+    from x, given jx = J_first x, on a point or an (N, d) batch.
 
-    ``jx``, when given, is J_first x already evaluated; it is used in
-    place of a second evaluation.
+    The one finiteness rule of a step: a point r passes when <r, r> is
+    finite and is tested entry by entry only when it is not, so a finite
+    r whose squared length overflows goes on; a batch is tested entry by
+    entry.  A non-finite r raises NonFinitePointError.  r is finite only
+    when x and jx are, so J_second's unchecked kernel sees a proved
+    point.  The sum of the finite terms can still overflow to inf:
+    ``iterate`` tests it by its residual, ``apply`` and ``dr_step``
+    return it.  The caller silences overflow warnings.
+    """
+    r = 2.0 * jx - x
+    if not (r.ndim == 1 and math.isfinite(r.dot(r))) and not np.isfinite(r).all():
+        raise NonFinitePointError("point has non-finite entries")
+    return x - jx + second._kernel(r)
+
+
+def _bt(first: Operator, second: Operator, x: np.ndarray, jx) -> np.ndarray:
+    """T_(first,second) T_(second,first) x by two ``_dr`` steps; J_first x
+    is not needed."""
+    mid = _dr(first, x, second._kernel(x))
+    return _dr(second, mid, first._kernel(mid))
+
+
+def _require_same_dim(first: Operator, second: Operator) -> None:
+    if first.dim != second.dim:
+        raise DimensionMismatchError(
+            f"operand dimensions differ: {first.dim} vs {second.dim}"
+        )
+
+
+def dr_step(first: Operator, second: Operator, x) -> np.ndarray:
+    """One application of x - J_first x + J_second(2 J_first x - x), to a
+    point or, row by row, to an (N, d) batch: ``first.resolve`` validates
+    x, and ``_dr`` makes the step.  Operands of unequal dimension raise
+    DimensionMismatchError; a non-finite reflected point raises
+    NonFinitePointError, and overflow emits no numpy warning.
 
     No slot validation is performed here; contract checking lives in
     SplitOperator.  This entry point exists because several identities
     need the swapped or generalized operator even when that combination
     is not constructible as a validated SplitOperator.
     """
-    if jx is None:
-        jx = first.resolve(x)
-    return x - jx + second.resolve(2.0 * jx - x)
+    _require_same_dim(first, second)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _dr(second, x, first.resolve(x))
 
 
 def require_operands(first: Operator, second: Operator,
@@ -145,10 +179,7 @@ class SplitOperator:
 
     def __init__(self, first: Operator, second: Operator,
                  form: str = FORM_DR, generalized: bool = False):
-        if first.dim != second.dim:
-            raise DimensionMismatchError(
-                f"operand dimensions differ: {first.dim} vs {second.dim}"
-            )
+        _require_same_dim(first, second)
         if form not in (FORM_DR, FORM_BORWEIN_TAM):
             raise ValueError(f"unknown form {form!r}")
         require_operands(first, second, generalized)
@@ -157,14 +188,18 @@ class SplitOperator:
         self.form = form
         self.generalized = generalized
         self.dim = first.dim
+        # the step from x given J_first x, which form borwein_tam ignores
+        self._step = (partial(_dr, second) if form == FORM_DR
+                      else partial(_bt, first, second))
 
     def apply(self, x) -> np.ndarray:
-        """T x for a point, or row by row for an (N, d) batch."""
+        """T x for a point, or row by row for an (N, d) batch: x is
+        validated, then ``_step`` makes the step.  A non-finite reflected
+        point raises NonFinitePointError, and overflow emits no numpy
+        warning."""
         x = _as_points(x, self.dim)
-        first, second = self.first, self.second
-        if self.form == FORM_DR:
-            return dr_step(first, second, x, first._kernel(x))
-        return dr_step(first, second, dr_step(second, first, x, second._kernel(x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._step(x, self.first._kernel(x) if self.form == FORM_DR else None)
 
     __call__ = apply
 
@@ -323,22 +358,18 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     Stops early once the governing residual ||x_{n+1} - x_n|| drops to
     ``stop_tol`` (marking the orbit converged).
 
-    Step checks: in form "dr" each point is validated once, and the
-    resolvents of proved points are their unchecked kernels.  x0 is
-    validated on entry.  The step is ``dr_step``'s expressions, and the
-    loop tests the reflected point r = 2 J_first x_n - x_n before
-    J_second(r): by math.isfinite(<r, r>), and by np.isfinite(r).all()
-    only when that fails, so a finite r whose squared length overflows
-    goes on.  In form "borwein_tam" the step is ``T.apply``, which
-    validates x_n and each reflected point.  x_n is finite, so x_{n+1}
-    is finite exactly when ||x_{n+1} - x_n|| is; the loop tests x_{n+1}
-    itself only when that residual is inf or nan, and a finite step
-    whose squared length overflows goes on with residual inf.  The last
-    shadow is tested once, after the loop.  A non-finite iterate raises
-    DivergenceError "non-finite iterate at step n", a non-finite last
-    shadow "non-finite shadow at step n"; either carries the orbit so
-    far.  Overflow inside the loop, the shadow resolves included, emits
-    no numpy warning.
+    Step checks: each point is validated once, and the resolvents of
+    proved points are their unchecked kernels.  x0 is validated on
+    entry.  In both forms the step is ``T._step``, which makes each
+    Douglas-Rachford step by ``_dr`` and its test of the reflected
+    point.  x_n is finite, so x_{n+1} is finite exactly when
+    ||x_{n+1} - x_n|| is; the loop tests x_{n+1} itself only when that
+    residual is inf or nan, and a finite step whose squared length
+    overflows goes on with residual inf.  The last shadow is tested
+    once, after the loop.  A non-finite iterate raises DivergenceError
+    "non-finite iterate at step n", a non-finite last shadow "non-finite
+    shadow at step n"; either carries the orbit so far.  Overflow inside
+    the loop, the shadow resolves included, emits no numpy warning.
 
     Bookkeeping: a step's residual goes into one float64 array, 8 bytes
     a step, which ``Orbit.residuals`` views without a copy.  A kept row
@@ -354,16 +385,16 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     cap a step holds its 8 bytes and nothing else, and no step copies
     the kept rows as a whole.
     """
-    if max_iter < 1:
+    # written so that nan fails each test
+    if not max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
-    if stop_tol < 0.0:
+    if not stop_tol >= 0.0:
         raise ValueError("stop_tol must be nonnegative")
-    if history_cap < 4:
+    if not history_cap >= 4:
         raise ValueError("history_cap must be at least 4")
 
     x = as_point(x0, T.dim)
-    first_kernel, second_kernel = T.first._kernel, T.second._kernel
-    dr_form = T.form == FORM_DR
+    first_kernel, step = T.first._kernel, T._step
     dim = T.dim
     block_rows = max(1, _BLOCK_BYTES // (16 * dim))
     head_left = min(history_cap // 2, max_iter + 1)  # rows the head can still receive
@@ -411,13 +442,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
         i = 1  # rows written into block
         while n < max_iter:
             try:
-                if dr_form:
-                    r = 2.0 * jx - x
-                    if not math.isfinite(r.dot(r)) and not np.isfinite(r).all():
-                        raise NonFinitePointError
-                    x_next = x - jx + second_kernel(r)
-                else:
-                    x_next = T.apply(x)
+                x_next = step(x, jx)
             except NonFinitePointError:
                 n += 1
                 raise DivergenceError(f"non-finite iterate at step {n}",

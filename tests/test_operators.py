@@ -684,6 +684,22 @@ def test_an_operator_with_only_resolve_is_its_own_kernel():
         assert block.resolve(x).tobytes() == want.reshape(x.shape).tobytes()
 
 
+def test_a_kind_without_resolve_or_kernel_keeps_the_default_resolve():
+    # a kind gets the validating resolve only when it has a kernel of its
+    # own; without one, resolve would call the default kernel, which
+    # calls resolve again
+    class Bare(operators.Operator):
+        kind = "bare"
+
+    class Ball(NormalConeBall):
+        kind = "ball_again"
+
+    assert "resolve" not in vars(Bare) and vars(Ball)["resolve"] is operators._resolve
+    with pytest.raises(NotImplementedError):
+        Bare(2).resolve([1.0, 2.0])
+    assert Ball([0.0, 0.0], 1.0).resolve([0.0, 2.0]).tolist() == [0.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # point batches: resolve and reflect map an (N, d) array row by row
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -461,6 +462,14 @@ def test_iterate_parameter_validation():
         iterate(T, [0.0, 0.0], max_iter=0)
     with pytest.raises(ValueError):
         iterate(T, [0.0, 0.0], stop_tol=-1.0)
+    # nan fails no comparison written as `value < bound`
+    for name, message in (("max_iter", "max_iter must be at least 1"),
+                          ("stop_tol", "stop_tol must be nonnegative"),
+                          ("history_cap", "history_cap must be at least 4")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            iterate(T, [0.0, 0.0], **{name: math.nan})
+    with pytest.raises(ValueError, match="^stop_tol must be nonnegative$"):
+        find_fixed_point(SplitOperator(X_AXIS, UP_RAY), [5.0, -3.0], tol=math.nan)
 
 
 def test_orbit_csv_format(tmp_path):
@@ -624,9 +633,9 @@ def test_iterate_evaluates_first_resolvent_once_per_step(monkeypatch, order):
 
     n = orbit.iterations
     assert n == 20
-    if order == "bt":  # the composite applies T itself: two steps, three J_first
-        assert counts == {"first": 3 * n + 1, "second": 2 * n, "dr_step": 2 * n}
-    else:  # the loop evaluates dr_step's expressions itself
+    if order == "bt":  # the composite makes two steps, three J_first
+        assert counts == {"first": 3 * n + 1, "second": 2 * n, "dr_step": 0}
+    else:  # the loop steps by the step it shares with dr_step
         assert counts == {"first": n + 1, "second": n, "dr_step": 0}
     governing = [x0]
     for _ in range(n):
@@ -635,16 +644,6 @@ def test_iterate_evaluates_first_resolvent_once_per_step(monkeypatch, order):
     assert [s.tobytes() for s in orbit.shadow] == [a.resolve(g).tobytes() for g in governing]
     assert orbit.residuals.tolist() == [float(np.linalg.norm(y - x))
                                         for x, y in zip(governing, governing[1:])]
-
-
-def test_dr_step_uses_a_given_first_resolvent():
-    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]])
-    ball = NormalConeBall([2.0, 1.0], 1.0)
-    x = np.array([4.0, 3.0])
-    jx = line.resolve(x)
-    assert dr_step(line, ball, x, jx).tobytes() == dr_step(line, ball, x).tobytes()
-    # a different jx is used as given, not recomputed
-    assert np.array_equal(dr_step(line, ball, x, np.zeros(2)), x + ball.resolve(-x))
 
 
 def _reference_iterate(T, x0, max_iter=splitting.DEFAULT_MAX_ITER,
@@ -676,7 +675,7 @@ def _reference_iterate(T, x0, max_iter=splitting.DEFAULT_MAX_ITER,
     while n < max_iter:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x_next = (dr_step(T.first, T.second, x, jx) if T.form == FORM_DR
+                x_next = (dr_step(T.first, T.second, x) if T.form == FORM_DR
                           else T.apply(x))
                 residual = float(np.linalg.norm(x_next - x))
         except NonFinitePointError:
@@ -798,18 +797,26 @@ def test_iterate_matches_the_reference_loop():
 
 def test_iterate_validates_only_its_start_point(monkeypatch):
     # the loop proves each later point finite itself: x_{n+1} by its
-    # residual, the reflected point by its squared length
+    # residual, each reflected point by its squared length
     line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]])
     ball = NormalConeBall([0.0, 4.0], 1.0)
     calls = _counted_validations(monkeypatch, operators, splitting)
     original = splitting.as_point
     monkeypatch.setattr(splitting, "as_point",
                         lambda x, dim=None: calls.append(np.shape(x)) or original(x, dim))
-    for a, b in ((line, ball), (ball, line)):
-        for steps in (10, 100):
+    for form in (FORM_DR, FORM_BORWEIN_TAM):
+        for a, b in ((line, ball), (ball, line)):
+            for steps in (10, 100):
+                calls.clear()
+                T = SplitOperator(a, b, form)
+                orbit = iterate(T, [4.0, 3.0], steps, 0.0)
+                # the composite reaches a zero residual within 100 steps
+                assert orbit.iterations == steps or orbit.converged
+                assert calls == [(2,)], (form, a.kind, steps)
+            # apply validates the point it is handed, and nothing else
             calls.clear()
-            assert iterate(SplitOperator(a, b), [4.0, 3.0], steps, 0.0).iterations == steps
-            assert calls == [(2,)], (a.kind, steps)
+            T.apply([4.0, 3.0])
+            assert calls == [(2,)], (form, a.kind)
 
 
 def _clipped_overflow_pair(form):
@@ -829,6 +836,36 @@ def test_iterate_diverges_on_a_reflected_point_that_overflows(form):
     orbit = info.value.orbit
     assert orbit.iterations == 1 and orbit.residuals.size == 0
     assert orbit.governing.tolist() == [[-5e307, 0.0]]
+
+
+@pytest.mark.parametrize("form", [FORM_DR, FORM_BORWEIN_TAM])
+def test_public_steps_report_a_reflected_point_that_overflows(form):
+    T = _clipped_overflow_pair(form)
+    x = np.array([-5e307, 0.0])
+    if form == FORM_DR:
+        step = lambda: dr_step(T.first, T.second, x)  # noqa: E731
+    else:  # the overflow comes in the second of the two steps
+        step = lambda: dr_step(T.first, T.second, dr_step(T.second, T.first, x))  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: T.apply(x), lambda: T.apply(x[None]), step):
+            with pytest.raises(NonFinitePointError, match="^point has non-finite entries$"):
+                call()
+        # a finite reflected point whose squared length overflows goes on
+        zero, box = ZERO2, NormalConeBox([-1.0, -1.0], [1.0, 1.0])
+        far = np.array([1e200, 0.0])
+        assert dr_step(zero, box, far).tolist() == [1.0, 0.0]
+        assert SplitOperator(zero, box, FORM_BORWEIN_TAM).apply(far).tolist() == [0.0, 0.0]
+
+
+def test_dr_step_rejects_operands_of_unequal_dimension():
+    # J_second's kernel would broadcast a 2-D point against a 1-D box
+    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]])
+    box = NormalConeBox([-1.0], [1.0])
+    with pytest.raises(DimensionMismatchError):
+        dr_step(line, box, [4.0, 3.0])
+    with pytest.raises(DimensionMismatchError):
+        dr_step(box, line, [4.0])
 
 
 def test_an_operator_with_only_resolve_iterates_and_lifts():

@@ -10,8 +10,9 @@ Rows, each the median wall time of one call over --repeat calls (the
   validation costs; and ``resolve`` of the same point as a (1, d) batch:
   that gap is what a one-point kernel saves, where there is one (the
   ball's, which the inverse, rotation and block rows also reach);
-- ``dr_step`` on the line/ball pair of the long-orbit benchmark, with
-  and without J_first x handed in;
+- ``dr_step`` on the line/ball pair of the long-orbit benchmark, and
+  ``SplitOperator.apply`` on that pair in form borwein_tam, two steps
+  after one validation;
 - ``iterate`` per step on the two long-orbit pairs, line/ball in order
   ab and plane/parallel line in order ba, --steps steps each with
   ``stop_tol`` 0, from the benchmark's own kind of start point;
@@ -103,11 +104,11 @@ def main() -> int:
         rows.append((f"kernel {op.kind}", _median_us(lambda: op._kernel(point), args.repeat)))
         rows.append((f"resolve {op.kind}, (1, d) batch",
                      _median_us(lambda: op.resolve(point[None]), args.repeat)))
-    jx = LINE.resolve(x)
     rows.append(("dr_step line/ball",
                  _median_us(lambda: splitting.dr_step(LINE, BALL, x), args.repeat)))
-    rows.append(("dr_step line/ball, J_first x given",
-                 _median_us(lambda: splitting.dr_step(LINE, BALL, x, jx), args.repeat)))
+    composite = splitting.SplitOperator(LINE, BALL, splitting.FORM_BORWEIN_TAM)
+    rows.append(("apply line/ball, borwein_tam",
+                 _median_us(lambda: composite.apply(x), args.repeat)))
     repeat = max(1, args.repeat // 40)
     for name, T, x0 in (
         ("iterate line/ball ab, per step", splitting.SplitOperator(LINE, BALL), x),
