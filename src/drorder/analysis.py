@@ -65,7 +65,6 @@ __all__ = [
     "map_fixed_point",
     "FixedPointCertificates",
     "certify_fixed_points",
-    "power_orbit",
     "check_commutation",
     "check_conjugation",
     "probe_conjugation",
@@ -133,8 +132,8 @@ def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
     (monotone operands) residuals never increase in exact arithmetic,
     so it is the least one up to rounding, and the iteration converges
     whenever T has a fixed point.  A non-finite iterate raises
-    NonFinitePointError; ``iterate`` rejects max_iter < 1 and tol < 0
-    with ValueError.
+    NonFinitePointError; ``iterate`` rejects a tol < 0 and a max_iter
+    that is not an integer of at least 1 with ValueError.
     """
     try:
         orbit = iterate(T, x0, max_iter, tol, history_cap=4)
@@ -211,18 +210,6 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
     reflector, partner = (A, B) if direction == "ab" else (B, A)
     _require_fixed_point(reflector, partner, f, fix_tol)
     return reflector.reflect(f)
-
-
-def power_orbit(first: Operator, second: Operator, x: np.ndarray,
-                n: int) -> list[np.ndarray]:
-    """The points x, T x, ..., T^n x of T = T_(first, second), by dr_step;
-    row-wise when x is an (N, d) batch.  A negative n raises ValueError."""
-    if n < 0:
-        raise ValueError(f"orbit depth n must be nonnegative, got {n}")
-    orbit = [x]
-    for _ in range(int(n)):
-        orbit.append(dr_step(first, second, orbit[-1]))
-    return orbit
 
 
 def _gap(u: np.ndarray, v: np.ndarray):

@@ -33,8 +33,9 @@ import numpy as np
 from .analysis import (
     IdentityReport,
     _certified_fixed_points,
+    _gap,
     _pair_defects,
-    power_orbit,
+    _power_orbits,
     report_identities,
 )
 from .config import ConfigError, ORDERS, ProblemConfig
@@ -209,12 +210,11 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
-    a, b = config.operator_a, config.operator_b
-    x0 = config.start_points[0]
-    left = power_orbit(a, b, a.reflect(x0), args.n)   # T_ab orbit started at R_a x0
-    right = power_orbit(b, a, x0, args.n)             # T_ba orbit started at x0
-    conj = [float(np.linalg.norm(rv - a.reflect(lv))) for lv, rv in zip(left, right)]
-    chunk = (range(len(left)), np.hstack([left, right]), conj)
+    a = config.operator_a
+    ab, ba = _power_orbits(a, config.operator_b, config.start_points[0], args.n)
+    left, right = ab[:, 1], ba[:, 0]  # T_ab^m R_A x0 and T_ba^m x0
+    conj = _gap(right, a.reflect(left)).tolist()
+    chunk = (range(args.n + 1), np.hstack([left, right]), conj)
     _atomic_write(args.out, lambda tmp: _write_rows(
         tmp, config.dimension, ("left", "right", "conj_residual"), [chunk]))
     return 0

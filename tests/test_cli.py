@@ -23,6 +23,7 @@ from drorder.cli import _orbit_path, main
 from drorder.config import ConfigError, ProblemConfig, Tolerances
 from drorder.harness import load_corpus
 from drorder.operators import MAX_NESTING, operator_from_dict
+from drorder.splitting import dr_step
 
 
 def _config_dict(name):
@@ -629,6 +630,55 @@ def test_compare_is_byte_deterministic(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["compare", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _reference_compare_rows(config, n):
+    """The compare rows (left, right, conj_residual) by their definition:
+    one dr_step call per orbit step, and one R_A call per row."""
+    a, b = config.operator_a, config.operator_b
+    left, right = [a.reflect(config.start_points[0])], [config.start_points[0]]
+    for _ in range(n):
+        left.append(dr_step(a, b, left[-1]))
+        right.append(dr_step(b, a, right[-1]))
+    return [(l, r, np.linalg.norm(r - a.reflect(l))) for l, r in zip(left, right)]
+
+
+@pytest.mark.parametrize("name", list(_REPORT_SETS) + ["generalized-sphere"])
+def test_compare_matches_the_reference_loop(tmp_path, monkeypatch, name):
+    # compare reads the probe-orbit loop, which rounds a row of its
+    # stacked starts as a batch row: the last bits of a cell may differ
+    # from the lone-point steps of the reference
+    calls = _counted_power_orbits(monkeypatch, "cli")
+    cfg = (_generalized_config(tmp_path) if name == "generalized-sphere"
+           else _write_config(tmp_path, name))
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--config", str(cfg), "--n", "12", "--out", str(out)]) == 0
+    config = ProblemConfig.from_path(cfg)
+    d = config.dimension
+    assert calls == [((d,), 12)]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    reference = _reference_compare_rows(config, 12)
+    assert [row[0] for row in rows] == [str(m) for m in range(13)]
+    for row, (left, right, conj) in zip(rows, reference, strict=True):
+        cells = np.array([float(v) for v in row[1:2 * d + 1]])
+        want = np.concatenate([left, right])
+        assert np.all(np.abs(cells - want) <= 4e-16 * np.maximum(1.0, np.abs(want))), row[0]
+        assert abs(float(row[-1]) - conj) <= 2e-15, row[0]
+
+
+def test_compare_at_depth_zero_writes_the_start_row(tmp_path):
+    cfg = _write_config(tmp_path, "subspace-ball")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--config", str(cfg), "--n", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "left_1", "left_2", "right_1", "right_2", "conj_residual"]
+    config = ProblemConfig.from_path(cfg)
+    a, x0 = config.operator_a, config.start_points[0]
+    left = a.reflect(x0)
+    cells = [format(v, ".17g") for v in (*left, *x0, np.linalg.norm(x0 - a.reflect(left)))]
+    assert rows[1:] == [["0", *cells]]
 
 
 # ---------------------------------------------------------------------------

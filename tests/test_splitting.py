@@ -26,7 +26,7 @@ from drorder.operators import (
     as_point,
 )
 from drorder import splitting
-from drorder.analysis import find_fixed_point, power_orbit
+from drorder.analysis import find_fixed_point
 from drorder.harness import load_corpus
 from drorder.splitting import (
     BlockSeparable,
@@ -609,7 +609,7 @@ def test_iterate_evaluates_first_resolvent_once_per_step(monkeypatch, order):
 
     def step(x):  # the reference step
         return (dr_step(a, b, dr_step(b, a, x)) if order == "bt"
-                else power_orbit(a, b, x, 1)[-1])
+                else dr_step(a, b, x))
 
     # every resolvent evaluation reaches the kernel, validated or not
     counts = {"first": 0, "second": 0, "dr_step": 0}
@@ -856,6 +856,52 @@ def test_public_steps_report_a_reflected_point_that_overflows(form):
         far = np.array([1e200, 0.0])
         assert dr_step(zero, box, far).tolist() == [1.0, 0.0]
         assert SplitOperator(zero, box, FORM_BORWEIN_TAM).apply(far).tolist() == [0.0, 0.0]
+
+
+# (first, second, x) in R^1 whose step from x has a finite reflected
+# point and a result that overflows.  Form dr: J_first is the box {0} and
+# J_second the box {1e308}, so T x = x + 1e308.  Form borwein_tam: the
+# first step goes to 0, and the second resolves the constant map 1e308,
+# J_second y = y - 1e308, at -1.2e308, where it overflows to -inf.
+_OVERFLOWING_STEPS = {
+    FORM_DR: (NormalConeBox([0.0], [0.0]), NormalConeBox([1e308], [1e308]), 1.5e308),
+    FORM_BORWEIN_TAM: (NormalConeBox([-np.inf], [-6e307]),
+                       AffineRelation([[0.0]], [1e308]), 1e308),
+}
+
+
+@pytest.mark.parametrize("form", [FORM_DR, FORM_BORWEIN_TAM])
+def test_public_steps_report_a_step_that_overflows(form):
+    first, second, x = _OVERFLOWING_STEPS[form]
+    T = SplitOperator(first, second, form)
+    # the second row's step is finite, so only the first row overflows
+    batch = np.array([[x], [5e307]])
+    calls = [lambda: T.apply([x]), lambda: T.apply(batch)]
+    if form == FORM_DR:
+        calls += [lambda: dr_step(first, second, [x]), lambda: dr_step(first, second, batch)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(T.apply(batch[1])).all()
+        for call in calls:
+            with pytest.raises(NonFinitePointError, match="^point has non-finite entries$"):
+                call()
+        # iterate ends the same step by its residual
+        with pytest.raises(DivergenceError, match=r"^non-finite iterate at step 1$"):
+            iterate(T, [x])
+
+
+def test_iterate_budgets_are_finite_integers():
+    # T x = x for two zero maps, so every orbit converges at step 1 and a
+    # budget that gets past the checks returns at once
+    T = SplitOperator(ZERO2, ZERO2)
+    orbit = iterate(T, [1.0, 2.0], max_iter=10.0, history_cap=10.0)
+    assert orbit.iterations == 1 and orbit.converged
+    for name in ("max_iter", "history_cap"):
+        for value in (10.5, math.inf, np.float64(math.inf)):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite integer, got "):
+                iterate(T, [1.0, 2.0], **{name: value})
+    with pytest.raises(ValueError, match="^max_iter must be a finite integer, got inf$"):
+        find_fixed_point(T, [1.0, 2.0], max_iter=math.inf)
 
 
 def test_dr_step_rejects_operands_of_unequal_dimension():

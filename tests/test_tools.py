@@ -49,7 +49,8 @@ def test_layer_times_times_every_layer():
     names = [name.strip() for name, _ in rows]
     assert {"as_point", "_as_points", "resolve normal_cone_ball", "dr_step line/ball",
             "apply line/ball, borwein_tam", "iterate line/ball ab, per step",
-            "iterate plane/line ba, per step"} <= set(names)
+            "iterate plane/line ba, per step", "product kernel lift m=100",
+            "iterate lift m=100, per step"} <= set(names)
     # every kind's one-point resolve, its kernel, and the same point as a
     # (1, d) batch
     kinds = [name for name in names if name.startswith("resolve ") and "," not in name]

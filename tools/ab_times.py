@@ -79,7 +79,9 @@ def _long_orbit(dr, steps: int):
     return lambda: [splitting.iterate(T, x0, steps, 0.0) for T, x0 in runs]
 
 
-def _lift(dr):
+def lift_problem(dr):
+    """The lifted operator T of the ``lift`` workload, built from the
+    package ``dr``, and its seeded starts."""
     ops, splitting = dr.operators, dr.splitting
     rng = np.random.default_rng(2024)
     members = []
@@ -92,9 +94,13 @@ def _lift(dr):
             radius = float(rng.uniform(0.5, 2.5))
             members.append(ops.NormalConeBall(-(radius - LIFT_MARGIN) * u, radius))
     lifted = splitting.lift(members, LIFT_DIM)
-    T = lifted.split()
     starts = [lifted.embed(rng.normal(0.0, 3.0, LIFT_DIM)) for _ in range(LIFT_STARTS)]
-    return lambda: [splitting.iterate(T, x0, stop_tol=1e-10) for x0 in starts]
+    return lifted.split(), starts
+
+
+def _lift(dr):
+    T, starts = lift_problem(dr)
+    return lambda: [dr.splitting.iterate(T, x0, stop_tol=1e-10) for x0 in starts]
 
 
 def _bits(orbits) -> list:

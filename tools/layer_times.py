@@ -18,7 +18,11 @@ Rows, each the median wall time of one call over --repeat calls (the
   ``stop_tol`` 0, from the benchmark's own kind of start point;
 - ``dr_matrix`` in forms dr and borwein_tam on the corpus pair
   linear-asymmetric (R^2) and on the lift of 20 lines through the
-  origin of R^2 (R^40), where it evaluates T at 41 basis rows.
+  origin of R^2 (R^40), where it evaluates T at 41 basis rows;
+- on the 100-member lift of ``tools/ab_times.py`` (50 halfspaces and 50
+  balls in R^3, as in the benchmark's consensus-lift), the product
+  kernel on its first start, a point of R^300, and ``iterate`` per step
+  from that start, to ``stop_tol`` 1e-10 or --steps steps.
 
 Usage: PYTHONPATH=src python3 tools/layer_times.py [--repeat 201] [--steps 20000]
 
@@ -41,6 +45,8 @@ import time
 
 import numpy as np
 
+import drorder
+from ab_times import lift_problem
 from drorder import operators, splitting
 from drorder.harness import load_corpus
 from drorder.operators import (
@@ -131,6 +137,13 @@ def main() -> int:
             T = splitting.SplitOperator(first, second, form)
             rows.append((f"dr_matrix {name}, {form}",
                          _median_us(lambda: splitting.dr_matrix(T), args.repeat)))
+
+    T, starts = lift_problem(drorder)
+    rows.append(("product kernel lift m=100",
+                 _median_us(lambda: T.second._kernel(starts[0]), args.repeat)))
+    steps = splitting.iterate(T, starts[0], args.steps, 1e-10).iterations
+    rows.append(("iterate lift m=100, per step", _median_us(
+        lambda: splitting.iterate(T, starts[0], args.steps, 1e-10), repeat, steps)))
 
     width = max(len(name) for name, _ in rows)
     print(f"{'median us':<{width}} {'':>9}")
