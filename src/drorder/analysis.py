@@ -49,6 +49,8 @@ from .operators import (
     TAU_GRAPH,
     TAU_NUM,
     _graph_defect,
+    _norm,
+    _row_norms,
     as_point,
 )
 from .splitting import DivergenceError, SplitOperator, dr_step, iterate
@@ -152,7 +154,7 @@ def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
 
 def _require_fixed_point(first: Operator, second: Operator, f: np.ndarray,
                          fix_tol: float) -> None:
-    residual = float(np.linalg.norm(dr_step(first, second, f) - f))
+    residual = _norm(dr_step(first, second, f) - f)
     if residual > fix_tol:
         raise CertificateError(
             f"not a fixed point: residual {residual:.3e} > {fix_tol:.1e}"
@@ -212,26 +214,11 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
     return reflector.reflect(f)
 
 
-def _gap(u: np.ndarray, v: np.ndarray):
-    """||u - v||, row by row for batches."""
-    w = u - v
-    return np.sqrt(np.vecdot(w, w))
-
-
-def _worst_gap(left, right):
-    """Largest ||l - r|| over paired points (row by row for batches); 0
-    when there are none."""
-    worst = 0.0
-    for l, r in zip(left, right):
-        worst = np.maximum(worst, _gap(l, r))
-    return worst
-
-
 def _dual_defect(A: Operator, pairs: list[SolutionPair]):
     """The worst ||R_A(z + k) - (z - k)|| over solution pairs (z, k): how
     far R_A is from carrying each fixed point z + k of T_ab to the fixed
     point z - k of T_ba; 0 when there are none."""
-    return _worst_gap([A.reflect(p.z + p.k) for p in pairs], [p.z - p.k for p in pairs])
+    return max((_norm(A.reflect(p.z + p.k) - (p.z - p.k)) for p in pairs), default=0.0)
 
 
 @dataclass(eq=False)
@@ -270,10 +257,10 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
     certificate = max((defect for _, defect in extracted), default=0.0)
     # R_A f = 2 J_A f - f, and z = J_A f
     images = [2.0 * p.z - f for p, f in zip(pairs, fixed)]
-    bijection = max(_worst_gap([B.reflect(image) for image in images], fixed),
-                    _worst_gap(images, [p.z - p.k for p in pairs]))
+    bijection = max((max(_norm(B.reflect(image) - f), _norm(image - (p.z - p.k)))
+                     for p, f, image in zip(pairs, fixed, images)), default=0.0)
     isometry = max(
-        (abs(_gap(images[i], images[j]) - _gap(fixed[i], fixed[j]))
+        (abs(_norm(images[i] - images[j]) - _norm(fixed[i] - fixed[j]))
          for i in range(len(fixed)) for j in range(i + 1, len(fixed))),
         default=0.0,
     )
@@ -359,7 +346,7 @@ def _defect_decomposition(w: _Words):
     # R_A T_ab - T_ba R_A = 2 J_A T_ab - J_A - J_A R_B R_A
     lhs = w("RA", "Tab") - w("Tba", "RA")
     rhs = 2.0 * w("JA", "Tab") - w("JA") - w("JA", "RB", "RA")
-    return _gap(lhs, rhs)
+    return _row_norms(lhs - rhs)
 
 
 def _firm_product(tx, ty, x, y):
@@ -377,27 +364,27 @@ def _not_firm(pair: tuple[_Words, _Words], *word: str):
 
 def _nonexpansive_transfer(pair: tuple[_Words, _Words]):
     wx, wy = pair
-    direct = _gap(wx("Tab"), wy("Tab"))
-    swapped = _gap(wx("Tba", "RA"), wy("Tba", "RA"))
+    direct = _row_norms(wx("Tab") - wy("Tab"))
+    swapped = _row_norms(wx("Tba", "RA") - wy("Tba", "RA"))
     return np.maximum(np.maximum(np.abs(direct - swapped),
-                                 swapped - _gap(wx("RA"), wy("RA"))), 0.0)
+                                 swapped - _row_norms(wx("RA") - wy("RA"))), 0.0)
 
 
 def _bt_factorization(w: _Words):
     # T_ab T_ba = (T_ab R_A)^2 = R_A (T_ba T_ab) R_A
     composite = w("Tab", "Tba")
-    return np.maximum(_gap(composite, w("Tab", "RA", "Tab", "RA")),
-                      _gap(composite, w("RA", "Tba", "Tab", "RA")))
+    return np.maximum(_row_norms(composite - w("Tab", "RA", "Tab", "RA")),
+                      _row_norms(composite - w("RA", "Tba", "Tab", "RA")))
 
 
 def _commutator(w: _Words):
     ab_ba, ba_ab = w("Tab", "Tba"), w("Tba", "Tab")
     rhs = w("RB", "RA", "RA", "RB") - w("RA", "RB", "RB", "RA")
-    exchange = _gap(w("Tab", "RB", "RA"), w("RB", "RA", "Tab"))
-    violation = np.maximum(_gap(4.0 * (ab_ba - ba_ab), rhs), exchange)
+    exchange = _row_norms(w("Tab", "RB", "RA") - w("RB", "RA", "Tab"))
+    violation = np.maximum(_row_norms(4.0 * (ab_ba - ba_ab) - rhs), exchange)
     if _REQUIREMENTS[_SUBSPACE_BOTH][0](w.A, w.B):
         # reflectors are involutions, and the two product orders coincide
-        violation = np.maximum(violation, _gap(ab_ba, ba_ab))
+        violation = np.maximum(violation, _row_norms(ab_ba - ba_ab))
     return violation
 
 
@@ -438,7 +425,7 @@ def _pointwise(f, points: np.ndarray) -> np.ndarray:
 def _orbit_gap(u: np.ndarray, v: np.ndarray):
     """Worst ||u - v|| over the leading (orbit step) axis, row by row for
     batches; 0 when there are no steps."""
-    return _gap(u, v).max(axis=0, initial=0.0)
+    return _row_norms(u - v).max(axis=0, initial=0.0)
 
 
 # The orbit identities, with signature (A, ab, ba): the violation at each
@@ -548,7 +535,7 @@ class Identity:
 
 # Every identity `verify --config` reports, in report order.
 IDENTITIES: tuple[Identity, ...] = (
-    Identity("dr-form-equivalence", lambda w: _gap(w("Tab"), 0.5 * (w() + w("RB", "RA")))),
+    Identity("dr-form-equivalence", lambda w: _row_norms(w("Tab") - 0.5 * (w() + w("RB", "RA")))),
     Identity("defect-decomposition", _defect_decomposition),
     Identity("dr-firmly-nonexpansive", lambda pair: _not_firm(pair, "Tab"), (_MONOTONE,),
              pairwise=True),
@@ -562,9 +549,9 @@ IDENTITIES: tuple[Identity, ...] = (
              pairwise=True),
     Identity("bt-factorization", _bt_factorization, (_SUBSPACE_FIRST,)),
     Identity("commutator", _commutator, (_AFFINE_BOTH,)),
-    Identity("bt-order-invariance", lambda w: _gap(w("Tab", "Tba"), w("Tba", "Tab")),
+    Identity("bt-order-invariance", lambda w: _row_norms(w("Tab", "Tba") - w("Tba", "Tab")),
              (_SUBSPACE_BOTH,)),
-    Identity("bt-half-sum", lambda w: _gap(w("Tab", "Tba"), 0.5 * (w("Tab") + w("Tba"))),
+    Identity("bt-half-sum", lambda w: _row_norms(w("Tab", "Tba") - 0.5 * (w("Tab") + w("Tba"))),
              (_SUBSPACE_BOTH,)),
     Identity("bt-firmly-nonexpansive", lambda pair: _not_firm(pair, "Tab", "Tba"),
              (_SUBSPACE_BOTH,), pairwise=True),
@@ -672,7 +659,8 @@ def check_firmly_nonexpansive(T: Callable[[np.ndarray], np.ndarray], x, y) -> fl
 
     Nonnegative for every firmly nonexpansive map; the caller interprets
     the sign.  ``T`` is any point-to-point callable (a SplitOperator, a
-    bound resolvent, ...).
+    bound resolvent, ...).  The product is a squared quantity, not a
+    norm: it overflows to inf once ||x - y|| passes about 1e154.
     """
     x = as_point(x)
     y = as_point(y)

@@ -33,14 +33,13 @@ import numpy as np
 from .analysis import (
     IdentityReport,
     _certified_fixed_points,
-    _gap,
     _pair_defects,
     _power_orbits,
     report_identities,
 )
 from .config import ConfigError, ORDERS, ProblemConfig
 from .harness import load_corpus, run_instance
-from .operators import MonotonicityError, NonFinitePointError, _to_json
+from .operators import MonotonicityError, NonFinitePointError, _row_norms, _to_json
 from .splitting import DivergenceError, _write_rows, iterate
 
 ENV_TOL = "DR_ORDER_TOL"
@@ -213,7 +212,7 @@ def cmd_compare(args) -> int:
     a = config.operator_a
     ab, ba = _power_orbits(a, config.operator_b, config.start_points[0], args.n)
     left, right = ab[:, 1], ba[:, 0]  # T_ab^m R_A x0 and T_ba^m x0
-    conj = _gap(right, a.reflect(left)).tolist()
+    conj = _row_norms(right - a.reflect(left)).tolist()
     chunk = (range(args.n + 1), np.hstack([left, right]), conj)
     _atomic_write(args.out, lambda tmp: _write_rows(
         tmp, config.dimension, ("left", "right", "conj_residual"), [chunk]))

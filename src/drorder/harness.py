@@ -59,6 +59,7 @@ from .analysis import (
     check_firmly_nonexpansive,
 )
 from .config import ProblemConfig
+from .operators import _norm, _row_norms
 from .splitting import FORM_BORWEIN_TAM, SplitOperator, dr_matrix, iterate
 
 __all__ = [
@@ -171,7 +172,7 @@ def _grid_expectations(*rows: tuple[str, tuple[str, ...],
         def run(shared: _Pass) -> tuple[float, int]:
             points = shared.grid()
             gap = shared.grid(*word) - closed(points)
-            return float(np.max(np.sqrt(np.vecdot(gap, gap)))), len(points)
+            return float(np.max(_row_norms(gap))), len(points)
 
         return Expectation(label, 1e-12, run)
 
@@ -280,7 +281,7 @@ def _expect_parallel_lines() -> list[Expectation]:
         worst = 0.0
         for s, f in zip(starts, fixed):
             expected = np.array([s[0], 0.0, s[2]])
-            worst = max(worst, float(np.linalg.norm(f - expected)))
+            worst = max(worst, _norm(f - expected))
         return worst, len(starts)
 
     def solution_form(shared: _Pass) -> tuple[float, int]:
@@ -290,8 +291,7 @@ def _expect_parallel_lines() -> list[Expectation]:
             return float("inf"), len(starts)
         pairs = cert.pairs
         worst = max(
-            max(float(np.linalg.norm(p.z - np.array([s[0], 0.0, 0.0]))),
-                float(np.linalg.norm(p.k - np.array([0.0, 0.0, s[2]]))))
+            max(_norm(p.z - np.array([s[0], 0.0, 0.0])), _norm(p.k - np.array([0.0, 0.0, s[2]])))
             for s, p in zip(starts, pairs)
         )
         return worst, len(pairs)
@@ -352,7 +352,8 @@ def _expect_subspace_ball() -> list[Expectation]:
         # Independent geometry: distance to the line and excess over the
         # ball radius, from the instance parameters alone.
         config = shared.config
-        direction = np.asarray(FIGURE_LINE_DIRECTION) / np.linalg.norm(FIGURE_LINE_DIRECTION)
+        direction = np.asarray(FIGURE_LINE_DIRECTION)
+        direction = direction / _norm(direction)
         center = np.asarray(FIGURE_BALL_CENTER)
         worst = 0.0
         for order in ("ab", "ba"):
@@ -361,9 +362,8 @@ def _expect_subspace_ball() -> list[Expectation]:
             if not orbit.converged:
                 return float("inf"), 2
             z = config.operator_a.resolve(orbit.final)
-            line_dist = float(np.linalg.norm(z - (direction @ z) * direction))
-            ball_excess = max(0.0, float(np.linalg.norm(z - center))
-                              - FIGURE_BALL_RADIUS)
+            line_dist = _norm(z - (direction @ z) * direction)
+            ball_excess = max(0.0, _norm(z - center) - FIGURE_BALL_RADIUS)
             worst = max(worst, line_dist, ball_excess)
         return worst, 2
 

@@ -125,32 +125,44 @@ def _as_points(x, dim: int) -> np.ndarray:
     return arr
 
 
-def _scaled_norm(v: np.ndarray) -> float:
-    """||v|| as m ||v / m|| with m = max |v_i|: neither overflows nor
-    underflows for a finite v."""
-    m = float(np.max(np.abs(v)))
-    if m == 0.0:
-        return 0.0
-    w = v / m
-    return m * math.sqrt(w @ w)
-
-
 def _norm(v: np.ndarray) -> float:
-    """||v|| of a point: sqrt(<v, v>), or the scaled norm where <v, v>
-    overflows or underflows."""
+    """||v|| of a point: ``_row_norms(v)``, bit for bit, by Python floats
+    where TINY <= <v, v> < inf or v is exactly zero."""
     sq = float(v.dot(v))
-    if _TINY <= sq < math.inf:
+    if _TINY <= sq < math.inf or sq == 0.0 and not v.any():
         return math.sqrt(sq)
-    return _scaled_norm(v)
+    return float(_row_norms(v))
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``_norm`` of each row (last axis) of v, bit for bit."""
+def _row_norms(v: np.ndarray):
+    """||v|| of each row (last axis) of v, or of the one point v: the one
+    norm that every length of the package is taken by.
+
+    sqrt(<v, v>) where TINY <= <v, v> < inf.  Elsewhere a row with a
+    nonzero entry and no inf or nan takes m ||v / m|| with m = max |v_i|,
+    which neither overflows nor underflows: a finite v has a finite norm
+    unless the norm itself passes the largest float.  A zero row keeps
+    sqrt(0) = 0, a row with an inf entry sqrt(inf) = inf, and one with a
+    nan entry nan.  <v, v> may overflow; the caller silences that
+    warning.
+    """
     sq = np.vecdot(v, v)
     norms = np.sqrt(sq)
-    if not (sq.min(initial=_TINY) >= _TINY and sq.max(initial=0.0) < math.inf):
-        odd = ~((sq >= _TINY) & (sq < math.inf))
-        norms[odd] = [_scaled_norm(row) for row in v[odd]]
+    if sq.min(initial=_TINY) >= _TINY and sq.max(initial=0.0) < math.inf:
+        return norms
+    if v.ndim == 1:
+        return _row_norms(v[None])[0]
+    odd = ~((sq >= _TINY) & (sq < math.inf))
+    rows = v[odd]
+    if not rows.any():  # exactly zero rows only
+        return norms
+    # m = 1 leaves a zero row and a row with an inf or nan entry as it is
+    m = np.abs(rows).max(axis=-1)
+    m[~((m > 0.0) & (m < math.inf))] = 1.0
+    w = rows / m[:, None]
+    unit_sq = np.vecdot(w, w)
+    with np.errstate(over="ignore"):  # a norm past the largest float is inf
+        norms[odd] = m * np.sqrt(unit_sq)
     return norms
 
 
@@ -197,7 +209,7 @@ def _solve_shifted(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _unit_vector(v, name: str, tau_ortho: float) -> np.ndarray:
     """Return ``v`` scaled to unit norm (no-op if already unit to tolerance)."""
     v = as_point(v)
-    nv = float(np.linalg.norm(v))
+    nv = _norm(v)
     if nv <= tau_ortho:
         raise ValueError(f"{name} must be a nonzero vector")
     if abs(nv - 1.0) <= tau_ortho:
@@ -232,7 +244,7 @@ def _orthonormal_columns(basis: np.ndarray, tau_ortho: float) -> np.ndarray:
         for _ in range(2):
             for u in cols:
                 v -= (u @ v) * u
-        nv = float(np.linalg.norm(v))
+        nv = _norm(v)
         if nv > tau_ortho:
             cols.append(v / nv)
     if not cols:
@@ -409,7 +421,7 @@ class NormalConeHalfspace(Operator):
 
     def __init__(self, normal, rhs: float, *, tau_ortho: float = TAU_ORTHO):
         normal = as_point(normal)
-        nv = float(np.linalg.norm(normal))
+        nv = _norm(normal)
         if nv <= tau_ortho:
             raise ValueError("halfspace normal must be nonzero")
         rhs = float(rhs)
@@ -691,7 +703,7 @@ def _graph_defect(op: Operator, x, u) -> float:
         )
     x = as_point(x, op.dim)
     u = as_point(u, op.dim)
-    return float(np.linalg.norm(op.resolve(x + u) - x))
+    return _norm(op.resolve(x + u) - x)
 
 
 def graph_contains(op: Operator, pair: GraphPair, tol: float = TAU_GRAPH) -> bool:

@@ -54,6 +54,7 @@ from .operators import (
     NormalConeAffineSubspace,
     Operator,
     _as_points,
+    _norm,
     _require_operator,
     as_point,
 )
@@ -384,14 +385,16 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     proved points are their unchecked kernels.  x0 is validated on
     entry.  In both forms the step is ``T._step``, which makes each
     Douglas-Rachford step by ``_dr`` and its test of the reflected
-    point.  x_n is finite, so x_{n+1} is finite exactly when
-    ||x_{n+1} - x_n|| is; the loop tests x_{n+1} itself only when that
-    residual is inf or nan, and a finite step whose squared length
-    overflows goes on with residual inf.  The last shadow is tested
-    once, after the loop.  A non-finite iterate raises DivergenceError
-    "non-finite iterate at step n", a non-finite last shadow "non-finite
-    shadow at step n"; either carries the orbit so far.  Overflow inside
-    the loop, the shadow resolves included, emits no numpy warning.
+    point.  The residual ||x_{n+1} - x_n|| is ``operators._norm``: finite
+    for a finite difference whose length is below the largest float.
+    x_n is finite, so a finite residual proves x_{n+1} finite, and the
+    loop tests x_{n+1} itself only when the residual is inf or nan; a
+    finite x_{n+1} whose distance from x_n overflows goes on with
+    residual inf.  The last shadow is tested once, after the loop.  A
+    non-finite iterate raises DivergenceError "non-finite iterate at
+    step n", a non-finite last shadow "non-finite shadow at step n";
+    either carries the orbit so far.  Overflow inside the loop, the
+    shadow resolves included, emits no numpy warning.
 
     Bookkeeping: a step's residual goes into one float64 array, 8 bytes
     a step, which ``Orbit.residuals`` views without a copy.  A kept row
@@ -467,9 +470,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
                 raise DivergenceError(f"non-finite iterate at step {n}",
                                       assemble()) from None
             n += 1
-            d = x_next - x
-            # sqrt(<d, d>) is what np.linalg.norm computes for a real vector
-            residual = math.sqrt(d.dot(d))
+            residual = _norm(x_next - x)
             if not residual < math.inf and not np.isfinite(x_next).all():
                 raise DivergenceError(f"non-finite iterate at step {n}", assemble())
             residuals.append(residual)

@@ -1,4 +1,5 @@
-"""Seeded random draws of points and catalog operators for the property suites.
+"""Seeded random draws of points and catalog operators for the property
+suites, and the reference norm they measure lengths by.
 
 Every draw takes an explicit numpy Generator, so a seed fixes the whole
 sequence.  With through_origin=True every drawn set contains the origin
@@ -7,6 +8,8 @@ problem so that iterations have something to converge to.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +26,22 @@ from drorder.operators import (
     Rotation,
     SphereSelection,
 )
+
+
+TINY = float(np.finfo(float).tiny)
+
+
+def reference_norm(v: np.ndarray) -> float:
+    """||v|| of one point, the reference of ``operators._norm`` and
+    ``_row_norms`` in Python floats: sqrt(<v, v>) where
+    TINY <= <v, v> < inf or where v is zero or has an inf or nan entry;
+    m ||v / m|| with m = max |v_i| elsewhere."""
+    sq = float(v @ v)
+    m = float(np.max(np.abs(v)))
+    if TINY <= sq < math.inf or not 0.0 < m < math.inf:
+        return math.sqrt(sq)
+    w = v / m
+    return m * math.sqrt(w @ w)
 
 
 def random_point(rng: np.random.Generator, dim: int, scale: float = 2.0) -> np.ndarray:

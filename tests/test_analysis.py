@@ -49,6 +49,7 @@ from draws import (
     random_point,
     random_sphere_selection,
     random_subspace,
+    reference_norm,
 )
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
@@ -931,8 +932,10 @@ def _reference_power_orbits(A, B, x, n):
 
 
 def _reference_gap(u, v):
+    # ||u - v|| row by row, by the scaled reference norm
     w = u - v
-    return np.sqrt(np.vecdot(w, w))
+    rows = w.reshape(-1, w.shape[-1])
+    return np.array([reference_norm(row) for row in rows]).reshape(w.shape[:-1])
 
 
 def _reference_bt(first, second, x):

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -162,7 +163,7 @@ def _strict_json(text):
 
 def test_run_writes_non_finite_numbers_as_strings(tmp_path, capsys):
     # finite steps of 1e200 whose squared length overflows: every residual
-    # is inf, and the run does not diverge
+    # is 1e200, and the run does not diverge
     data = json.loads(_zero_config(tmp_path).read_text())
     data["operator_b"] = {"kind": "affine_relation", "matrix": [[0.0, 0.0], [0.0, 0.0]],
                           "offset": [-1e200, 0.0]}
@@ -171,7 +172,7 @@ def test_run_writes_non_finite_numbers_as_strings(tmp_path, capsys):
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "far.csv")]) == 0
     run = _strict_json(capsys.readouterr().out)["runs"][0]
-    assert run["final_residual"] == "inf" and not run["diverged"]
+    assert run["final_residual"] == 1e200 and not run["diverged"]
 
 
 def test_run_diverging_at_the_first_step_reports_a_nan_final_residual(tmp_path, capsys):
@@ -286,6 +287,24 @@ def test_verify_subspace_ball_config(tmp_path, capsys):
         assert set(r) == {"identity_name", "max_violation", "sample_count",
                           "tolerance", "passed"}
         assert r["passed"]
+
+
+def test_verify_reports_finite_defects_far_from_the_origin(tmp_path):
+    # the subspace-ball pair meets every identity; from (3e200, -7e200)
+    # its orbits are finite, and so is each norm of a defect, at the
+    # rounding scale of ||x0||, which the absolute tolerance still fails
+    x0 = [3e200, -7e200]
+    cfg = _write_config(tmp_path, "subspace-ball",
+                        mutate=lambda data: data.update(start_points=[x0]))
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 3
+    violation = {r["identity_name"]: r["max_violation"]
+                 for r in json.loads(report_path.read_text())}
+    for name in ("dr-form-equivalence", "defect-decomposition", "commutation", "conjugation",
+                 "shadow-equality", "nonexpansive-transfer", "bt-factorization"):
+        assert 0.0 < violation[name] <= 1e-15 * math.hypot(*x0), name
+    # an inner product, not a norm: its square-scale product overflows
+    assert violation["dr-firmly-nonexpansive"] == "inf"
 
 
 def _generalized_config(tmp_path):

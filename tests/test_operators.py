@@ -30,10 +30,12 @@ from drorder.operators import (
 from drorder.splitting import _affine_form
 
 from draws import (
+    TINY,
     random_affine_relation,
     random_linear_monotone,
     random_monotone_operator,
     random_point,
+    reference_norm,
 )
 
 X_AXIS = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
@@ -791,6 +793,48 @@ def test_batch_with_a_non_finite_row_or_a_wrong_shape_is_rejected(method):
                 call(np.ones(shape))
 
 
+def test_the_one_norm_is_finite_at_every_finite_scale():
+    # _norm of a point, and _row_norms of a point, a batch, a batch with
+    # exactly zero rows and a stack of both, at 10^k for every k in
+    # [-320, 308]: <v, v> overflows from k = 155 on (the one warning, which
+    # the caller silences) and loses bits below k = -154
+    rng = np.random.default_rng(51)
+    eps = np.finfo(float).eps
+    for k in range(-320, 309):
+        d = 1 + k % 3
+        batch = 10.0 ** k * rng.uniform(-1.0, 1.0, size=(6, d))
+        with_zeros = batch.copy()
+        with_zeros[::2] = 0.0
+        with np.errstate(over="ignore"):
+            norms = [(batch[0], operators._norm(batch[0])),
+                     (batch[0], operators._row_norms(batch[0]))]
+            for rows in (batch, with_zeros, np.stack([batch, with_zeros])):
+                norms += zip(rows.reshape(-1, d), operators._row_norms(rows).reshape(-1))
+            checks = [(v, norm, float(v @ v), reference_norm(v)) for v, norm in norms]
+        for v, norm, sq, reference in checks:
+            assert norm == reference, (k, v)
+            m = float(np.max(np.abs(v)))
+            if m == 0.0:
+                assert norm == 0.0, (k, v)
+                continue
+            assert 0.0 < norm < math.inf, (k, v)
+            scaled = m * math.sqrt((v / m) @ (v / m))
+            assert abs(norm - scaled) <= 2.0 * eps * scaled, (k, v)
+            if TINY <= sq < math.inf:
+                assert norm == math.sqrt(sq), (k, v)
+
+
+def test_the_one_norm_of_a_point_with_an_inf_or_nan_entry():
+    # inf with no nan entry, as np.linalg.norm gives; nan with one; the
+    # finite rows of the batch keep their norms (2^660: exact)
+    rows = np.array([[np.inf, 0.0], [-np.inf, 1e-320], [np.inf, np.nan], [np.nan, 1e200],
+                     [3.0 * 2.0 ** 660, -4.0 * 2.0 ** 660], [0.0, 0.0]])
+    want = [math.inf, math.inf, math.nan, math.nan, 5.0 * 2.0 ** 660, 0.0]
+    with np.errstate(over="ignore"):
+        assert np.array_equal(operators._row_norms(rows), want, equal_nan=True)
+        assert np.array_equal([operators._norm(row) for row in rows], want, equal_nan=True)
+
+
 def test_ball_and_sphere_scale_norms_that_overflow_or_underflow():
     ball = NormalConeBall([0.0, 0.0], 1.0)
     with np.errstate(over="ignore"):
@@ -922,17 +966,9 @@ def _reference_ray(op, x):
     return max(float(op.direction @ operators._as_points(x, op.dim)), 0.0) * op.direction
 
 
-def _reference_norm(v):
-    # the former ``operators._norm``, with ``@``
-    sq = float(v @ v)
-    if operators._TINY <= sq < math.inf:
-        return math.sqrt(sq)
-    return operators._scaled_norm(v)
-
-
 def _reference_sphere(op, x):
     v = operators._as_points(x, op.dim) - op.center
-    dist = _reference_norm(v)
+    dist = reference_norm(v)
     if dist == 0.0:
         return op.center + op.radius * op.tie_direction
     scale = op.radius / dist
@@ -944,7 +980,7 @@ def _reference_sphere(op, x):
 def _reference_ball(op, x):
     x = operators._as_points(x, op.dim)
     v = x - op.center
-    dist = _reference_norm(v)
+    dist = reference_norm(v)
     if dist <= op.radius:
         return x.copy()
     return op.center + (op.radius / dist) * v

@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 import tracemalloc
 import warnings
 from collections import deque
@@ -46,6 +47,7 @@ from draws import (
     random_monotone_operator,
     random_point,
     random_subspace,
+    reference_norm,
 )
 from test_analysis import _operand_pairs
 from test_operators import _LowerHalf, _batch_members, _counted_validations
@@ -650,7 +652,7 @@ def _reference_iterate(T, x0, max_iter=splitting.DEFAULT_MAX_ITER,
                        stop_tol=splitting.DEFAULT_STOP_TOL,
                        history_cap=splitting.DEFAULT_HISTORY_CAP):
     """The step loop of ``iterate`` with every check made on every step:
-    np.errstate entered per step, the residual by np.linalg.norm and
+    np.errstate entered per step, the residual by ``reference_norm`` and
     x_next tested by np.isfinite(x_next).all()."""
     x = as_point(x0, T.dim)
     head_cap = history_cap // 2
@@ -677,7 +679,7 @@ def _reference_iterate(T, x0, max_iter=splitting.DEFAULT_MAX_ITER,
             with np.errstate(over="ignore", invalid="ignore"):
                 x_next = (dr_step(T.first, T.second, x) if T.form == FORM_DR
                           else T.apply(x))
-                residual = float(np.linalg.norm(x_next - x))
+                residual = reference_norm(x_next - x)
         except NonFinitePointError:
             n += 1
             raise DivergenceError(f"non-finite iterate at step {n}", assemble()) from None
@@ -755,11 +757,15 @@ def _differential_cases():
         translation = AffineRelation(np.zeros((2, 2)), [1e308, 0.0])
         cases.append((SplitOperator(zero, translation, form), [0.0, 0.0], 50, 1e-10, True))
         # finite steps of 1e200 whose squared length overflows: every
-        # residual is inf, and the orbit goes on
+        # residual is 1e200, and the orbit goes on
         translation = AffineRelation(np.zeros((2, 2)), [-1e200, 0.0])
         cases.append((SplitOperator(zero, translation, form), [0.0, 0.0], 30, 1e-10, False))
         # J_B returns nan from a finite point
         cases.append((SplitOperator(zero, _NanAbove(5.5), form), [0.0, 0.0], 50, 0.0, True))
+    # x_1 = -1.7e308 is finite, but x_1 - x_0 overflows: the residual is
+    # inf, and the orbit does not diverge at that step
+    T = SplitOperator(NormalConeBox([8e307], [8e307]), NormalConeBox([-1.7e308], [-1.7e308]))
+    cases.append((T, [8e307], 1, 0.0, False))
     return cases
 
 
@@ -771,14 +777,17 @@ def test_iterate_matches_the_reference_loop():
             message, bits = _outcome(iterate, *args)
             assert (message, bits) == _outcome(_reference_iterate, *args), (T, x0, cap)
             assert (message != "orbit") == diverges, (T, x0, message)
+            residuals = np.frombuffer(bits[3])
             if diverges:
                 seen.add(("diverged", T.form))
-            elif np.isinf(np.frombuffer(bits[3])).any():
+            elif np.isinf(residuals).any():
                 seen.add(("inf residual", T.form))
+            elif (residuals > math.sqrt(sys.float_info.max)).any():
+                seen.add(("square overflows", T.form))
             if bits[-1]:
                 seen.add(("truncated", T.form))
-    assert seen == {(case, form) for case in ("diverged", "inf residual", "truncated")
-                    for form in (FORM_DR, FORM_BORWEIN_TAM)}
+    assert seen == {(case, form) for case in ("diverged", "square overflows", "truncated")
+                    for form in (FORM_DR, FORM_BORWEIN_TAM)} | {("inf residual", FORM_DR)}
     # kept rows across block boundaries and the head/tail seam, at every
     # step count up to three caps: a block holds 65536 // (16 d) rows, 8
     # at d = 512 and 1 at d = 4097; at d = 2 and a cap of 4100 the head

@@ -47,7 +47,8 @@ def test_layer_times_times_every_layer():
     lines = _run_tool("layer_times.py", "--repeat", "3", "--steps", "200")
     rows = [line.rsplit(None, 1) for line in lines[1:]]
     names = [name.strip() for name, _ in rows]
-    assert {"as_point", "_as_points", "resolve normal_cone_ball", "dr_step line/ball",
+    assert {"as_point", "_as_points", "_row_norms (20, 12, 2), half the rows zero",
+            "resolve normal_cone_ball", "dr_step line/ball",
             "apply line/ball, borwein_tam", "iterate line/ball ab, per step",
             "iterate plane/line ba, per step", "product kernel lift m=100",
             "iterate lift m=100, per step"} <= set(names)

@@ -4,6 +4,9 @@ Rows, each the median wall time of one call over --repeat calls (the
 ``iterate`` rows divide one call by its steps):
 
 - ``as_point`` and ``_as_points`` on a finite point of R^2;
+- ``_row_norms``, the one norm, on a (20, 12, 2) batch of defects (20
+  probe points, 12 orbit steps, R^2) of which every other row is exactly
+  zero, as most defect rows of a passing identity are;
 - the one-point ``resolve`` of each catalog kind, in R^2 (the block
   kind holds a halfspace and a ball, so its point lies in R^4); its
   unchecked ``_kernel`` on the same point, the gap being what the kind's
@@ -104,6 +107,10 @@ def main() -> int:
     x = np.array([3.0, -1.5])
     rows = [("as_point", _median_us(lambda: operators.as_point(x, 2), args.repeat)),
             ("_as_points", _median_us(lambda: operators._as_points(x, 2), args.repeat))]
+    defects = np.random.default_rng(2024).normal(size=(20, 12, 2))
+    defects.reshape(-1, 2)[::2] = 0.0
+    rows.append(("_row_norms (20, 12, 2), half the rows zero",
+                 _median_us(lambda: operators._row_norms(defects), args.repeat)))
     for op in KINDS:
         point = np.resize(x, op.dim)
         rows.append((f"resolve {op.kind}", _median_us(lambda: op.resolve(point), args.repeat)))
