@@ -24,10 +24,14 @@ advance both orders together with one J_A and one J_B call per step.
 
 ``IDENTITIES`` is the one declaration of each identity that
 ``drorder verify --config`` reports through ``report_identities``: its
-violation at a sample and the hypothesis on the operands (A, B) it
-holds under.  The public ``check_*`` checkers evaluate the same entries
-and raise the error the failed hypothesis declares: NotAffineError for
-a structural one, MonotonicityError for an operand rule.
+defect at a sample and the hypothesis on the operands (A, B) it holds
+under.  An equality identity's defect is the differences lhs - rhs of
+its equations, which ``Identity.violation`` alone reduces to the worst
+norm per sample; the three pairwise ones (two inequalities and a norm
+equality) give their violation.  The public ``check_*`` checkers
+evaluate the same entries and raise the error the failed hypothesis
+declares: NotAffineError for a structural one, MonotonicityError for an
+operand rule.
 
 All checkers are pure; randomized callers can fan trials out across
 workers and merge the reports by taking the worst violation.
@@ -335,18 +339,18 @@ def _word_tables(A: Operator, B: Operator, samples, pairwise: bool):
     return tuple(_Words(A, B, points) for points in samples) if pairwise else _Words(A, B, samples)
 
 
-# The violation of each identity at a batch of samples, one per row, as a
-# formula over the word table of an (N, d) array of points, or for the
-# pairwise ones over the pair of tables of two such arrays (X, Y); the
-# table of one point (d,), or a pair of them, gives one violation.  The
-# orbit identities further below read the table's probe orbits instead.
-# Each holds only under the requirements its registry entry names.
+# The defect of each identity at a batch of samples, as a formula over the
+# word table of an (N, d) array of points: the differences lhs - rhs of
+# its equations, each (N, d), or (d,) for the table of one point; the
+# pairwise ones instead give their violation, one per row, over the pair
+# of tables of two such arrays (X, Y).  The orbit identities further
+# below read the table's probe orbits instead.  Each holds only under the
+# requirements its registry entry names.
 
 def _defect_decomposition(w: _Words):
     # R_A T_ab - T_ba R_A = 2 J_A T_ab - J_A - J_A R_B R_A
     lhs = w("RA", "Tab") - w("Tba", "RA")
-    rhs = 2.0 * w("JA", "Tab") - w("JA") - w("JA", "RB", "RA")
-    return _row_norms(lhs - rhs)
+    return (lhs - (2.0 * w("JA", "Tab") - w("JA") - w("JA", "RB", "RA")),)
 
 
 def _firm_product(tx, ty, x, y):
@@ -373,19 +377,17 @@ def _nonexpansive_transfer(pair: tuple[_Words, _Words]):
 def _bt_factorization(w: _Words):
     # T_ab T_ba = (T_ab R_A)^2 = R_A (T_ba T_ab) R_A
     composite = w("Tab", "Tba")
-    return np.maximum(_row_norms(composite - w("Tab", "RA", "Tab", "RA")),
-                      _row_norms(composite - w("RA", "Tba", "Tab", "RA")))
+    return (composite - w("Tab", "RA", "Tab", "RA"), composite - w("RA", "Tba", "Tab", "RA"))
 
 
 def _commutator(w: _Words):
     ab_ba, ba_ab = w("Tab", "Tba"), w("Tba", "Tab")
     rhs = w("RB", "RA", "RA", "RB") - w("RA", "RB", "RB", "RA")
-    exchange = _row_norms(w("Tab", "RB", "RA") - w("RB", "RA", "Tab"))
-    violation = np.maximum(_row_norms(4.0 * (ab_ba - ba_ab) - rhs), exchange)
+    gaps = (4.0 * (ab_ba - ba_ab) - rhs, w("Tab", "RB", "RA") - w("RB", "RA", "Tab"))
     if _REQUIREMENTS[_SUBSPACE_BOTH][0](w.A, w.B):
         # reflectors are involutions, and the two product orders coincide
-        violation = np.maximum(violation, _row_norms(ab_ba - ba_ab))
-    return violation
+        gaps += (ab_ba - ba_ab,)
+    return gaps
 
 
 def _power_orbits(A: Operator, B: Operator, x, n: int, rx=None) -> tuple[np.ndarray, np.ndarray]:
@@ -422,33 +424,27 @@ def _pointwise(f, points: np.ndarray) -> np.ndarray:
     return f(points.reshape(-1, points.shape[-1])).reshape(points.shape)
 
 
-def _orbit_gap(u: np.ndarray, v: np.ndarray):
-    """Worst ||u - v|| over the leading (orbit step) axis, row by row for
-    batches; 0 when there are no steps."""
-    return _row_norms(u - v).max(axis=0, initial=0.0)
-
-
-# The orbit identities, with signature (A, ab, ba): the violation at each
-# sample is a defect of the probe orbits (ab, ba) that ``_Words.orbits``
-# holds for the samples, and the R_A or J_A each one needs of orbit
-# points is one call on all of them.
+# The orbit identities, with signature (A, ab, ba): the defect at each
+# sample is a difference of the probe orbits (ab, ba) that
+# ``_Words.orbits`` holds for the samples, one (n, N, d) array per
+# equation over its orbit steps, and the R_A or J_A each one needs of
+# orbit points is one call on all of them.
 
 def _commutation(A: Operator, ab: np.ndarray, ba: np.ndarray):
     # R_A T_ab^m x = T_ba^m R_A x, 1 <= m <= n
-    return _orbit_gap(_pointwise(A.reflect, ab[1:, 0]), ba[1:, 1])
+    return (_pointwise(A.reflect, ab[1:, 0]) - ba[1:, 1],)
 
 
 def _conjugation(A: Operator, ab: np.ndarray, ba: np.ndarray):
     # T_ba^m x = R_A T_ab^m R_A x and T_ab^m x = R_A T_ba^m R_A x, 1 <= m <= n
     conjugated = _pointwise(A.reflect, np.stack([ab[1:, 1], ba[1:, 1]]))
-    return np.maximum(_orbit_gap(ba[1:, 0], conjugated[0]),
-                      _orbit_gap(ab[1:, 0], conjugated[1]))
+    return (ba[1:, 0] - conjugated[0], ab[1:, 0] - conjugated[1])
 
 
 def _shadow_equality(A: Operator, ab: np.ndarray, ba: np.ndarray):
     # J_A T_ba^m x = J_A T_ab^m R_A x, 0 <= m <= n
     shadows = _pointwise(A.resolve, np.stack([ba[:, 0], ab[:, 1]]))
-    return _orbit_gap(shadows[0], shadows[1])
+    return (shadows[0] - shadows[1],)
 
 
 # The hypotheses of the identities, each a statement about the operands
@@ -474,13 +470,19 @@ class Identity:
     """One identity of the registry: its report name, its violation at a
     batch of samples, the hypothesis it holds under, and its sample count.
 
-    ``violation(A, B, samples, n)`` evaluates the defect at each row of
-    an (N, d) array of points, or of a pair (X, Y) of such arrays when
+    ``violation(A, B, samples, n)`` evaluates the violation at each row
+    of an (N, d) array of points, or of a pair (X, Y) of such arrays when
     ``pairwise``; given one point, shape (d,), or a pair of them, it
-    returns the one defect.  ``n`` is the depth of the power identities.
-    ``defect`` computes it from the word table of the samples
+    returns the one violation.  ``n`` is the depth of the power
+    identities.  ``defect`` reads the word table of the samples
     (``_word_tables``): as ``defect(words)``, or, when ``on_orbits``, as
-    ``defect(A, ab, ba)`` from the table's probe orbits to depth n.  A
+    ``defect(A, ab, ba)`` from the table's probe orbits to depth n.  An
+    equality identity's ``defect`` returns the differences lhs - rhs of
+    its equations, a tuple of arrays shaped as the samples, with a
+    leading orbit-step axis when ``on_orbits``; ``violation`` alone
+    reduces them, to the largest norm (``_row_norms``) over the
+    equations and orbit steps of each sample, 0.0 when there are no
+    steps.  A pairwise identity's ``defect`` returns its violation.  A
     caller that evaluates several identities at the same samples passes
     their table in as ``words``, so each word and each orbit is computed
     once.
@@ -502,10 +504,15 @@ class Identity:
                      if not _REQUIREMENTS[need][0](A, B)), None)
 
     def violation(self, A: Operator, B: Operator, samples, n: int, words=None):
-        """The defect at each sample; ``words``, when given, is the word
+        """The violation at each sample; ``words``, when given, is the word
         table ``_word_tables(A, B, samples, self.pairwise)``."""
         words = words or _word_tables(A, B, samples, self.pairwise)
-        return self.defect(A, *words.orbits(n)) if self.on_orbits else self.defect(words)
+        gaps = self.defect(A, *words.orbits(n)) if self.on_orbits else self.defect(words)
+        if self.pairwise:
+            return gaps
+        # the worst over the equations and the orbit steps, 0 when there are no steps
+        return np.max([_row_norms(gap) for gap in gaps], axis=(0, 1) if self.on_orbits else 0,
+                      initial=0.0)
 
     def report(self, A: Operator, B: Operator, samples, n: int,
                tol: float, words=None) -> IdentityReport:
@@ -518,11 +525,13 @@ class Identity:
         return IdentityReport.from_violation(self.name, worst,
                                              count * self.per_sample(n), tol)
 
+    @np.errstate(over="ignore")
     def check(self, A: Operator, B: Operator, sample, n: int,
               tol: float, words=None) -> IdentityReport:
         """The report at one sample, a point or a pair of points, with
         ``words`` as in ``violation``; the unmet requirement's error when
-        one fails."""
+        one fails.  A squared norm that overflows is not a warning, as in
+        ``drorder verify``: the norm falls back to its scaled form."""
         need = self.unmet(A, B)
         if need is not None:
             raise _REQUIREMENTS[need][1](f"{self.name} requires {need}")
@@ -535,7 +544,7 @@ class Identity:
 
 # Every identity `verify --config` reports, in report order.
 IDENTITIES: tuple[Identity, ...] = (
-    Identity("dr-form-equivalence", lambda w: _row_norms(w("Tab") - 0.5 * (w() + w("RB", "RA")))),
+    Identity("dr-form-equivalence", lambda w: (w("Tab") - 0.5 * (w() + w("RB", "RA")),)),
     Identity("defect-decomposition", _defect_decomposition),
     Identity("dr-firmly-nonexpansive", lambda pair: _not_firm(pair, "Tab"), (_MONOTONE,),
              pairwise=True),
@@ -549,9 +558,9 @@ IDENTITIES: tuple[Identity, ...] = (
              pairwise=True),
     Identity("bt-factorization", _bt_factorization, (_SUBSPACE_FIRST,)),
     Identity("commutator", _commutator, (_AFFINE_BOTH,)),
-    Identity("bt-order-invariance", lambda w: _row_norms(w("Tab", "Tba") - w("Tba", "Tab")),
+    Identity("bt-order-invariance", lambda w: (w("Tab", "Tba") - w("Tba", "Tab"),),
              (_SUBSPACE_BOTH,)),
-    Identity("bt-half-sum", lambda w: _row_norms(w("Tab", "Tba") - 0.5 * (w("Tab") + w("Tba"))),
+    Identity("bt-half-sum", lambda w: (w("Tab", "Tba") - 0.5 * (w("Tab") + w("Tba")),),
              (_SUBSPACE_BOTH,)),
     Identity("bt-firmly-nonexpansive", lambda pair: _not_firm(pair, "Tab", "Tba"),
              (_SUBSPACE_BOTH,), pairwise=True),
@@ -601,6 +610,7 @@ def check_conjugation(A: Operator, B: Operator, x, n: int, *,
     return _IDENTITY["conjugation"].check(A, B, x, n, tol)
 
 
+@np.errstate(over="ignore")
 def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
                       tol: float = TAU_NUM) -> IdentityReport:
     """Precondition-waived conjugation probe.
@@ -609,6 +619,7 @@ def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
     affine-subspace first operand.  This is the designated entry point
     for exhibiting counterexamples (e.g. a halfspace in the first slot);
     contract-honoring code paths should call check_conjugation instead.
+    Overflow is silenced as in ``Identity.check``.
     """
     worst = _IDENTITY["conjugation"].violation(A, B, as_point(x, A.dim), n)
     return IdentityReport.from_violation("conjugation-probe", worst, int(n), tol)
@@ -668,6 +679,7 @@ def check_firmly_nonexpansive(T: Callable[[np.ndarray], np.ndarray], x, y) -> fl
                                x, y))
 
 
+@np.errstate(over="ignore")
 def check_dual_symmetry(A: Operator, B: Operator,
                         pairs: Iterable[SolutionPair], *,
                         graph_tol: float = TAU_GRAPH,
@@ -687,7 +699,8 @@ def check_dual_symmetry(A: Operator, B: Operator,
     ||T_ab u - u|| <= ||e|| + ||J_B(z - k) - z|| <= 2 graph_tol.
 
     The report's violation is the worst reflector-image defect,
-    computed as ``FixedPointCertificates.dual`` is.
+    computed as ``FixedPointCertificates.dual`` is.  Overflow is silenced
+    as in ``Identity.check``.
     """
     checked = []
     for pair in pairs:

@@ -24,6 +24,7 @@ from .operators import (
     TAU_NUM,
     TAU_ORTHO,
     TAU_PSD,
+    _expect_fields,
     _to_json,
     as_point,
     operator_from_dict,
@@ -98,9 +99,8 @@ class Tolerances:
     def from_dict(cls, data: dict) -> "Tolerances":
         if not isinstance(data, dict):
             raise ConfigError("tolerances must be a JSON object")
-        extra = set(data) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"tolerances: unknown fields {sorted(extra)}")
+        _expect_fields(data, (), [f.name for f in fields(cls)], "tolerances: {} fields {}",
+                       ConfigError)
         return cls(**{k: _tolerance(v, f"tolerances.{k}") for k, v in data.items()})
 
     def with_tau_num(self, tau_num: float) -> "Tolerances":
@@ -185,13 +185,7 @@ class ProblemConfig:
             name for name, f in declared.items()
             if f.default is MISSING and f.default_factory is MISSING
         }
-        keys = set(data)
-        missing = required - keys
-        if missing:
-            raise ConfigError(f"missing config fields {sorted(missing)}")
-        extra = keys - required - set(declared)
-        if extra:
-            raise ConfigError(f"unknown config fields {sorted(extra)}")
+        _expect_fields(data, required, declared, "{} config fields {}", ConfigError)
         if isinstance(data["version"], bool) or data["version"] != CONFIG_VERSION:
             raise ConfigError(
                 f"unsupported config version {data['version']!r} "

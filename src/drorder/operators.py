@@ -776,14 +776,15 @@ def _from_json(value, tolerances: dict, where: str, depth: int):
     return value
 
 
-def _expect_keys(data: dict, required: set[str]) -> None:
-    keys = set(data) - {"kind"}
-    missing = required - keys
-    extra = keys - required
-    if missing:
-        raise ValueError(f"operator {data.get('kind')!r}: missing fields {sorted(missing)}")
-    if extra:
-        raise ValueError(f"operator {data.get('kind')!r}: unknown fields {sorted(extra)}")
+def _expect_fields(data: dict, required, optional, message: str, error=ValueError) -> None:
+    """Raise ``error`` when a JSON object lacks a ``required`` key or holds
+    a key that is neither required nor ``optional`` (missing keys first);
+    its text is ``message`` filled in with "missing" or "unknown" and the
+    sorted keys."""
+    for what, keys in (("missing", set(required) - set(data)),
+                       ("unknown", set(data) - set(required) - set(optional))):
+        if keys:
+            raise error(message.format(what, sorted(keys)))
 
 
 def operator_from_dict(data: dict, *, tau_psd: float = TAU_PSD,
@@ -805,7 +806,7 @@ def _decode(data, tolerances: dict, depth: int) -> Operator:
     cls = _CATALOG.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown operator kind {kind!r}")
-    _expect_keys(data, set(cls.fields))
+    _expect_fields(data, cls.fields, ("kind",), f"operator {kind!r}: {{}} fields {{}}")
     args = {name: _from_json(data[name], tolerances,
                              f"operator {kind!r} field {name!r}", depth)
             for name in cls.fields}

@@ -55,7 +55,6 @@ from .operators import (
     Operator,
     _as_points,
     _norm,
-    _require_operator,
     as_point,
 )
 
@@ -532,18 +531,17 @@ def lift(ops, dim: int) -> LiftedProblem:
     ops = list(ops)
     if len(ops) < 2:
         raise ValueError("lift requires at least two operators")
-    for op in ops:
-        _require_operator(op)
-        if op.dim != dim:
-            raise DimensionMismatchError(
-                f"operator of dimension {op.dim} does not live on R^{dim}"
-            )
-        if not op.monotone:
-            raise MonotonicityError("lift requires monotone members")
+    # the product checks that every member is an operator of one dimension
+    product = BlockSeparable(ops)
+    if product.block_dim != dim:
+        raise DimensionMismatchError(
+            f"operator of dimension {product.block_dim} does not live on R^{dim}"
+        )
+    if not product.monotone:
+        raise MonotonicityError("lift requires monotone members")
     m = len(ops)
     # m stacked copies of I / sqrt(m): an orthonormal basis of the diagonal
     basis = np.tile(np.eye(dim) / np.sqrt(m), (m, 1))
     diagonal = NormalConeAffineSubspace(np.zeros(m * dim), basis)
-    product = BlockSeparable(ops)
     return LiftedProblem(ops=ops, base_dim=dim, copies=m,
                          diagonal=diagonal, product=product)

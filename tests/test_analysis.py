@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -577,6 +580,36 @@ def test_defect_decomposition_holds_even_for_selections():
     assert rep.max_violation <= 1e-12
 
 
+def test_public_checkers_are_finite_far_from_the_origin():
+    # every squared norm overflows at this scale; the checkers fall back
+    # to the scaled norm without a warning (which the suite makes an
+    # error) and report rounding at the scale of ||x||
+    a, b = subspace_ball_pair()
+    x, y = np.array([3e200, -7e200]), np.array([-5e200, 2e200])
+    z = a.resolve(x)
+    # (z, x - z) is in gra A but not in gra B, whose solutions are all
+    # bounded: graph_tol=inf waives the membership, the dual defect is
+    # still measured
+    pairs = [SolutionPair(z=z, k=x - z)]
+    checkers = {
+        "commutation": lambda: check_commutation(a, b, x, 5),
+        "conjugation": lambda: check_conjugation(a, b, x, 5),
+        "conjugation-probe": lambda: probe_conjugation(a, b, x, 5),
+        "shadow-equality": lambda: check_shadow_equality(a, b, x, 5),
+        "defect-decomposition": lambda: check_defect_decomposition(a, b, x),
+        "nonexpansive-transfer": lambda: check_nonexpansive_transfer(a, b, x, y),
+        "dual-symmetry": lambda: check_dual_symmetry(a, b, pairs, graph_tol=np.inf),
+    }
+    for name, checker in checkers.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            violation = checker().max_violation
+        assert 0.0 < violation <= 1e-15 * np.hypot(*x), name
+    # the checkers leave the caller's error state as they found it
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.float64(1e300) * 1e300
+
+
 # ---------------------------------------------------------------------------
 # firm nonexpansiveness witness
 
@@ -1055,9 +1088,11 @@ def test_power_orbits_match_two_power_orbit_calls_bit_for_bit(n):
                 assert want[0].shape == (n + 1, 2, *x.shape)
                 # R_A x handed in gives the same orbits
                 assert _same_bits(_power_orbits(a, b, x, n, a.reflect(x)), want)
+                # the violation of the reference orbits, through the one reducer
+                given = SimpleNamespace(orbits=lambda depth: want)
                 for identity in orbit_identities:
                     assert _same_bits(_outcome(lambda: identity.violation(a, b, x, n)),
-                                      _outcome(lambda: identity.defect(a, *want))), (
+                                      identity.violation(a, b, x, n, words=given)), (
                         identity.name, a.kind, b.kind, x.shape)
     # the overflowing pairs raise the same error as the reference
     assert (raised > 0) == (n == 20)

@@ -1,5 +1,8 @@
+import contextlib
 import copy
 import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -1053,6 +1056,44 @@ def test_mutated_configs_never_raise(name, steps):
         for argv in (["verify", "--n", "2", "--out", str(Path(tmp) / "r.json")],
                      ["run", "--out", str(Path(tmp) / "o.csv")]):
             assert main(argv + ["--config", str(cfg)]) in (0, 1, 2, 3)
+
+
+# The CLI contract on mutated corpus configs: one or two leaves (numbers,
+# strings, booleans, null) replaced by another JSON value, wrapped in a
+# list (a wrong shape) or deleted; every command exits 0, 1, 2 or 3, and
+# no exception escapes cli.main.
+_LEAF_VALUES = [None, True, False, "abc", float("nan"), float("inf"), float("-inf"),
+                1e308, -1e308, 10 ** 400, "wrap", "delete"]
+
+
+def _replace_leaf(doc, pick: int, value):
+    leaves = [path for path in list(_json_paths(doc))[1:] if not isinstance(
+        functools.reduce(lambda node, key: node[key], path, doc), (dict, list))]
+    path = leaves[pick % len(leaves)]
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    if value == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [parent[path[-1]]] if value == "wrap" else value
+
+
+@given(name=st.sampled_from(list(_REPORT_SETS)),
+       leaves=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from(_LEAF_VALUES)),
+                       min_size=1, max_size=2))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_cli_exit_codes_hold_on_mutated_leaves(name, leaves):
+    doc = _config_dict(name)
+    for pick, value in leaves:
+        _replace_leaf(doc, pick, value)
+    doc = _budget_capped(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "mutant.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["run", "--out", str(Path(tmp) / "o.csv")],
+                     ["verify", "--out", str(Path(tmp) / "r.json")],
+                     ["compare", "--out", str(Path(tmp) / "c.csv")]):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + ["--config", str(cfg)]) in (0, 1, 2, 3), argv
 
 
 # ---------------------------------------------------------------------------

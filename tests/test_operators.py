@@ -27,7 +27,7 @@ from drorder.operators import (
     graph_contains,
     operator_from_dict,
 )
-from drorder.splitting import _affine_form
+from drorder.splitting import DivergenceError, SplitOperator, _affine_form, iterate
 
 from draws import (
     TINY,
@@ -945,6 +945,164 @@ def test_point_check_decides_as_isfinite_all_over_the_float_range():
                     assert _checked(op.resolve, x) is None, label
             else:
                 assert _checked(op.resolve, x) == rejected, label
+
+
+# The float-range contract: at every magnitude 10^k, k in [-300, 300], a
+# resolvent returns a finite point that meets its kind's characterization,
+# each residual taken relative to the scale of its own terms (so that no
+# residual overflows or underflows), or a non-finite point, which
+# ``iterate`` ends as DivergenceError and the CLI as exit 1.
+
+_WHOLE_SPACE = {d: NormalConeAffineSubspace(np.zeros(d), np.eye(d)) for d in (1, 2, 3, 6)}
+_FLOAT_RANGE_TOL = 1e-12
+
+# Warnings a resolvent is expected to emit at these magnitudes, and why:
+# the ball and sphere kernels measure ||x - c|| by ``_norm`` (one ball
+# point) or ``_row_norms`` (a batch, a sphere point), which square it
+# before they fall back to the scaled norm once the square overflows,
+# past about 1e154; the squared-norm warning is left to the caller.
+_SQUARED_NORM = {"overflow encountered in dot": "the one-point _norm squares ||x - c||",
+                 "overflow encountered in vecdot": "_row_norms squares each row first"}
+
+
+def _float_range_operators():
+    """(operator, the warnings of ``_SQUARED_NORM`` it may emit) per case,
+    every catalog kind among them, with sets both through the origin (so
+    that tiny points are not absorbed into an O(1) offset) and off it."""
+    ball = NormalConeBall([0.5, -1.0], 1.0)
+    return [
+        (AffineRelation([[1.0, 2.0], [-2.0, 0.5]], [0.5, -1.0]), ()),
+        (LinearMonotone([[2.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]]), ()),
+        (NormalConeAffineSubspace([1.0, -2.0, 0.5], [[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]), ()),
+        (NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]]), ()),
+        (NormalConeHalfspace([1.0, -2.0], 0.7), ()),
+        (NormalConeHalfspace([0.6, 0.8], -0.5), ()),
+        (NormalConeBall([0.0, 0.0], 1.5), tuple(_SQUARED_NORM)),
+        (ball, tuple(_SQUARED_NORM)),
+        (NormalConeRay([1.0, 2.0, -2.0]), ()),
+        (NormalConeBox([-1.0, -np.inf], [2.0, 0.5]), ()),
+        (SphereSelection([0.0, 0.0], 2.0, [0.0, 1.0]), ("overflow encountered in vecdot",)),
+        (SphereSelection([1.0, -1.0, 0.0], 0.5, [1.0, 0.0, 0.0]),
+         ("overflow encountered in vecdot",)),
+        (Inverse(ball), tuple(_SQUARED_NORM)),
+        (Rotation(NormalConeHalfspace([0.0, 1.0], -0.5)), ()),
+        (BlockSeparable([NormalConeBall([0.0, 0.0], 1.0), NormalConeRay([1.0, 0.0]), ball]),
+         ("overflow encountered in vecdot",)),
+    ]
+
+
+def _amax(v) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
+
+
+def _direction(v: np.ndarray) -> np.ndarray:
+    """v / ||v|| for a nonzero finite v, through v / max |v_i|."""
+    w = v / _amax(v)
+    return w / math.sqrt(w @ w)
+
+
+def _characterization_gap(op, x: np.ndarray, y: np.ndarray) -> float:
+    """How far y is from being the resolvent of op at the point x, each
+    residual relative to the scale of its own terms; 0 for an exact one."""
+    if isinstance(op, Rotation):
+        return _characterization_gap(op.inner, -x, -y)
+    if isinstance(op, Inverse):
+        # J_(A^-1) = Id - J_A, where x - J_A x may absorb J_A x; the
+        # warnings of J_A x are those of the resolve under test
+        p = _resolve_and_warnings(op.inner, x)[0]
+        return max(_characterization_gap(op.inner, x, p),
+                   _amax(y - (x - p)) / max(_amax(x), _amax(p)))
+    if isinstance(op, BlockSeparable):
+        d = op.block_dim
+        return max(_characterization_gap(member, x[i * d:(i + 1) * d], y[i * d:(i + 1) * d])
+                   for i, member in enumerate(op.ops))
+    if isinstance(op, AffineRelation):
+        # y + M y + b = x
+        terms = (x, op.offset, y, op.matrix @ y)
+        return _amax(y + op.matrix @ y + op.offset - x) / max(map(_amax, terms))
+    if isinstance(op, NormalConeAffineSubspace):
+        # y - offset in the range of the basis, x - y orthogonal to it
+        scale = max(_amax(x), _amax(op.offset), _amax(y))
+        u = y - op.offset
+        return max(_amax(u - op.basis @ (op.basis.T @ u)), _amax(op.basis.T @ (x - y))) / scale
+    if isinstance(op, NormalConeHalfspace):
+        # x - y = max(slack, 0) n, and y in the halfspace
+        scale = max(_amax(x), abs(op.rhs))
+        slack = float(op.normal @ x) - op.rhs
+        return max(_amax(x - y - max(slack, 0.0) * op.normal),
+                   max(float(op.normal @ y) - op.rhs, 0.0)) / scale
+    if isinstance(op, NormalConeRay):
+        # y = t d with t >= 0, x - y orthogonal to d when t > 0 and in the polar cone at t = 0
+        t = float(op.direction @ y)
+        normal = (max(float(op.direction @ x), 0.0) if t == 0.0
+                  else abs(float(op.direction @ (x - y))))
+        return max(_amax(y - t * op.direction), max(-t, 0.0), normal) / max(_amax(x), TINY)
+    if isinstance(op, NormalConeBox):
+        inside = (op.lower <= y) & (y <= op.upper)
+        kept = (y == x) | ((y == op.lower) & (x < op.lower)) | ((y == op.upper) & (x > op.upper))
+        return 0.0 if (inside & kept).all() else math.inf
+    if isinstance(op, (NormalConeBall, SphereSelection)):
+        v = x - op.center
+        if isinstance(op, SphereSelection) and not v.any():
+            unit = op.tie_direction
+        else:
+            dist = _amax(v) * math.sqrt((v / _amax(v)) @ (v / _amax(v))) if v.any() else 0.0
+            if isinstance(op, NormalConeBall) and dist <= op.radius * (1.0 + _FLOAT_RANGE_TOL):
+                return 0.0 if y.tobytes() == x.tobytes() else math.inf
+            unit = _direction(v)
+        # y - c = r (x - c) / ||x - c||
+        return _amax((y - op.center) / op.radius - unit) / (1.0 + _amax(op.center) / op.radius)
+    raise AssertionError(f"no characterization for {op.kind}")
+
+
+def _diverges(op, x) -> bool:
+    """Whether ``iterate`` ends the step J_op x as DivergenceError: with
+    the whole space as first operand, T x = J_op x."""
+    T = SplitOperator(_WHOLE_SPACE[op.dim], op, generalized=not op.monotone)
+    try:
+        iterate(T, x, 1)
+    except DivergenceError:
+        return True
+    return False
+
+
+def _resolve_and_warnings(op, x):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y = op.resolve(x)
+    return y, {str(w.message) for w in caught}
+
+
+def test_every_resolvent_keeps_its_characterization_over_the_float_range():
+    rng = np.random.default_rng(52)
+    cases = _float_range_operators()
+    assert {op.kind for op, _ in cases} == set(operators._CATALOG)
+    magnitudes = 10.0 ** np.arange(-300, 301)
+    for op, expected in cases:
+        # one point at each magnitude, and all of them as one batch
+        points = magnitudes[:, None] * rng.uniform(-1.0, 1.0, (len(magnitudes), op.dim))
+        seen = set()
+        for x in points:
+            y, warned = _resolve_and_warnings(op, x)
+            assert warned <= set(expected), (op.kind, x)
+            assert not warned or _amax(x) > 1e150, (op.kind, x, warned)
+            seen |= warned
+            if np.isfinite(y).all():
+                assert _characterization_gap(op, x, y) <= _FLOAT_RANGE_TOL, (op.kind, x, y)
+            else:
+                assert _diverges(op, x), (op.kind, x)
+        ys, warned = _resolve_and_warnings(op, points)
+        assert warned <= set(expected) and ys.shape == points.shape, op.kind
+        for x, y in zip(points, ys):
+            if np.isfinite(y).all():
+                assert _characterization_gap(op, x, y) <= _FLOAT_RANGE_TOL, (op.kind, x, y)
+            else:
+                assert _diverges(op, x), (op.kind, x)
+        # every named warning shows up somewhere
+        assert seen | warned == set(expected), op.kind
+    # a non-finite step is the divergence the CLI reports as exit 1
+    translation = AffineRelation(np.zeros((2, 2)), [-1e308, 0.0])
+    assert _diverges(translation, np.array([1e308, 0.0]))
 
 
 # ---------------------------------------------------------------------------

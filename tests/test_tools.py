@@ -95,9 +95,10 @@ def test_ab_times_runs_a_tree_against_itself():
     lines = _run_tool("ab_times.py", src, src, "--rounds", "2", "--steps", "500")
     assert lines[0].startswith("rounds 2, steps 500,")
     rows = [line.split() for line in lines[2:]]
-    assert [row[:2] for row in rows] == [[workload, side] for workload in ("long-orbit", "lift")
+    assert [row[:2] for row in rows] == [[workload, side]
+                                         for workload in ("long-orbit", "lift", "corpus-verify")
                                          for side in ("old", "new", "old/new")]
-    for old, new, ratio in (rows[0:3], rows[3:6]):
+    for old, new, ratio in (rows[0:3], rows[3:6], rows[6:9]):
         # median, q1 and q3, then the rounds won, which no tie adds to
         assert all(float(cell) > 0.0 for row in (old, new, ratio) for cell in row[2:5])
         assert int(old[5]) + int(new[5]) <= 2 and len(ratio) == 5
@@ -115,3 +116,17 @@ def test_ab_times_rejects_trees_whose_outputs_differ(tmp_path):
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == "long-orbit: the two trees give different outputs\n"
+
+
+def test_ab_times_rejects_trees_whose_verify_output_differs(tmp_path):
+    # a renamed report leaves every orbit as it is, and changes verify's stdout
+    shutil.copytree(ROOT / "src" / "drorder", tmp_path / "drorder")
+    path = tmp_path / "drorder" / "analysis.py"
+    name = 'Identity("bt-half-sum"'
+    assert name in path.read_text()
+    path.write_text(path.read_text().replace(name, 'Identity("bt-half-sums"'))
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_times.py"), str(ROOT / "src"),
+                           str(tmp_path), "--rounds", "1", "--steps", "500"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "corpus-verify: the two trees give different outputs\n"

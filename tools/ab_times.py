@@ -4,7 +4,7 @@ Usage: python3 tools/ab_times.py OLD_SRC NEW_SRC [--rounds 20] [--steps 10000]
 
 Each SRC is a directory that holds a ``drorder`` package, such as the
 ``src/`` of a checkout.  Both trees are imported into this process, as
-the packages ``drorder_old`` and ``drorder_new``, and each runs two
+the packages ``drorder_old`` and ``drorder_new``, and each runs three
 workloads built from its own classes:
 
 - ``long-orbit``: ``iterate`` on the two long-orbit pairs of the
@@ -14,10 +14,16 @@ workloads built from its own classes:
 - ``lift``: ``iterate`` on a lift of 100 members in R^3 (50 halfspaces
   and 50 balls, seeded, each holding the ball of radius 0.01 about the
   origin, as in the benchmark's consensus-lift) from 4 seeded starts,
-  to ``stop_tol`` 1e-10.
+  to ``stop_tol`` 1e-10;
+- ``corpus-verify``: the tree's ``cli.main`` on ``verify --corpus`` and
+  on ``verify --config`` for each config of its corpus manifest, as the
+  benchmark's corpus-verify calls them.  While a tree runs,
+  ``sys.modules["drorder"]`` is that tree, since ``verify --corpus``
+  finds the manifest through the package name.
 
 First each tree runs each workload once, and the two must give the same
-bits: step counts, residuals, and the kept governing and shadow rows.
+bits: step counts, residuals, and the kept governing and shadow rows of
+the orbits, and the exit codes and stdout bytes of the CLI calls.
 If they do not, the tool names the workload on stderr and exits 1.
 Then it times --rounds rounds.  A round times both trees on each
 workload, and which tree runs first alternates from round to round, so
@@ -41,9 +47,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
 import importlib.util
+import io
+import json
 import math
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -103,12 +113,40 @@ def _lift(dr):
     return lambda: [dr.splitting.iterate(T, x0, stop_tol=1e-10) for x0 in starts]
 
 
-def _bits(orbits) -> list:
-    """What must agree between the trees, as bytes and counts."""
-    return [(orbit.iterations, orbit.converged,
-             np.asarray(orbit.residuals, dtype=float).tobytes(),
-             b"".join(row.tobytes() for row in orbit.governing),
-             b"".join(row.tobytes() for row in orbit.shadow)) for orbit in orbits]
+def _corpus_verify(dr, tmp: Path):
+    """The ``verify --corpus`` call and one ``verify --config`` call per
+    config of the tree's manifest, whose configs are written under tmp;
+    a run returns each call's exit code and stdout."""
+    cli = importlib.import_module(f"{dr.__name__}.cli")
+    manifest = Path(dr.__file__).parent / "data" / "corpus.json"
+    tmp.mkdir()
+    calls = [["verify", "--corpus"]]
+    for entry in json.loads(manifest.read_text()):
+        path = tmp / f"{entry['name']}.json"
+        path.write_text(json.dumps(entry["config"]))
+        calls.append(["verify", "--config", str(path)])
+
+    def run():
+        outputs = []
+        sys.modules["drorder"] = dr
+        for argv in calls:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            outputs.append((code, out.getvalue()))
+        return outputs
+    return run
+
+
+def _bits(outputs) -> list:
+    """What must agree between the trees: each orbit's step count,
+    residuals and kept rows, as bytes and counts; each CLI call's
+    (exit code, stdout) as it is."""
+    return [output if isinstance(output, tuple) else
+            (output.iterations, output.converged,
+             np.asarray(output.residuals, dtype=float).tobytes(),
+             b"".join(row.tobytes() for row in output.governing),
+             b"".join(row.tobytes() for row in output.shadow)) for output in outputs]
 
 
 def _quartiles(values) -> tuple[float, float, float]:
@@ -128,8 +166,16 @@ def main() -> int:
 
     trees = {side: _import_tree(src.resolve(), f"drorder_{side}")
              for side, src in zip(SIDES, (args.old_src, args.new_src))}
+    with tempfile.TemporaryDirectory(prefix="ab_times_") as tmp:
+        return _compare(trees, args, Path(tmp))
+
+
+def _compare(trees, args, tmp: Path) -> int:
+    """Check that the trees agree on every workload, then time them."""
     workloads = {"long-orbit": {side: _long_orbit(dr, args.steps) for side, dr in trees.items()},
-                 "lift": {side: _lift(dr) for side, dr in trees.items()}}
+                 "lift": {side: _lift(dr) for side, dr in trees.items()},
+                 "corpus-verify": {side: _corpus_verify(dr, tmp / side)
+                                   for side, dr in trees.items()}}
     for name, runs in workloads.items():
         if _bits(runs["old"]()) != _bits(runs["new"]()):
             print(f"{name}: the two trees give different outputs", file=sys.stderr)
@@ -146,15 +192,15 @@ def main() -> int:
     print(f"rounds {args.rounds}, steps {args.steps}, lift of {LIFT_MEMBERS} members "
           f"in R^{LIFT_DIM} from {LIFT_STARTS} starts")
     # the old and new rows are round times in ms, old/new their ratio per round
-    print(f"{'workload':<11} {'side':<7} {'median':>10} {'q1':>10} {'q3':>10} {'won':>5}")
+    print(f"{'workload':<13} {'side':<7} {'median':>10} {'q1':>10} {'q3':>10} {'won':>5}")
     for name, by_side in times.items():
         old, new = (np.array(by_side[side]) for side in SIDES)
         for side, own, other in (("old", old, new), ("new", new, old)):
             median, q1, q3 = _quartiles(1e3 * own)
-            print(f"{name:<11} {side:<7} {median:10.3f} {q1:10.3f} {q3:10.3f} "
+            print(f"{name:<13} {side:<7} {median:10.3f} {q1:10.3f} {q3:10.3f} "
                   f"{int(np.sum(own < other)):5d}")
         median, q1, q3 = _quartiles(old / new)
-        print(f"{name:<11} {'old/new':<7} {median:10.4f} {q1:10.4f} {q3:10.4f} {'':>5}")
+        print(f"{name:<13} {'old/new':<7} {median:10.4f} {q1:10.4f} {q3:10.4f} {'':>5}")
     return 0
 
 
