@@ -22,12 +22,15 @@ conjugation, shadow equality) all compare T_ab^m and T_ba^m started
 from x and from R_A x; the table holds those probe orbits too, which
 advance both orders together with one J_A and one J_B call per step.
 
-``IDENTITIES`` is the one declaration of each identity that
-``drorder verify --config`` reports through ``report_identities``: its
-defect at a sample and the hypothesis on the operands (A, B) it holds
-under.  An equality identity's defect is the differences lhs - rhs of
-its equations, which ``Identity.violation`` alone reduces to the worst
-norm per sample; the three pairwise ones (two inequalities and a norm
+``report_config`` builds every report that ``drorder verify --config``
+prints: the registry's reports on the config's probe points, then the
+solution certificates of its fixed points, gated on the registry's
+requirement table.  ``IDENTITIES`` is the one declaration of each
+identity it reports through ``report_identities``: its defect at a
+sample and the hypothesis on the operands (A, B) it holds under.  An
+equality identity's defect is the differences lhs - rhs of its
+equations, which ``Identity.violation`` alone reduces to the worst norm
+per sample; the three pairwise ones (two inequalities and a norm
 equality) give their violation.  The public ``check_*`` checkers
 evaluate the same entries and raise the error the failed hypothesis
 declares: NotAffineError for a structural one, MonotonicityError for an
@@ -39,14 +42,13 @@ workers and merge the reports by taking the worst violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .operators import (
     MonotonicityError,
-    NonFinitePointError,
     NormalConeAffineSubspace,
     NotAffineError,
     Operator,
@@ -57,7 +59,7 @@ from .operators import (
     _row_norms,
     as_point,
 )
-from .splitting import DivergenceError, SplitOperator, dr_step, iterate
+from .splitting import SplitOperator, dr_step, iterate
 
 __all__ = [
     "FixedPointBudgetError",
@@ -66,6 +68,7 @@ __all__ = [
     "IdentityReport",
     "IDENTITIES",
     "report_identities",
+    "report_config",
     "find_fixed_point",
     "extract_solution",
     "map_fixed_point",
@@ -138,13 +141,11 @@ def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
     (monotone operands) residuals never increase in exact arithmetic,
     so it is the least one up to rounding, and the iteration converges
     whenever T has a fixed point.  A non-finite iterate raises
-    NonFinitePointError; ``iterate`` rejects a tol < 0 and a max_iter
-    that is not an integer of at least 1 with ValueError.
+    ``iterate``'s DivergenceError, a NonFinitePointError that carries the
+    orbit; ``iterate`` rejects a tol < 0 and a max_iter that is not an
+    integer of at least 1 with ValueError.
     """
-    try:
-        orbit = iterate(T, x0, max_iter, tol, history_cap=4)
-    except DivergenceError as exc:
-        raise NonFinitePointError(str(exc)) from None
+    orbit = iterate(T, x0, max_iter, tol, history_cap=4)
     point = orbit.governing[-2].copy()
     if not orbit.converged:
         raise FixedPointBudgetError(
@@ -290,6 +291,26 @@ def _certified_fixed_points(config) -> tuple[list[np.ndarray], FixedPointCertifi
                                            graph_tol=config.tolerances.tau_graph)
     except CertificateError:
         return fixed, None
+
+
+def _certificate_reports(config) -> list[IdentityReport]:
+    """The solution certificates of ``verify --config``, from the fixed
+    points that ``_certified_fixed_points`` reaches: none when no start
+    reaches one, an inf solution-certificates report when a pair cannot
+    be extracted, and otherwise the certificate, bijection, isometry
+    (over the pairs of distinct fixed points, so none for a single one)
+    and dual-symmetry reports of ``FixedPointCertificates``."""
+    tau = config.tolerances
+    fixed, cert = _certified_fixed_points(config)
+    m = len(fixed)
+    if cert is None:
+        return [IdentityReport.from_violation("solution-certificates", float("inf"), m,
+                                              tau.tau_graph)]
+    rows = (("solution-certificates", cert.certificate, m, tau.tau_graph),
+            ("fixed-point-bijection", cert.bijection, m, tau.tau_graph),
+            ("fixed-point-isometry", cert.isometry, m * (m - 1) // 2, tau.tau_num),
+            ("dual-symmetry", cert.dual, m, 3.0 * tau.tau_graph))
+    return [IdentityReport.from_violation(*row) for row in rows if row[2]]
 
 
 class _Words:
@@ -587,6 +608,31 @@ def report_identities(A: Operator, B: Operator, points: np.ndarray, n: int,
             for identity in IDENTITIES if identity.unmet(A, B) is None]
 
 
+def _probe_points(config, seed: int) -> np.ndarray:
+    """The probe points of ``verify --config``: the start points, then 10
+    points drawn from N(0, 4 I) with the given seed."""
+    rng = np.random.default_rng(seed)
+    return np.array([*config.start_points,
+                     *(rng.normal(0.0, 2.0, config.dimension) for _ in range(10))])
+
+
+def report_config(config, seed: int, n: int) -> list[IdentityReport]:
+    """Every report of ``drorder verify --config``, in print order.
+
+    First ``report_identities`` on the probe points (``_probe_points``)
+    at depth n with the config's tau_num; then, when the operands meet
+    the requirement "monotone operands" of the registry's table, which
+    the graph certificates need, the solution certificates of the fixed
+    points the start points reach (``_certificate_reports``).
+    """
+    a, b = config.operator_a, config.operator_b
+    reports = report_identities(a, b, _probe_points(config, seed), n,
+                                config.tolerances.tau_num)
+    if _REQUIREMENTS[_MONOTONE][0](a, b):
+        reports.extend(_certificate_reports(config))
+    return reports
+
+
 def check_commutation(A: Operator, B: Operator, x, n: int, *,
                       tol: float = TAU_NUM) -> IdentityReport:
     """Worst defect of R_A T_ab^m x = T_ba^m R_A x over 1 <= m <= n.
@@ -621,8 +667,8 @@ def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
     contract-honoring code paths should call check_conjugation instead.
     Overflow is silenced as in ``Identity.check``.
     """
-    worst = _IDENTITY["conjugation"].violation(A, B, as_point(x, A.dim), n)
-    return IdentityReport.from_violation("conjugation-probe", worst, int(n), tol)
+    report = _IDENTITY["conjugation"].report(A, B, as_point(x, A.dim), n, tol)
+    return replace(report, identity_name="conjugation-probe")
 
 
 def check_shadow_equality(A: Operator, B: Operator, x, n: int, *,

@@ -3,9 +3,10 @@
 Subcommands:
   run      iterate the selected operator order from each start point,
            one orbit CSV per start, JSON convergence summary on stdout
-  verify   run every applicable identity check for a config, or the
-           whole named corpus with --corpus; emits an identity report
-           array, exit 3 on any failed report
+  verify   run every applicable identity check for a config
+           (``analysis.report_config``), or the whole named corpus with
+           --corpus; emits an identity report array, exit 3 on any
+           failed report
   compare  side-by-side CSV of the two orbit sequences related by the
            conjugation identity, T_ab^m R_A x0 and T_ba^m x0 from the
            first start point x0, with the per-step defect
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -30,13 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    IdentityReport,
-    _certified_fixed_points,
-    _pair_defects,
-    _power_orbits,
-    report_identities,
-)
+from .analysis import _pair_defects, _power_orbits, report_config
 from .config import ConfigError, ORDERS, ProblemConfig
 from .harness import load_corpus, run_instance
 from .operators import MonotonicityError, NonFinitePointError, _row_norms, _to_json
@@ -82,7 +78,7 @@ def _load_config(path: str) -> ProblemConfig:
     config = ProblemConfig.from_path(path)
     tau = _env_tau_num()
     if tau is not None:
-        config.tolerances = config.tolerances.with_tau_num(tau)
+        config.tolerances = dataclasses.replace(config.tolerances, tau_num=tau)
     return config
 
 
@@ -133,54 +129,6 @@ def cmd_run(args) -> int:
     return 1 if any(run["diverged"] for run in runs) else 0
 
 
-def _probe_points(config: ProblemConfig, seed: int) -> np.ndarray:
-    """The probe points of ``verify --config``: the start points, then 10
-    points drawn from N(0, 4 I) with the given seed."""
-    rng = np.random.default_rng(seed)
-    return np.array([*config.start_points,
-                     *(rng.normal(0.0, 2.0, config.dimension) for _ in range(10))])
-
-
-def _verify_config(config: ProblemConfig, seed: int, depth: int) -> list[IdentityReport]:
-    """Every identity of ``analysis.IDENTITIES`` whose requirements the
-    operands meet (``analysis.report_identities``), worst case over the
-    start points plus seeded random probe points, and the solution
-    certificates when both operands are monotone (their graph
-    certificates need monotone operands)."""
-    a, b = config.operator_a, config.operator_b
-    reports = report_identities(a, b, _probe_points(config, seed), depth,
-                                config.tolerances.tau_num)
-    if a.monotone and b.monotone:
-        reports.extend(_verify_solutions(config))
-    return reports
-
-
-def _verify_solutions(config: ProblemConfig) -> list[IdentityReport]:
-    """Convergence-dependent certificates: runs that reach a fixed point
-    must extract a certified primal/dual pair, transfer it to the
-    swapped order, and respect the bijection between the fixed sets."""
-    tau = config.tolerances
-    fixed, cert = _certified_fixed_points(config)
-    if not fixed:
-        return []
-    if cert is None:
-        return [IdentityReport.from_violation("solution-certificates", float("inf"),
-                                              len(fixed), tau.tau_graph)]
-    reports = [
-        IdentityReport.from_violation("solution-certificates", cert.certificate,
-                                      len(fixed), tau.tau_graph),
-        IdentityReport.from_violation("fixed-point-bijection", cert.bijection,
-                                      len(fixed), tau.tau_graph),
-    ]
-    if len(fixed) > 1:
-        reports.append(IdentityReport.from_violation(
-            "fixed-point-isometry", cert.isometry,
-            len(fixed) * (len(fixed) - 1) // 2, tau.tau_num))
-    reports.append(IdentityReport.from_violation("dual-symmetry", cert.dual,
-                                                 len(fixed), 3.0 * tau.tau_graph))
-    return reports
-
-
 def cmd_verify(args) -> int:
     if args.corpus:
         _env_tau_num()  # rejected when malformed; the expectations keep their tolerances
@@ -191,7 +139,7 @@ def cmd_verify(args) -> int:
         if args.config is None:
             raise ConfigError("verify needs --config or --corpus")
         config = _load_config(args.config)
-        reports = _verify_config(config, args.seed, args.n)
+        reports = report_config(config, args.seed, args.n)
 
     payload = json.dumps(_to_json([r.to_dict() for r in reports]), indent=2)
     if args.out:

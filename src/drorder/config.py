@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -102,9 +102,6 @@ class Tolerances:
         _expect_fields(data, (), [f.name for f in fields(cls)], "tolerances: {} fields {}",
                        ConfigError)
         return cls(**{k: _tolerance(v, f"tolerances.{k}") for k, v in data.items()})
-
-    def with_tau_num(self, tau_num: float) -> "Tolerances":
-        return replace(self, tau_num=float(tau_num))
 
 
 @dataclass(eq=False)

@@ -131,7 +131,7 @@ def _norm(v: np.ndarray) -> float:
     sq = float(v.dot(v))
     if _TINY <= sq < math.inf or sq == 0.0 and not v.any():
         return math.sqrt(sq)
-    return float(_row_norms(v))
+    return float(_row_norms(v[None])[0])
 
 
 def _row_norms(v: np.ndarray):

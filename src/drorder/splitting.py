@@ -32,7 +32,8 @@ only when its residual is not finite (a finite residual from a finite
 x_n proves it finite), and the last shadow is tested once, after the
 loop.  Past the validation every resolvent is an unchecked kernel.  A
 reflected point or a step that overflows ends as a NonFinitePointError
-(a DivergenceError in ``iterate``), and no step emits a numpy warning.
+(in ``iterate`` its subclass DivergenceError, which carries the orbit),
+and no step emits a numpy warning.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ DEFAULT_HISTORY_CAP = 10_000
 _BLOCK_BYTES = 1 << 16
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NonFinitePointError):
     """An iterate, or the last shadow, stopped being finite; ``orbit``
-    holds the governing points that are finite."""
+    holds the governing points that are finite.  A NonFinitePointError,
+    so a caller that does not need the orbit catches the one class."""
 
     def __init__(self, message: str, orbit: "Orbit"):
         super().__init__(message)
@@ -141,9 +143,10 @@ def dr_step(first: Operator, second: Operator, x) -> np.ndarray:
     raises NonFinitePointError, and overflow emits no numpy warning.
 
     No slot validation is performed here; contract checking lives in
-    SplitOperator.  This entry point exists because several identities
-    need the swapped or generalized operator even when that combination
-    is not constructible as a validated SplitOperator.
+    SplitOperator.  Its one caller in the package is the fixed-point
+    test of ``analysis`` (``extract_solution``, ``certify_fixed_points``
+    and ``map_fixed_point``), which is handed either order of a pair and
+    builds no SplitOperator.
     """
     _require_same_dim(first, second)
     with np.errstate(over="ignore", invalid="ignore"):

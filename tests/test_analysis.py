@@ -44,7 +44,14 @@ from drorder.operators import (
     as_point,
 )
 from drorder.harness import load_corpus
-from drorder.splitting import FORM_BORWEIN_TAM, SplitOperator, _affine_form, dr_matrix, dr_step
+from drorder.splitting import (
+    FORM_BORWEIN_TAM,
+    DivergenceError,
+    SplitOperator,
+    _affine_form,
+    dr_matrix,
+    dr_step,
+)
 
 from draws import (
     random_affine_operator,
@@ -196,6 +203,18 @@ def test_find_fixed_point_divergence_is_a_non_finite_point():
             reference_fixed_point(T, [0.0, 0.0])
     with pytest.raises(NonFinitePointError):
         find_fixed_point(T, [0.0, 0.0])
+
+
+def test_find_fixed_point_lets_the_orbit_of_a_divergence_through():
+    # from (-1e308, 0) the first step, a translation by -1e308, overflows;
+    # iterate's DivergenceError, with its orbit, is a NonFinitePointError
+    T = SplitOperator(ZERO2, AffineRelation(np.zeros((2, 2)), [1e308, 0.0]))
+    with pytest.raises(NonFinitePointError, match="^non-finite iterate at step 1$") as err:
+        find_fixed_point(T, [-1e308, 0.0])
+    assert isinstance(err.value, DivergenceError)
+    orbit = err.value.orbit
+    assert orbit.iterations == 1 and orbit.steps == [0]
+    assert orbit.governing.tolist() == [[-1e308, 0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drorder import cli
+from drorder import analysis, cli
 from drorder.analysis import (
     IDENTITIES,
     FixedPointBudgetError,
@@ -439,6 +439,26 @@ def test_verify_reports_every_registry_identity_that_applies(tmp_path, name):
     a, b = config.operator_a, config.operator_b
     assert identities == [identity.name for identity in IDENTITIES
                           if identity.unmet(a, b) is None]
+
+
+def test_verify_gates_the_certificates_on_the_requirement_table(tmp_path, monkeypatch):
+    # the solution certificates need monotone operands, the entry of the
+    # table that the registry reads too: with that entry refusing,
+    # parallel-lines prints the registry reports that still apply and no
+    # certificate
+    error = analysis._REQUIREMENTS["monotone operands"][1]
+    monkeypatch.setitem(analysis._REQUIREMENTS, "monotone operands",
+                        (lambda A, B: False, error))
+    cfg = _write_config(tmp_path, "parallel-lines")
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0
+    names = [r["identity_name"] for r in json.loads(report_path.read_text())]
+    config = ProblemConfig.from_path(cfg)
+    a, b = config.operator_a, config.operator_b
+    assert a.monotone and b.monotone
+    assert names == [identity.name for identity in IDENTITIES
+                     if identity.unmet(a, b) is None]
+    assert "dr-firmly-nonexpansive" not in names and len(names) == 10
 
 
 # Manifest configs whose operator_a is an affine-subspace normal cone,

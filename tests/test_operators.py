@@ -835,6 +835,19 @@ def test_the_one_norm_of_a_point_with_an_inf_or_nan_entry():
         assert np.array_equal([operators._norm(row) for row in rows], want, equal_nan=True)
 
 
+def test_the_one_point_norm_squares_an_overflowing_point_twice():
+    # _norm's <v, v> overflows, and its fallback squares v once more, as
+    # the one row of a batch: one warning each, and the batch row's bits
+    ball = NormalConeBall([0.0, 0.0], 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y = ball.resolve((3e200, -7e200))
+    assert [str(w.message) for w in caught] == ["overflow encountered in dot",
+                                               "overflow encountered in vecdot"]
+    with np.errstate(over="ignore"):
+        assert y.tobytes() == ball.resolve(np.array([[3e200, -7e200]]))[0].tobytes()
+
+
 def test_ball_and_sphere_scale_norms_that_overflow_or_underflow():
     ball = NormalConeBall([0.0, 0.0], 1.0)
     with np.errstate(over="ignore"):

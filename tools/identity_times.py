@@ -31,8 +31,7 @@ import time
 
 import numpy as np
 
-from drorder.analysis import IDENTITIES, _word_tables
-from drorder.cli import _probe_points
+from drorder.analysis import IDENTITIES, _probe_points, _word_tables
 from drorder.harness import load_corpus
 
 ORBITS = "(probe orbits)"
