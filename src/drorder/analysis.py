@@ -59,7 +59,7 @@ from .operators import (
     _row_norms,
     as_point,
 )
-from .splitting import SplitOperator, dr_step, iterate
+from .splitting import SplitOperator, _count, dr_step, iterate
 
 __all__ = [
     "FixedPointBudgetError",
@@ -121,10 +121,16 @@ class IdentityReport:
     passed: bool
 
     @classmethod
-    def from_violation(cls, name: str, violation: float, samples: int,
+    def from_violation(cls, name: str, violations, samples: int,
                        tolerance: float) -> "IdentityReport":
-        return cls(name, float(violation), int(samples), float(tolerance),
-                   bool(violation <= tolerance))
+        """The report of the violations, one per sample (a float, a list
+        or an array; a sample of several terms has combined them), over
+        ``samples`` reported samples.  This is the one place that takes
+        the worst across samples: by numpy's max, so one nan makes the
+        worst nan wherever it stands, and 0.0 when there are none."""
+        violations = np.asarray(violations, dtype=float)
+        worst = float(violations.max()) if violations.size else 0.0
+        return cls(name, worst, int(samples), float(tolerance), bool(worst <= tolerance))
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -160,7 +166,7 @@ def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
 def _require_fixed_point(first: Operator, second: Operator, f: np.ndarray,
                          fix_tol: float) -> None:
     residual = _norm(dr_step(first, second, f) - f)
-    if residual > fix_tol:
+    if not residual <= fix_tol:  # written so that a nan fix_tol fails it
         raise CertificateError(
             f"not a fixed point: residual {residual:.3e} > {fix_tol:.1e}"
         )
@@ -219,33 +225,34 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
     return reflector.reflect(f)
 
 
-def _dual_defect(A: Operator, pairs: list[SolutionPair]):
-    """The worst ||R_A(z + k) - (z - k)|| over solution pairs (z, k): how
-    far R_A is from carrying each fixed point z + k of T_ab to the fixed
-    point z - k of T_ba; 0 when there are none."""
-    return max((_norm(A.reflect(p.z + p.k) - (p.z - p.k)) for p in pairs), default=0.0)
+def _dual_defect(A: Operator, pairs: list[SolutionPair]) -> list[float]:
+    """||R_A(z + k) - (z - k)|| of each solution pair (z, k), in order: how
+    far R_A is from carrying the fixed point z + k of T_ab to the fixed
+    point z - k of T_ba."""
+    return [_norm(A.reflect(p.z + p.k) - (p.z - p.k)) for p in pairs]
 
 
 @dataclass(eq=False)
 class FixedPointCertificates:
-    """Worst defects of the certificates over a list of fixed points.
+    """The defects of the certificates of a list of fixed points, one per
+    sample, which ``IdentityReport.from_violation`` reduces.
 
-    ``certificate`` is the worst graph defect ||J_A(z + k) - z|| or
-    ||J_B(z - k) - z|| of the extracted pairs (``_pair_defects``, which
-    also gives ``drorder run`` its cert_a and cert_b); ``bijection`` the
-    worst round trip ||R_B R_A f - f|| or reflector image
-    ||R_A f - (z - k)||; ``isometry`` the worst
-    | ||R_A f - R_A g|| - ||f - g|| | over the pairs of distinct fixed
-    points (0 for a single fixed point); ``dual`` the worst
-    ||R_A(z + k) - (z - k)|| (``_dual_defect``), which is the violation
-    ``check_dual_symmetry`` reports for the same pairs, bit for bit.
+    Per fixed point f, in order: ``certificate`` is the worse graph
+    defect ||J_A(z + k) - z|| or ||J_B(z - k) - z|| of its pair
+    (``_pair_defects``, which also gives ``drorder run`` its cert_a and
+    cert_b); ``bijection`` the worse of the round trip ||R_B R_A f - f||
+    and the reflector image ||R_A f - (z - k)||; ``dual``
+    ||R_A(z + k) - (z - k)|| (``_dual_defect``), whose worst is the
+    violation ``check_dual_symmetry`` reports for the same pairs, bit for
+    bit.  ``isometry`` holds | ||R_A f - R_A g|| - ||f - g|| | per pair
+    of distinct fixed points, i < j in order (none for a single one).
     """
 
     pairs: list[SolutionPair]
-    certificate: float
-    bijection: float
-    isometry: float
-    dual: float
+    certificate: list[float]
+    bijection: list[float]
+    isometry: list[float]
+    dual: list[float]
 
 
 def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
@@ -253,24 +260,22 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
                          graph_tol: float = TAU_GRAPH) -> FixedPointCertificates:
     """Extract the solution pair of each fixed point of T_ab and measure the
     certificates, the bijection/isometry of R_A between the fixed sets,
-    and the transfer z + k -> z - k of each pair to the swapped order.
+    and the transfer z + k -> z - k of each pair to the swapped order:
+    their defects per fixed point, or per pair of them for the isometry
+    (``FixedPointCertificates``).
 
     Raises CertificateError when a pair cannot be extracted.
     """
     extracted = [_extract(A, B, f, fix_tol, graph_tol) for f in fixed]
     pairs = [pair for pair, _ in extracted]
-    certificate = max((defect for _, defect in extracted), default=0.0)
     # R_A f = 2 J_A f - f, and z = J_A f
     images = [2.0 * p.z - f for p, f in zip(pairs, fixed)]
-    bijection = max((max(_norm(B.reflect(image) - f), _norm(image - (p.z - p.k)))
-                     for p, f, image in zip(pairs, fixed, images)), default=0.0)
-    isometry = max(
-        (abs(_norm(images[i] - images[j]) - _norm(fixed[i] - fixed[j]))
-         for i in range(len(fixed)) for j in range(i + 1, len(fixed))),
-        default=0.0,
-    )
-    return FixedPointCertificates(pairs, certificate, bijection, isometry,
-                                  _dual_defect(A, pairs))
+    bijection = [np.maximum(_norm(B.reflect(image) - f), _norm(image - (p.z - p.k)))
+                 for p, f, image in zip(pairs, fixed, images)]
+    isometry = [abs(_norm(images[i] - images[j]) - _norm(fixed[i] - fixed[j]))
+                for i in range(len(fixed)) for j in range(i + 1, len(fixed))]
+    return FixedPointCertificates(pairs, [defect for _, defect in extracted], bijection,
+                                  isometry, _dual_defect(A, pairs))
 
 
 def _certified_fixed_points(config) -> tuple[list[np.ndarray], FixedPointCertificates | None]:
@@ -326,8 +331,9 @@ class _Words:
     ``orbits(n)`` are the probe orbits of x, ``_power_orbits`` to depth
     n, computed on the first read: a read at a shallower depth takes
     their first n + 1 steps, and only a deeper one computes them again.
-    A negative n raises ValueError; every orbit identity reads its
-    orbits here.
+    n is a count (``splitting._count``), so a negative, non-integral or
+    non-finite n, a bool or a non-number raises ValueError; every orbit
+    identity reads its orbits here.
     """
 
     def __init__(self, A: Operator, B: Operator, x: np.ndarray):
@@ -348,11 +354,10 @@ class _Words:
         return u - self("J" + first, *rest) + self("J" + second, "R" + first, *rest)
 
     def orbits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n < 0:
-            raise ValueError(f"orbit depth n must be nonnegative, got {n}")
+        n = _count(n, "orbit depth n", 0)
         if self._orbits is None or len(self._orbits[0]) <= n:
             self._orbits = _power_orbits(self.A, self.B, self(), n, self("RA"))
-        return tuple(orbit[:int(n) + 1] for orbit in self._orbits)
+        return tuple(orbit[:n + 1] for orbit in self._orbits)
 
 
 def _word_tables(A: Operator, B: Operator, samples, pairwise: bool):
@@ -537,13 +542,12 @@ class Identity:
 
     def report(self, A: Operator, B: Operator, samples, n: int,
                tol: float, words=None) -> IdentityReport:
-        """Worst violation over a batch of samples, evaluated once for the
-        whole batch; one point (d,), or a pair of them, is one sample.  The
-        requirements are not checked."""
-        worst = np.max(self.violation(A, B, samples, n, words))
+        """The report of the violations at a batch of samples, evaluated
+        once for the whole batch; one point (d,), or a pair of them, is
+        one sample.  The requirements are not checked."""
         points = samples[0] if self.pairwise else samples
         count = len(points) if np.ndim(points) > 1 else 1
-        return IdentityReport.from_violation(self.name, worst,
+        return IdentityReport.from_violation(self.name, self.violation(A, B, samples, n, words),
                                              count * self.per_sample(n), tol)
 
     @np.errstate(over="ignore")

@@ -10,7 +10,6 @@ objects.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .operators import (
     TAU_PSD,
     _expect_fields,
     _to_json,
+    _tolerance,
     as_point,
     operator_from_dict,
 )
@@ -35,6 +35,7 @@ from .splitting import (
     FORM_BORWEIN_TAM,
     FORM_DR,
     SplitOperator,
+    _count,
     require_operands,
 )
 
@@ -49,32 +50,6 @@ class ConfigError(ValueError):
     """A config document failed to parse or validate."""
 
 
-_NUMBERS = (int, float, np.integer, np.floating)
-
-
-def _finite(value) -> bool:
-    if not isinstance(value, _NUMBERS) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; integral floats pass, booleans and strings do not."""
-    if _finite(value) and value == math.floor(value):
-        return int(value)
-    raise ConfigError(f"{name} must be a finite integer, got {value!r}")
-
-
-def _tolerance(value, name: str) -> float:
-    """``value`` as a finite nonnegative float; booleans and strings fail."""
-    if _finite(value) and value >= 0.0:
-        return float(value)
-    raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
 def _start_point(value, dim: int, name: str) -> np.ndarray:
     """``value`` as a finite point in R^dim; the error names the point."""
     try:
@@ -85,12 +60,18 @@ def _start_point(value, dim: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances, overridable per instance."""
+    """Numeric tolerances, overridable per instance: each a finite
+    nonnegative float (``operators._tolerance``), else ConfigError."""
 
     tau_num: float = TAU_NUM
     tau_graph: float = TAU_GRAPH
     tau_psd: float = TAU_PSD
     tau_ortho: float = TAU_ORTHO
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _tolerance(getattr(self, f.name),
+                                                        f"tolerances.{f.name}", ConfigError))
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -101,7 +82,7 @@ class Tolerances:
             raise ConfigError("tolerances must be a JSON object")
         _expect_fields(data, (), [f.name for f in fields(cls)], "tolerances: {} fields {}",
                        ConfigError)
-        return cls(**{k: _tolerance(v, f"tolerances.{k}") for k, v in data.items()})
+        return cls(**data)
 
 
 @dataclass(eq=False)
@@ -118,9 +99,7 @@ class ProblemConfig:
     mode: str = "standard"
 
     def __post_init__(self):
-        self.dimension = _integer(self.dimension, "dimension")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be at least 1")
+        self.dimension = _count(self.dimension, "dimension", 1, ConfigError)
         for name, op in (("operator_a", self.operator_a), ("operator_b", self.operator_b)):
             if op.dim != self.dimension:
                 raise ConfigError(
@@ -134,10 +113,10 @@ class ProblemConfig:
                              for i, p in enumerate(self.start_points)]
         if not self.start_points:
             raise ConfigError("at least one start point is required")
-        self.max_iter = _integer(self.max_iter, "max_iter")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
-        self.stop_tol = _tolerance(self.stop_tol, "stop_tol")
+        self.max_iter = _count(self.max_iter, "max_iter", 1, ConfigError)
+        self.stop_tol = _tolerance(self.stop_tol, "stop_tol", ConfigError)
+        if not isinstance(self.tolerances, Tolerances):
+            raise ConfigError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.generalized and not isinstance(self.operator_a, NormalConeAffineSubspace):

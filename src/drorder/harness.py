@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -84,15 +84,20 @@ FIGURE_START = (4.0, 3.0)
 class Expectation:
     """One reproducible expectation of a named instance.
 
-    ``run`` returns (max_violation, sample_count) for the pass of an
-    instance (``_Pass``), which holds its config.  A failure exhibit's
-    ``run`` returns its own shortfall as the violation
-    (``_orbit_expectations``).
+    ``run`` returns (violations, sample_count) for the pass of an
+    instance (``_Pass``), which holds its config: one violation per
+    sample, a sample of several terms combined by ``np.maximum`` or
+    ``np.max``, which ``IdentityReport.from_violation`` alone reduces to
+    the worst.  The count is given, since it need not be the number of
+    violations: linear-asymmetric checks 2 offset entries beside its 4
+    matrix entries, and the one start of an orbit expectation counts
+    its orbit steps.  A failure exhibit's ``run`` returns its own
+    shortfall as the violation (``_orbit_expectations``).
     """
 
     label: str
     tolerance: float
-    run: Callable[[_Pass], tuple[float, int]]
+    run: Callable[[_Pass], tuple[Any, int]]
 
 
 @dataclass
@@ -139,9 +144,9 @@ def run_instance(instance: NamedInstance) -> list[IdentityReport]:
     shared = _Pass(instance.config)
     reports = []
     for exp in instance.expected:
-        violation, samples = exp.run(shared)
+        violations, samples = exp.run(shared)
         reports.append(IdentityReport.from_violation(
-            f"{instance.name}/{exp.label}", violation, samples, exp.tolerance))
+            f"{instance.name}/{exp.label}", violations, samples, exp.tolerance))
     return reports
 
 
@@ -163,10 +168,9 @@ def _grid_expectations(*rows: tuple[str, tuple[str, ...],
     its closed form, which maps the (N, 2) array of grid points row by
     row, on the whole grid at once."""
     def expectation(label: str, word: tuple[str, ...], closed) -> Expectation:
-        def run(shared: _Pass) -> tuple[float, int]:
+        def run(shared: _Pass) -> tuple[np.ndarray, int]:
             points = shared.grid()
-            gap = shared.grid(*word) - closed(points)
-            return float(np.max(_row_norms(gap))), len(points)
+            return _row_norms(shared.grid(*word) - closed(points)), len(points)
 
         return Expectation(label, 1e-12, run)
 
@@ -207,13 +211,13 @@ def _expect_linear_asymmetric() -> list[Expectation]:
     affine form (M, c) = ``form(ab_ba, ba_ab)`` of the pass's two
     composites (``_Pass.products``), read as the columns [M | c],
     against the expected columns, one sample per entry of M.  The
-    offset is one more column against zero, and the max over it is
-    exact, so the violation is the worse of the matrix and offset gaps,
-    bit for bit."""
+    offset is one more column against zero, whose gaps are violations
+    beside those of M, so the worst is over the matrix and offset gaps
+    alike."""
     def expectation(label: str, form, expected: np.ndarray) -> Expectation:
-        def run(shared: _Pass) -> tuple[float, int]:
+        def run(shared: _Pass) -> tuple[np.ndarray, int]:
             gap = np.column_stack(form(*shared.products)) - expected
-            return float(np.max(np.abs(gap))), expected[:, :-1].size
+            return np.abs(gap), expected[:, :-1].size
 
         return Expectation(label, 1e-12, run)
 
@@ -234,7 +238,7 @@ def _expect_bt_not_firm() -> list[Expectation]:
     def half_pos(v: np.ndarray) -> np.ndarray:
         return np.maximum(0.5 * v, 0.0)
 
-    def witness(shared: _Pass) -> tuple[float, int]:
+    def witness(shared: _Pass) -> tuple[list[float], int]:
         a, b = shared.config.operator_a, shared.config.operator_b
         # (composite, direction): the test points are alpha * direction and 0
         rows = ((SplitOperator(a, b, FORM_BORWEIN_TAM), (-2.0, 2.0)),
@@ -242,7 +246,7 @@ def _expect_bt_not_firm() -> list[Expectation]:
         gaps = [abs(check_firmly_nonexpansive(T, alpha * np.array(direction), np.zeros(2))
                     + 2.0 * alpha * alpha)
                 for alpha in (1.0, 2.0, 0.5) for T, direction in rows]
-        return max(gaps), len(gaps)
+        return gaps, len(gaps)
 
     return [
         *_grid_expectations(
@@ -268,36 +272,31 @@ def _expect_parallel_lines() -> list[Expectation]:
         fixed, cert = shared.fixed_points
         return cert if len(fixed) == len(shared.config.start_points) else None
 
-    def fixed_point_form(shared: _Pass) -> tuple[float, int]:
+    def fixed_point_form(shared: _Pass) -> tuple[Any, int]:
         starts = shared.config.start_points
         fixed, _ = shared.fixed_points
         if len(fixed) < len(starts):
             return float("inf"), len(starts)
-        worst = 0.0
-        for s, f in zip(starts, fixed):
-            expected = np.array([s[0], 0.0, s[2]])
-            worst = max(worst, _norm(f - expected))
-        return worst, len(starts)
+        return [_norm(f - np.array([s[0], 0.0, s[2]])) for s, f in zip(starts, fixed)], len(starts)
 
-    def solution_form(shared: _Pass) -> tuple[float, int]:
+    def solution_form(shared: _Pass) -> tuple[Any, int]:
         starts = shared.config.start_points
         cert = certificates(shared)
         if cert is None:
             return float("inf"), len(starts)
-        pairs = cert.pairs
-        worst = max(
-            max(_norm(p.z - np.array([s[0], 0.0, 0.0])), _norm(p.k - np.array([0.0, 0.0, s[2]])))
-            for s, p in zip(starts, pairs)
-        )
-        return worst, len(pairs)
+        return [np.maximum(_norm(p.z - np.array([s[0], 0.0, 0.0])),
+                           _norm(p.k - np.array([0.0, 0.0, s[2]])))
+                for s, p in zip(starts, cert.pairs)], len(cert.pairs)
 
-    def bijection(shared: _Pass) -> tuple[float, int]:
+    def bijection(shared: _Pass) -> tuple[Any, int]:
+        """R_A's bijection defect per fixed point and its isometry defect
+        per pair of them."""
         n = len(shared.config.start_points)
         count = n + n * (n - 1) // 2
         cert = certificates(shared)
         if cert is None:
             return float("inf"), count
-        return max(cert.bijection, cert.isometry), count
+        return cert.bijection + cert.isometry, count
 
     return [
         Expectation("fixed-point-plane", 1e-12, fixed_point_form),
@@ -347,24 +346,24 @@ def _orbit_expectations(tolerance: float, *specs: tuple[str, str, int],
 
 
 def _expect_subspace_ball() -> list[Expectation]:
-    def membership(shared: _Pass) -> tuple[float, int]:
-        # Independent geometry: distance to the line and excess over the
-        # ball radius, from the instance parameters alone.
+    def membership(shared: _Pass) -> tuple[Any, int]:
+        # Independent geometry: per order, the worse of the distance to the
+        # line and the excess over the ball radius, from the instance
+        # parameters alone.
         config = shared.config
         direction = np.asarray(FIGURE_LINE_DIRECTION)
         direction = direction / _norm(direction)
         center = np.asarray(FIGURE_BALL_CENTER)
-        worst = 0.0
+        violations = []
         for order in ("ab", "ba"):
             orbit = iterate(config.split(order), config.start_points[0],
                             config.max_iter, config.stop_tol)
             if not orbit.converged:
                 return float("inf"), 2
             z = config.operator_a.resolve(orbit.final)
-            line_dist = _norm(z - (direction @ z) * direction)
-            ball_excess = max(0.0, _norm(z - center) - FIGURE_BALL_RADIUS)
-            worst = max(worst, line_dist, ball_excess)
-        return worst, 2
+            violations.append(np.max([_norm(z - (direction @ z) * direction),
+                                      _norm(z - center) - FIGURE_BALL_RADIUS, 0.0]))
+        return violations, 2
 
     return [
         *_orbit_expectations(1e-8, ("conjugation", "conjugation", 20),
@@ -390,19 +389,18 @@ _LIFT_RHS = (1.0, 1.0, 0.5)
 
 
 def _expect_three_halfspace_lift() -> list[Expectation]:
-    def feasibility(shared: _Pass) -> tuple[float, int]:
+    def feasibility(shared: _Pass) -> tuple[Any, int]:
+        # the block spread of the shadow, then the excess of its mean over
+        # each constraint
         config = shared.config
         orbit = iterate(config.split("ab"), config.start_points[0],
                         config.max_iter, config.stop_tol)
         if not orbit.converged:
             return float("inf"), 1
         blocks = orbit.final_shadow.reshape(3, 3)
-        spread = float(np.max(np.abs(blocks - blocks.mean(axis=0))))
         z = blocks.mean(axis=0)
-        worst = spread
-        for n, c in zip(_LIFT_NORMALS, _LIFT_RHS):
-            worst = max(worst, float(np.asarray(n) @ z) - c)
-        return worst, 1 + len(_LIFT_NORMALS)
+        excess = [np.asarray(n) @ z - c for n, c in zip(_LIFT_NORMALS, _LIFT_RHS)]
+        return [np.max(np.abs(blocks - z)), *excess], 1 + len(excess)
 
     return [
         Expectation("consensus-feasibility", 1e-8, feasibility),

@@ -97,6 +97,29 @@ class NonFinitePointError(ValueError):
     """A point with inf or NaN entries reached an operator evaluation."""
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, numpy's
+    included, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a real number that a float holds finitely."""
+    try:
+        return _real(value) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _tolerance(value, name: str, error: type[Exception] = ValueError) -> float:
+    """``value`` as a finite nonnegative float, the one rule for every
+    tolerance that an operator or a config is built with; anything else,
+    a bool, a string or nan included, raises ``error``."""
+    if _finite_number(value) and value >= 0.0:
+        return float(value)
+    raise error(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float vector, optionally of length ``dim``."""
     arr = np.asarray(x, dtype=float)
@@ -150,10 +173,8 @@ def _row_norms(v: np.ndarray):
     norms = np.sqrt(sq)
     if sq.min(initial=_TINY) >= _TINY and sq.max(initial=0.0) < math.inf:
         return norms
-    if v.ndim == 1:
-        return _row_norms(v[None])[0]
     odd = ~((sq >= _TINY) & (sq < math.inf))
-    rows = v[odd]
+    rows = v[odd]  # v[None] for one point v, so its square above is not taken again
     if not rows.any():  # exactly zero rows only
         return norms
     # m = 1 leaves a zero row and a row with an inf or nan entry as it is
@@ -162,7 +183,10 @@ def _row_norms(v: np.ndarray):
     w = rows / m[:, None]
     unit_sq = np.vecdot(w, w)
     with np.errstate(over="ignore"):  # a norm past the largest float is inf
-        norms[odd] = m * np.sqrt(unit_sq)
+        scaled = m * np.sqrt(unit_sq)
+    if v.ndim == 1:
+        return scaled[0]
+    norms[odd] = scaled
     return norms
 
 
@@ -208,6 +232,7 @@ def _solve_shifted(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _unit_vector(v, name: str, tau_ortho: float) -> np.ndarray:
     """Return ``v`` scaled to unit norm (no-op if already unit to tolerance)."""
+    tau_ortho = _tolerance(tau_ortho, "tau_ortho")
     v = as_point(v)
     nv = _norm(v)
     if nv <= tau_ortho:
@@ -337,6 +362,7 @@ class AffineRelation(Operator):
     affine = True
 
     def __init__(self, matrix, offset, *, tau_psd: float = TAU_PSD):
+        tau_psd = _tolerance(tau_psd, "tau_psd")
         matrix = np.asarray(matrix, dtype=float)
         offset = as_point(offset)
         _require_square(matrix)
@@ -382,6 +408,7 @@ class NormalConeAffineSubspace(Operator):
     affine = True
 
     def __init__(self, offset, basis, *, tau_ortho: float = TAU_ORTHO):
+        tau_ortho = _tolerance(tau_ortho, "tau_ortho")
         offset = as_point(offset)
         basis = np.asarray(basis, dtype=float)
         if basis.size == 0:
@@ -420,6 +447,7 @@ class NormalConeHalfspace(Operator):
     tolerance = "tau_ortho"
 
     def __init__(self, normal, rhs: float, *, tau_ortho: float = TAU_ORTHO):
+        tau_ortho = _tolerance(tau_ortho, "tau_ortho")
         normal = as_point(normal)
         nv = _norm(normal)
         if nv <= tau_ortho:
@@ -792,7 +820,8 @@ def operator_from_dict(data: dict, *, tau_psd: float = TAU_PSD,
     """Rebuild an operator from its JSON object form.
 
     Operators inside operators (``inverse``, ``rotation``,
-    ``block_separable``) may nest at most MAX_NESTING levels deep.
+    ``block_separable``) may nest at most MAX_NESTING levels deep.  Each
+    member that takes a tolerance checks it as its constructor does.
     """
     return _decode(data, {"tau_psd": tau_psd, "tau_ortho": tau_ortho}, 0)
 

@@ -55,7 +55,9 @@ from .operators import (
     NormalConeAffineSubspace,
     Operator,
     _as_points,
+    _finite_number,
     _norm,
+    _real,
     as_point,
 )
 
@@ -359,15 +361,20 @@ def _write_rows(path, d: int, names: tuple[str, str, str], chunks) -> None:
                           for n, row, scalar in zip(steps, cells.tolist(), scalars))
 
 
-def _count(value, name: str, least: int) -> int:
-    """A step or row budget as an int: a finite integral number of at
-    least ``least`` (10.0 passes as 10); nan, inf and 10.5 raise
-    ValueError."""
-    if not value >= least:  # written so that nan fails it
-        raise ValueError(f"{name} must be at least {least}")
-    if value == math.inf or value != int(value):
-        raise ValueError(f"{name} must be a finite integer, got {value!r}")
-    return int(value)
+def _count(value, name: str, least: int, error: type[Exception] = ValueError) -> int:
+    """A count, such as a step budget, a row cap or an orbit depth, as an
+    int: a finite integral real number of at least ``least`` (10.0 passes
+    as 10).  Anything else raises ``error``: a real number below
+    ``least``, nan included, "<name> must be at least <least>" (for
+    ``least`` 0, "<name> must be nonnegative, got <value>"); inf, 10.5,
+    an integer too large for a float, a bool or a non-number "<name>
+    must be a finite integer, got <value>"."""
+    if _finite_number(value) and value == int(value) and value >= least:
+        return int(value)
+    if _real(value) and not value >= least:  # written so that nan fails it
+        raise error(f"{name} must be nonnegative, got {value}" if least == 0
+                    else f"{name} must be at least {least}")
+    raise error(f"{name} must be a finite integer, got {value!r}")
 
 
 def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
@@ -380,8 +387,9 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     Stops early once the governing residual ||x_{n+1} - x_n|| drops to
     ``stop_tol`` (marking the orbit converged).  ``max_iter`` (at least
     1) and ``history_cap`` (at least 4) are finite integral numbers and
-    ``stop_tol`` is nonnegative; anything else, nan included, raises
-    ValueError.
+    ``stop_tol`` is a nonnegative real number, inf included; anything
+    else, nan, a bool or a non-number included, raises ValueError
+    (``_count`` for the two counts).
 
     Step checks: each point is validated once, and the resolvents of
     proved points are their unchecked kernels.  x0 is validated on
@@ -413,7 +421,7 @@ def iterate(T: SplitOperator, x0, max_iter: int = DEFAULT_MAX_ITER,
     the kept rows as a whole.
     """
     max_iter = _count(max_iter, "max_iter", 1)
-    if not stop_tol >= 0.0:  # written so that nan fails it
+    if not (_real(stop_tol) and stop_tol >= 0.0):  # written so that nan fails it
         raise ValueError("stop_tol must be nonnegative")
     history_cap = _count(history_cap, "history_cap", 4)
 

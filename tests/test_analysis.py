@@ -1,3 +1,4 @@
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from drorder.analysis import (
     check_firmly_nonexpansive,
     check_nonexpansive_transfer,
     check_shadow_equality,
+    certify_fixed_points,
     extract_solution,
     find_fixed_point,
     map_fixed_point,
@@ -274,6 +276,41 @@ def test_map_fixed_point_rejects_non_fixed_source():
         map_fixed_point(X_AXIS, UP_RAY, [0.0, 0.0], "sideways")
 
 
+def test_a_nan_fix_tol_is_not_a_fixed_point_test():
+    # no residual is greater than nan, so the test must be written as
+    # `not residual <= fix_tol`; (40, -30) is 19.7 from its image
+    a, b = subspace_ball_pair()
+    for call in (lambda: map_fixed_point(a, b, (40.0, -30.0), fix_tol=np.nan),
+                 lambda: extract_solution(a, b, (40.0, -30.0), fix_tol=np.nan)):
+        with pytest.raises(CertificateError,
+                           match=r"^not a fixed point: residual 1\.974e\+01 > nan$"):
+            call()
+
+
+def test_certificates_hold_one_defect_per_sample():
+    # three fixed points of the line/plane pair: one defect per fixed
+    # point, and one isometry defect per pair of them, i < j in order
+    fixed = [np.array([1.0, 0.0, 2.0]), np.array([-3.0, 0.0, 0.5]), np.array([0.0, 0.0, -1.0])]
+    cert = certify_fixed_points(LINE3, PLANE3, fixed)
+    for defects in (cert.certificate, cert.bijection, cert.dual):
+        assert len(defects) == 3
+    assert len(cert.isometry) == 3
+    assert max(cert.certificate + cert.bijection + cert.isometry + cert.dual) <= 1e-15
+    assert certify_fixed_points(LINE3, PLANE3, []).isometry == []
+
+
+def test_from_violation_takes_the_worst_and_keeps_a_nan_anywhere():
+    for violations in ([np.nan, 0.0, 1.0], [0.0, 1.0, np.nan], np.array([1.0, np.nan])):
+        rep = IdentityReport.from_violation("x", violations, 3, 1e-9)
+        assert np.isnan(rep.max_violation) and not rep.passed
+    rep = IdentityReport.from_violation("x", [-2.0, -0.5], 2, 0.0)
+    assert rep.max_violation == -0.5 and rep.passed
+    rep = IdentityReport.from_violation("x", [], 0, 1e-9)
+    assert rep.max_violation == 0.0 and rep.passed
+    rep = IdentityReport.from_violation("x", np.array([[1.0, 3.0], [2.0, 0.0]]), 4, 1.0)
+    assert rep.max_violation == 3.0 and not rep.passed and rep.sample_count == 4
+
+
 def test_map_fixed_point_bijection_on_fixed_plane():
     rng = np.random.default_rng(31)
     T_ab = SplitOperator(LINE3, PLANE3)
@@ -518,6 +555,21 @@ def test_a_negative_orbit_depth_is_rejected(orbits, n):
     # n = -1 a numpy reshape error or, from power_orbit, the orbit [x]
     a, b = subspace_ball_pair()
     with pytest.raises(ValueError, match=f"orbit depth n must be nonnegative, got {n}$"):
+        orbits(a, b, np.array([4.0, 3.0]), n)
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.5, "a finite integer, got 2.5"), (np.inf, "a finite integer, got inf"),
+    (np.nan, "nonnegative, got nan"), ("3", "a finite integer, got '3'"),
+    (True, "a finite integer, got True"), (10**400, "a finite integer, got 1000"),
+], ids=["half", "inf", "nan", "string", "bool", "huge"])
+@pytest.mark.parametrize("orbits", [check_commutation, check_conjugation, check_shadow_equality,
+                                    probe_conjugation], ids=lambda f: f.__name__)
+def test_an_orbit_depth_that_is_not_a_count_is_rejected(orbits, n, message):
+    # 2.5 once ran as depth 2, True as depth 1; inf, nan and "3" raised
+    # OverflowError, a float conversion error and TypeError
+    a, b = subspace_ball_pair()
+    with pytest.raises(ValueError, match=f"^orbit depth n must be {re.escape(message)}"):
         orbits(a, b, np.array([4.0, 3.0]), n)
 
 

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +29,10 @@ from drorder.config import ConfigError, ProblemConfig, Tolerances
 from drorder.harness import load_corpus
 from drorder.operators import MAX_NESTING, operator_from_dict
 from drorder.splitting import dr_step
+
+
+_PLANE = {"kind": "normal_cone_affine_subspace", "offset": [0.0, 0.0],
+          "basis": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 def _config_dict(name):
@@ -841,6 +846,60 @@ def test_config_validation_rules():
                       start_points=[])
     with pytest.raises(ConfigError):
         Tolerances.from_dict({"tau_new": 1.0})
+
+
+def test_config_tolerances_are_checked_where_they_are_built():
+    plane = operator_from_dict(_PLANE)
+    for fields, message in (({"tau_num": -1.0}, "tolerances.tau_num must be finite and "
+                                                "nonnegative, got -1.0"),
+                            ({"tau_graph": math.nan}, "tolerances.tau_graph must be finite "
+                                                      "and nonnegative, got nan"),
+                            ({"tau_psd": True}, "tolerances.tau_psd must be finite and "
+                                                "nonnegative, got True")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            Tolerances(**fields)
+    with pytest.raises(ConfigError, match="^tolerances must be a Tolerances, got "):
+        ProblemConfig(2, plane, plane, [[0.0, 0.0]], tolerances={"tau_num": 1.0})
+    with pytest.raises(ConfigError, match="^stop_tol must be finite and nonnegative, got nan$"):
+        ProblemConfig(2, plane, plane, [[0.0, 0.0]], stop_tol=math.nan)
+    # every field is stored as a float, as a config document gives it
+    assert Tolerances(tau_num=0).tau_num.hex() == "0x0.0p+0"
+
+
+def test_config_counts_follow_the_count_rule():
+    plane = operator_from_dict(_PLANE)
+    for name, value, message in (
+            ("dimension", True, "dimension must be a finite integer, got True"),
+            ("dimension", "2", "dimension must be a finite integer, got '2'"),
+            ("dimension", 2.5, "dimension must be a finite integer, got 2.5"),
+            ("dimension", 0, "dimension must be at least 1"),
+            ("max_iter", 10**400, f"max_iter must be a finite integer, got {10**400}"),
+            ("max_iter", math.nan, "max_iter must be at least 1"),
+            ("max_iter", 0.0, "max_iter must be at least 1")):
+        args = {"dimension": 2, "operator_a": plane, "operator_b": plane,
+                "start_points": [[0.0, 0.0]], name: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ProblemConfig(**args)
+    config = ProblemConfig(2.0, plane, plane, [[0.0, 0.0]], max_iter=np.float64(7.0))
+    assert (type(config.dimension), type(config.max_iter)) == (int, int)
+
+
+def test_verify_isometry_report_does_not_depend_on_the_start_order(tmp_path, capsys):
+    # every point is fixed for the plane/plane pair; the far pair's
+    # distances overflow, so its isometry defect is |inf - inf| = nan,
+    # which the report keeps wherever the pair comes in the start order
+    # (the builtin max kept it only when it came first)
+    starts = [[0.0, 0.0], [8e307, 8e307], [-8e307, -8e307]]
+    path = tmp_path / "plane.json"
+    for rotate in range(3):
+        path.write_text(json.dumps({"version": 1, "dimension": 2, "operator_a": _PLANE,
+                                    "operator_b": _PLANE,
+                                    "start_points": starts[rotate:] + starts[:rotate]}))
+        assert main(["verify", "--config", str(path)]) == 3
+        reports = {r["identity_name"]: r for r in json.loads(capsys.readouterr().out)}
+        assert reports["fixed-point-isometry"] == {
+            "identity_name": "fixed-point-isometry", "max_violation": "nan", "sample_count": 3,
+            "tolerance": 1e-9, "passed": False}, rotate
 
 
 def test_missing_config_file(tmp_path, capsys):

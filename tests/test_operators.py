@@ -848,6 +848,17 @@ def test_the_one_point_norm_squares_an_overflowing_point_twice():
         assert y.tobytes() == ball.resolve(np.array([[3e200, -7e200]]))[0].tobytes()
 
 
+def test_row_norms_squares_an_overflowing_point_once():
+    # the fallback reuses the square of the fast path for a 1-D point
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = operators._row_norms(np.array([3e200, -7e200]))
+    assert [str(w.message) for w in caught] == ["overflow encountered in vecdot"]
+    with np.errstate(over="ignore"):
+        want = operators._row_norms(np.array([[3e200, -7e200]]))[0]
+    assert got.tobytes() == want.tobytes() and got.shape == ()
+
+
 def test_ball_and_sphere_scale_norms_that_overflow_or_underflow():
     ball = NormalConeBall([0.0, 0.0], 1.0)
     with np.errstate(over="ignore"):
@@ -1260,3 +1271,38 @@ def test_linear_monotone_names_a_matrix_that_is_not_square(matrix, shape):
     with pytest.raises(DimensionMismatchError) as exc:
         LinearMonotone(matrix)
     assert str(exc.value) == f"matrix must be square, got {shape}"
+
+
+_SUBSPACE_DOC = {"kind": "normal_cone_affine_subspace", "offset": [0.0, 0.0],
+                 "basis": [[1.0, 0.0], [0.0, 1.0]]}
+_AFFINE_DOC = {"kind": "affine_relation", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+               "offset": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("build, name", [
+    # kept the normal (2, 0), so (3, 1) resolved to (-7, 1)
+    (lambda tol: NormalConeHalfspace([2.0, 0.0], 1.0, tau_ortho=tol), "tau_ortho"),
+    # dropped every basis column: rank 0
+    (lambda tol: NormalConeAffineSubspace([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], tau_ortho=tol),
+     "tau_ortho"),
+    # accepted, then resolve raised "internal invariant violation"
+    (lambda tol: LinearMonotone(-np.eye(2), tau_psd=tol), "tau_psd"),
+    (lambda tol: AffineRelation(np.eye(2), [0.0, 1.0], tau_psd=tol), "tau_psd"),
+    (lambda tol: NormalConeRay([2.0, 0.0], tau_ortho=tol), "tau_ortho"),
+    (lambda tol: SphereSelection([0.0, 0.0], 1.0, [2.0, 0.0], tau_ortho=tol), "tau_ortho"),
+    (lambda tol: operator_from_dict(_SUBSPACE_DOC, tau_ortho=tol), "tau_ortho"),
+    (lambda tol: operator_from_dict(_AFFINE_DOC, tau_psd=tol), "tau_psd"),
+])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, True, "1e-10", None])
+def test_every_tolerance_an_operator_is_built_with_is_checked(build, name, tol):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got "):
+        build(tol)
+
+
+def test_a_negative_tau_ortho_no_longer_fills_the_basis_with_nan():
+    # dependent columns with tau_ortho = -1 once gave a nan basis, and
+    # resolve then returned nan with no error
+    with pytest.raises(ValueError, match="^tau_ortho must be finite and nonnegative, got -1$"):
+        NormalConeAffineSubspace([0.0, 0.0], [[1.0, 2.0], [0.0, 0.0]], tau_ortho=-1)
+    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0, 2.0], [0.0, 0.0]], tau_ortho=0)
+    assert line.rank == 1 and line.resolve([3.0, 1.0]).tolist() == [3.0, 0.0]

@@ -913,6 +913,22 @@ def test_iterate_budgets_are_finite_integers():
         find_fixed_point(T, [1.0, 2.0], max_iter=math.inf)
 
 
+def test_iterate_counts_reject_bools_and_non_numbers():
+    # "5" and None raised TypeError, True ran one step
+    T = SplitOperator(ZERO2, ZERO2)
+    for name in ("max_iter", "history_cap"):
+        for value, shown in (("5", "'5'"), (True, "True"), (None, "None"),
+                             (10**400, str(10**400))):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite integer, got {shown}$"):
+                iterate(T, [1.0, 2.0], **{name: value})
+    for value in (None, "0", False):
+        with pytest.raises(ValueError, match="^stop_tol must be nonnegative$"):
+            iterate(T, [1.0, 2.0], stop_tol=value)
+    # the stop_tol rule keeps inf, and a numpy integer is a count
+    orbit = iterate(T, [1.0, 2.0], max_iter=np.int64(3), stop_tol=math.inf)
+    assert orbit.iterations == 1 and orbit.converged
+
+
 def test_dr_step_rejects_operands_of_unequal_dimension():
     # J_second's kernel would broadcast a 2-D point against a 1-D box
     line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.5]])
