@@ -30,8 +30,9 @@ identity it reports through ``report_identities``: its defect at a
 sample and the hypothesis on the operands (A, B) it holds under.  An
 equality identity's defect is the differences lhs - rhs of its
 equations, which ``Identity.violation`` alone reduces to the worst norm
-per sample; the three pairwise ones (two inequalities and a norm
-equality) give their violation.  The public ``check_*`` checkers
+per sample (and per orbit step of an orbit identity); the three pairwise
+ones (two inequalities and a norm equality) give their violation.  A
+report's sample count is the number of violations it is handed.  The public ``check_*`` checkers
 evaluate the same entries and raise the error the failed hypothesis
 declares: NotAffineError for a structural one, MonotonicityError for an
 operand rule.
@@ -42,7 +43,7 @@ workers and merge the reports by taking the worst violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -121,16 +122,16 @@ class IdentityReport:
     passed: bool
 
     @classmethod
-    def from_violation(cls, name: str, violations, samples: int,
-                       tolerance: float) -> "IdentityReport":
+    def from_violation(cls, name: str, violations, tolerance: float) -> "IdentityReport":
         """The report of the violations, one per sample (a float, a list
-        or an array; a sample of several terms has combined them), over
-        ``samples`` reported samples.  This is the one place that takes
-        the worst across samples: by numpy's max, so one nan makes the
-        worst nan wherever it stands, and 0.0 when there are none."""
+        or an array of any shape; a sample of several terms has combined
+        them): its sample count is their number.  This is the one place
+        that takes the worst across samples: by numpy's max, so one nan
+        makes the worst nan wherever it stands, and 0.0 when there are
+        none."""
         violations = np.asarray(violations, dtype=float)
         worst = float(violations.max()) if violations.size else 0.0
-        return cls(name, worst, int(samples), float(tolerance), bool(worst <= tolerance))
+        return cls(name, worst, violations.size, float(tolerance), bool(worst <= tolerance))
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -301,21 +302,21 @@ def _certified_fixed_points(config) -> tuple[list[np.ndarray], FixedPointCertifi
 def _certificate_reports(config) -> list[IdentityReport]:
     """The solution certificates of ``verify --config``, from the fixed
     points that ``_certified_fixed_points`` reaches: none when no start
-    reaches one, an inf solution-certificates report when a pair cannot
-    be extracted, and otherwise the certificate, bijection, isometry
-    (over the pairs of distinct fixed points, so none for a single one)
-    and dual-symmetry reports of ``FixedPointCertificates``."""
+    reaches one, a solution-certificates report of one inf per fixed
+    point when a pair cannot be extracted, and otherwise each of the
+    certificate, bijection, isometry and dual-symmetry reports of
+    ``FixedPointCertificates`` that holds a violation (so no isometry for
+    a single fixed point)."""
     tau = config.tolerances
     fixed, cert = _certified_fixed_points(config)
-    m = len(fixed)
     if cert is None:
-        return [IdentityReport.from_violation("solution-certificates", float("inf"), m,
-                                              tau.tau_graph)]
-    rows = (("solution-certificates", cert.certificate, m, tau.tau_graph),
-            ("fixed-point-bijection", cert.bijection, m, tau.tau_graph),
-            ("fixed-point-isometry", cert.isometry, m * (m - 1) // 2, tau.tau_num),
-            ("dual-symmetry", cert.dual, m, 3.0 * tau.tau_graph))
-    return [IdentityReport.from_violation(*row) for row in rows if row[2]]
+        return [IdentityReport.from_violation("solution-certificates",
+                                              np.full(len(fixed), np.inf), tau.tau_graph)]
+    rows = (("solution-certificates", cert.certificate, tau.tau_graph),
+            ("fixed-point-bijection", cert.bijection, tau.tau_graph),
+            ("fixed-point-isometry", cert.isometry, tau.tau_num),
+            ("dual-symmetry", cert.dual, 3.0 * tau.tau_graph))
+    return [IdentityReport.from_violation(*row) for row in rows if row[1]]
 
 
 class _Words:
@@ -451,10 +452,10 @@ def _pointwise(f, points: np.ndarray) -> np.ndarray:
 
 
 # The orbit identities, with signature (A, ab, ba): the defect at each
-# sample is a difference of the probe orbits (ab, ba) that
-# ``_Words.orbits`` holds for the samples, one (n, N, d) array per
-# equation over its orbit steps, and the R_A or J_A each one needs of
-# orbit points is one call on all of them.
+# sample and orbit step is a difference of the probe orbits (ab, ba)
+# that ``_Words.orbits`` holds for the samples, one (steps, N, d) array
+# per equation, and the R_A or J_A each one needs of orbit points is one
+# call on all of them.
 
 def _commutation(A: Operator, ab: np.ndarray, ba: np.ndarray):
     # R_A T_ab^m x = T_ba^m R_A x, 1 <= m <= n
@@ -494,27 +495,26 @@ _AFFINE_FIRST, _SUBSPACE_FIRST, _AFFINE_BOTH, _SUBSPACE_BOTH, _MONOTONE = _REQUI
 @dataclass(frozen=True)
 class Identity:
     """One identity of the registry: its report name, its violation at a
-    batch of samples, the hypothesis it holds under, and its sample count.
+    batch of samples, and the hypothesis it holds under.
 
     ``violation(A, B, samples, n)`` evaluates the violation at each row
     of an (N, d) array of points, or of a pair (X, Y) of such arrays when
     ``pairwise``; given one point, shape (d,), or a pair of them, it
-    returns the one violation.  ``n`` is the depth of the power
-    identities.  ``defect`` reads the word table of the samples
-    (``_word_tables``): as ``defect(words)``, or, when ``on_orbits``, as
-    ``defect(A, ab, ba)`` from the table's probe orbits to depth n.  An
-    equality identity's ``defect`` returns the differences lhs - rhs of
-    its equations, a tuple of arrays shaped as the samples, with a
-    leading orbit-step axis when ``on_orbits``; ``violation`` alone
-    reduces them, to the largest norm (``_row_norms``) over the
-    equations and orbit steps of each sample, 0.0 when there are no
-    steps.  A pairwise identity's ``defect`` returns its violation.  A
-    caller that evaluates several identities at the same samples passes
+    returns the one violation.  An orbit identity (``on_orbits``) holds
+    at each orbit step too, so its violations have a leading step axis,
+    shape (steps, N) or (steps,), with no entry when there are no steps.
+    ``n`` is the depth of the power identities.  ``defect`` reads the
+    word table of the samples (``_word_tables``): as ``defect(words)``,
+    or, when ``on_orbits``, as ``defect(A, ab, ba)`` from the table's
+    probe orbits to depth n.  An equality identity's ``defect`` returns
+    the differences lhs - rhs of its equations, a tuple of arrays shaped
+    as the samples, with the step axis when ``on_orbits``; ``violation``
+    alone reduces them, to the largest norm (``_row_norms``) over the
+    equations.  A pairwise identity's ``defect`` returns its violation.
+    A caller that evaluates several identities at the same samples passes
     their table in as ``words``, so each word and each orbit is computed
-    once.
-    One sample counts for ``per_sample(n)`` reported samples.
-    ``requires`` lists keys of the requirement table, checked in order,
-    so a structural key listed first fails before an operand rule.
+    once.  ``requires`` lists keys of the requirement table, checked in
+    order, so a structural key listed first fails before an operand rule.
     """
 
     name: str
@@ -522,12 +522,17 @@ class Identity:
     requires: tuple[str, ...] = ()
     pairwise: bool = False
     on_orbits: bool = False
-    per_sample: Callable[[int], int] = lambda n: 1
 
     def unmet(self, A: Operator, B: Operator) -> str | None:
         """The first requirement that (A, B) fails, or None."""
         return next((need for need in self.requires
                      if not _REQUIREMENTS[need][0](A, B)), None)
+
+    def require(self, A: Operator, B: Operator) -> None:
+        """Raise the error of the first requirement that (A, B) fails."""
+        need = self.unmet(A, B)
+        if need is not None:
+            raise _REQUIREMENTS[need][1](f"{self.name} requires {need}")
 
     def violation(self, A: Operator, B: Operator, samples, n: int, words=None):
         """The violation at each sample; ``words``, when given, is the word
@@ -536,35 +541,20 @@ class Identity:
         gaps = self.defect(A, *words.orbits(n)) if self.on_orbits else self.defect(words)
         if self.pairwise:
             return gaps
-        # the worst over the equations and the orbit steps, 0 when there are no steps
-        return np.max([_row_norms(gap) for gap in gaps], axis=(0, 1) if self.on_orbits else 0,
-                      initial=0.0)
-
-    def report(self, A: Operator, B: Operator, samples, n: int,
-               tol: float, words=None) -> IdentityReport:
-        """The report of the violations at a batch of samples, evaluated
-        once for the whole batch; one point (d,), or a pair of them, is
-        one sample.  The requirements are not checked."""
-        points = samples[0] if self.pairwise else samples
-        count = len(points) if np.ndim(points) > 1 else 1
-        return IdentityReport.from_violation(self.name, self.violation(A, B, samples, n, words),
-                                             count * self.per_sample(n), tol)
+        return np.max([_row_norms(gap) for gap in gaps], axis=0)
 
     @np.errstate(over="ignore")
-    def check(self, A: Operator, B: Operator, sample, n: int,
-              tol: float, words=None) -> IdentityReport:
-        """The report at one sample, a point or a pair of points, with
-        ``words`` as in ``violation``; the unmet requirement's error when
-        one fails.  A squared norm that overflows is not a warning, as in
-        ``drorder verify``: the norm falls back to its scaled form."""
-        need = self.unmet(A, B)
-        if need is not None:
-            raise _REQUIREMENTS[need][1](f"{self.name} requires {need}")
+    def check(self, A: Operator, B: Operator, sample, n: int, tol: float) -> IdentityReport:
+        """The report at one sample, a point or a pair of points; the unmet
+        requirement's error when one fails.  A squared norm that overflows
+        is not a warning, as in ``drorder verify``: the norm falls back to
+        its scaled form."""
+        self.require(A, B)
         if self.pairwise:
             sample = tuple(as_point(p, A.dim) for p in sample)
         else:
             sample = as_point(sample, A.dim)
-        return self.report(A, B, sample, n, tol, words)
+        return IdentityReport.from_violation(self.name, self.violation(A, B, sample, n), tol)
 
 
 # Every identity `verify --config` reports, in report order.
@@ -573,12 +563,9 @@ IDENTITIES: tuple[Identity, ...] = (
     Identity("defect-decomposition", _defect_decomposition),
     Identity("dr-firmly-nonexpansive", lambda pair: _not_firm(pair, "Tab"), (_MONOTONE,),
              pairwise=True),
-    Identity("commutation", _commutation, (_AFFINE_FIRST,), on_orbits=True,
-             per_sample=int),
-    Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), on_orbits=True,
-             per_sample=int),
-    Identity("shadow-equality", _shadow_equality, (_SUBSPACE_FIRST,), on_orbits=True,
-             per_sample=lambda n: int(n) + 1),
+    Identity("commutation", _commutation, (_AFFINE_FIRST,), on_orbits=True),
+    Identity("conjugation", _conjugation, (_SUBSPACE_FIRST,), on_orbits=True),
+    Identity("shadow-equality", _shadow_equality, (_SUBSPACE_FIRST,), on_orbits=True),
     Identity("nonexpansive-transfer", _nonexpansive_transfer, (_SUBSPACE_FIRST, _MONOTONE),
              pairwise=True),
     Identity("bt-factorization", _bt_factorization, (_SUBSPACE_FIRST,)),
@@ -597,8 +584,9 @@ def report_identities(A: Operator, B: Operator, points: np.ndarray, n: int,
                       tol: float) -> list[IdentityReport]:
     """The report of every identity of ``IDENTITIES`` whose requirements
     (A, B) meet, in registry order, worst case over an (N, d) batch of
-    probe points; consecutive points (the last with the first) pair up
-    for the pairwise ones.
+    probe points, and over the orbit steps for the orbit identities;
+    consecutive points (the last with the first) pair up for the pairwise
+    ones.
 
     Every identity reads one word table of the points and one of the
     paired points, so each operator word, and the probe orbits of the
@@ -607,8 +595,9 @@ def report_identities(A: Operator, B: Operator, points: np.ndarray, n: int,
     """
     pairs = (points, np.roll(points, -1, axis=0))
     words = _word_tables(A, B, pairs, pairwise=True)
-    return [identity.report(A, B, pairs if identity.pairwise else points, n, tol,
-                            words if identity.pairwise else words[0])
+    return [IdentityReport.from_violation(identity.name, identity.violation(
+                A, B, pairs if identity.pairwise else points, n,
+                words if identity.pairwise else words[0]), tol)
             for identity in IDENTITIES if identity.unmet(A, B) is None]
 
 
@@ -671,8 +660,8 @@ def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
     contract-honoring code paths should call check_conjugation instead.
     Overflow is silenced as in ``Identity.check``.
     """
-    report = _IDENTITY["conjugation"].report(A, B, as_point(x, A.dim), n, tol)
-    return replace(report, identity_name="conjugation-probe")
+    violation = _IDENTITY["conjugation"].violation(A, B, as_point(x, A.dim), n)
+    return IdentityReport.from_violation("conjugation-probe", violation, tol)
 
 
 def check_shadow_equality(A: Operator, B: Operator, x, n: int, *,
@@ -758,5 +747,4 @@ def check_dual_symmetry(A: Operator, B: Operator,
         # both memberships, raising at the first that fails
         max(_pair_defects(A, B, z, k, graph_tol, "swapped-order certificate"))
         checked.append(SolutionPair(z=z, k=k))
-    return IdentityReport.from_violation("dual-symmetry", _dual_defect(A, checked),
-                                         len(checked), tol)
+    return IdentityReport.from_violation("dual-symmetry", _dual_defect(A, checked), tol)

@@ -84,20 +84,17 @@ FIGURE_START = (4.0, 3.0)
 class Expectation:
     """One reproducible expectation of a named instance.
 
-    ``run`` returns (violations, sample_count) for the pass of an
-    instance (``_Pass``), which holds its config: one violation per
-    sample, a sample of several terms combined by ``np.maximum`` or
-    ``np.max``, which ``IdentityReport.from_violation`` alone reduces to
-    the worst.  The count is given, since it need not be the number of
-    violations: linear-asymmetric checks 2 offset entries beside its 4
-    matrix entries, and the one start of an orbit expectation counts
-    its orbit steps.  A failure exhibit's ``run`` returns its own
-    shortfall as the violation (``_orbit_expectations``).
+    ``run`` returns the violations for the pass of an instance
+    (``_Pass``), which holds its config: one violation per sample, a
+    sample of several terms combined by ``np.maximum`` or ``np.max``,
+    which ``IdentityReport.from_violation`` alone reduces to the worst
+    and counts.  A failure exhibit's ``run`` returns its own shortfall
+    as the violation (``_orbit_expectations``).
     """
 
     label: str
     tolerance: float
-    run: Callable[[_Pass], tuple[Any, int]]
+    run: Callable[[_Pass], Any]
 
 
 @dataclass
@@ -144,9 +141,8 @@ def run_instance(instance: NamedInstance) -> list[IdentityReport]:
     shared = _Pass(instance.config)
     reports = []
     for exp in instance.expected:
-        violations, samples = exp.run(shared)
         reports.append(IdentityReport.from_violation(
-            f"{instance.name}/{exp.label}", violations, samples, exp.tolerance))
+            f"{instance.name}/{exp.label}", exp.run(shared), exp.tolerance))
     return reports
 
 
@@ -168,9 +164,8 @@ def _grid_expectations(*rows: tuple[str, tuple[str, ...],
     its closed form, which maps the (N, 2) array of grid points row by
     row, on the whole grid at once."""
     def expectation(label: str, word: tuple[str, ...], closed) -> Expectation:
-        def run(shared: _Pass) -> tuple[np.ndarray, int]:
-            points = shared.grid()
-            return _row_norms(shared.grid(*word) - closed(points)), len(points)
+        def run(shared: _Pass) -> np.ndarray:
+            return _row_norms(shared.grid(*word) - closed(shared.grid()))
 
         return Expectation(label, 1e-12, run)
 
@@ -211,13 +206,12 @@ def _expect_linear_asymmetric() -> list[Expectation]:
     affine form (M, c) = ``form(ab_ba, ba_ab)`` of the pass's two
     composites (``_Pass.products``), read as the columns [M | c],
     against the expected columns, one sample per entry of M.  The
-    offset is one more column against zero, whose gaps are violations
-    beside those of M, so the worst is over the matrix and offset gaps
-    alike."""
+    offset is one more column against zero, and each row's offset gap
+    is one more term of that row's entries of M."""
     def expectation(label: str, form, expected: np.ndarray) -> Expectation:
-        def run(shared: _Pass) -> tuple[np.ndarray, int]:
-            gap = np.column_stack(form(*shared.products)) - expected
-            return np.abs(gap), expected[:, :-1].size
+        def run(shared: _Pass) -> np.ndarray:
+            gap = np.abs(np.column_stack(form(*shared.products)) - expected)
+            return np.maximum(gap[:, :-1], gap[:, -1:])
 
         return Expectation(label, 1e-12, run)
 
@@ -238,15 +232,14 @@ def _expect_bt_not_firm() -> list[Expectation]:
     def half_pos(v: np.ndarray) -> np.ndarray:
         return np.maximum(0.5 * v, 0.0)
 
-    def witness(shared: _Pass) -> tuple[list[float], int]:
+    def witness(shared: _Pass) -> list[float]:
         a, b = shared.config.operator_a, shared.config.operator_b
         # (composite, direction): the test points are alpha * direction and 0
         rows = ((SplitOperator(a, b, FORM_BORWEIN_TAM), (-2.0, 2.0)),
                 (SplitOperator(b, a, FORM_BORWEIN_TAM), (-2.0, -2.0)))
-        gaps = [abs(check_firmly_nonexpansive(T, alpha * np.array(direction), np.zeros(2))
+        return [abs(check_firmly_nonexpansive(T, alpha * np.array(direction), np.zeros(2))
                     + 2.0 * alpha * alpha)
                 for alpha in (1.0, 2.0, 0.5) for T, direction in rows]
-        return gaps, len(gaps)
 
     return [
         *_grid_expectations(
@@ -272,31 +265,30 @@ def _expect_parallel_lines() -> list[Expectation]:
         fixed, cert = shared.fixed_points
         return cert if len(fixed) == len(shared.config.start_points) else None
 
-    def fixed_point_form(shared: _Pass) -> tuple[Any, int]:
+    def fixed_point_form(shared: _Pass):
         starts = shared.config.start_points
         fixed, _ = shared.fixed_points
         if len(fixed) < len(starts):
-            return float("inf"), len(starts)
-        return [_norm(f - np.array([s[0], 0.0, s[2]])) for s, f in zip(starts, fixed)], len(starts)
+            return np.full(len(starts), np.inf)
+        return [_norm(f - np.array([s[0], 0.0, s[2]])) for s, f in zip(starts, fixed)]
 
-    def solution_form(shared: _Pass) -> tuple[Any, int]:
+    def solution_form(shared: _Pass):
         starts = shared.config.start_points
         cert = certificates(shared)
         if cert is None:
-            return float("inf"), len(starts)
+            return np.full(len(starts), np.inf)
         return [np.maximum(_norm(p.z - np.array([s[0], 0.0, 0.0])),
                            _norm(p.k - np.array([0.0, 0.0, s[2]])))
-                for s, p in zip(starts, cert.pairs)], len(cert.pairs)
+                for s, p in zip(starts, cert.pairs)]
 
-    def bijection(shared: _Pass) -> tuple[Any, int]:
+    def bijection(shared: _Pass):
         """R_A's bijection defect per fixed point and its isometry defect
         per pair of them."""
         n = len(shared.config.start_points)
-        count = n + n * (n - 1) // 2
         cert = certificates(shared)
         if cert is None:
-            return float("inf"), count
-        return cert.bijection + cert.isometry, count
+            return np.full(n + n * (n - 1) // 2, np.inf)
+        return cert.bijection + cert.isometry
 
     return [
         Expectation("fixed-point-plane", 1e-12, fixed_point_form),
@@ -314,7 +306,7 @@ def _orbit_expectations(tolerance: float, *specs: tuple[str, str, int],
                         above: float | None = None) -> list[Expectation]:
     """One expectation per (label, registry identity name, n): the orbit
     identity of ``analysis.IDENTITIES`` at depth n from the instance's
-    first start point.
+    first start point, one sample per orbit step.
 
     Each reads the first n + 1 steps of the probe orbits of the pass's
     start table, which holds them to the deepest n of the specs, so
@@ -322,23 +314,22 @@ def _orbit_expectations(tolerance: float, *specs: tuple[str, str, int],
     An unmet hypothesis of the identity raises, except in a failure
     exhibit (``above`` set), which waives it as ``probe_conjugation``
     does and passes only if the violation exceeds ``above``: its
-    violation is the shortfall, above - observed, against ``tolerance``,
-    which is 0.0 for every exhibit of the corpus.
+    violation at every step is the shortfall, above - the worst
+    observed, against ``tolerance``, which is 0.0 for every exhibit of
+    the corpus.
     """
     depth = max(n for _, _, n in specs)
 
     def expectation(label: str, name: str, n: int) -> Expectation:
         identity = _IDENTITY[name]
 
-        def run(shared: _Pass) -> tuple[float, int]:
-            config, words = shared.config, shared.start
+        def run(shared: _Pass) -> np.ndarray:
+            a, b, words = shared.config.operator_a, shared.config.operator_b, shared.start
             words.orbits(depth)  # the deepest first, so each n reads a prefix
-            reader = identity.check if above is None else identity.report
-            rep = reader(config.operator_a, config.operator_b, config.start_points[0], n,
-                         tolerance, words)
             if above is None:
-                return rep.max_violation, rep.sample_count
-            return above - rep.max_violation, rep.sample_count
+                identity.require(a, b)
+            violation = identity.violation(a, b, words(), n, words)
+            return violation if above is None else np.full_like(violation, above - violation.max())
 
         return Expectation(label, tolerance, run)
 
@@ -346,7 +337,7 @@ def _orbit_expectations(tolerance: float, *specs: tuple[str, str, int],
 
 
 def _expect_subspace_ball() -> list[Expectation]:
-    def membership(shared: _Pass) -> tuple[Any, int]:
+    def membership(shared: _Pass):
         # Independent geometry: per order, the worse of the distance to the
         # line and the excess over the ball radius, from the instance
         # parameters alone.
@@ -359,11 +350,11 @@ def _expect_subspace_ball() -> list[Expectation]:
             orbit = iterate(config.split(order), config.start_points[0],
                             config.max_iter, config.stop_tol)
             if not orbit.converged:
-                return float("inf"), 2
+                return np.full(2, np.inf)
             z = config.operator_a.resolve(orbit.final)
             violations.append(np.max([_norm(z - (direction @ z) * direction),
                                       _norm(z - center) - FIGURE_BALL_RADIUS, 0.0]))
-        return violations, 2
+        return violations
 
     return [
         *_orbit_expectations(1e-8, ("conjugation", "conjugation", 20),
@@ -389,18 +380,18 @@ _LIFT_RHS = (1.0, 1.0, 0.5)
 
 
 def _expect_three_halfspace_lift() -> list[Expectation]:
-    def feasibility(shared: _Pass) -> tuple[Any, int]:
+    def feasibility(shared: _Pass):
         # the block spread of the shadow, then the excess of its mean over
         # each constraint
         config = shared.config
         orbit = iterate(config.split("ab"), config.start_points[0],
                         config.max_iter, config.stop_tol)
         if not orbit.converged:
-            return float("inf"), 1
+            return np.full(1 + len(_LIFT_NORMALS), np.inf)
         blocks = orbit.final_shadow.reshape(3, 3)
         z = blocks.mean(axis=0)
-        excess = [np.asarray(n) @ z - c for n, c in zip(_LIFT_NORMALS, _LIFT_RHS)]
-        return [np.max(np.abs(blocks - z)), *excess], 1 + len(excess)
+        return [np.max(np.abs(blocks - z)),
+                *(np.asarray(n) @ z - c for n, c in zip(_LIFT_NORMALS, _LIFT_RHS))]
 
     return [
         Expectation("consensus-feasibility", 1e-8, feasibility),

@@ -11,6 +11,7 @@ from drorder.analysis import (
     _Words,
     _pair_defects,
     _power_orbits,
+    _probe_points,
     _word_tables,
     CertificateError,
     FixedPointBudgetError,
@@ -301,13 +302,15 @@ def test_certificates_hold_one_defect_per_sample():
 
 def test_from_violation_takes_the_worst_and_keeps_a_nan_anywhere():
     for violations in ([np.nan, 0.0, 1.0], [0.0, 1.0, np.nan], np.array([1.0, np.nan])):
-        rep = IdentityReport.from_violation("x", violations, 3, 1e-9)
+        rep = IdentityReport.from_violation("x", violations, 1e-9)
         assert np.isnan(rep.max_violation) and not rep.passed
-    rep = IdentityReport.from_violation("x", [-2.0, -0.5], 2, 0.0)
-    assert rep.max_violation == -0.5 and rep.passed
-    rep = IdentityReport.from_violation("x", [], 0, 1e-9)
-    assert rep.max_violation == 0.0 and rep.passed
-    rep = IdentityReport.from_violation("x", np.array([[1.0, 3.0], [2.0, 0.0]]), 4, 1.0)
+        assert rep.sample_count == len(violations)
+    rep = IdentityReport.from_violation("x", [-2.0, -0.5], 0.0)
+    assert rep.max_violation == -0.5 and rep.passed and rep.sample_count == 2
+    rep = IdentityReport.from_violation("x", [], 1e-9)
+    assert rep.max_violation == 0.0 and rep.passed and rep.sample_count == 0
+    # every entry of an array of any shape is one sample
+    rep = IdentityReport.from_violation("x", np.array([[1.0, 3.0], [2.0, 0.0]]), 1.0)
     assert rep.max_violation == 3.0 and not rep.passed and rep.sample_count == 4
 
 
@@ -447,7 +450,7 @@ def test_commutation_needs_only_an_affine_first_operand():
     points = np.random.default_rng(44).normal(0.0, 2.0, size=(500, 2))
     commutation = next(identity for identity in IDENTITIES if identity.name == "commutation")
     assert commutation.unmet(a, sphere) is None
-    assert commutation.report(a, sphere, points, 30, 1e-8).max_violation <= 1e-8
+    assert np.max(commutation.violation(a, sphere, points, 30)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -907,10 +910,10 @@ def test_every_identity_holds_on_the_pairs_that_meet_its_keys():
 
 
 def test_identity_report_invariant():
-    rep = IdentityReport.from_violation("anything", 2.0, 5, 1.0)
+    rep = IdentityReport.from_violation("anything", 2.0, 1.0)
     assert not rep.passed
-    rep = IdentityReport.from_violation("anything", 0.5, 5, 1.0)
-    assert rep.passed
+    rep = IdentityReport.from_violation("anything", 0.5, 1.0)
+    assert rep.passed and rep.sample_count == 1
     data = rep.to_dict()
     assert set(data) == {"identity_name", "max_violation", "sample_count",
                          "tolerance", "passed"}
@@ -920,16 +923,25 @@ def test_identity_report_invariant():
 # each identity is evaluated once per batch of samples
 
 
+# the orbit steps of each orbit identity at depth n
+_ORBIT_STEPS = {"commutation": lambda n: n, "conjugation": lambda n: n,
+                "shadow-equality": lambda n: n + 1}
+
+
 @pytest.mark.parametrize("identity", IDENTITIES, ids=lambda identity: identity.name)
 def test_report_counts_one_point_as_one_sample(identity):
-    # a (d,) point, or a pair of them, is one sample, as a (1, d) batch is
+    # a (d,) point, or a pair of them, is one sample, as a (1, d) batch is;
+    # an orbit identity's sample is one per orbit step
     lift = next(inst.config for inst in load_corpus() if inst.name == "three-halfspace-lift")
     a, b = lift.operator_a, lift.operator_b
     x = lift.start_points[0]
     one, batch = ((x, -x), (x[None], -x[None])) if identity.pairwise else (x, x[None])
     assert x.shape == (9,)
-    assert (identity.report(a, b, one, 3, 1e-9).sample_count
-            == identity.report(a, b, batch, 3, 1e-9).sample_count == identity.per_sample(3))
+    steps = _ORBIT_STEPS[identity.name](3) if identity.on_orbits else 1
+    one_rep, batch_rep = (IdentityReport.from_violation(identity.name,
+                                                        identity.violation(a, b, s, 3), 1e-9)
+                          for s in (one, batch))
+    assert one_rep.sample_count == batch_rep.sample_count == steps
 
 
 @pytest.mark.parametrize("identity", IDENTITIES, ids=lambda identity: identity.name)
@@ -943,9 +955,10 @@ def test_batch_report_is_the_worst_per_point_report(identity):
         # row by row, also where the identity fails and its violations are
         # large enough to tell the rows apart
         got = identity.violation(a, b, samples, 4)
-        want = [identity.violation(a, b, sample, 4) for sample in singles]
+        # the sample axis is the last, after an orbit identity's step axis
+        want = np.stack([identity.violation(a, b, sample, 4) for sample in singles], axis=-1)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a.kind, b.kind)
-        batch = identity.report(a, b, samples, 4, 1e-9)
+        batch = IdentityReport.from_violation(identity.name, got, 1e-9)
         assert batch.max_violation == np.max(got), (a.kind, b.kind)
         if identity.unmet(a, b) is None:
             applicable += 1
@@ -960,36 +973,67 @@ def test_batch_report_is_the_worst_per_point_report(identity):
     assert applicable > 0
 
 
+# The corpus configs whose resolvents give a batch row the bits of the lone
+# point; the subspace kernel of a line that is not an axis, the linear
+# kernel and the lift's diagonal do not.
+@pytest.mark.parametrize("name", ["ray-vs-axis", "bt-not-firm", "parallel-lines",
+                                  "halfspace-ball"])
+def test_pairwise_reports_compare_consecutive_probe_points(name):
+    # each pairwise report of report_identities is the worst over the pairs
+    # (x_i, x_(i+1 mod N)) of the probe points, bit for bit with the
+    # public checkers on each pair
+    config = next(inst.config for inst in load_corpus() if inst.name == name)
+    a, b = config.operator_a, config.operator_b
+    firm = {"dr-firmly-nonexpansive": SplitOperator(a, b),
+            "bt-firmly-nonexpansive": SplitOperator(a, b, FORM_BORWEIN_TAM)}
+    for seed in (0, 1):
+        points = _probe_points(config, seed)
+        for op in (a, b):
+            assert _same_bits(op.resolve(points), np.array([op.resolve(x) for x in points]))
+        pairs = [(points[i], points[(i + 1) % len(points)]) for i in range(len(points))]
+        compared = 0
+        for report in report_identities(a, b, points, 3, 1e-9):
+            if report.identity_name == "nonexpansive-transfer":
+                each = [check_nonexpansive_transfer(a, b, x, y).max_violation for x, y in pairs]
+            elif report.identity_name in firm:
+                T = firm[report.identity_name]
+                each = [0.0 - min(check_firmly_nonexpansive(T, x, y), 0.0) for x, y in pairs]
+            else:
+                continue
+            compared += 1
+            assert report.sample_count == len(pairs)
+            assert _same_bits(report.max_violation, float(np.max(each))), (
+                report.identity_name, seed, report.max_violation, each)
+        assert compared > 0
+
+
 # ---------------------------------------------------------------------------
 # the orbit identities read one set of probe orbits
 
 
-def _reference_worst_gap(left, right):
-    worst = 0.0
-    for l, r in zip(left, right):
-        w = l - r
-        worst = np.maximum(worst, np.sqrt(np.vecdot(w, w)))
-    return worst
+def _reference_gaps(left, right):
+    """The norm of the difference at each orbit step, step by step."""
+    return np.array([np.sqrt(np.vecdot(l - r, l - r)) for l, r in zip(left, right)])
 
 
 # each orbit identity with its own orbits, one R_A or J_A call per step
 def _reference_commutation(A, B, x, n):
     forward = power_orbit(A, B, x, n)[1:]
     reflected = power_orbit(B, A, A.reflect(x), n)[1:]
-    return _reference_worst_gap([A.reflect(f) for f in forward], reflected)
+    return _reference_gaps([A.reflect(f) for f in forward], reflected)
 
 
 def _reference_conjugation(A, B, x, n):
     rx = A.reflect(x)
     conjugated_ab = [A.reflect(p) for p in power_orbit(A, B, rx, n)[1:]]
     conjugated_ba = [A.reflect(p) for p in power_orbit(B, A, rx, n)[1:]]
-    return np.maximum(_reference_worst_gap(power_orbit(B, A, x, n)[1:], conjugated_ab),
-                      _reference_worst_gap(power_orbit(A, B, x, n)[1:], conjugated_ba))
+    return np.maximum(_reference_gaps(power_orbit(B, A, x, n)[1:], conjugated_ab),
+                      _reference_gaps(power_orbit(A, B, x, n)[1:], conjugated_ba))
 
 
 def _reference_shadow_equality(A, B, x, n):
-    return _reference_worst_gap([A.resolve(p) for p in power_orbit(B, A, x, n)],
-                                [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
+    return _reference_gaps([A.resolve(p) for p in power_orbit(B, A, x, n)],
+                           [A.resolve(p) for p in power_orbit(A, B, A.reflect(x), n)])
 
 
 _ORBIT_REFERENCES = {
@@ -1009,8 +1053,9 @@ def test_orbit_identities_match_their_per_orbit_formulas(name, n):
         points = np.array([random_point(rng, a.dim) for _ in range(5)])
         for x in (points[0], points):
             got = identity.violation(a, b, x, n)
-            assert np.shape(got) == x.shape[:-1], (a.kind, b.kind)
-            want = _ORBIT_REFERENCES[name](a, b, x, n)
+            # one violation per orbit step and sample, step by step
+            assert np.shape(got) == (_ORBIT_STEPS[name](n), *x.shape[:-1]), (a.kind, b.kind)
+            want = np.reshape(_ORBIT_REFERENCES[name](a, b, x, n), got.shape)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a.kind, b.kind, got, want)
             # a table whose orbits are filled gives the same violation, bit
             # for bit
@@ -1019,7 +1064,8 @@ def test_orbit_identities_match_their_per_orbit_formulas(name, n):
             shared = identity.violation(a, b, x, n, words)
             assert np.array_equal(shared, got), (a.kind, b.kind)
             if n == 0 and name != "shadow-equality":
-                assert np.all(got == 0.0)
+                rep = IdentityReport.from_violation(name, got, 0.0)
+                assert rep.max_violation == 0.0 and rep.sample_count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,44 @@ def test_verify_corpus(tmp_path, capsys):
     assert any(r["identity_name"].startswith("halfspace-ball/") for r in reports)
     assert all(r["passed"] for r in reports)
     assert len(reports) == 23
+    # each report counts the violations it is handed: a grid point, a
+    # matrix entry, a witness, a start, a fixed point or pair of them, an
+    # orbit step
+    assert [(r["identity_name"], r["sample_count"]) for r in reports] == [
+        *((f"ray-vs-axis/{label}", 441) for label in (
+            "t-ab", "t-ba", "rb-of-t-ab", "t-ba-of-rb", "rb-of-t-ba", "t-ab-of-rb")),
+        ("linear-asymmetric/product-ab-ba", 4),
+        ("linear-asymmetric/product-ba-ab", 4),
+        ("linear-asymmetric/product-commutator", 4),
+        ("bt-not-firm/t-ab", 441),
+        ("bt-not-firm/t-ba", 441),
+        ("bt-not-firm/composite-not-firm", 6),
+        ("parallel-lines/fixed-point-plane", 4),
+        ("parallel-lines/solution-split", 4),
+        ("parallel-lines/bijection-isometry", 10),
+        ("subspace-ball/conjugation", 20),
+        ("subspace-ball/shadow-equality", 51),
+        ("subspace-ball/shadow-limit-membership", 2),
+        ("halfspace-ball/conjugation-failure", 5),
+        ("three-halfspace-lift/consensus-feasibility", 4),
+        ("three-halfspace-lift/commutation", 25),
+        ("three-halfspace-lift/conjugation", 25),
+        ("three-halfspace-lift/shadow-equality", 26),
+    ]
+
+
+def test_verify_counts_each_fixed_point_of_a_failed_certificate(tmp_path):
+    # with tau_graph 0 no solution pair of linear-asymmetric's two fixed
+    # points (one per start) passes its graph certificate: one inf per
+    # fixed point, not one inf in all
+    cfg = _write_config(tmp_path, "linear-asymmetric",
+                        mutate=lambda d: d.__setitem__("tolerances", {"tau_graph": 0.0}))
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    reports = json.loads(out.read_text())
+    failed = [r for r in reports if not r["passed"]]
+    assert failed == [r for r in reports if r["identity_name"] == "solution-certificates"]
+    assert [(r["max_violation"], r["sample_count"]) for r in failed] == [("inf", 2)]
 
 
 def test_verify_rejects_nonmonotone_slot(tmp_path, capsys):

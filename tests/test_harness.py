@@ -113,6 +113,8 @@ def test_out_of_budget_parallel_lines_gives_failed_reports(tmp_path):
         "parallel-lines/bijection-isometry"]
     for report in reports:
         assert report.max_violation == math.inf and not report.passed
+    # one inf per sample: per start, and per start and pair of starts
+    assert [r.sample_count for r in reports] == [4, 4, 10]
 
 
 @pytest.mark.parametrize("caller", ["corpus", "verify-config"])

@@ -38,10 +38,9 @@ ORBITS = "(probe orbits)"
 
 
 def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
-    """Median microseconds of each applicable identity's report, and of
-    the shared probe orbits when an orbit identity applies."""
+    """Median microseconds of each applicable identity's violations, and
+    of the shared probe orbits when an orbit identity applies."""
     a, b = config.operator_a, config.operator_b
-    tol = config.tolerances.tau_num
     points = _probe_points(config, seed)
     pairs = (points, np.roll(points, -1, axis=0))
     applicable = [identity for identity in IDENTITIES if identity.unmet(a, b) is None]
@@ -60,7 +59,7 @@ def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
             if identity.on_orbits and orbits is None:
                 orbits = timed(ORBITS, lambda: words[0].orbits(n))
             samples, table = (pairs, words) if identity.pairwise else (points, words[0])
-            timed(identity.name, lambda: identity.report(a, b, samples, n, tol, table))
+            timed(identity.name, lambda: identity.violation(a, b, samples, n, table))
     return {row: 1e6 * statistics.median(samples) for row, samples in times.items()}
 
 
