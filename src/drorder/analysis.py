@@ -21,6 +21,10 @@ as R_A T_ab - T_ba R_A.  The three orbit identities (commutation,
 conjugation, shadow equality) all compare T_ab^m and T_ba^m started
 from x and from R_A x; the table holds those probe orbits too, which
 advance both orders together with one J_A and one J_B call per step.
+The table (``_Words``) is the one evaluator of operator words outside
+``iterate``'s loop: the fixed-point test and certificates read one
+table per fixed point f (T_ab f, J_A f, R_A f and R_B R_A f), and
+``drorder compare`` reads the orbits of the table of its start.
 
 ``report_config`` builds every report that ``drorder verify --config``
 prints: the registry's reports on the config's probe points, then the
@@ -29,13 +33,15 @@ requirement table.  ``IDENTITIES`` is the one declaration of each
 identity it reports through ``report_identities``: its defect at a
 sample and the hypothesis on the operands (A, B) it holds under.  An
 equality identity's defect is the differences lhs - rhs of its
-equations, which ``Identity.violation`` alone reduces to the worst norm
-per sample (and per orbit step of an orbit identity); the three pairwise
-ones (two inequalities and a norm equality) give their violation.  A
-report's sample count is the number of violations it is handed.  The public ``check_*`` checkers
-evaluate the same entries and raise the error the failed hypothesis
-declares: NotAffineError for a structural one, MonotonicityError for an
-operand rule.
+equations, which ``Identity.violation(words, n)`` alone reduces to the
+worst norm per sample (and per orbit step of an orbit identity), from
+the word table of the samples; the three pairwise ones (two
+inequalities and a norm equality) give their violation from the pair of
+tables of the paired samples.  A report's sample count is the number of
+violations it is handed.  The public ``check_*`` checkers build the
+table of their point, evaluate the same entries and raise the error the
+failed hypothesis declares: NotAffineError for a structural one,
+MonotonicityError for an operand rule.
 
 All checkers are pure; randomized callers can fan trials out across
 workers and merge the reports by taking the worst violation.
@@ -60,7 +66,7 @@ from .operators import (
     _row_norms,
     as_point,
 )
-from .splitting import SplitOperator, _count, dr_step, iterate
+from .splitting import SplitOperator, _count, _finite, _require_same_dim, iterate
 
 __all__ = [
     "FixedPointBudgetError",
@@ -164,9 +170,17 @@ def find_fixed_point(T: SplitOperator, x0, tol: float = 1e-10,
     return point
 
 
-def _require_fixed_point(first: Operator, second: Operator, f: np.ndarray,
-                         fix_tol: float) -> None:
-    residual = _norm(dr_step(first, second, f) - f)
+def _require_fixed_point(w: _Words, fix_tol: float) -> None:
+    """CertificateError unless the point f of the one-point table w is a
+    fixed point of its T_ab to fix_tol, by the residual ||T_ab f - f||.
+
+    As from ``dr_step``: operands of unequal dimension raise
+    DimensionMismatchError, a non-finite R_A f or T_ab f raises
+    NonFinitePointError, and overflow emits no numpy warning."""
+    _require_same_dim(w.A, w.B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _finite(w("Tab"))
+    residual = _norm(step - w())
     if not residual <= fix_tol:  # written so that a nan fix_tol fails it
         raise CertificateError(
             f"not a fixed point: residual {residual:.3e} > {fix_tol:.1e}"
@@ -188,14 +202,15 @@ def _pair_defects(A: Operator, B: Operator, z, k, graph_tol: float | None = None
 
 
 def _extract(A: Operator, B: Operator, fixed_point, fix_tol: float,
-             graph_tol: float) -> tuple[SolutionPair, float]:
-    """The solution pair of a fixed point, and the worse of its two graph
-    defects (``_pair_defects``)."""
-    f = as_point(fixed_point, A.dim)
-    _require_fixed_point(A, B, f, fix_tol)
-    z = A.resolve(f)
-    k = f - z
-    return SolutionPair(z=z, k=k), max(_pair_defects(A, B, z, k, graph_tol))
+             graph_tol: float) -> tuple[_Words, SolutionPair, float]:
+    """The word table of a fixed point f, its solution pair z = J_A f,
+    k = f - z, and the worse of the pair's two graph defects
+    (``_pair_defects``)."""
+    w = _Words(A, B, as_point(fixed_point, A.dim))
+    _require_fixed_point(w, fix_tol)
+    z = w("JA")
+    k = w() - z
+    return w, SolutionPair(z=z, k=k), max(_pair_defects(A, B, z, k, graph_tol))
 
 
 def extract_solution(A: Operator, B: Operator, fixed_point, *,
@@ -206,7 +221,7 @@ def extract_solution(A: Operator, B: Operator, fixed_point, *,
     Both graph certificates are validated; a failure signals that f was
     not a fixed point to sufficient accuracy.
     """
-    return _extract(A, B, fixed_point, fix_tol, graph_tol)[0]
+    return _extract(A, B, fixed_point, fix_tol, graph_tol)[1]
 
 
 def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
@@ -220,10 +235,9 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
     """
     if direction not in ("ab", "ba"):
         raise ValueError("direction must be 'ab' or 'ba'")
-    f = as_point(f, A.dim)
-    reflector, partner = (A, B) if direction == "ab" else (B, A)
-    _require_fixed_point(reflector, partner, f, fix_tol)
-    return reflector.reflect(f)
+    w = _Words(*((A, B) if direction == "ab" else (B, A)), as_point(f, A.dim))
+    _require_fixed_point(w, fix_tol)
+    return w("RA")
 
 
 def _dual_defect(A: Operator, pairs: list[SolutionPair]) -> list[float]:
@@ -265,17 +279,21 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
     their defects per fixed point, or per pair of them for the isometry
     (``FixedPointCertificates``).
 
+    Each fixed point f is read through its one-point word table
+    (``_Words``): the fixed-point residual ||T_ab f - f||, z = J_A f,
+    R_A f and R_B R_A f are its words, so f costs 5 validated
+    ``resolve`` calls: J_A f, J_B R_A f, the two graph memberships and
+    the R_A(z + k) of the dual defect.
+
     Raises CertificateError when a pair cannot be extracted.
     """
     extracted = [_extract(A, B, f, fix_tol, graph_tol) for f in fixed]
-    pairs = [pair for pair, _ in extracted]
-    # R_A f = 2 J_A f - f, and z = J_A f
-    images = [2.0 * p.z - f for p, f in zip(pairs, fixed)]
-    bijection = [np.maximum(_norm(B.reflect(image) - f), _norm(image - (p.z - p.k)))
-                 for p, f, image in zip(pairs, fixed, images)]
-    isometry = [abs(_norm(images[i] - images[j]) - _norm(fixed[i] - fixed[j]))
-                for i in range(len(fixed)) for j in range(i + 1, len(fixed))]
-    return FixedPointCertificates(pairs, [defect for _, defect in extracted], bijection,
+    words, pairs = [w for w, _, _ in extracted], [p for _, p, _ in extracted]
+    bijection = [np.maximum(_norm(w("RB", "RA") - w()), _norm(w("RA") - (p.z - p.k)))
+                 for w, p in zip(words, pairs)]
+    isometry = [abs(_norm(words[i]("RA") - words[j]("RA")) - _norm(words[i]() - words[j]()))
+                for i in range(len(words)) for j in range(i + 1, len(words))]
+    return FixedPointCertificates(pairs, [defect for *_, defect in extracted], bijection,
                                   isometry, _dual_defect(A, pairs))
 
 
@@ -320,21 +338,31 @@ def _certificate_reports(config) -> list[IdentityReport]:
 
 
 class _Words:
-    """The operator words of one probe batch x, each computed once, on its
-    first read: ``w("RA", "Tab")`` is R_A T_ab x (the rightmost letter
-    acts first), and ``w()`` is x itself.
+    """The operator words of one point or (N, d) batch x, each computed
+    once, on its first read: ``w("RA", "Tab")`` is R_A T_ab x (the
+    rightmost letter acts first), and ``w()`` is x itself.  It is the one
+    evaluator of operator words outside ``iterate``'s loop: every
+    identity, the probe orbits of ``verify`` and ``compare``, and the
+    fixed-point certificates read a table.
 
     The letters are JA, JB, RA, RB, Tab and Tba.  A J word is one
     ``resolve`` call; R and T words are built from J words of the same
     table as ``Operator.reflect`` and ``dr_step`` build them, 2 J u - u
     and u - J_f u + J_s(R_f u), so every word keeps their bits.
 
-    ``orbits(n)`` are the probe orbits of x, ``_power_orbits`` to depth
-    n, computed on the first read: a read at a shallower depth takes
-    their first n + 1 steps, and only a deeper one computes them again.
-    n is a count (``splitting._count``), so a negative, non-integral or
-    non-finite n, a bool or a non-number raises ValueError; every orbit
-    identity reads its orbits here.
+    ``orbits(n)`` are the probe orbits T_ab^m s and T_ba^m s, 0 <= m <= n,
+    of the starts s = x and s = R_A x (the table's RA word), computed on
+    the first read: a read at a shallower depth takes their first n + 1
+    steps, and only a deeper one computes them again.  Both orders
+    advance the stacked starts [x; R_A x] in one loop.  Step m makes one
+    J_A call on [ab_m; R_B ba_m] and one J_B call on [R_A ab_m;
+    ba_(m+1)], whose second half is the J_B the next step needs, so the
+    four orbits cost 2n + 2 resolve calls, the J_A of R_A x included (one
+    when n = 0), each point computed by the expressions of ``dr_step``.
+    Each has shape (n + 1, 2, *x.shape): index [m, 0] holds T^m x and
+    [m, 1] holds T^m R_A x.  n is a count (``splitting._count``), so a
+    negative, non-integral or non-finite n, a bool or a non-number raises
+    ValueError.
     """
 
     def __init__(self, A: Operator, B: Operator, x: np.ndarray):
@@ -357,13 +385,21 @@ class _Words:
     def orbits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         n = _count(n, "orbit depth n", 0)
         if self._orbits is None or len(self._orbits[0]) <= n:
-            self._orbits = _power_orbits(self.A, self.B, self(), n, self("RA"))
+            A, B, x = self.A, self.B, self()
+            starts = np.stack([x, self("RA")]).reshape(-1, x.shape[-1])
+            k, ab, ba = len(starts), [starts], [starts]
+            jb = B.resolve(starts) if n else None
+            for m in range(n):
+                u, v = ab[-1], ba[-1]
+                ja = A.resolve(np.concatenate([u, 2.0 * jb - v]))
+                ba.append(v - jb + ja[k:])
+                # with J_B of ba_(m+1), which the next step needs, if there is one
+                jb = B.resolve(np.concatenate([2.0 * ja[:k] - u, *ba[m + 1:n]]))
+                ab.append(u - ja[:k] + jb[:k])
+                jb = jb[k:]
+            shape = (n + 1, 2, *x.shape)
+            self._orbits = np.reshape(ab, shape), np.reshape(ba, shape)
         return tuple(orbit[:n + 1] for orbit in self._orbits)
-
-
-def _word_tables(A: Operator, B: Operator, samples, pairwise: bool):
-    """The word table of the samples, or of each of a pair (X, Y)."""
-    return tuple(_Words(A, B, points) for points in samples) if pairwise else _Words(A, B, samples)
 
 
 # The defect of each identity at a batch of samples, as a formula over the
@@ -417,35 +453,6 @@ def _commutator(w: _Words):
     return gaps
 
 
-def _power_orbits(A: Operator, B: Operator, x, n: int, rx=None) -> tuple[np.ndarray, np.ndarray]:
-    """The orbits T_ab^m s and T_ba^m s, 0 <= m <= n, of the starts s = x
-    and s = R_A x, where x is one point or an (N, d) batch; ``rx``, when
-    given, is R_A x already evaluated.
-
-    Both orders advance the stacked starts [x; R_A x] in one loop.  Step m
-    makes one J_A call on [ab_m; R_B ba_m] and one J_B call on
-    [R_A ab_m; ba_(m+1)], whose second half is the J_B the next step
-    needs, so the four orbits cost 2n + 2 resolve calls (one when
-    n = 0).  Each point is computed by the expressions of ``dr_step``.
-    Each result has shape (n + 1, 2, *x.shape): index [m, 0] holds T^m x
-    and [m, 1] holds T^m R_A x.
-    """
-    starts = np.stack([x, A.reflect(x) if rx is None else rx]).reshape(-1, x.shape[-1])
-    k, n = len(starts), int(n)
-    ab, ba = [starts], [starts]
-    jb = B.resolve(starts) if n else None
-    for m in range(n):
-        u, v = ab[-1], ba[-1]
-        ja = A.resolve(np.concatenate([u, 2.0 * jb - v]))
-        ba.append(v - jb + ja[k:])
-        # with J_B of ba_(m+1), which the next step needs, if there is one
-        jb = B.resolve(np.concatenate([2.0 * ja[:k] - u, *ba[m + 1:n]]))
-        ab.append(u - ja[:k] + jb[:k])
-        jb = jb[k:]
-    shape = (n + 1, 2, *x.shape)
-    return np.reshape(ab, shape), np.reshape(ba, shape)
-
-
 def _pointwise(f, points: np.ndarray) -> np.ndarray:
     """f applied to every point of an (..., d) stack, in one call."""
     return f(points.reshape(-1, points.shape[-1])).reshape(points.shape)
@@ -497,24 +504,25 @@ class Identity:
     """One identity of the registry: its report name, its violation at a
     batch of samples, and the hypothesis it holds under.
 
-    ``violation(A, B, samples, n)`` evaluates the violation at each row
-    of an (N, d) array of points, or of a pair (X, Y) of such arrays when
-    ``pairwise``; given one point, shape (d,), or a pair of them, it
-    returns the one violation.  An orbit identity (``on_orbits``) holds
-    at each orbit step too, so its violations have a leading step axis,
-    shape (steps, N) or (steps,), with no entry when there are no steps.
-    ``n`` is the depth of the power identities.  ``defect`` reads the
-    word table of the samples (``_word_tables``): as ``defect(words)``,
-    or, when ``on_orbits``, as ``defect(A, ab, ba)`` from the table's
-    probe orbits to depth n.  An equality identity's ``defect`` returns
-    the differences lhs - rhs of its equations, a tuple of arrays shaped
-    as the samples, with the step axis when ``on_orbits``; ``violation``
-    alone reduces them, to the largest norm (``_row_norms``) over the
-    equations.  A pairwise identity's ``defect`` returns its violation.
-    A caller that evaluates several identities at the same samples passes
-    their table in as ``words``, so each word and each orbit is computed
-    once.  ``requires`` lists keys of the requirement table, checked in
-    order, so a structural key listed first fails before an operand rule.
+    ``violation(words, n)`` evaluates the violation at each row of the
+    (N, d) array of points of the word table ``words`` (``_Words``), or,
+    when ``pairwise``, at each pair of rows of a pair of tables (X, Y);
+    a table of one point, shape (d,), or a pair of them, gives the one
+    violation.  An orbit identity (``on_orbits``) holds at each orbit
+    step too, so its violations have a leading step axis, shape (steps,
+    N) or (steps,), with no entry when there are no steps.  ``n`` is the
+    depth of the power identities.  ``defect`` reads the table: as
+    ``defect(words)``, or, when ``on_orbits``, as ``defect(A, ab, ba)``
+    from the table's probe orbits to depth n.  An equality identity's
+    ``defect`` returns the differences lhs - rhs of its equations, a
+    tuple of arrays shaped as the samples, with the step axis when
+    ``on_orbits``; ``violation`` alone reduces them, to the largest norm
+    (``_row_norms``) over the equations.  A pairwise identity's
+    ``defect`` returns its violation.  A caller that evaluates several
+    identities at the same samples hands each the same table, so each
+    word and each orbit is computed once.  ``requires`` lists keys of
+    the requirement table, checked in order, so a structural key listed
+    first fails before an operand rule.
     """
 
     name: str
@@ -534,11 +542,10 @@ class Identity:
         if need is not None:
             raise _REQUIREMENTS[need][1](f"{self.name} requires {need}")
 
-    def violation(self, A: Operator, B: Operator, samples, n: int, words=None):
-        """The violation at each sample; ``words``, when given, is the word
-        table ``_word_tables(A, B, samples, self.pairwise)``."""
-        words = words or _word_tables(A, B, samples, self.pairwise)
-        gaps = self.defect(A, *words.orbits(n)) if self.on_orbits else self.defect(words)
+    def violation(self, words, n: int):
+        """The violation at each sample of the word table ``words``, or of
+        the pair of tables of a pairwise identity."""
+        gaps = self.defect(words.A, *words.orbits(n)) if self.on_orbits else self.defect(words)
         if self.pairwise:
             return gaps
         return np.max([_row_norms(gap) for gap in gaps], axis=0)
@@ -550,11 +557,9 @@ class Identity:
         is not a warning, as in ``drorder verify``: the norm falls back to
         its scaled form."""
         self.require(A, B)
-        if self.pairwise:
-            sample = tuple(as_point(p, A.dim) for p in sample)
-        else:
-            sample = as_point(sample, A.dim)
-        return IdentityReport.from_violation(self.name, self.violation(A, B, sample, n), tol)
+        words = (tuple(_Words(A, B, as_point(p, A.dim)) for p in sample) if self.pairwise
+                 else _Words(A, B, as_point(sample, A.dim)))
+        return IdentityReport.from_violation(self.name, self.violation(words, n), tol)
 
 
 # Every identity `verify --config` reports, in report order.
@@ -593,11 +598,9 @@ def report_identities(A: Operator, B: Operator, points: np.ndarray, n: int,
     points, are computed once, on their first read.  Nothing is kept
     past the call.
     """
-    pairs = (points, np.roll(points, -1, axis=0))
-    words = _word_tables(A, B, pairs, pairwise=True)
+    pair = (_Words(A, B, points), _Words(A, B, np.roll(points, -1, axis=0)))
     return [IdentityReport.from_violation(identity.name, identity.violation(
-                A, B, pairs if identity.pairwise else points, n,
-                words if identity.pairwise else words[0]), tol)
+                pair if identity.pairwise else pair[0], n), tol)
             for identity in IDENTITIES if identity.unmet(A, B) is None]
 
 
@@ -660,7 +663,7 @@ def probe_conjugation(A: Operator, B: Operator, x, n: int, *,
     contract-honoring code paths should call check_conjugation instead.
     Overflow is silenced as in ``Identity.check``.
     """
-    violation = _IDENTITY["conjugation"].violation(A, B, as_point(x, A.dim), n)
+    violation = _IDENTITY["conjugation"].violation(_Words(A, B, as_point(x, A.dim)), n)
     return IdentityReport.from_violation("conjugation-probe", violation, tol)
 
 

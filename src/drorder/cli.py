@@ -24,7 +24,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -32,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _pair_defects, _power_orbits, report_config
+from .analysis import _pair_defects, _Words, report_config
 from .config import ConfigError, ORDERS, ProblemConfig
 from .harness import load_corpus, run_instance
-from .operators import MonotonicityError, NonFinitePointError, _row_norms, _to_json
-from .splitting import DivergenceError, _write_rows, iterate
+from .operators import MonotonicityError, NonFinitePointError, _row_norms, _to_json, _tolerance
+from .splitting import DivergenceError, _count, _write_rows, iterate
 
 ENV_TOL = "DR_ORDER_TOL"
 
@@ -69,9 +68,8 @@ def _env_tau_num() -> float | None:
         tau = float(env)
     except ValueError:
         raise ConfigError(f"{ENV_TOL}={env!r} is not a number") from None
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ConfigError(f"{ENV_TOL}={env!r} must be finite and nonnegative")
-    return tau
+    # apart from the parse, since a ConfigError is a ValueError
+    return _tolerance(tau, ENV_TOL, ConfigError)
 
 
 def _load_config(path: str) -> ProblemConfig:
@@ -158,7 +156,7 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     a = config.operator_a
-    ab, ba = _power_orbits(a, config.operator_b, config.start_points[0], args.n)
+    ab, ba = _Words(a, config.operator_b, config.start_points[0]).orbits(args.n)
     left, right = ab[:, 1], ba[:, 0]  # T_ab^m R_A x0 and T_ba^m x0
     conj = _row_norms(right - a.reflect(left)).tolist()
     chunk = (range(args.n + 1), np.hstack([left, right]), conj)
@@ -168,10 +166,7 @@ def cmd_compare(args) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+    return _count(int(text), "value", 0, argparse.ArgumentTypeError)
 
 
 def build_parser() -> argparse.ArgumentParser:

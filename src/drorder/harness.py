@@ -135,9 +135,11 @@ class _Pass:
                 dr_matrix(SplitOperator(b, a, FORM_BORWEIN_TAM)))
 
 
+@np.errstate(over="ignore")
 def run_instance(instance: NamedInstance) -> list[IdentityReport]:
     """Evaluate every expectation, in order, in one pass (``_Pass``);
-    failures become reports, not errors."""
+    failures become reports, not errors.  A squared norm that overflows
+    is not a warning, as in ``Identity.check``."""
     shared = _Pass(instance.config)
     reports = []
     for exp in instance.expected:
@@ -328,7 +330,7 @@ def _orbit_expectations(tolerance: float, *specs: tuple[str, str, int],
             words.orbits(depth)  # the deepest first, so each n reads a prefix
             if above is None:
                 identity.require(a, b)
-            violation = identity.violation(a, b, words(), n, words)
+            violation = identity.violation(words, n)
             return violation if above is None else np.full_like(violation, above - violation.max())
 
         return Expectation(label, tolerance, run)

@@ -27,10 +27,10 @@ array of shape (d,) or (N, d).  No kind writes ``resolve`` itself:
 ``Operator.__init_subclass__`` sets it on each class that declares its
 own ``kind``, has a non-default ``_kernel`` and defines no ``resolve``.
 A caller that has already proved its point calls the kernel directly:
-``splitting``'s one step ``_dr`` (through ``dr_step``,
-``SplitOperator.apply`` and ``iterate``'s loop), ``SplitOperator.apply``
+``splitting``'s one step ``_dr`` (through ``SplitOperator.apply``,
+``iterate``'s loop and the public ``dr_step``), ``SplitOperator.apply``
 and ``shadow``, and ``BlockSeparable`` and the wrappers for their
-members.
+members.  The word tables of ``analysis`` call ``resolve``.
 
 Operators are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.

@@ -22,8 +22,9 @@ J_A x_n it records is the J_A x_n that the next step needs.
 
 One step, one rule: ``_dr(second, x, jx)`` holds x - jx + J_second(r)
 with r = 2 jx - x, and ``_finite`` is the one finiteness test, of r.
-``dr_step``, ``SplitOperator.apply`` in both forms and ``iterate``'s
-loop all step through it.  A finite r proves x and jx finite too, so
+``SplitOperator.apply`` in both forms, ``iterate``'s loop and the
+public ``dr_step`` (which no code of the package calls) all step
+through it.  A finite r proves x and jx finite too, so
 each caller validates only the point it is handed: ``dr_step`` by
 ``first.resolve``, ``apply`` and ``shadow`` by ``_as_points``,
 ``iterate`` x0 once, on entry.  ``dr_step`` and ``apply`` test their
@@ -145,10 +146,10 @@ def dr_step(first: Operator, second: Operator, x) -> np.ndarray:
     raises NonFinitePointError, and overflow emits no numpy warning.
 
     No slot validation is performed here; contract checking lives in
-    SplitOperator.  Its one caller in the package is the fixed-point
-    test of ``analysis`` (``extract_solution``, ``certify_fixed_points``
-    and ``map_fixed_point``), which is handed either order of a pair and
-    builds no SplitOperator.
+    SplitOperator.  No code of the package calls it: the fixed-point
+    test of ``analysis`` reads T_ab f from the word table of f
+    (``analysis._Words``), with the bits and the errors of this step.
+    It is the one-step reference of the tests.
     """
     _require_same_dim(first, second)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,10 +9,9 @@ from drorder.analysis import (
     IDENTITIES,
     _REQUIREMENTS,
     _Words,
+    _certified_fixed_points,
     _pair_defects,
-    _power_orbits,
     _probe_points,
-    _word_tables,
     CertificateError,
     FixedPointBudgetError,
     IdentityReport,
@@ -34,6 +33,7 @@ from drorder.analysis import (
 )
 from drorder.operators import (
     AffineRelation,
+    DimensionMismatchError,
     LinearMonotone,
     MonotonicityError,
     NormalConeAffineSubspace,
@@ -73,6 +73,8 @@ ZERO2 = LinearMonotone(np.zeros((2, 2)))
 LINE3 = NormalConeAffineSubspace([0.0, 0.0, 0.0], [[1.0], [0.0], [0.0]])
 PLANE3 = NormalConeAffineSubspace([0.0, 0.0, 0.0],
                                   [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+# the whole of R^2: J = R = Id
+WHOLE_PLANE = NormalConeAffineSubspace([0.0, 0.0], np.eye(2))
 
 
 def subspace_ball_pair():
@@ -300,6 +302,28 @@ def test_certificates_hold_one_defect_per_sample():
     assert certify_fixed_points(LINE3, PLANE3, []).isometry == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: extract_solution(WHOLE_PLANE, WHOLE_PLANE, f),
+    lambda f: map_fixed_point(WHOLE_PLANE, WHOLE_PLANE, f),
+    lambda f: certify_fixed_points(WHOLE_PLANE, WHOLE_PLANE, [f]),
+], ids=["extract_solution", "map_fixed_point", "certify_fixed_points"])
+def test_fixed_point_test_reports_an_overflowing_reflection_without_a_warning(call):
+    # R_A f = 2 f - f overflows: the fixed-point test raises as dr_step
+    # does, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinitePointError, match="^point has non-finite entries$"):
+            call(np.array([1.5e308, 0.0]))
+
+
+def test_fixed_point_test_rejects_operands_of_unequal_dimension():
+    # the operands' dimensions are compared before any resolvent runs
+    with pytest.raises(DimensionMismatchError, match="^operand dimensions differ: 2 vs 3$"):
+        extract_solution(WHOLE_PLANE, PLANE3, [0.0, 0.0])
+    with pytest.raises(DimensionMismatchError, match="^operand dimensions differ: 3 vs 2$"):
+        map_fixed_point(WHOLE_PLANE, PLANE3, [0.0, 0.0], "ba")
+
+
 def test_from_violation_takes_the_worst_and_keeps_a_nan_anywhere():
     for violations in ([np.nan, 0.0, 1.0], [0.0, 1.0, np.nan], np.array([1.0, np.nan])):
         rep = IdentityReport.from_violation("x", violations, 1e-9)
@@ -450,7 +474,7 @@ def test_commutation_needs_only_an_affine_first_operand():
     points = np.random.default_rng(44).normal(0.0, 2.0, size=(500, 2))
     commutation = next(identity for identity in IDENTITIES if identity.name == "commutation")
     assert commutation.unmet(a, sphere) is None
-    assert np.max(commutation.violation(a, sphere, points, 30)) <= 1e-8
+    assert np.max(_violation(commutation, a, sphere, points, 30)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +906,14 @@ def _probe_samples(identity, points):
     return (points, np.roll(points, -1, axis=0)) if identity.pairwise else points
 
 
+def _violation(identity, a, b, samples, n):
+    """The identity's violation at the samples, read from their own word
+    table, or from one table per batch of a pair (X, Y) when pairwise."""
+    words = (tuple(_Words(a, b, x) for x in samples) if identity.pairwise
+             else _Words(a, b, samples))
+    return identity.violation(words, n)
+
+
 def test_every_requirement_key_has_a_witness_that_fails_it_alone():
     # no registry entry can keep a hypothesis that its identity does not need
     witnesses = _witnesses()
@@ -891,7 +923,7 @@ def test_every_requirement_key_has_a_witness_that_fails_it_alone():
         a, b, points = witnesses[(identity.name, key)]
         failed = [need for need in identity.requires if not _REQUIREMENTS[need][0](a, b)]
         assert failed == [key], (identity.name, key, failed)
-        worst = np.max(identity.violation(a, b, _probe_samples(identity, points), 6))
+        worst = np.max(_violation(identity, a, b, _probe_samples(identity, points), 6))
         assert worst >= 1e-3, (identity.name, key, worst)
 
 
@@ -901,7 +933,7 @@ def test_every_identity_holds_on_the_pairs_that_meet_its_keys():
         points = np.array([random_point(rng, a.dim) for _ in range(12)])
         for identity in IDENTITIES:
             if identity.unmet(a, b) is None:
-                worst = np.max(identity.violation(a, b, _probe_samples(identity, points), 6))
+                worst = np.max(_violation(identity, a, b, _probe_samples(identity, points), 6))
                 assert worst <= TAU_NUM, (identity.name, a.kind, b.kind, worst)
 
 
@@ -939,7 +971,7 @@ def test_report_counts_one_point_as_one_sample(identity):
     assert x.shape == (9,)
     steps = _ORBIT_STEPS[identity.name](3) if identity.on_orbits else 1
     one_rep, batch_rep = (IdentityReport.from_violation(identity.name,
-                                                        identity.violation(a, b, s, 3), 1e-9)
+                                                        _violation(identity, a, b, s, 3), 1e-9)
                           for s in (one, batch))
     assert one_rep.sample_count == batch_rep.sample_count == steps
 
@@ -954,9 +986,9 @@ def test_batch_report_is_the_worst_per_point_report(identity):
         singles = list(zip(*samples)) if identity.pairwise else list(points)
         # row by row, also where the identity fails and its violations are
         # large enough to tell the rows apart
-        got = identity.violation(a, b, samples, 4)
+        got = _violation(identity, a, b, samples, 4)
         # the sample axis is the last, after an orbit identity's step axis
-        want = np.stack([identity.violation(a, b, sample, 4) for sample in singles], axis=-1)
+        want = np.stack([_violation(identity, a, b, sample, 4) for sample in singles], axis=-1)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a.kind, b.kind)
         batch = IdentityReport.from_violation(identity.name, got, 1e-9)
         assert batch.max_violation == np.max(got), (a.kind, b.kind)
@@ -969,7 +1001,7 @@ def test_batch_report_is_the_worst_per_point_report(identity):
         # a non-finite row anywhere in the batch is a non-finite point
         points[4, 0] = np.nan
         with pytest.raises(NonFinitePointError):
-            identity.violation(a, b, samples, 4)
+            _violation(identity, a, b, samples, 4)
     assert applicable > 0
 
 
@@ -1052,7 +1084,7 @@ def test_orbit_identities_match_their_per_orbit_formulas(name, n):
     for a, b in _operand_pairs():
         points = np.array([random_point(rng, a.dim) for _ in range(5)])
         for x in (points[0], points):
-            got = identity.violation(a, b, x, n)
+            got = identity.violation(_Words(a, b, x), n)
             # one violation per orbit step and sample, step by step
             assert np.shape(got) == (_ORBIT_STEPS[name](n), *x.shape[:-1]), (a.kind, b.kind)
             want = np.reshape(_ORBIT_REFERENCES[name](a, b, x, n), got.shape)
@@ -1061,7 +1093,7 @@ def test_orbit_identities_match_their_per_orbit_formulas(name, n):
             # for bit
             words = _Words(a, b, x)
             words.orbits(n)
-            shared = identity.violation(a, b, x, n, words)
+            shared = identity.violation(words, n)
             assert np.array_equal(shared, got), (a.kind, b.kind)
             if n == 0 and name != "shadow-equality":
                 rep = IdentityReport.from_violation(name, got, 0.0)
@@ -1196,20 +1228,23 @@ def test_power_orbits_match_two_power_orbit_calls_bit_for_bit(n):
     with np.errstate(all="ignore"):
         for a, b in _bit_pairs():
             for x in _probe_batches(rng, a.dim):
-                got = _outcome(lambda: _power_orbits(a, b, x, n))
+                got = _outcome(lambda: _Words(a, b, x).orbits(n))
                 want = _outcome(lambda: _reference_power_orbits(a, b, x, n))
                 assert _same_bits(got, want), (a.kind, b.kind, x.shape)
                 if isinstance(want[0], type):
                     raised += 1
                     continue
                 assert want[0].shape == (n + 1, 2, *x.shape)
-                # R_A x handed in gives the same orbits
-                assert _same_bits(_power_orbits(a, b, x, n, a.reflect(x)), want)
+                # the orbits start from the table's own R_A x, which has the
+                # bits of reflect, whether it was read before them or not
+                words = _Words(a, b, x)
+                assert _same_bits(words("RA"), a.reflect(x))
+                assert _same_bits(words.orbits(n), want)
                 # the violation of the reference orbits, through the one reducer
-                given = SimpleNamespace(orbits=lambda depth: want)
+                given = SimpleNamespace(A=a, orbits=lambda depth: want)
                 for identity in orbit_identities:
-                    assert _same_bits(_outcome(lambda: identity.violation(a, b, x, n)),
-                                      identity.violation(a, b, x, n, words=given)), (
+                    assert _same_bits(_outcome(lambda: identity.violation(_Words(a, b, x), n)),
+                                      identity.violation(given, n)), (
                         identity.name, a.kind, b.kind, x.shape)
     # the overflowing pairs raise the same error as the reference
     assert (raised > 0) == (n == 20)
@@ -1225,12 +1260,12 @@ def test_word_identities_match_the_dr_step_formulas_bit_for_bit():
         for a, b in _bit_pairs():
             for x in _probe_batches(rng, a.dim):
                 y = np.roll(x, -1, axis=0) if x.ndim > 1 else random_point(rng, a.dim)
-                words = _word_tables(a, b, (x, y), pairwise=True)
+                words = (_Words(a, b, x), _Words(a, b, y))
                 for identity in word_identities:
                     samples, table = ((x, y), words) if identity.pairwise else (x, words[0])
                     want = _outcome(lambda: _WORD_REFERENCES[identity.name](a, b, samples))
-                    alone = _outcome(lambda: identity.violation(a, b, samples, 3))
-                    shared = _outcome(lambda: identity.violation(a, b, samples, 3, words=table))
+                    alone = _outcome(lambda: _violation(identity, a, b, samples, 3))
+                    shared = _outcome(lambda: identity.violation(table, 3))
                     assert _same_bits(alone, want), (identity.name, a.kind, b.kind, x.shape)
                     assert _same_bits(shared, want), (identity.name, a.kind, b.kind, x.shape)
 
@@ -1255,16 +1290,35 @@ def test_power_orbits_make_two_resolve_calls_per_step(monkeypatch, n):
     for x in (lift.start_points[0], np.array([random_point(np.random.default_rng(47), 9)
                                                for _ in range(4)])):
         inputs.clear()
-        _power_orbits(a, b, x, n)
+        _Words(a, b, x).orbits(n)
         # R_A x, then J_B of the 2N starts, and two calls of 4N rows per
         # step, but for the last J_B call, which leaves out T_ba^n
         rows = len(np.atleast_2d(x))
         want = [rows] + ([2 * rows] + [4 * rows] * (2 * n - 1) + [2 * rows] if n else [])
         assert [len(np.atleast_2d(points)) for _, points in inputs] == want
-        rx = a.reflect(x)
+        # R_A x already read from the table is not computed again
+        words = _Words(a, b, x)
+        words("RA")
         inputs.clear()
-        _power_orbits(a, b, x, n, rx)
+        words.orbits(n)
         assert len(inputs) == (2 * n + 1 if n else 0)
+
+
+def test_certificates_make_five_validated_resolve_calls_per_fixed_point(monkeypatch):
+    # per fixed point f: J_A f and J_B R_A f, whose table also gives the
+    # residual, z, R_A f and R_B R_A f; the two graph memberships of
+    # (z, k); and R_A(z + k) of the dual defect
+    config = next(inst.config for inst in load_corpus() if inst.name == "parallel-lines")
+    a, b = config.operator_a, config.operator_b
+    fixed, _ = _certified_fixed_points(config)
+    assert len(fixed) == 4
+    inputs = _counted_resolves(monkeypatch, a, b)
+    certify_fixed_points(a, b, fixed)
+    assert len(inputs) == 5 * len(fixed)
+    # J_A f and J_B R_A f give the test and the image R_A f
+    inputs.clear()
+    map_fixed_point(a, b, fixed[0])
+    assert len(inputs) == 2
 
 
 @pytest.mark.parametrize("n", [0, 1, 20])

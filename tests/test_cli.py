@@ -19,7 +19,7 @@ from drorder import analysis, cli
 from drorder.analysis import (
     IDENTITIES,
     FixedPointBudgetError,
-    _power_orbits,
+    _Words,
     check_dual_symmetry,
     extract_solution,
     find_fixed_point,
@@ -472,17 +472,21 @@ _SUBSPACE_FIRST_CONFIGS = ["ray-vs-axis", "linear-asymmetric", "parallel-lines",
                            "subspace-ball", "three-halfspace-lift"]
 
 
-def _counted_power_orbits(monkeypatch, *modules):
-    """Record (shape of x, n) of every _power_orbits call through the
-    modules that hold the name."""
+def _counted_orbit_loops(monkeypatch):
+    """Record (shape of x, n) each time a word table x computes its probe
+    orbits: a ``_Words.orbits`` read that is its first, or deeper than
+    the orbits it holds."""
     calls = []
+    orbits = _Words.orbits
 
-    def counted(a, b, x, n, *rest):
-        calls.append((np.shape(x), n))
-        return _power_orbits(a, b, x, n, *rest)
+    def counted(self, n):
+        held = self._orbits
+        result = orbits(self, n)
+        if self._orbits is not held:
+            calls.append((np.shape(self()), n))
+        return result
 
-    for module in modules:
-        monkeypatch.setattr(f"drorder.{module}._power_orbits", counted)
+    monkeypatch.setattr(_Words, "orbits", counted)
     return calls
 
 
@@ -490,7 +494,7 @@ def _counted_power_orbits(monkeypatch, *modules):
 def test_verify_computes_the_probe_orbits_once(tmp_path, monkeypatch, name):
     # commutation, conjugation and shadow equality read the same orbits
     # of the probe points; no other report computes them
-    calls = _counted_power_orbits(monkeypatch, "analysis")
+    calls = _counted_orbit_loops(monkeypatch)
     cfg = (_generalized_config(tmp_path) if name == "generalized-sphere"
            else _write_config(tmp_path, name))
     report_path = tmp_path / "report.json"
@@ -510,7 +514,7 @@ def test_verify_corpus_computes_each_instance_probe_orbits_once(tmp_path, monkey
     # the orbit expectations of an instance read one set of orbits of its
     # first start point, at the deepest depth they ask for: subspace-ball,
     # halfspace-ball, three-halfspace-lift
-    calls = _counted_power_orbits(monkeypatch, "analysis")
+    calls = _counted_orbit_loops(monkeypatch)
     assert main(["verify", "--corpus", "--out", str(tmp_path / "report.json")]) == 0
     assert calls == [((2,), 50), ((2,), 5), ((9,), 25)]
 
@@ -733,7 +737,7 @@ def test_compare_matches_the_reference_loop(tmp_path, monkeypatch, name):
     # compare reads the probe-orbit loop, which rounds a row of its
     # stacked starts as a batch row: the last bits of a cell may differ
     # from the lone-point steps of the reference
-    calls = _counted_power_orbits(monkeypatch, "cli")
+    calls = _counted_orbit_loops(monkeypatch)
     cfg = (_generalized_config(tmp_path) if name == "generalized-sphere"
            else _write_config(tmp_path, name))
     out = tmp_path / "cmp.csv"
@@ -798,13 +802,17 @@ def test_missing_output_directory_exits_two(tmp_path, capsys, command, out):
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, tol):
+def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys, tol):
+    # the one tolerance rule of operators and configs
+    message = f"config error: DR_ORDER_TOL must be finite and nonnegative, got {float(tol)!r}\n"
     cfg = _write_config(tmp_path, "subspace-ball")
     monkeypatch.setenv("DR_ORDER_TOL", tol)
     assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
     # the corpus expectations keep their own tolerances, but a malformed
     # override is rejected there too
     assert main(["verify", "--corpus"]) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("command, option", [
@@ -812,13 +820,16 @@ def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, tol
     pytest.param("compare", "--n", id="compare"),
     pytest.param("verify", "--seed", id="verify-seed"),
 ])
-def test_negative_depth_is_a_usage_error(tmp_path, command, option):
+def test_negative_depth_is_a_usage_error(tmp_path, capsys, command, option):
     cfg = _write_config(tmp_path, "subspace-ball")
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg), option, "-1",
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
+    # the one count rule of step budgets and orbit depths
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {option}: value must be nonnegative, got -1\n")
 
 
 # ---------------------------------------------------------------------------

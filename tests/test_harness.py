@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -115,6 +116,19 @@ def test_out_of_budget_parallel_lines_gives_failed_reports(tmp_path):
         assert report.max_violation == math.inf and not report.passed
     # one inf per sample: per start, and per start and pair of starts
     assert [r.sample_count for r in reports] == [4, 4, 10]
+
+
+def test_run_instance_reports_an_overflowing_start_without_a_warning():
+    # from (3e200, -7e200) the squared norms of subspace-ball's orbit gaps
+    # overflow: the norms fall back to their scaled form, and the three
+    # reports fail with finite violations, as from `drorder verify`
+    instance = next(inst for inst in load_corpus() if inst.name == "subspace-ball")
+    instance.config.start_points[0] = np.array([3e200, -7e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = run_instance(instance)
+    assert not any(r.passed for r in reports)
+    assert [float(f"{r.max_violation:.3g}") for r in reports] == [1.52e185, 5.95e184, 2.94e183]
 
 
 @pytest.mark.parametrize("caller", ["corpus", "verify-config"])

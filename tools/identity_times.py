@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from drorder.analysis import IDENTITIES, _probe_points, _word_tables
+from drorder.analysis import IDENTITIES, _Words, _probe_points
 from drorder.harness import load_corpus
 
 ORBITS = "(probe orbits)"
@@ -42,7 +42,6 @@ def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
     of the shared probe orbits when an orbit identity applies."""
     a, b = config.operator_a, config.operator_b
     points = _probe_points(config, seed)
-    pairs = (points, np.roll(points, -1, axis=0))
     applicable = [identity for identity in IDENTITIES if identity.unmet(a, b) is None]
     times: dict[str, list[float]] = {}
 
@@ -53,13 +52,13 @@ def _config_times(config, seed: int, n: int, repeat: int) -> dict[str, float]:
         return value
 
     for _ in range(repeat):
-        words = _word_tables(a, b, pairs, pairwise=True)
+        words = (_Words(a, b, points), _Words(a, b, np.roll(points, -1, axis=0)))
         orbits = None
         for identity in applicable:
             if identity.on_orbits and orbits is None:
                 orbits = timed(ORBITS, lambda: words[0].orbits(n))
-            samples, table = (pairs, words) if identity.pairwise else (points, words[0])
-            timed(identity.name, lambda: identity.violation(a, b, samples, n, table))
+            table = words if identity.pairwise else words[0]
+            timed(identity.name, lambda: identity.violation(table, n))
     return {row: 1e6 * statistics.median(samples) for row, samples in times.items()}
 
 
