@@ -6,9 +6,10 @@ the (A, B)-ordered splitting operator isometrically onto that of the
 points it acts as z + k -> z - k, where z is the primal solution
 (shadow of the fixed point) and k = f - z the dual solution.  The two
 graph memberships of such a pair (z, k) and the defect of
-z + k -> z - k are each computed by one function (``_pair_defects``,
-``_dual_defect``), which every certificate reads: the extraction, the
-fixed-point certificates, ``check_dual_symmetry`` and ``drorder run``.
+z + k -> z - k are computed by one function (``_pair_defects``), from
+one J_A(z + k) and one J_B(z - k), which every certificate reads: the
+extraction, the fixed-point certificates, ``check_dual_symmetry`` and
+``drorder run``.
 The checkers in this module certify these statements pointwise, together
 with the stronger commutation, conjugation, and shadow identities that
 hold when the first operand is affine (or a normal cone of an affine
@@ -61,7 +62,7 @@ from .operators import (
     Operator,
     TAU_GRAPH,
     TAU_NUM,
-    _graph_defect,
+    _graph_resolvent,
     _norm,
     _row_norms,
     as_point,
@@ -189,28 +190,34 @@ def _require_fixed_point(w: _Words, fix_tol: float) -> None:
 
 def _pair_defects(A: Operator, B: Operator, z, k, graph_tol: float | None = None,
                   name: str = "certificate"):
-    """Yield the two graph defects of a solution pair (z, k) in turn:
-    ||J_A(z + k) - z||, zero exactly when (z, k) in gra A, then
-    ||J_B(z - k) - z||, zero exactly when (z, -k) in gra B.  Given
-    graph_tol, a defect that is not within it raises CertificateError
-    "<name> <membership> failed" before the next is computed."""
+    """Yield the three defects of a solution pair (z, k) in turn, from one
+    J_A(z + k) and one J_B(z - k): ||J_A(z + k) - z||, zero exactly when
+    (z, k) in gra A; ||J_B(z - k) - z||, zero exactly when (z, -k) in
+    gra B; and the dual defect ||R_A(z + k) - (z - k)||, how far R_A is
+    from carrying the fixed point z + k of T_ab to the fixed point z - k
+    of T_ba, with R_A(z + k) = 2 J_A(z + k) - (z + k) as
+    ``Operator.reflect`` builds it.  Given graph_tol, a membership defect
+    that is not within it raises CertificateError "<name> <membership>
+    failed" before the next is computed."""
+    resolved = []
     for op, u, member in ((A, k, "(z, k) in gra A"), (B, -k, "(z, -k) in gra B")):
-        defect = _graph_defect(op, z, u)
+        resolved.append(_graph_resolvent(op, z, u))
+        defect = _norm(resolved[-1] - z)
         if graph_tol is not None and not defect <= graph_tol:
             raise CertificateError(f"{name} {member} failed")
         yield defect
+    yield _norm(2.0 * resolved[0] - (z + k) - (z - k))
 
 
 def _extract(A: Operator, B: Operator, fixed_point, fix_tol: float,
-             graph_tol: float) -> tuple[_Words, SolutionPair, float]:
+             graph_tol: float) -> tuple[_Words, SolutionPair, tuple[float, ...]]:
     """The word table of a fixed point f, its solution pair z = J_A f,
-    k = f - z, and the worse of the pair's two graph defects
-    (``_pair_defects``)."""
+    k = f - z, and the pair's three defects (``_pair_defects``)."""
     w = _Words(A, B, as_point(fixed_point, A.dim))
     _require_fixed_point(w, fix_tol)
     z = w("JA")
     k = w() - z
-    return w, SolutionPair(z=z, k=k), max(_pair_defects(A, B, z, k, graph_tol))
+    return w, SolutionPair(z=z, k=k), tuple(_pair_defects(A, B, z, k, graph_tol))
 
 
 def extract_solution(A: Operator, B: Operator, fixed_point, *,
@@ -240,13 +247,6 @@ def map_fixed_point(A: Operator, B: Operator, f, direction: str = "ab", *,
     return w("RA")
 
 
-def _dual_defect(A: Operator, pairs: list[SolutionPair]) -> list[float]:
-    """||R_A(z + k) - (z - k)|| of each solution pair (z, k), in order: how
-    far R_A is from carrying the fixed point z + k of T_ab to the fixed
-    point z - k of T_ba."""
-    return [_norm(A.reflect(p.z + p.k) - (p.z - p.k)) for p in pairs]
-
-
 @dataclass(eq=False)
 class FixedPointCertificates:
     """The defects of the certificates of a list of fixed points, one per
@@ -257,9 +257,9 @@ class FixedPointCertificates:
     (``_pair_defects``, which also gives ``drorder run`` its cert_a and
     cert_b); ``bijection`` the worse of the round trip ||R_B R_A f - f||
     and the reflector image ||R_A f - (z - k)||; ``dual``
-    ||R_A(z + k) - (z - k)|| (``_dual_defect``), whose worst is the
-    violation ``check_dual_symmetry`` reports for the same pairs, bit for
-    bit.  ``isometry`` holds | ||R_A f - R_A g|| - ||f - g|| | per pair
+    ||R_A(z + k) - (z - k)|| (the third defect of ``_pair_defects``),
+    whose worst is the violation ``check_dual_symmetry`` reports for the
+    same pairs, bit for bit.  ``isometry`` holds | ||R_A f - R_A g|| - ||f - g|| | per pair
     of distinct fixed points, i < j in order (none for a single one).
     """
 
@@ -281,9 +281,10 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
 
     Each fixed point f is read through its one-point word table
     (``_Words``): the fixed-point residual ||T_ab f - f||, z = J_A f,
-    R_A f and R_B R_A f are its words, so f costs 5 validated
-    ``resolve`` calls: J_A f, J_B R_A f, the two graph memberships and
-    the R_A(z + k) of the dual defect.
+    R_A f and R_B R_A f are its words, so f costs 4 validated
+    ``resolve`` calls: J_A f, J_B R_A f, and the J_A(z + k) and
+    J_B(z - k) of the two graph memberships, of which the first also
+    gives the R_A(z + k) of the dual defect.
 
     Raises CertificateError when a pair cannot be extracted.
     """
@@ -293,8 +294,8 @@ def certify_fixed_points(A: Operator, B: Operator, fixed: list[np.ndarray], *,
                  for w, p in zip(words, pairs)]
     isometry = [abs(_norm(words[i]("RA") - words[j]("RA")) - _norm(words[i]() - words[j]()))
                 for i in range(len(words)) for j in range(i + 1, len(words))]
-    return FixedPointCertificates(pairs, [defect for *_, defect in extracted], bijection,
-                                  isometry, _dual_defect(A, pairs))
+    return FixedPointCertificates(pairs, [max(a, b) for *_, (a, b, _) in extracted], bijection,
+                                  isometry, [dual for *_, (_, _, dual) in extracted])
 
 
 def _certified_fixed_points(config) -> tuple[list[np.ndarray], FixedPointCertificates | None]:
@@ -744,10 +745,10 @@ def check_dual_symmetry(A: Operator, B: Operator,
     computed as ``FixedPointCertificates.dual`` is.  Overflow is silenced
     as in ``Identity.check``.
     """
-    checked = []
+    duals = []
     for pair in pairs:
         z, k = as_point(pair.z, A.dim), as_point(pair.k, A.dim)
-        # both memberships, raising at the first that fails
-        max(_pair_defects(A, B, z, k, graph_tol, "swapped-order certificate"))
-        checked.append(SolutionPair(z=z, k=k))
-    return IdentityReport.from_violation("dual-symmetry", _dual_defect(A, checked), tol)
+        # both memberships, raising at the first that fails, then the dual
+        *_, dual = _pair_defects(A, B, z, k, graph_tol, "swapped-order certificate")
+        duals.append(dual)
+    return IdentityReport.from_violation("dual-symmetry", duals, tol)

@@ -108,8 +108,8 @@ def cmd_run(args) -> int:
         if not diverged:
             # null certificates where a graph test does not apply
             with contextlib.suppress(MonotonicityError, NonFinitePointError):
-                cert_a, cert_b = (defect <= tau_graph
-                                  for defect in _pair_defects(T.first, T.second, z, k))
+                cert_a, cert_b, _ = (defect <= tau_graph
+                                     for defect in _pair_defects(T.first, T.second, z, k))
         runs.append({
             "start_index": i,
             "csv": str(csv_path),

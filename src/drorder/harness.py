@@ -32,9 +32,9 @@ its entry of the identity registry ``analysis.IDENTITIES`` and a depth
 n, and reads the probe orbits the start table holds.  The fixed points
 of parallel-lines are found and certified by the code that gives
 ``verify --config`` its solution certificates, whose pair certificates
-are the two that ``run`` and ``check_dual_symmetry`` read too:
+are those that ``run`` and ``check_dual_symmetry`` read too:
 ``analysis._pair_defects`` for the graph memberships of a pair (z, k)
-and ``analysis._dual_defect`` for the map z + k -> z - k.
+and the map z + k -> z - k.
 
 The seeded random operator draws of the property suites are a test
 helper (``tests/draws.py``), not part of the package.

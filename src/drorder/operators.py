@@ -30,7 +30,11 @@ A caller that has already proved its point calls the kernel directly:
 ``splitting``'s one step ``_dr`` (through ``SplitOperator.apply``,
 ``iterate``'s loop and the public ``dr_step``), ``SplitOperator.apply``
 and ``shadow``, and ``BlockSeparable`` and the wrappers for their
-members.  The word tables of ``analysis`` call ``resolve``.
+members.  The halfspace, ball, ray and box kernels also take a stack of
+lift members: fields stacked on a leading member axis broadcast against
+a (..., k, d) array of their blocks, which is how ``BlockSeparable``
+resolves the members of such a kind (``stacks``) in one call.  The word
+tables of ``analysis`` call ``resolve``.
 
 Operators are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -305,6 +309,13 @@ class Operator:
     ``fields`` lists the JSON keys of a member in output order; each is
     also a constructor argument and an attribute of the same name.
     ``tolerance`` names the constructor's tolerance keyword, if any.
+
+    ``stacks`` is the claim that ``_kernel`` resolves a (..., k, d) stack
+    of blocks, row i as the i-th of k members of the kind would, bit for
+    bit, when each field holds those members' fields stacked on a
+    leading axis.  It counts only on the class that declares it, so a
+    subclass that overrides ``_kernel`` is resolved member by member
+    unless it declares ``stacks`` itself.
     """
 
     kind: str = "abstract"
@@ -312,6 +323,7 @@ class Operator:
     tolerance: str | None = None
     monotone: bool = True
     affine: bool = False
+    stacks: bool = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -445,6 +457,7 @@ class NormalConeHalfspace(Operator):
     kind = "normal_cone_halfspace"
     fields = ("normal", "rhs")
     tolerance = "tau_ortho"
+    stacks = True
 
     def __init__(self, normal, rhs: float, *, tau_ortho: float = TAU_ORTHO):
         tau_ortho = _tolerance(tau_ortho, "tau_ortho")
@@ -463,22 +476,10 @@ class NormalConeHalfspace(Operator):
         self.rhs = rhs
 
     def _kernel(self, x):
-        return _halfspace_rows(self.normal, self.rhs, x)
-
-    @staticmethod
-    def stacked_resolvent(ops):
-        """The resolvents of the halfspaces ``ops`` on a (..., k, d) array
-        of rows, row i resolved as ``ops[i].resolve`` would, bit for bit."""
-        normals = np.array([op.normal for op in ops])
-        rhs = np.array([op.rhs for op in ops])
-        return lambda rows: _halfspace_rows(normals, rhs, rows)
-
-
-def _halfspace_rows(normals, rhs, rows):
-    """Project each row of ``rows`` onto {x : <normal, x> <= rhs}, with
-    ``normals`` and ``rhs`` broadcast against the rows."""
-    slack = np.vecdot(normals, rows) - rhs
-    return np.where((slack <= 0.0)[..., None], rows, rows - slack[..., None] * normals)
+        """Project x, each row of a batch, or each block of a member
+        stack, onto {x : <normal, x> <= rhs}."""
+        slack = np.vecdot(self.normal, x) - self.rhs
+        return np.where((slack <= 0.0)[..., None], x, x - slack[..., None] * self.normal)
 
 
 class NormalConeBall(Operator):
@@ -486,6 +487,7 @@ class NormalConeBall(Operator):
 
     kind = "normal_cone_ball"
     fields = ("center", "radius")
+    stacks = True
 
     def __init__(self, center, radius: float):
         center = as_point(center)
@@ -497,32 +499,20 @@ class NormalConeBall(Operator):
         self.radius = radius
 
     def _kernel(self, x):
-        if x.ndim == 2:
-            return _ball_rows(self.center, self.radius, x)
+        """Project x onto the ball: one point by Python floats, and each
+        row of a batch, of a member stack (k, d) or of a batch of stacks
+        (N, k, d) by one numpy expression."""
         v = x - self.center
-        dist = _norm(v)
-        if dist <= self.radius:
-            return x.copy()
-        return self.center + (self.radius / dist) * v
-
-    @staticmethod
-    def stacked_resolvent(ops):
-        """The resolvents of the balls ``ops`` on a (..., k, d) array of
-        rows, row i resolved as ``ops[i].resolve`` would, bit for bit."""
-        centers = np.array([op.center for op in ops])
-        radii = np.array([op.radius for op in ops])
-        return lambda rows: _ball_rows(centers, radii, rows)
-
-
-def _ball_rows(centers, radii, rows):
-    """Project each row of ``rows`` onto the ball about ``centers`` of
-    radius ``radii``, both broadcast against the rows."""
-    v = rows - centers
-    dist = _row_norms(v)
-    # a row inside its ball keeps its own bits; elsewhere the scale is
-    # radius / dist, and max(dist, radius) keeps the division finite
-    scale = radii / np.maximum(dist, radii)
-    return np.where((dist <= radii)[..., None], rows, centers + scale[..., None] * v)
+        if x.ndim == 1:
+            dist = _norm(v)
+            if dist <= self.radius:
+                return x.copy()
+            return self.center + (self.radius / dist) * v
+        dist = _row_norms(v)
+        # a row inside its ball keeps its own bits; elsewhere the scale is
+        # radius / dist, and max(dist, radius) keeps the division finite
+        scale = self.radius / np.maximum(dist, self.radius)
+        return np.where((dist <= self.radius)[..., None], x, self.center + scale[..., None] * v)
 
 
 class NormalConeRay(Operator):
@@ -534,6 +524,7 @@ class NormalConeRay(Operator):
     kind = "normal_cone_ray"
     fields = ("direction",)
     tolerance = "tau_ortho"
+    stacks = True
 
     def __init__(self, direction, *, tau_ortho: float = TAU_ORTHO):
         direction = _unit_vector(direction, "ray direction", tau_ortho)
@@ -551,6 +542,7 @@ class NormalConeBox(Operator):
 
     kind = "normal_cone_box"
     fields = ("lower", "upper")
+    stacks = True
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -568,7 +560,10 @@ class NormalConeBox(Operator):
         self.upper = upper
 
     def _kernel(self, x):
-        return np.clip(x, self.lower, self.upper)
+        # not np.clip, whose sign of a zero at a zero bound depends on
+        # whether the bounds broadcast: a batch row would not keep the
+        # bits of the same point resolved alone
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 class SphereSelection(Operator):
@@ -659,13 +654,6 @@ class Rotation(Operator):
         return -self.inner._kernel(-x)
 
 
-# Member classes that BlockSeparable resolves together, keyed by exact
-# class: each entry builds, from the members of that class, one resolvent
-# of their stacked blocks that matches the members' own ``resolve``.
-_STACKED_RESOLVENTS = {cls: cls.stacked_resolvent
-                       for cls in (NormalConeHalfspace, NormalConeBall)}
-
-
 def _rows(indices: list[int]):
     """A slice for a run of consecutive block indices, else an index array."""
     if indices[-1] - indices[0] == len(indices) - 1:
@@ -673,15 +661,33 @@ def _rows(indices: list[int]):
     return np.array(indices)
 
 
+def _stack(members: list[Operator]) -> Operator:
+    """A private operator of the members' kind that holds only their
+    fields, stacked on a leading axis, so its ``_kernel`` resolves their
+    stacked blocks; it is built without its constructor's checks, which
+    each member has passed."""
+    stacked = object.__new__(type(members[0]))
+    for name in stacked.fields:
+        setattr(stacked, name, np.array([getattr(op, name) for op in members]))
+    return stacked
+
+
 class BlockSeparable(Operator):
     """Blockwise application of equal-dimension operators on a product space.
 
     The resolvent applies each member's resolvent to its contiguous
-    block, which is exactly the resolvent of the product operator.
-    Members of a class in ``_STACKED_RESOLVENTS`` that occurs more than
-    once are resolved together, one numpy expression per class over
-    their stacked blocks; every other member resolves its own block
-    with its kernel, since the point was validated as a whole.
+    block, which is exactly the resolvent of the product operator.  The
+    members of a class that declares ``stacks`` (halfspaces, balls, rays
+    and boxes) and occurs more than once are resolved together: one
+    kernel call of a private operator of that class, which holds their
+    fields stacked (``_stack``), on their stacked blocks.  Every other
+    member resolves its own block with its kernel, since the point was
+    validated as a whole.  The affine subspace does not stack: stacked
+    matrix products differ in the last bits from the one-point
+    ``basis.dot(basis_t.dot(c))`` on many rows, so a lift of lines keeps
+    one kernel call per member.  Nor do the linear and affine kinds,
+    whose transposed solve does not broadcast over a member axis, the
+    sphere, which reshapes to (-1, d), or the wrappers.
     """
 
     kind = "block_separable"
@@ -703,40 +709,35 @@ class BlockSeparable(Operator):
         by_class: dict[type, list[int]] = {}
         for i, op in enumerate(ops):
             by_class.setdefault(type(op), []).append(i)
-        self._stacked = []  # (rows, resolvent of those rows)
-        self._single = []   # (row, member)
+        self._groups = []  # (block index or indices, operator that resolves them)
         for cls, indices in by_class.items():
-            if cls in _STACKED_RESOLVENTS and len(indices) > 1:
-                resolvent = _STACKED_RESOLVENTS[cls]([ops[i] for i in indices])
-                self._stacked.append((_rows(indices), resolvent))
+            if vars(cls).get("stacks") and len(indices) > 1:
+                self._groups.append((_rows(indices), _stack([ops[i] for i in indices])))
             else:
-                self._single.extend((i, ops[i]) for i in indices)
+                self._groups.extend((i, ops[i]) for i in indices)
 
     def _kernel(self, x):
         # (..., members, block_dim): a batch keeps its leading axis
         rows = x.reshape(*x.shape[:-1], len(self.ops), self.block_dim)
         out = np.empty_like(rows)
-        for sel, resolvent in self._stacked:
-            out[..., sel, :] = resolvent(rows[..., sel, :])
-        for i, op in self._single:
-            out[..., i, :] = op._kernel(rows[..., i, :])
+        for sel, op in self._groups:
+            out[..., sel, :] = op._kernel(rows[..., sel, :])
         return out.reshape(x.shape)
 
 
-def _graph_defect(op: Operator, x, u) -> float:
-    """The graph defect ||J_op(x + u) - x||, zero exactly when (x, u) in gra(op)."""
+def _graph_resolvent(op: Operator, x, u) -> np.ndarray:
+    """J_op(x + u) for a claimed graph point (x, u) of a monotone op; the
+    graph defect ||J_op(x + u) - x|| is zero exactly when (x, u) in gra(op)."""
     if not op.monotone:
         raise MonotonicityError(
             f"graph_contains requires a monotone operator, got {op.kind}"
         )
-    x = as_point(x, op.dim)
-    u = as_point(u, op.dim)
-    return _norm(op.resolve(x + u) - x)
+    return op.resolve(as_point(x, op.dim) + as_point(u, op.dim))
 
 
 def graph_contains(op: Operator, pair: GraphPair, tol: float = TAU_GRAPH) -> bool:
     """Certify (x, u) in gra(op) via ||J_op(x + u) - x|| <= tol."""
-    return _graph_defect(op, pair.x, pair.u) <= tol
+    return _norm(_graph_resolvent(op, pair.x, pair.u) - pair.x) <= tol
 
 
 # --------------------------------------------------------------------------

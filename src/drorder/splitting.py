@@ -86,6 +86,9 @@ DEFAULT_HISTORY_CAP = 10_000
 # bytes of a block of kept rows: far below the 4 MiB from which numpy
 # asks for huge pages, and a partly filled block wastes little
 _BLOCK_BYTES = 1 << 16
+# rows that ``Orbit.write_csv`` turns into Python lists and floats at a
+# time: a block of 2 048 rows would allocate about 400 KB at once
+_CSV_ROWS = 256
 
 
 class DivergenceError(NonFinitePointError):
@@ -323,16 +326,19 @@ class Orbit:
 
         Floats carry 17 significant digits; the residual cell of the
         last recorded step is empty when no successor was computed.
-        Each block is formatted from one ``tolist``.
+        At most ``_CSV_ROWS`` rows of a block are formatted from one
+        ``tolist``.
         """
         residuals = np.asarray(self.residuals, dtype=float)
 
         def chunks():
-            for first, block in self._pieces():
-                rows = len(block)
-                scalars = residuals[first:first + rows].tolist()
-                yield (range(first, first + rows), block.reshape(rows, -1),
-                       scalars + [None] * (rows - len(scalars)))
+            for start, block in self._pieces():
+                for first in range(start, start + len(block), _CSV_ROWS):
+                    cells = block[first - start:first - start + _CSV_ROWS]
+                    rows = len(cells)
+                    scalars = residuals[first:first + rows].tolist()
+                    yield (range(first, first + rows), cells.reshape(rows, -1),
+                           scalars + [None] * (rows - len(scalars)))
 
         _write_rows(path, self.head[0].shape[2], ("x", "shadow", "residual"), chunks())
 

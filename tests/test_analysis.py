@@ -44,6 +44,7 @@ from drorder.operators import (
     NotAffineError,
     SphereSelection,
     TAU_NUM,
+    _norm,
     as_point,
 )
 from drorder.harness import load_corpus
@@ -794,7 +795,9 @@ def test_pair_defects_bound_the_fixed_point_residual():
     # ||T_ab u - u|| <= ||J_A u - z|| + ||J_B(z - k) - z||, which is why
     # check_dual_symmetry makes no fixed-point test after the memberships.
     # Drawn through the origin, (0, 0) is a solution pair, so points of
-    # scale 1e-8 test the bound where both defects are small
+    # scale 1e-8 test the bound where both defects are small.  The third
+    # defect, from the first's J_A u, is ||R_A u - (z - k)|| with
+    # reflect's bits
     rng = np.random.default_rng(71)
     for dim in (1, 2, 3, 5):
         for i in range(60):
@@ -802,8 +805,9 @@ def test_pair_defects_bound_the_fixed_point_residual():
             a = random_monotone_operator(rng, dim, through_origin=scale < 1.0 or i % 4 == 0)
             b = random_monotone_operator(rng, dim, through_origin=scale < 1.0 or i % 4 == 0)
             z, k = random_point(rng, dim, scale), random_point(rng, dim, scale)
-            defect_a, defect_b = _pair_defects(a, b, z, k)
+            defect_a, defect_b, dual = _pair_defects(a, b, z, k)
             u = z + k
+            assert dual == _norm(a.reflect(u) - (z - k)), (a.kind, scale)
             residual = float(np.linalg.norm(dr_step(a, b, u) - u))
             assert residual <= defect_a + defect_b + 1e-13, (a.kind, b.kind, scale)
 
@@ -1304,17 +1308,22 @@ def test_power_orbits_make_two_resolve_calls_per_step(monkeypatch, n):
         assert len(inputs) == (2 * n + 1 if n else 0)
 
 
-def test_certificates_make_five_validated_resolve_calls_per_fixed_point(monkeypatch):
+def test_certificates_make_four_validated_resolve_calls_per_fixed_point(monkeypatch):
     # per fixed point f: J_A f and J_B R_A f, whose table also gives the
-    # residual, z, R_A f and R_B R_A f; the two graph memberships of
-    # (z, k); and R_A(z + k) of the dual defect
+    # residual, z, R_A f and R_B R_A f; and the two graph memberships of
+    # (z, k), whose J_A(z + k) also gives R_A(z + k) of the dual defect
     config = next(inst.config for inst in load_corpus() if inst.name == "parallel-lines")
     a, b = config.operator_a, config.operator_b
     fixed, _ = _certified_fixed_points(config)
     assert len(fixed) == 4
     inputs = _counted_resolves(monkeypatch, a, b)
     certify_fixed_points(a, b, fixed)
-    assert len(inputs) == 5 * len(fixed)
+    assert len(inputs) == 4 * len(fixed)
+    # check_dual_symmetry: the two memberships of each pair, and no more
+    pairs = certify_fixed_points(a, b, fixed).pairs
+    inputs.clear()
+    check_dual_symmetry(a, b, pairs)
+    assert len(inputs) == 2 * len(pairs)
     # J_A f and J_B R_A f give the test and the image R_A f
     inputs.clear()
     map_fixed_point(a, b, fixed[0])

@@ -392,7 +392,7 @@ def test_no_report_prints_negative_zero(tmp_path, capsys, n):
 def test_verify_dual_symmetry_matches_check_dual_symmetry(tmp_path, name):
     # the report comes from the certificate pass; check_dual_symmetry
     # computes the same defect, ||R_A(z + k) - (z - k)||, through the
-    # same analysis._dual_defect
+    # same analysis._pair_defects
     cfg = _write_config(tmp_path, name)
     report_path = tmp_path / "report.json"
     assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0

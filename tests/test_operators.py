@@ -508,20 +508,56 @@ def _ball_case(rng, d, case):
     return NormalConeBall(center, radius), x
 
 
+def _ray_case(rng, d, case):
+    """A ray and a block whose <x, direction> is below, at or above 0;
+    at 0, the block's nonzero entries face zero entries of the direction,
+    and its other entries are -0.0."""
+    direction = rng.normal(size=d)
+    if case == "at" and d > 1:
+        direction[rng.uniform(size=d) < 0.5] = 0.0
+        direction[0] = direction[0] or 1.0
+    ray = NormalConeRay(direction)
+    if case == "at":
+        return ray, np.where(ray.direction == 0.0, rng.normal(size=d), -0.0)
+    x = rng.normal(size=d)
+    x[rng.uniform(size=d) < 0.3] = -0.0
+    side = 1.0 if case == "above" else -1.0
+    return ray, x if side * float(x @ ray.direction) > 0.0 else -x
+
+
+def _box_case(rng, d, case):
+    """A box with some infinite bounds and zero bounds, and a block inside
+    it, outside it, on its bounds or of -0.0 entries."""
+    lower, upper = -np.abs(rng.normal(size=d)), np.abs(rng.normal(size=d))
+    lower[rng.uniform(size=d) < 0.3] = -np.inf
+    upper[rng.uniform(size=d) < 0.3] = np.inf
+    lower[rng.uniform(size=d) < 0.2] = 0.0
+    box = NormalConeBox(lower, upper)
+    if case == "bound":
+        x = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 5.0))
+    elif case == "negzero":
+        x = np.full(d, -0.0)
+    else:
+        x = rng.normal(size=d) * (0.2 if case == "inside" else 5.0)
+    return box, x
+
+
 _HALFSPACE_CASES = [f"{kind}-{where}-{size}"
                     for kind in ("plain", "negzero")
                     for where in ("inside", "outside", "boundary")
                     for size in ("unit", "huge")]
 _BALL_CASES = ["inside", "outside", "boundary", "center", "center-huge",
                "negzero-inside", "negzero-outside"]
+_RAY_CASES = ["below", "at", "above"]
+_BOX_CASES = ["inside", "outside", "bound", "negzero"]
 
 
 def _fallback_member(rng, d, i):
-    """A member without a stacked resolvent, and a block for it."""
+    """A member of a kind that does not stack, and a block for it."""
     kinds = (
         lambda: Inverse(NormalConeHalfspace(rng.normal(size=d), 0.3)),
         lambda: Rotation(NormalConeBall(rng.normal(size=d), 1.0)),
-        lambda: NormalConeBox(-np.ones(d), np.ones(d)),
+        lambda: SphereSelection(rng.normal(size=d), 1.0, rng.normal(size=d)),
     )
     return kinds[i % len(kinds)](), rng.normal(size=d) * 2.0
 
@@ -533,10 +569,14 @@ def test_block_separable_stacked_matches_member_loop_bit_for_bit(d, seed):
     members = []
     for i in range(int(rng.integers(8, 24))):
         pick = rng.uniform()
-        if pick < 0.45:
+        if pick < 0.25:
             members.append(_halfspace_case(rng, d, str(rng.choice(_HALFSPACE_CASES))))
-        elif pick < 0.9:
+        elif pick < 0.5:
             members.append(_ball_case(rng, d, str(rng.choice(_BALL_CASES))))
+        elif pick < 0.7:
+            members.append(_ray_case(rng, d, str(rng.choice(_RAY_CASES))))
+        elif pick < 0.9:
+            members.append(_box_case(rng, d, str(rng.choice(_BOX_CASES))))
         elif seed % 2:  # odd seeds mix in members that resolve one block at a time
             members.append(_fallback_member(rng, d, i))
     order = rng.permutation(len(members))
@@ -548,6 +588,34 @@ def test_block_separable_stacked_matches_member_loop_bit_for_bit(d, seed):
         want = _loop_resolve(block, x)
     assert got.shape == want.shape == x.shape
     assert got.tobytes() == want.tobytes()  # == on every bit, signed zeros too
+    # an (N, m d) batch of lifted points: a ball resolves a batch of
+    # stacks (N, k, d) by its row expression, and each row as the loop
+    # does; a 1e200 block doubled overflows a squared norm in both paths
+    X = np.stack([x, -x, 0.5 * x, 2.0 * x, np.zeros_like(x), np.full_like(x, -0.0)])
+    with np.errstate(over="ignore"):
+        got = block.resolve(X)
+        want = np.array([_loop_resolve(block, row) for row in X])
+    assert got.shape == X.shape and got.tobytes() == want.tobytes()
+
+
+def test_block_separable_resolves_a_stacking_kinds_subclass_block_by_block():
+    # ``stacks`` counts only on the class that declares it: a subclass
+    # that overrides ``_kernel`` need not broadcast over a member axis
+    shapes = []
+
+    class Ray(NormalConeRay):
+        def _kernel(self, x):
+            shapes.append(x.shape)
+            return super()._kernel(x)
+
+    block = BlockSeparable([Ray([1.0, 0.0]), Ray([0.0, 1.0]), Ray([1.0, 1.0])])
+    x = np.array([3.0, -1.0, -2.0, 4.0, -5.0, 1.0])
+    got = block.resolve(x)
+    assert shapes == [(2,)] * 3
+    assert got.tobytes() == _loop_resolve(block, x).tobytes()
+    shapes.clear()
+    block.resolve(np.stack([x, -x]))
+    assert shapes == [(2, 2)] * 3
 
 
 def test_block_separable_every_case_in_one_product():
@@ -589,28 +657,38 @@ def test_block_separable_ball_overflow_matches_member_loop():
 
 def test_block_separable_resolves_repeated_kinds_together(monkeypatch):
     # members are resolved by their kernels, the block having validated
-    # the point as a whole
-    calls = {NormalConeHalfspace: 0, NormalConeBall: 0, NormalConeRay: 0}
+    # the point as a whole: the blocks of a stacking kind that occurs more
+    # than once in one call, as a (k, d) stack, and every other member on
+    # its own block
+    calls = {cls: [] for cls in (NormalConeHalfspace, NormalConeBall, NormalConeRay,
+                                 NormalConeBox, NormalConeAffineSubspace)}
     for cls in calls:
         original = cls._kernel
 
         def counted(self, x, cls=cls, original=original):
-            calls[cls] += 1
+            calls[cls].append(x.shape)
             return original(self, x)
 
         monkeypatch.setattr(cls, "_kernel", counted)
+    line = NormalConeAffineSubspace([0.0, 0.0], [[1.0], [0.0]])
     ops = [NormalConeHalfspace([1.0, 0.0], 0.5), NormalConeBall([0.0, 0.0], 1.0),
            NormalConeHalfspace([0.0, 1.0], 0.5), NormalConeBall([2.0, 0.0], 1.0),
            NormalConeHalfspace([1.0, 1.0], 0.0), NormalConeRay([1.0, 0.0]),
-           NormalConeRay([0.0, 1.0]), NormalConeBox([-1.0, -1.0], [1.0, 1.0])]
-    x = np.arange(16.0) - 8.0
+           NormalConeRay([0.0, 1.0]), NormalConeBox([-1.0, -1.0], [1.0, 1.0]), line, line]
+    x = np.arange(20.0) - 10.0
     BlockSeparable(ops).resolve(x)
-    # halfspaces and balls go through their stacked resolvents; rays
-    # have none and resolve one block each
-    assert calls == {NormalConeHalfspace: 0, NormalConeBall: 0, NormalConeRay: 2}
-    BlockSeparable(ops[:2] + ops[5:]).resolve(x[:10])
-    # a kind that occurs once keeps its own resolve
-    assert calls == {NormalConeHalfspace: 1, NormalConeBall: 1, NormalConeRay: 4}
+    # halfspaces, balls and rays resolve their stacked blocks in one call;
+    # the one box and the subspaces, which do not stack, one block each
+    assert calls == {NormalConeHalfspace: [(3, 2)], NormalConeBall: [(2, 2)],
+                     NormalConeRay: [(2, 2)], NormalConeBox: [(2,)],
+                     NormalConeAffineSubspace: [(2,), (2,)]}
+    for shapes in calls.values():
+        shapes.clear()
+    BlockSeparable(ops[:2] + ops[5:8]).resolve(x[:10])
+    # a kind that occurs once keeps its own kernel call
+    assert calls == {NormalConeHalfspace: [(2,)], NormalConeBall: [(2,)],
+                     NormalConeRay: [(2, 2)], NormalConeBox: [(2,)],
+                     NormalConeAffineSubspace: []}
 
 
 def _counted_validations(monkeypatch, *modules):
@@ -628,8 +706,8 @@ def _counted_validations(monkeypatch, *modules):
 
 
 def test_block_separable_validates_the_point_once(monkeypatch):
-    # rays and the box have no stacked resolvent and resolve their own
-    # blocks, by their kernels
+    # stacked members and a member of a kind that occurs once (the box)
+    # are all resolved by their kernels
     ops = [NormalConeHalfspace([1.0, 0.0], 0.5), NormalConeBall([0.0, 0.0], 1.0),
            NormalConeHalfspace([0.0, 1.0], 0.5), NormalConeBall([2.0, 0.0], 1.0),
            NormalConeRay([1.0, 0.0]), NormalConeRay([0.0, 1.0]),

@@ -474,6 +474,21 @@ def test_iterate_parameter_validation():
         find_fixed_point(SplitOperator(X_AXIS, UP_RAY), [5.0, -3.0], tol=math.nan)
 
 
+def test_write_csv_allocates_a_bounded_chunk_of_rows(tmp_path):
+    # the rows are formatted a bounded chunk at a time, so writing the
+    # long orbit allocates at most 128 KB above what the orbit holds
+    orbit = iterate(LONG_ORBIT, LONG_ORBIT_X0, 50_000, 0.0)
+    assert len(orbit.steps) == splitting.DEFAULT_HISTORY_CAP
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        orbit.write_csv(tmp_path / "orbit.csv")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128_000, peak
+
+
 def test_orbit_csv_format(tmp_path):
     T = SplitOperator(X_AXIS, UP_RAY)
     orbit = iterate(T, [5.0, -3.0])

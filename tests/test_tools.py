@@ -51,7 +51,8 @@ def test_layer_times_times_every_layer():
             "resolve normal_cone_ball", "dr_step line/ball",
             "apply line/ball, borwein_tam", "iterate line/ball ab, per step",
             "iterate plane/line ba, per step", "product kernel lift m=100",
-            "iterate lift m=100, per step"} <= set(names)
+            "iterate lift m=100, per step", "product kernel lift of 20 rays R^2",
+            "product kernel lift of 20 boxes R^3"} <= set(names)
     # every kind's one-point resolve, its kernel, and the same point as a
     # (1, d) batch
     kinds = [name for name in names if name.startswith("resolve ") and "," not in name]

@@ -25,7 +25,9 @@ Rows, each the median wall time of one call over --repeat calls (the
 - on the 100-member lift of ``tools/ab_times.py`` (50 halfspaces and 50
   balls in R^3, as in the benchmark's consensus-lift), the product
   kernel on its first start, a point of R^300, and ``iterate`` per step
-  from that start, to ``stop_tol`` 1e-10 or --steps steps.
+  from that start, to ``stop_tol`` 1e-10 or --steps steps;
+- the product kernel of a lift of 20 rays in R^2 and of one of 20 boxes
+  in R^3, each kind resolved as one stack of members.
 
 Usage: PYTHONPATH=src python3 tools/layer_times.py [--repeat 201] [--steps 20000]
 
@@ -151,6 +153,16 @@ def main() -> int:
     steps = splitting.iterate(T, starts[0], args.steps, 1e-10).iterations
     rows.append(("iterate lift m=100, per step", _median_us(
         lambda: splitting.iterate(T, starts[0], args.steps, 1e-10), repeat, steps)))
+    rng = np.random.default_rng(2034)
+    for name, members in (
+        ("rays R^2", [NormalConeRay(rng.normal(size=2)) for _ in range(20)]),
+        ("boxes R^3", [NormalConeBox(-np.abs(rng.normal(size=3)), np.abs(rng.normal(size=3)))
+                       for _ in range(20)]),
+    ):
+        product = BlockSeparable(members)
+        point = rng.normal(size=product.dim) * 2.0
+        rows.append((f"product kernel lift of 20 {name}",
+                     _median_us(lambda: product._kernel(point), args.repeat)))
 
     width = max(len(name) for name, _ in rows)
     print(f"{'median us':<{width}} {'':>9}")
